@@ -84,15 +84,6 @@ type Options struct {
 	// MinimizeBudget caps the oracle re-runs the per-finding minimizer may
 	// spend (0 selects the default of 300; negative disables minimization).
 	MinimizeBudget int
-	// NoCodeCache opts every judged run out of the process-wide
-	// executable-code cache and engine reuse pool (cold-baseline
-	// benchmarking; see sulong.Config.NoCodeCache). Not part of the journal
-	// identity: warm and cold runs produce byte-identical records.
-	NoCodeCache bool
-	// NoCache additionally bypasses the pipeline module cache, so every
-	// judged program compiles from source — the fully cold baseline. Like
-	// NoCodeCache, it never changes the journal.
-	NoCache bool
 	// Progress, when non-nil, is called after each seed is recorded in
 	// index order (the same shape harness.SweepOptions.Progress uses).
 	// Journal writes are group-committed, so a reported record is durable

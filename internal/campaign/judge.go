@@ -43,8 +43,6 @@ func (c *campaign) baseBudget() harness.CaseBudget {
 		Timeout:      c.opts.Timeout,
 		MaxHeapBytes: 64 << 20,
 		Ctx:          c.opts.Ctx,
-		NoCodeCache:  c.opts.NoCodeCache,
-		NoCache:      c.opts.NoCache,
 	}
 }
 

@@ -181,9 +181,10 @@ func (g *fnGen) setBlock(i int) { g.curIdx = i }
 // alloca emits an alloca for a C type and returns the address register.
 func (g *fnGen) alloca(ty *CType, name string) int {
 	dst := g.f.NewReg()
-	// Allocas are emitted where they appear; engines hoist nothing. The
-	// entry block would be the classic place, but emitting in place keeps
-	// block-scoped lifetimes simple and matches the managed model.
+	// Allocas are emitted where they appear. The entry block would be the
+	// classic place, but emitting in place keeps block-scoped lifetimes
+	// simple and matches the managed model; the native machines give each
+	// re-executed constant-size alloca one slot per frame instead.
 	g.emit(ir.Instr{Op: ir.OpAlloca, Dst: dst, Ty: ty.IR(), Name: name, CType: ty.String()})
 	return dst
 }

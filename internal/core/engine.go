@@ -107,22 +107,10 @@ type Config struct {
 	// on-stack-replacement entry compilation (0 = OSR off). Effective only
 	// when Tier1 also implements OSRCompiler.
 	OSRThreshold int64
-	// NoSpeculate disables speculative deopting fast paths in OSR entries
-	// (ablation: frame-compatible compilation with generic accesses only).
-	NoSpeculate bool
-	// NoFramePool disables activation-record reuse (ablation benchmarks and
-	// the recorded baseline rows): every call allocates a fresh Frame, as the
-	// engine did before the tier-2 peak-performance layer.
-	NoFramePool bool
 	// OnCompile is invoked when a function is tier-1 compiled (Fig. 15's
 	// compilation-event annotations). Under AsyncJIT it fires at install
 	// time, on the engine thread.
 	OnCompile func(name string)
-	// OnOSR is invoked when an OSR entry is installed; OnDeopt when
-	// speculative code transfers back to tier-0. Both run on the engine
-	// thread (warmup-curve capture in the harness).
-	OnOSR   func(name string)
-	OnDeopt func(name string)
 }
 
 // Stats captures execution counters. The Heap* and fault fields mirror the
@@ -240,7 +228,23 @@ type Engine struct {
 // NewEngine prepares a managed engine for the module. The module is not
 // mutated; globals are instantiated as managed objects.
 func NewEngine(mod *ir.Module, cfg Config) (*Engine, error) {
-	e := &Engine{mod: mod, cfg: cfg, gov: cfg.Governor}
+	e := &Engine{mod: mod}
+	e.compiled = make([]CompiledFunc, len(mod.Funcs))
+	e.counts = make([]int64, len(mod.Funcs))
+	if err := e.configure(cfg, e.layoutGlobals); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// configure is the per-run setup NewEngine and Reset share: it adopts cfg
+// with its MaxSteps, MaxCallDepth and Tier1Threshold defaults, plumbs stdio,
+// builds the fault injector for cfg's budget, lets layout charge and
+// initialize the globals against it, and finally arms OSR and the background
+// compile pool (last, so a failed layout leaves no workers behind).
+func (e *Engine) configure(cfg Config, layout func() error) error {
+	e.cfg = cfg
+	e.gov = cfg.Governor
 	e.maxSteps = cfg.MaxSteps
 	if e.maxSteps == 0 {
 		e.maxSteps = 2_000_000_000
@@ -252,6 +256,7 @@ func NewEngine(mod *ir.Module, cfg Config) (*Engine, error) {
 	if cfg.Tier1Threshold == 0 {
 		e.cfg.Tier1Threshold = 50
 	}
+	e.sink.Reset()
 	out := cfg.Stdout
 	if out == nil {
 		out = &e.sink
@@ -262,8 +267,7 @@ func NewEngine(mod *ir.Module, cfg Config) (*Engine, error) {
 		in = strings.NewReader("")
 	}
 	e.stdin = bufio.NewReader(in)
-	e.compiled = make([]CompiledFunc, len(mod.Funcs))
-	e.counts = make([]int64, len(mod.Funcs))
+
 	mab := cfg.MaxAllocBytes
 	if mab == 0 {
 		mab = maxHeapAlloc
@@ -272,12 +276,12 @@ func NewEngine(mod *ir.Module, cfg Config) (*Engine, error) {
 		MaxHeapBytes:  cfg.MaxHeapBytes,
 		MaxAllocBytes: mab,
 	})
-	if err := e.bindBuiltins(); err != nil {
-		return nil, err
+	if err := layout(); err != nil {
+		return err
 	}
-	if err := e.initGlobals(); err != nil {
-		return nil, err
-	}
+
+	e.osrComp, e.osrOn = nil, false
+	e.osrEntries, e.osrCounts = nil, nil
 	if cfg.Tier1 != nil {
 		if oc, ok := cfg.Tier1.(OSRCompiler); ok && cfg.OSRThreshold > 0 {
 			e.osrComp = oc
@@ -289,7 +293,16 @@ func NewEngine(mod *ir.Module, cfg Config) (*Engine, error) {
 			e.startPool()
 		}
 	}
-	return e, nil
+	return nil
+}
+
+// layoutGlobals is a cold engine's global layout: bind the builtin table,
+// then create and initialize every global object.
+func (e *Engine) layoutGlobals() error {
+	if err := e.bindBuiltins(); err != nil {
+		return err
+	}
+	return e.initGlobals()
 }
 
 // Reset returns a finished engine to its just-constructed state for a new
@@ -320,31 +333,6 @@ func (e *Engine) Reset(cfg Config) error {
 	e.Close()
 	e.closeOnce = sync.Once{}
 
-	e.cfg = cfg
-	e.gov = cfg.Governor
-	e.maxSteps = cfg.MaxSteps
-	if e.maxSteps == 0 {
-		e.maxSteps = 2_000_000_000
-	}
-	e.maxDepth = cfg.MaxCallDepth
-	if e.maxDepth == 0 {
-		e.maxDepth = 4096
-	}
-	if cfg.Tier1Threshold == 0 {
-		e.cfg.Tier1Threshold = 50
-	}
-	e.sink.Reset()
-	out := cfg.Stdout
-	if out == nil {
-		out = &e.sink
-	}
-	e.stdout = bufio.NewWriter(out)
-	in := cfg.Stdin
-	if in == nil {
-		in = strings.NewReader("")
-	}
-	e.stdin = bufio.NewReader(in)
-
 	e.steps, e.depth = 0, 0
 	e.stats = Stats{}
 	e.callStack = diag.Stack{}
@@ -365,26 +353,18 @@ func (e *Engine) Reset(cfg Config) error {
 	}
 	e.sites = e.sites[:0]
 	e.queued = nil
-	e.osrComp, e.osrOn = nil, false
-	e.osrEntries, e.osrCounts = nil, nil
 	e.specMu.Lock()
 	e.specBad = nil
 	e.specMu.Unlock()
+	return e.configure(cfg, e.replayGlobals)
+}
 
-	mab := cfg.MaxAllocBytes
-	if mab == 0 {
-		mab = maxHeapAlloc
-	}
-	e.mem = fault.NewInjector(cfg.FaultPlan, fault.Budget{
-		MaxHeapBytes:  cfg.MaxHeapBytes,
-		MaxAllocBytes: mab,
-	})
-
-	// Replay the cold-start global layout: same charge order, same IDs,
-	// same initializer stores. Globals hold IDs 1..N, so the next runtime
-	// ID picks up where a cold initGlobals would have left it. A module
-	// mutated since construction (legal for caller-owned NoCache modules)
-	// fails the shape check and the caller falls back to a cold engine.
+// replayGlobals replays the cold-start global layout on a reset engine: same
+// charge order, same IDs, same initializer stores. Globals hold IDs 1..N, so
+// the next runtime ID picks up where a cold initGlobals would have left it. A
+// module mutated since construction (legal for caller-owned NoCache modules)
+// fails the shape check and the caller falls back to a cold engine.
+func (e *Engine) replayGlobals() error {
 	if len(e.globalList) != len(e.mod.Globals) {
 		return fmt.Errorf("core: reset: module global count changed")
 	}
@@ -405,18 +385,6 @@ func (e *Engine) Reset(cfg Config) error {
 		}
 		if err := e.fillConst(e.globals[g.Name], 0, g.Init, g.Ty); err != nil {
 			return fmt.Errorf("core: initializing global %s: %w", g.Name, err)
-		}
-	}
-
-	if cfg.Tier1 != nil {
-		if oc, ok := cfg.Tier1.(OSRCompiler); ok && cfg.OSRThreshold > 0 {
-			e.osrComp = oc
-			e.osrOn = true
-			e.osrEntries = make(map[int64]CompiledFunc)
-			e.osrCounts = make(map[int64]int64)
-		}
-		if cfg.AsyncJIT {
-			e.startPool()
 		}
 	}
 	return nil
@@ -929,7 +897,7 @@ func (e *Engine) invoke(idx int, args []Value, varargs []Pointer) (Value, error)
 // newly allocated — tier-0 "fresh frame" semantics are preserved.
 func (e *Engine) getFrame(f *ir.Func) *Frame {
 	need := f.NumRegs
-	if n := len(e.framePool); n > 0 && !e.cfg.NoFramePool {
+	if n := len(e.framePool); n > 0 {
 		fr := e.framePool[n-1]
 		e.framePool[n-1] = nil
 		e.framePool = e.framePool[:n-1]
@@ -951,9 +919,6 @@ func (e *Engine) getFrame(f *ir.Func) *Frame {
 // released, and the fault-plane byte account is cleared. A reused frame is
 // observationally identical to a fresh one.
 func (e *Engine) putFrame(fr *Frame) {
-	if e.cfg.NoFramePool {
-		return
-	}
 	regs := fr.Regs[:cap(fr.Regs)]
 	for i := range regs {
 		regs[i] = Value{}

@@ -209,9 +209,6 @@ func (e *Engine) installReady() {
 		} else {
 			e.osrEntries[osrKey(r.key.fidx, r.key.header)] = r.fn
 			e.stats.OSRCompiled++
-			if e.cfg.OnOSR != nil {
-				e.cfg.OnOSR(e.mod.Funcs[r.key.fidx].Name)
-			}
 		}
 		e.stats.AsyncInstalls++
 		// Allow a later re-request (deopt discards installed entries).
@@ -257,9 +254,6 @@ func (e *Engine) tryOSR(fr *Frame, header int) CompiledFunc {
 		if cf := e.osrComp.CompileOSR(e, fr.FnIdx, header); cf != nil {
 			e.osrEntries[k] = cf
 			e.stats.OSRCompiled++
-			if e.cfg.OnOSR != nil {
-				e.cfg.OnOSR(fr.Fn.Name)
-			}
 			return cf
 		}
 	}
@@ -278,9 +272,6 @@ func (e *Engine) deopted(fr *Frame, header int, de *DeoptError) {
 	delete(e.osrEntries, k)
 	e.osrCounts[k] = 0
 	delete(e.queued, tierKey{fidx: fr.FnIdx, header: header})
-	if e.cfg.OnDeopt != nil {
-		e.cfg.OnDeopt(fr.Fn.Name)
-	}
 }
 
 // specSite names one speculatable instruction.
@@ -291,13 +282,9 @@ type specSite struct {
 }
 
 // CanSpeculate reports whether the tier-1 compiler may emit a speculative
-// (deopting) fast path for the instruction at (fidx, blk, instr): speculation
-// is enabled and the site has not already deopted once. Safe to call from
-// background compile workers.
+// (deopting) fast path for the instruction at (fidx, blk, instr): the site
+// has not already deopted once. Safe to call from background compile workers.
 func (e *Engine) CanSpeculate(fidx, blk, instr int) bool {
-	if e.cfg.NoSpeculate {
-		return false
-	}
 	e.specMu.Lock()
 	bad := e.specBad[specSite{fidx, blk, instr}]
 	e.specMu.Unlock()

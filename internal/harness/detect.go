@@ -181,15 +181,6 @@ type CaseBudget struct {
 	// deterministic backoff; a cell that never recovers is quarantined
 	// instead of aborting the matrix. 0 = no retries.
 	MaxRetries int
-	// NoCodeCache opts the cell out of the process-wide executable-code
-	// cache and engine reuse pool — the cold baseline the warm-vs-cold
-	// parity suite compares against (see sulong.Config.NoCodeCache).
-	NoCodeCache bool
-	// NoCache additionally bypasses the pipeline module cache, so the cell
-	// compiles its source from scratch (see sulong.Config.NoCache). Together
-	// with NoCodeCache this is the fully cold-compile baseline the
-	// throughput recorder measures "compile once, run many" against.
-	NoCache bool
 	// Ctx, when non-nil, cancels the cell cooperatively: the run's governor
 	// is stopped at the next basic-block boundary and a retry backoff sleep
 	// is interrupted instead of slept out. The campaign driver threads its
@@ -230,8 +221,6 @@ func (b CaseBudget) config(c corpus.Case, tool Tool) sulong.Config {
 	cfg.MaxHeapBytes = b.MaxHeapBytes
 	cfg.MaxAllocBytes = b.MaxAllocBytes
 	cfg.FaultPlan = b.FaultPlan
-	cfg.NoCodeCache = b.NoCodeCache
-	cfg.NoCache = b.NoCache
 	if tool == SafeSulong && b.JIT {
 		cfg.JIT = true
 		cfg.JITThreshold = b.JITThreshold

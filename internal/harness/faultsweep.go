@@ -33,12 +33,6 @@ type SweepOptions struct {
 	// per-seed progress through the same signature, so both surfaces share
 	// one mechanism (and one renderer).
 	Progress func(done, total int)
-	// NoCodeCache opts every run out of the executable-code cache and
-	// engine pool (cold-baseline benchmarking).
-	NoCodeCache bool
-	// NoCache additionally bypasses the pipeline module cache — every run
-	// compiles from source, the fully cold-compile baseline.
-	NoCache bool
 }
 
 // SweepViolation is one assertion failure found by the sweep.
@@ -145,8 +139,6 @@ func FaultSweep(opts SweepOptions) *SweepResult {
 			MaxSteps:     opts.MaxSteps,
 			MaxHeapBytes: opts.MaxHeapBytes,
 			FaultPlan:    fault.Plan{FailNth: int64(nth)},
-			NoCodeCache:  opts.NoCodeCache,
-			NoCache:      opts.NoCache,
 		}
 		out := &grid[i]
 		start := time.Now()

@@ -113,14 +113,6 @@ type MatrixOptions struct {
 	JITAsync     bool
 	OSR          bool
 	OSRThreshold int64
-	// NoCodeCache opts every cell out of the process-wide executable-code
-	// cache and engine reuse pool (cold-baseline benchmarking; see
-	// sulong.Config.NoCodeCache).
-	NoCodeCache bool
-	// NoCache additionally bypasses the pipeline module cache, making every
-	// cell compile its translation unit from scratch — the fully cold
-	// "compile every time" baseline (see sulong.Config.NoCache).
-	NoCache bool
 }
 
 // RunDetectionMatrixWith runs the corpus×tool evaluation matrix on a
@@ -155,8 +147,6 @@ func RunDetectionMatrixWith(opts MatrixOptions) *MatrixResult {
 		JITAsync:      opts.JITAsync,
 		OSR:           opts.OSR,
 		OSRThreshold:  opts.OSRThreshold,
-		NoCodeCache:   opts.NoCodeCache,
-		NoCache:       opts.NoCache,
 	}
 	var progressMu sync.Mutex
 	var done int

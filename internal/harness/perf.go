@@ -26,8 +26,6 @@ const (
 	ValgrindPerf                         // memcheck-hosted, unoptimized IR
 	SafeSulongPerf                       // managed engine with the tier-1 compiler (tier-2 peak layer on), synchronous tier-up
 	SafeSulongNoJIT                      // ablation: tier-0 interpreter only
-	SafeSulongBaseline                   // ablation: tier-1 without the tier-2 peak layer or frame pooling (the pre-tier-2 compiler)
-	SafeSulongNoInline                   // ablation: tier-2 with the inliner off
 	SafeSulongAsync                      // tier-2 with background compilation (install at dispatch points)
 	SafeSulongAsyncOSR                   // async tier-2 plus on-stack replacement and speculative deopt
 )
@@ -35,7 +33,6 @@ const (
 var perfNames = [...]string{
 	ClangO0: "Clang -O0", ClangO3: "Clang -O3", ASanPerf: "ASan -O0",
 	ValgrindPerf: "Valgrind", SafeSulongPerf: "Safe Sulong", SafeSulongNoJIT: "Safe Sulong (no JIT)",
-	SafeSulongBaseline: "Safe Sulong (baseline)", SafeSulongNoInline: "Safe Sulong (no inline)",
 	SafeSulongAsync: "Safe Sulong (async)", SafeSulongAsyncOSR: "Safe Sulong (async+OSR)",
 }
 
@@ -59,17 +56,11 @@ func PerfConfigs() []PerfConfig {
 const DefaultTier1Threshold = 25
 
 // RunnerOptions tunes the managed configurations. The zero value reproduces
-// the historical harness behavior (threshold 25, one background worker for
-// async configs, default back-edge threshold for OSR).
+// the historical harness behavior (tier-up after 25 calls).
 type RunnerOptions struct {
 	// Tier1Threshold overrides the call count that triggers tier-up
 	// (DefaultTier1Threshold when zero).
 	Tier1Threshold int64
-	// OSRThreshold overrides the back-edge count that requests an OSR entry
-	// for SafeSulongAsyncOSR (sulong.DefaultOSRThreshold when zero).
-	OSRThreshold int64
-	// Workers bounds the background compile pool for async configs.
-	Workers int
 }
 
 // Runner executes one program repeatedly in-process (the paper's warm-up
@@ -110,8 +101,8 @@ type RunnerJITStats struct {
 }
 
 // perfPool parks managed benchmark engines between runners. Sample rows
-// that rebuild a Runner for the same module (recorded warm-up timelines,
-// repeated MeasurePeak calls) reset a parked engine — globals re-zeroed,
+// that rebuild a Runner for the same module (repeated MeasureWarmup or
+// MeasurePeak calls) reset a parked engine — globals re-zeroed,
 // libc layout kept — instead of paying NewEngine's full layout cost.
 var perfPool = core.NewEnginePool(0)
 
@@ -202,8 +193,7 @@ func NewRunner(cfgKind PerfConfig, src, arg string) (Runner, error) {
 // Callers must Close the runner.
 func NewRunnerOpts(cfgKind PerfConfig, src, arg string, opts RunnerOptions) (Runner, error) {
 	switch cfgKind {
-	case SafeSulongPerf, SafeSulongNoJIT, SafeSulongBaseline, SafeSulongNoInline,
-		SafeSulongAsync, SafeSulongAsyncOSR:
+	case SafeSulongPerf, SafeSulongNoJIT, SafeSulongAsync, SafeSulongAsyncOSR:
 		mod, err := sulong.CompileOnly(src)
 		if err != nil {
 			return nil, err
@@ -216,19 +206,8 @@ func NewRunnerOpts(cfgKind PerfConfig, src, arg string, opts RunnerOptions) (Run
 				r.compiled++
 			},
 		}
-		switch cfgKind {
-		case SafeSulongPerf, SafeSulongAsync, SafeSulongAsyncOSR:
+		if cfgKind != SafeSulongNoJIT {
 			r.comp = jit.New()
-		case SafeSulongBaseline:
-			// The pre-tier-2 tier-1 compiler: scalar promotion and closure
-			// lowering, but no peak layer and no frame pooling. This is the
-			// honest "before" row for the recorded benchmark baseline.
-			r.comp = &jit.Compiler{DisableTier2: true}
-			ecfg.NoFramePool = true
-		case SafeSulongNoInline:
-			r.comp = &jit.Compiler{DisableInline: true}
-		}
-		if r.comp != nil {
 			ecfg.Tier1 = r.comp
 			ecfg.Tier1Threshold = opts.Tier1Threshold
 			if ecfg.Tier1Threshold <= 0 {
@@ -236,15 +215,11 @@ func NewRunnerOpts(cfgKind PerfConfig, src, arg string, opts RunnerOptions) (Run
 			}
 		}
 		switch cfgKind {
-		case SafeSulongAsync, SafeSulongAsyncOSR:
+		case SafeSulongAsync:
 			ecfg.AsyncJIT = true
-			ecfg.JITWorkers = opts.Workers
-			if cfgKind == SafeSulongAsyncOSR {
-				ecfg.OSRThreshold = opts.OSRThreshold
-				if ecfg.OSRThreshold <= 0 {
-					ecfg.OSRThreshold = sulong.DefaultOSRThreshold
-				}
-			}
+		case SafeSulongAsyncOSR:
+			ecfg.AsyncJIT = true
+			ecfg.OSRThreshold = sulong.DefaultOSRThreshold
 		}
 		eng, err := perfPool.Get(mod, ecfg)
 		if err != nil {
@@ -359,19 +334,12 @@ type WarmupSample struct {
 // MeasureWarmup replays the paper's Fig. 15: run the benchmark continuously
 // for the given duration and report iterations completed per bucket.
 func MeasureWarmup(bench benchprog.Benchmark, arg string, total time.Duration, bucket time.Duration, cfgs []PerfConfig) (map[PerfConfig][]WarmupSample, error) {
-	return MeasureWarmupOpts(bench, arg, total, bucket, cfgs, RunnerOptions{})
-}
-
-// MeasureWarmupOpts is MeasureWarmup with explicit runner options (used by
-// perfbench to force early tier-up so the compile timeline is visible within
-// a short capture window).
-func MeasureWarmupOpts(bench benchprog.Benchmark, arg string, total time.Duration, bucket time.Duration, cfgs []PerfConfig, opts RunnerOptions) (map[PerfConfig][]WarmupSample, error) {
 	if arg == "" {
 		arg = bench.SmallArg
 	}
 	out := map[PerfConfig][]WarmupSample{}
 	for _, cfgKind := range cfgs {
-		r, err := NewRunnerOpts(cfgKind, bench.Source, arg, opts)
+		r, err := NewRunner(cfgKind, bench.Source, arg)
 		if err != nil {
 			return nil, err
 		}

@@ -58,16 +58,10 @@ func (a *siteAlloc) alloc() int {
 // closures for the same module, so they may share a cache unit.
 type Fingerprint struct {
 	DisableMem2Reg bool
-	DisableTier2   bool
-	DisableInline  bool
 }
 
 func (c *Compiler) fingerprint() Fingerprint {
-	return Fingerprint{
-		DisableMem2Reg: c.DisableMem2Reg,
-		DisableTier2:   c.DisableTier2,
-		DisableInline:  c.DisableInline,
-	}
+	return Fingerprint{DisableMem2Reg: c.DisableMem2Reg}
 }
 
 // cacheKey addresses one unit: the module's content hash (not its pointer —

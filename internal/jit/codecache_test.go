@@ -216,7 +216,7 @@ func TestCodeCacheReleaseModule(t *testing.T) {
 	src := cacheModSrc(7)
 	e1, c1, fidx := cacheEngine(t, src, cc)
 	e2, c2, _ := cacheEngine(t, src, cc)
-	c2.DisableInline = true // distinct fingerprint, same module content
+	c2.DisableMem2Reg = true // distinct fingerprint, same module content
 
 	if fn := c1.Compile(e1, fidx); fn == nil {
 		t.Fatal("compile returned nil closure")

@@ -287,7 +287,7 @@ func matchRunAccess(a *ir.Instr, addrReg, base int) (runOp, bool) {
 // ones like a pointer-carrying object — re-executes the run through the
 // per-instruction checked path. consumed==0 means no run matched.
 func (c *Compiler) tryRun(e *core.Engine, f *ir.Func, instrs []ir.Instr, wts []int64) (step, int, int64, error) {
-	if c.DisableTier2 || len(instrs) < 4 {
+	if len(instrs) < 4 {
 		return nil, 0, 0, nil
 	}
 	ops, base, lo, hi, consumed := scanRun(instrs)

@@ -93,7 +93,7 @@ func (c *Compiler) compileCall(e *core.Engine, in *ir.Instr, fname string) (step
 			return nil, fmt.Errorf("jit: unknown callee %s", in.Callee.Sym)
 		}
 		callee := e.Module().Funcs[idx]
-		if !c.DisableTier2 && len(varTypes) == 0 && !callee.IsDecl && !e.IsBuiltin(idx) {
+		if len(varTypes) == 0 && !callee.IsDecl && !e.IsBuiltin(idx) {
 			// Persistent argument buffer, held in the *engine's* call-site
 			// table rather than captured here: the closure may be shared by
 			// the code cache across many engines, so its only state is the
@@ -115,29 +115,6 @@ func (c *Compiler) compileCall(e *core.Engine, in *ir.Instr, fname string) (step
 		return nil, err
 	}
 	nFuncs := len(e.Module().Funcs)
-
-	if c.DisableTier2 {
-		// Pre-tier-2 generic indirect dispatch (baseline ablation).
-		return func(e *core.Engine, fr *core.Frame) error {
-			p := getCallee(e, fr).P
-			if p.IsNull() {
-				return e.Located(&core.BugError{Kind: core.NullDeref, Access: core.CallAccess}, fname, line)
-			}
-			if !p.IsFunc() {
-				return e.Located(&core.BugError{
-					Kind: core.TypeViolation, Access: core.CallAccess, Mem: p.Obj.Mem, Obj: p.Obj.Name,
-				}, fname, line)
-			}
-			idx := p.FuncIndex()
-			if idx < 0 || idx >= nFuncs {
-				return &core.InternalError{
-					Msg:   fmt.Sprintf("call to unknown function in %s", fname),
-					Guest: e.CaptureStack(fname, line),
-				}
-			}
-			return invoke(e, fr, idx, make([]core.Value, nFixed))
-		}, nil
-	}
 
 	// Inline cache. The guards run in the interpreter's order: a non-function
 	// pointer reports exactly the tier-0 diagnostic (NULL call, call through
@@ -235,7 +212,7 @@ func remapRegs(f *ir.Func, base int) {
 // per caller. Failure is never a compilation bail — the site falls back to
 // the generic call closure.
 func (c *Compiler) tryInline(e *core.Engine, in *ir.Instr, callerName string) (step, bool) {
-	if c.DisableMem2Reg || c.DisableTier2 || c.DisableInline || c.osrMode {
+	if c.DisableMem2Reg || c.osrMode {
 		// osrMode: inline windows would grow the register file past the
 		// interpreter frame's, breaking frame-compatible deopt transfer.
 		return nil, false

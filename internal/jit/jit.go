@@ -61,12 +61,6 @@ type Compiler struct {
 	// DisableMem2Reg turns off scalar promotion and every later pass
 	// (ablation benchmarks: the tier-0-shaped closure compiler).
 	DisableMem2Reg bool
-	// DisableTier2 turns off the tier-2 peak layer (copy propagation,
-	// address CSE, hoisting, fusion, inlining, inline caches), reproducing
-	// the pre-tier-2 compiler for the recorded baseline rows.
-	DisableTier2 bool
-	// DisableInline turns off just the inliner (ablation row).
-	DisableInline bool
 
 	// Cache, when set, makes Compile consult the process-wide executable-code
 	// cache before lowering: a hit attaches the shared immutable closure and
@@ -210,12 +204,10 @@ func (c *Compiler) compileFn(e *core.Engine, fidx int) (core.CompiledFunc, unitM
 	if !c.DisableMem2Reg {
 		opt.Mem2Reg(f)
 		opt.FoldConstants(f)
-		if !c.DisableTier2 {
-			opt.CopyPropagate(f)
-			opt.CSEAddresses(f)
-			opt.CopyPropagate(f)
-			w = opt.HoistLoopInvariants(f, w)
-		}
+		opt.CopyPropagate(f)
+		opt.CSEAddresses(f)
+		opt.CopyPropagate(f)
+		w = opt.HoistLoopInvariants(f, w)
 		opt.SweepDeadMoves(f, w)
 	}
 	c.nextReg = f.NumRegs
@@ -294,7 +286,7 @@ func (c *Compiler) lowerFunc(e *core.Engine, f *ir.Func, w opt.Weights) ([]block
 // cmp+condbr terminator fusion.
 func (c *Compiler) lowerBlock(e *core.Engine, f *ir.Func, b *ir.Block, bw []int64, uses []int) (block, error) {
 	n := len(b.Instrs)
-	tier2 := !c.DisableMem2Reg && !c.DisableTier2
+	tier2 := !c.DisableMem2Reg
 	var body []step
 	var wts []int64
 	i := 0

@@ -112,9 +112,21 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 		}
 		switch in.Op {
 		case ir.OpAlloca:
-			count := int64(1)
+			count, variable := int64(1), false
 			if cnt, ok := in.CountOp(); ok {
 				count = m.oper(fr, cnt).I
+				variable = cnt.Kind != ir.OperConstInt
+			}
+			// A constant-size alloca owns one slot per frame: re-executing it
+			// (a block-scoped local inside a loop) hands back the same
+			// address, as Clang's hoisting of such allocas to the entry block
+			// does, instead of growing the stack on every iteration. The entry
+			// block runs once per frame, so only later blocks need the memo;
+			// variable-length allocas carve fresh stack each time.
+			reuse := !variable && blk != 0
+			if addr, ok := fr.slots[in]; ok {
+				fr.Regs[in.Dst] = IntVal(int64(addr))
+				break
 			}
 			size := in.Ty.Size() * count
 			if size < 1 {
@@ -126,6 +138,12 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 			}
 			if m.trackTypes && in.CType != "" {
 				m.Types.Register(int64(addr), size, m.descFor(in.Ty, in.CType))
+			}
+			if reuse {
+				if fr.slots == nil {
+					fr.slots = make(map[*ir.Instr]uint64)
+				}
+				fr.slots[in] = addr
 			}
 			fr.Regs[in.Dst] = IntVal(int64(addr))
 

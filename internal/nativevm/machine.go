@@ -67,6 +67,9 @@ type Frame struct {
 	// stackBytes is the charged size of this frame's allocas; returned to
 	// the fault injector's budget in the call epilogue (sp restore).
 	stackBytes int64
+	// slots maps each constant-size alloca outside the entry block to the
+	// address it carved on first execution (nil until one runs).
+	slots map[*ir.Instr]uint64
 }
 
 // CallCtx is what a libc function receives: fixed args plus the variadic

@@ -1,8 +1,6 @@
 package sulong_test
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"repro/internal/benchprog"
@@ -11,7 +9,7 @@ import (
 
 // TestPerfCheckSmoke is `make perfcheck`'s runtime half: one benchgame
 // program under every performance configuration — the native anchors, the
-// sanitized engines, and each managed JIT ablation — for a handful of
+// sanitized engines, and each managed tiering mode — for a handful of
 // iterations each, under the race detector. The managed configurations must
 // compile without a single bail-out: a bail never changes behavior, but on
 // the benchmark programs the tier-2 layer was built for, silently staying in
@@ -23,8 +21,7 @@ func TestPerfCheckSmoke(t *testing.T) {
 	}
 	cfgs := []harness.PerfConfig{
 		harness.ClangO0, harness.ClangO3, harness.ASanPerf, harness.ValgrindPerf,
-		harness.SafeSulongNoJIT, harness.SafeSulongBaseline,
-		harness.SafeSulongNoInline, harness.SafeSulongPerf,
+		harness.SafeSulongNoJIT, harness.SafeSulongPerf,
 		harness.SafeSulongAsync, harness.SafeSulongAsyncOSR,
 	}
 	for _, cfg := range cfgs {
@@ -49,7 +46,7 @@ func TestPerfCheckSmoke(t *testing.T) {
 				t.Errorf("%d bail-out(s) on a benchgame program: %v", js.Bailed, js.BailReasons)
 			}
 			switch cfg {
-			case harness.SafeSulongPerf, harness.SafeSulongBaseline, harness.SafeSulongNoInline:
+			case harness.SafeSulongPerf:
 				if js.Compiled == 0 {
 					t.Error("tier-1 compiled nothing after 30 iterations")
 				}
@@ -62,249 +59,5 @@ func TestPerfCheckSmoke(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestBenchPR6Schema validates the committed BENCH_PR6.json tiering
-// baseline: warm-up timelines for the interpreter, synchronous tier-2,
-// async tier-2, and async+OSR (plus the Clang -O0 anchor), peak rows that
-// now include the async configurations, and the acceptance shape of the
-// recorded curves — compilation events visible *after* the first one-second
-// bucket (the forced-high threshold spreads them), OSR activity on the
-// async+OSR curve, and a time-to-peak no worse than synchronous tier-up's.
-func TestBenchPR6Schema(t *testing.T) {
-	data, err := os.ReadFile("BENCH_PR6.json")
-	if err != nil {
-		t.Fatalf("recorded tiering baseline missing (run `go run ./cmd/perfbench -record BENCH_PR6.json`): %v", err)
-	}
-	var rep struct {
-		Schema  string `json:"schema"`
-		Warmups int    `json:"warmups"`
-		Samples int    `json:"samples"`
-		Startup []struct {
-			Tool string `json:"tool"`
-		} `json:"startup"`
-		Warmup []struct {
-			Config         string `json:"config"`
-			Tier1Threshold int64  `json:"tier1_threshold"`
-			OSRThreshold   int64  `json:"osr_threshold"`
-			Rows           []struct {
-				Second      int `json:"second"`
-				Iterations  int `json:"iterations"`
-				Compiled    int `json:"compiled"`
-				OSRCompiled int `json:"osr_compiled"`
-				OSREntries  int `json:"osr_entries"`
-				Deopts      int `json:"deopts"`
-			} `json:"rows"`
-			PeakItersPerS int `json:"peak_iterations_per_sec"`
-			TimeToPeakSec int `json:"time_to_peak_sec"`
-		} `json:"warmup"`
-		Benches []struct {
-			Bench string `json:"bench"`
-			Rows  []struct {
-				Config string  `json:"config"`
-				TimeMs float64 `json:"time_ms"`
-				JIT    *struct {
-					Bailed  int      `json:"bailed"`
-					Reasons []string `json:"bail_reasons"`
-				} `json:"jit"`
-			} `json:"rows"`
-		} `json:"benches"`
-		Summary struct {
-			MetTarget             bool `json:"met_target"`
-			TimeToPeakSync        int  `json:"time_to_peak_sync_sec"`
-			TimeToPeakAsyncOSR    int  `json:"time_to_peak_async_osr_sec"`
-			AsyncOSRWarmsUpFaster bool `json:"async_osr_warms_up_faster"`
-		} `json:"summary"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("BENCH_PR6.json does not parse: %v", err)
-	}
-	if rep.Schema != "sulong-bench/pr6" {
-		t.Fatalf("schema = %q, want sulong-bench/pr6", rep.Schema)
-	}
-	if rep.Warmups < 30 || rep.Samples < 15 {
-		t.Errorf("recorded with warmups=%d samples=%d; protocol floor is 30/15", rep.Warmups, rep.Samples)
-	}
-
-	curves := map[string]int{}
-	for i, c := range rep.Warmup {
-		curves[c.Config] = i
-		if len(c.Rows) == 0 {
-			t.Errorf("warmup curve %q has no rows", c.Config)
-		}
-		if c.PeakItersPerS <= 0 || c.TimeToPeakSec <= 0 {
-			t.Errorf("warmup curve %q: peak=%d time_to_peak=%d", c.Config, c.PeakItersPerS, c.TimeToPeakSec)
-		}
-	}
-	for _, want := range []string{
-		"Clang -O0", "Safe Sulong (no JIT)", "Safe Sulong",
-		"Safe Sulong (async)", "Safe Sulong (async+OSR)",
-	} {
-		if _, ok := curves[want]; !ok {
-			t.Errorf("missing warmup curve for %q", want)
-		}
-	}
-
-	// The tiered curves must show compilation landing after bucket 1 — the
-	// point of the forced-high threshold is that the timeline is not flat.
-	lateCompiles := false
-	for _, name := range []string{"Safe Sulong", "Safe Sulong (async)", "Safe Sulong (async+OSR)"} {
-		i, ok := curves[name]
-		if !ok {
-			continue
-		}
-		c := rep.Warmup[i]
-		if c.Tier1Threshold <= 25 {
-			t.Errorf("curve %q recorded at threshold %d; protocol forces a high threshold", name, c.Tier1Threshold)
-		}
-		first := c.Rows[0].Compiled
-		for _, r := range c.Rows[1:] {
-			if r.Second >= 2 && r.Compiled > first {
-				lateCompiles = true
-			}
-		}
-	}
-	if !lateCompiles {
-		t.Error("no tiered curve shows compilation events after the first second")
-	}
-
-	if i, ok := curves["Safe Sulong (async+OSR)"]; ok {
-		c := rep.Warmup[i]
-		last := c.Rows[len(c.Rows)-1]
-		if c.OSRThreshold <= 0 {
-			t.Errorf("async+OSR curve lacks its OSR threshold")
-		}
-		if last.OSRCompiled == 0 || last.OSREntries == 0 {
-			t.Errorf("async+OSR curve recorded no OSR activity: %+v", last)
-		}
-	}
-	if s := rep.Summary; !s.AsyncOSRWarmsUpFaster || s.TimeToPeakAsyncOSR >= s.TimeToPeakSync {
-		t.Errorf("async+OSR warm-up (%ds to peak) must strictly beat synchronous (%ds)",
-			s.TimeToPeakAsyncOSR, s.TimeToPeakSync)
-	}
-
-	wantRows := []string{
-		"Clang -O0", "Safe Sulong (no JIT)", "Safe Sulong (baseline)",
-		"Safe Sulong (no inline)", "Safe Sulong",
-		"Safe Sulong (async)", "Safe Sulong (async+OSR)",
-	}
-	if want := len(benchprog.All()); len(rep.Benches) != want {
-		t.Errorf("benches: got %d rows, want %d", len(rep.Benches), want)
-	}
-	for _, b := range rep.Benches {
-		seen := map[string]bool{}
-		for _, row := range b.Rows {
-			seen[row.Config] = true
-			if row.TimeMs <= 0 {
-				t.Errorf("%s/%s: non-positive time %v", b.Bench, row.Config, row.TimeMs)
-			}
-			if row.JIT != nil && row.JIT.Bailed != 0 {
-				t.Errorf("%s/%s: recorded run had %d bail-out(s): %v",
-					b.Bench, row.Config, row.JIT.Bailed, row.JIT.Reasons)
-			}
-		}
-		for _, cfg := range wantRows {
-			if !seen[cfg] {
-				t.Errorf("%s: missing row for %q", b.Bench, cfg)
-			}
-		}
-	}
-	if !rep.Summary.MetTarget {
-		t.Error("recorded tiering baseline did not meet the tier-2 speedup target")
-	}
-}
-
-// TestBenchBaselineSchema is `make perfcheck`'s artifact half: the committed
-// BENCH_PR5.json must parse against the recorded-baseline schema, carry a
-// row per managed ablation for every benchmark, report zero bail-outs in its
-// compiled rows, and have met the tier-2 speedup target when it was recorded.
-func TestBenchBaselineSchema(t *testing.T) {
-	data, err := os.ReadFile("BENCH_PR5.json")
-	if err != nil {
-		t.Fatalf("recorded baseline missing (run `go run ./cmd/perfbench -record BENCH_PR5.json`): %v", err)
-	}
-	var rep struct {
-		Schema  string `json:"schema"`
-		Warmups int    `json:"warmups"`
-		Samples int    `json:"samples"`
-		Startup []struct {
-			Tool   string  `json:"tool"`
-			TimeMs float64 `json:"timeMs"`
-		} `json:"startup"`
-		Warmup []struct {
-			Second     int `json:"second"`
-			Iterations int `json:"iterations"`
-		} `json:"warmup"`
-		Benches []struct {
-			Bench string `json:"bench"`
-			Rows  []struct {
-				Config    string  `json:"config"`
-				TimeMs    float64 `json:"time_ms"`
-				VsClangO0 float64 `json:"vs_clang_o0"`
-				JIT       *struct {
-					Compiled int      `json:"compiled"`
-					Bailed   int      `json:"bailed"`
-					Reasons  []string `json:"bail_reasons"`
-				} `json:"jit"`
-			} `json:"rows"`
-			Tier2Speedup float64 `json:"tier2_speedup_vs_baseline"`
-		} `json:"benches"`
-		Summary struct {
-			Target    float64 `json:"target_speedup"`
-			Geomean   float64 `json:"compute_bound_geomean_speedup"`
-			MetTarget bool    `json:"met_target"`
-		} `json:"summary"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("BENCH_PR5.json does not parse: %v", err)
-	}
-	if rep.Schema != "sulong-bench/pr5" {
-		t.Fatalf("schema = %q, want sulong-bench/pr5", rep.Schema)
-	}
-	if rep.Warmups < 30 || rep.Samples < 15 {
-		t.Errorf("recorded with warmups=%d samples=%d; protocol floor is 30/15", rep.Warmups, rep.Samples)
-	}
-	if len(rep.Startup) == 0 || len(rep.Warmup) == 0 {
-		t.Error("startup or warmup section empty")
-	}
-	if want := len(benchprog.All()); len(rep.Benches) != want {
-		t.Errorf("benches: got %d rows, want %d", len(rep.Benches), want)
-	}
-	wantRows := map[string]bool{
-		"Clang -O0": false, "Safe Sulong (no JIT)": false,
-		"Safe Sulong (baseline)": false, "Safe Sulong (no inline)": false,
-		"Safe Sulong": false,
-	}
-	for _, b := range rep.Benches {
-		seen := map[string]bool{}
-		for _, row := range b.Rows {
-			seen[row.Config] = true
-			if row.TimeMs <= 0 {
-				t.Errorf("%s/%s: non-positive time %v", b.Bench, row.Config, row.TimeMs)
-			}
-			if row.JIT != nil && row.JIT.Bailed != 0 {
-				t.Errorf("%s/%s: recorded run had %d bail-out(s): %v",
-					b.Bench, row.Config, row.JIT.Bailed, row.JIT.Reasons)
-			}
-		}
-		for cfg := range wantRows {
-			if !seen[cfg] {
-				t.Errorf("%s: missing row for %q", b.Bench, cfg)
-			}
-		}
-		if b.Tier2Speedup <= 0 {
-			t.Errorf("%s: tier2_speedup_vs_baseline = %v", b.Bench, b.Tier2Speedup)
-		}
-	}
-	if rep.Summary.Target != 1.5 {
-		t.Errorf("target_speedup = %v, want 1.5", rep.Summary.Target)
-	}
-	if !rep.Summary.MetTarget {
-		t.Errorf("recorded baseline did not meet the %.1fx target (geomean %.2fx)",
-			rep.Summary.Target, rep.Summary.Geomean)
-	}
-	if rep.Summary.Geomean < rep.Summary.Target {
-		t.Errorf("met_target set but geomean %.2fx < target %.1fx", rep.Summary.Geomean, rep.Summary.Target)
 	}
 }

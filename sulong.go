@@ -94,8 +94,6 @@ type Config struct {
 	// engine while tier-0 keeps executing; compiled code is installed at
 	// the next dispatch point instead of stalling the hot call.
 	JITAsync bool
-	// JITWorkers bounds the background compile pool (0 = 1 worker).
-	JITWorkers int
 	// OSR enables on-stack replacement: a loop whose back edge fires
 	// OSRThreshold times is entered mid-execution by frame-compatible
 	// compiled code with speculative (deopting) fast paths, so a hot loop
@@ -116,7 +114,7 @@ type Config struct {
 	// executable-code cache (tier-1 closures shared across runs of the same
 	// module) and the engine reset/reuse pool. Every run then constructs a
 	// fresh engine and compiles from scratch — the cold baseline the
-	// warm-vs-cold parity suite and throughput benchmarks compare against.
+	// warm-vs-cold parity suite compares against.
 	NoCodeCache bool
 
 	// MaxSteps bounds execution (0 = engine default). The budget is
@@ -400,7 +398,6 @@ func runManaged(mod *ir.Module, cfg Config, gov *core.Governor) (Result, error) 
 		ecfg.Tier1 = comp
 		ecfg.Tier1Threshold = cfg.JITThreshold
 		ecfg.AsyncJIT = cfg.JITAsync
-		ecfg.JITWorkers = cfg.JITWorkers
 		if cfg.OSR || cfg.OSRThreshold > 0 {
 			ecfg.OSRThreshold = cfg.OSRThreshold
 			if ecfg.OSRThreshold == 0 {

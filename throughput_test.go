@@ -6,13 +6,10 @@ package sulong_test
 // from a cold compile: byte-identical stdout, exit code, Stats.Steps,
 // Stats.Calls, and rendered diagnostics, across the full bug corpus, for
 // tier-0, forced tier-1, and async+OSR tiering, clean and under injected
-// allocation faults. TestBenchPR10Schema additionally pins the committed
-// BENCH_PR10.json throughput baseline to its schema.
+// allocation faults.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -107,83 +104,5 @@ func TestWarmColdCacheParity(t *testing.T) {
 				})
 			}
 		})
-	}
-}
-
-// TestBenchPR10Schema validates the committed throughput baseline the same
-// way TestBenchPR6Schema pins BENCH_PR6.json: the schema tag, a cold and a
-// warm row per driver with sane units/throughput, latency percentiles where
-// the protocol promises them, and a summary that meets the warm-cache
-// speedup target the PR claims.
-func TestBenchPR10Schema(t *testing.T) {
-	data, err := os.ReadFile("BENCH_PR10.json")
-	if err != nil {
-		t.Fatalf("BENCH_PR10.json must be committed alongside the code cache: %v", err)
-	}
-	var rep struct {
-		Schema  string `json:"schema"`
-		Workers int    `json:"workers"`
-		Rows    []struct {
-			Driver      string  `json:"driver"`
-			Mode        string  `json:"mode"`
-			Units       int     `json:"units"`
-			WallClockMs float64 `json:"wall_clock_ms"`
-			UnitsPerSec float64 `json:"units_per_sec"`
-			P50CellMs   float64 `json:"p50_cell_ms"`
-			P99CellMs   float64 `json:"p99_cell_ms"`
-		} `json:"rows"`
-		Summary struct {
-			Target   float64 `json:"target_warm_speedup"`
-			Geomean  float64 `json:"matrix_geomean_warm_speedup"`
-			Met      bool    `json:"met_target"`
-			CampCold float64 `json:"campaign_programs_per_sec_cold"`
-			CampWarm float64 `json:"campaign_programs_per_sec_warm"`
-		} `json:"summary"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("parse BENCH_PR10.json: %v", err)
-	}
-	if rep.Schema != "sulong-bench/pr10" {
-		t.Fatalf("schema = %q, want sulong-bench/pr10", rep.Schema)
-	}
-	if rep.Workers < 1 {
-		t.Fatalf("workers = %d", rep.Workers)
-	}
-
-	type key struct{ driver, mode string }
-	seen := map[key]bool{}
-	for _, r := range rep.Rows {
-		if r.Mode != "cold" && r.Mode != "warm" {
-			t.Fatalf("row %s has mode %q", r.Driver, r.Mode)
-		}
-		if r.Units <= 0 || r.WallClockMs <= 0 || r.UnitsPerSec <= 0 {
-			t.Fatalf("row %s/%s has empty measurements: %+v", r.Driver, r.Mode, r)
-		}
-		if r.Driver != "campaign-500" {
-			if r.P50CellMs <= 0 || r.P99CellMs < r.P50CellMs {
-				t.Fatalf("row %s/%s has implausible latency percentiles: p50=%v p99=%v",
-					r.Driver, r.Mode, r.P50CellMs, r.P99CellMs)
-			}
-		}
-		seen[key{r.Driver, r.Mode}] = true
-	}
-	for _, driver := range []string{"matrix", "matrix-jit", "faultsweep", "campaign-500"} {
-		for _, mode := range []string{"cold", "warm"} {
-			if !seen[key{driver, mode}] {
-				t.Errorf("missing row %s/%s", driver, mode)
-			}
-		}
-	}
-
-	if rep.Summary.Target != 3.0 {
-		t.Errorf("target_warm_speedup = %v, want 3.0", rep.Summary.Target)
-	}
-	if !rep.Summary.Met || rep.Summary.Geomean < rep.Summary.Target {
-		t.Errorf("committed baseline misses the warm-cache target: geomean %.2fx vs %.1fx",
-			rep.Summary.Geomean, rep.Summary.Target)
-	}
-	if rep.Summary.CampCold <= 0 || rep.Summary.CampWarm <= 0 {
-		t.Errorf("campaign programs/sec missing: cold=%v warm=%v",
-			rep.Summary.CampCold, rep.Summary.CampWarm)
 	}
 }
