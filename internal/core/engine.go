@@ -101,8 +101,6 @@ type Config struct {
 	// while hot functions compile, and finished code is installed at the
 	// next dispatch point. Engines created with AsyncJIT must be Closed.
 	AsyncJIT bool
-	// JITWorkers bounds the background compile pool (default 1, max 4).
-	JITWorkers int
 	// OSRThreshold is the per-loop back-edge count that triggers an
 	// on-stack-replacement entry compilation (0 = OSR off). Effective only
 	// when Tier1 also implements OSRCompiler.

@@ -132,21 +132,13 @@ func (p *tierPool) worker(e *Engine) {
 	}
 }
 
-// startPool launches the background compile workers (NewEngine, when
-// Config.AsyncJIT is set and a tier-1 compiler is configured).
+// startPool launches the background compile worker (NewEngine, when
+// Config.AsyncJIT is set and a tier-1 compiler is configured). One worker
+// suffices: the tier-1 compiler is mutex-serialized anyway.
 func (e *Engine) startPool() {
-	n := e.cfg.JITWorkers
-	if n <= 0 {
-		n = 1
-	}
-	if n > 4 {
-		n = 4
-	}
 	e.pool = &tierPool{jobs: make(chan tierKey, 64)}
-	e.pool.wg.Add(n)
-	for i := 0; i < n; i++ {
-		go e.pool.worker(e)
-	}
+	e.pool.wg.Add(1)
+	go e.pool.worker(e)
 }
 
 // Close stops the background compile pool: the job queue is closed, every

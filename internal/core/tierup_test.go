@@ -61,7 +61,6 @@ func TestAsyncCompileGovernorCancellation(t *testing.T) {
 		Tier1:          bc,
 		Tier1Threshold: 1,
 		AsyncJIT:       true,
-		JITWorkers:     2,
 		Governor:       gov,
 	})
 	if err != nil {

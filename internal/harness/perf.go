@@ -50,18 +50,8 @@ func PerfConfigs() []PerfConfig {
 }
 
 // DefaultTier1Threshold is the call count at which the harness's managed
-// runners tier up. PR 6 threads it through RunnerOptions instead of
-// hardcoding it at engine construction, so benchmarks and the matrix can
-// force early (or never) compilation.
+// runners tier up.
 const DefaultTier1Threshold = 25
-
-// RunnerOptions tunes the managed configurations. The zero value reproduces
-// the historical harness behavior (tier-up after 25 calls).
-type RunnerOptions struct {
-	// Tier1Threshold overrides the call count that triggers tier-up
-	// (DefaultTier1Threshold when zero).
-	Tier1Threshold int64
-}
 
 // Runner executes one program repeatedly in-process (the paper's warm-up
 // harness keeps state, letting the dynamic compiler reach a steady state).
@@ -183,15 +173,9 @@ func (r *nativeRunner) TierStats() RunnerTierStats { return RunnerTierStats{} }
 
 func (r *nativeRunner) Close() {}
 
-// NewRunner prepares an in-process repeat runner for a benchmark program
-// with default options.
-func NewRunner(cfgKind PerfConfig, src, arg string) (Runner, error) {
-	return NewRunnerOpts(cfgKind, src, arg, RunnerOptions{})
-}
-
-// NewRunnerOpts prepares an in-process repeat runner for a benchmark program.
+// NewRunner prepares an in-process repeat runner for a benchmark program.
 // Callers must Close the runner.
-func NewRunnerOpts(cfgKind PerfConfig, src, arg string, opts RunnerOptions) (Runner, error) {
+func NewRunner(cfgKind PerfConfig, src, arg string) (Runner, error) {
 	switch cfgKind {
 	case SafeSulongPerf, SafeSulongNoJIT, SafeSulongAsync, SafeSulongAsyncOSR:
 		mod, err := sulong.CompileOnly(src)
@@ -209,10 +193,7 @@ func NewRunnerOpts(cfgKind PerfConfig, src, arg string, opts RunnerOptions) (Run
 		if cfgKind != SafeSulongNoJIT {
 			r.comp = jit.New()
 			ecfg.Tier1 = r.comp
-			ecfg.Tier1Threshold = opts.Tier1Threshold
-			if ecfg.Tier1Threshold <= 0 {
-				ecfg.Tier1Threshold = DefaultTier1Threshold
-			}
+			ecfg.Tier1Threshold = DefaultTier1Threshold
 		}
 		switch cfgKind {
 		case SafeSulongAsync:

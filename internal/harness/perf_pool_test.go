@@ -20,7 +20,6 @@ int main(void) {
 // regress": if every iteration executes the identical instruction stream,
 // reuse cannot widen the sample distribution.
 func TestPerfRunnerPoolReuse(t *testing.T) {
-	opts := RunnerOptions{Tier1Threshold: 1}
 	iterate := func(r Runner, n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
@@ -30,7 +29,7 @@ func TestPerfRunnerPoolReuse(t *testing.T) {
 		}
 	}
 
-	r1, err := NewRunnerOpts(SafeSulongPerf, perfPoolSrc, "", opts)
+	r1, err := NewRunner(SafeSulongPerf, perfPoolSrc, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +49,7 @@ func TestPerfRunnerPoolReuse(t *testing.T) {
 		t.Fatalf("Close parked %d engines, want exactly 1", after.Idle-before.Idle)
 	}
 
-	r2, err := NewRunnerOpts(SafeSulongPerf, perfPoolSrc, "", opts)
+	r2, err := NewRunner(SafeSulongPerf, perfPoolSrc, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func (m *Machine) callFrom(caller *Frame, idx int, args []Value, vaBase uint64, 
 		// machine traps when sp leaves the mapped stack; model it directly.
 		return Value{}, &core.ExitError{Code: 139}
 	}
-	fr := &Frame{Fn: f, Regs: make([]Value, f.NumRegs), VaBase: vaBase, VaCount: vaCount, savedSP: m.sp}
+	fr := &Frame{Fn: f, Regs: make([]Value, f.NumRegs), VaBase: vaBase, VaCount: vaCount, savedSP: m.sp, slotBase: len(m.loopSlots)}
 	for i := 0; i < len(f.Sig.Params) && i < len(args); i++ {
 		fr.Regs[i] = args[i]
 	}
@@ -62,6 +62,7 @@ func (m *Machine) callFrom(caller *Frame, idx int, args []Value, vaBase uint64, 
 		m.Types.RemoveRange(int64(m.sp), int64(fr.savedSP))
 	}
 	m.sp = fr.savedSP
+	m.loopSlots = m.loopSlots[:fr.slotBase]
 	m.inj.ReleaseFixed(fr.stackBytes) // return alloca bytes to the budget
 	return ret, err
 }
@@ -124,9 +125,11 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 			// block runs once per frame, so only later blocks need the memo;
 			// variable-length allocas carve fresh stack each time.
 			reuse := !variable && blk != 0
-			if addr, ok := fr.slots[in]; ok {
-				fr.Regs[in.Dst] = IntVal(int64(addr))
-				break
+			if reuse {
+				if addr, ok := m.loopSlot(fr, in); ok {
+					fr.Regs[in.Dst] = IntVal(int64(addr))
+					break
+				}
 			}
 			size := in.Ty.Size() * count
 			if size < 1 {
@@ -140,10 +143,7 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 				m.Types.Register(int64(addr), size, m.descFor(in.Ty, in.CType))
 			}
 			if reuse {
-				if fr.slots == nil {
-					fr.slots = make(map[*ir.Instr]uint64)
-				}
-				fr.slots[in] = addr
+				m.loopSlots = append(m.loopSlots, loopSlot{in: in, addr: addr})
 			}
 			fr.Regs[in.Dst] = IntVal(int64(addr))
 
@@ -267,6 +267,17 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 		}
 		ii++
 	}
+}
+
+// loopSlot returns the slot the running frame fr already carved for the
+// alloca in, if any. A frame holds few such slots, so a scan beats a map.
+func (m *Machine) loopSlot(fr *Frame, in *ir.Instr) (uint64, bool) {
+	for _, s := range m.loopSlots[fr.slotBase:] {
+		if s.in == in {
+			return s.addr, true
+		}
+	}
+	return 0, false
 }
 
 // stackAlloc carves a stack object, with optional tool redzones around it.

@@ -67,9 +67,15 @@ type Frame struct {
 	// stackBytes is the charged size of this frame's allocas; returned to
 	// the fault injector's budget in the call epilogue (sp restore).
 	stackBytes int64
-	// slots maps each constant-size alloca outside the entry block to the
-	// address it carved on first execution (nil until one runs).
-	slots map[*ir.Instr]uint64
+	// slotBase is where this frame's entries start in Machine.loopSlots.
+	slotBase int
+}
+
+// loopSlot is the address a constant-size alloca outside its function's
+// entry block carved on first execution in the live frame.
+type loopSlot struct {
+	in   *ir.Instr
+	addr uint64
 }
 
 // CallCtx is what a libc function receives: fixed args plus the variadic
@@ -168,6 +174,10 @@ type Machine struct {
 	sp         uint64
 	stackLow   uint64
 	inj        *fault.Injector // heap budget + fault schedule (nil-safe)
+	// loopSlots holds the live frames' re-executable alloca slots. Calls
+	// nest LIFO, so the running frame owns loopSlots[fr.slotBase:] and the
+	// call epilogue truncates back to it.
+	loopSlots []loopSlot
 
 	Stdout *bufio.Writer
 	Stdin  *bufio.Reader
