@@ -1,5 +1,5 @@
 # Tier-1 gate: everything a change must pass before it lands.
-# `make check` == `make fmt vet build test race`.
+# `make check` runs every gate below except `bench`.
 #
 # Every test invocation carries an explicit -timeout: the repository's own
 # subject matter is non-terminating guest programs, so the gate must fail
@@ -11,7 +11,7 @@ TEST_TIMEOUT ?= 300s
 
 .PHONY: check fmt vet build test race hangcheck diagcheck faultcheck perfcheck tiercheck typecheck fuzzcheck throughputcheck benchcheck bench clean
 
-check: fmt vet build test race faultcheck perfcheck tiercheck typecheck fuzzcheck throughputcheck benchcheck
+check: fmt vet build test race hangcheck diagcheck faultcheck perfcheck tiercheck typecheck fuzzcheck throughputcheck benchcheck
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -29,9 +29,10 @@ test:
 	$(GO) test -timeout $(TEST_TIMEOUT) ./...
 
 # The concurrency suite (shared-module audit, parallel matrix, cache
-# coalescing) must stay race-clean.
+# coalescing, the shared libc prefix's immutability and lifecycle) must
+# stay race-clean.
 race:
-	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'Concurrent|Parallel|Matrix|Cache|ForEach' ./...
+	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'Concurrent|Parallel|Matrix|Cache|ForEach|LibcPrefix' ./...
 
 # Hang-regression gate: the governor suite (step limits, wall-clock
 # deadlines, context cancellation, tier-1 fuel accounting, timeout matrix

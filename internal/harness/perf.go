@@ -273,9 +273,10 @@ func MeasureStartup(runs int) ([]StartupResult, error) {
 			switch cfgKind {
 			case SafeSulongPerf:
 				// Safe Sulong parses libc + program at startup (§4.2).
-				// NoCache keeps the measurement honest: the paper's start-up
-				// cost is exactly the front-end work the module cache would
-				// otherwise skip.
+				// NoCache keeps the measurement honest: it builds a private
+				// libc prefix on every call, so each run pays the front-end
+				// work that the module cache and its shared libc prefix
+				// would otherwise skip.
 				mod, err := sulong.CompileFor(helloSrc, sulong.Config{Engine: sulong.EngineSafeSulong, NoCache: true})
 				if err != nil {
 					return nil, err

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // Func is an SIR function: a register machine with basic blocks.
 // Parameters arrive in registers 0..len(Sig.Params)-1.
@@ -213,6 +216,23 @@ func (m *Module) Reindex() {
 	}
 	for i, g := range m.Globals {
 		m.globalIdx[g.Name] = i
+	}
+}
+
+// Extend returns a new module that starts with m's functions and globals —
+// the same *Func and *Global pointers, in m's order — for a later unit to
+// add to: its declarations resolve to m's definitions, and AddFunc replaces
+// a slot of the new module, never m's. It is how a user program links
+// against a libc compiled once. Nothing reachable from m is copied, so m
+// must be immutable from here on.
+func (m *Module) Extend() *Module {
+	return &Module{
+		Name:      m.Name,
+		Globals:   append([]*Global(nil), m.Globals...),
+		Funcs:     append([]*Func(nil), m.Funcs...),
+		Structs:   maps.Clone(m.Structs),
+		funcIdx:   maps.Clone(m.funcIdx),
+		globalIdx: maps.Clone(m.globalIdx),
 	}
 }
 

@@ -20,8 +20,8 @@ var srcFS embed.FS
 // The embed FS is immutable, so every accessor memoizes its answer: the
 // bundle is read exactly once per process no matter how many compilations
 // (or concurrent matrix workers) ask for it. Files() hands out defensive
-// copies because callers (sulong.CompileFor, internal/pipeline) insert the
-// user program into the returned map in place.
+// copies because callers insert their own files into the returned map in
+// place; File() reads the bundle without copying it.
 var (
 	loadOnce    sync.Once
 	filesCache  map[string]string
@@ -74,6 +74,14 @@ func Files() map[string]string {
 	return out
 }
 
+// File returns the contents of one bundled file, without copying the
+// bundle: the include resolver every compilation consults.
+func File(name string) (string, bool) {
+	loadOnce.Do(load)
+	src, ok := filesCache[name]
+	return src, ok
+}
+
 // FunctionCount reports how many public libc functions the bundle defines
 // (the paper reports 126 supported functions; this bundle is smaller but
 // covers the same program corpus). The scan runs once per process.
@@ -99,14 +107,28 @@ func FunctionCount() int {
 	return fnCount
 }
 
-// WrapProgram builds the translation unit for a user program: the libc
-// sources followed by the user code, stitched together with #include so the
-// preprocessor sees one unit (the paper's Fig. 4: libc.c + program.c).
-func WrapProgram(userFile string) string {
+// UnitFile is the main file of a managed translation unit.
+const UnitFile = "__program.c"
+
+// Prelude is a managed translation unit's main file up to the line that
+// includes the user program: the libc sources, stitched together with
+// #include, behind `#define __SS_HARDENED 1` for the hardened build. Every
+// line ends in a newline, so the user program's #include is the line after
+// the prelude's last.
+func Prelude(hardened bool) string {
 	var b strings.Builder
+	if hardened {
+		b.WriteString("#define __SS_HARDENED 1\n")
+	}
 	for _, src := range Sources() {
 		fmt.Fprintf(&b, "#include %q\n", src)
 	}
-	fmt.Fprintf(&b, "#include %q\n", userFile)
 	return b.String()
+}
+
+// WrapProgram builds the whole main file of the translation unit for a user
+// program: the prelude followed by the user code, so the preprocessor sees
+// one unit (the paper's Fig. 4: libc.c + program.c).
+func WrapProgram(userFile string, hardened bool) string {
+	return Prelude(hardened) + fmt.Sprintf("#include %q\n", userFile)
 }

@@ -56,7 +56,7 @@ func TestStrlenIsByteWise(t *testing.T) {
 }
 
 func TestWrapProgramOrder(t *testing.T) {
-	prog := WrapProgram("user.c")
+	prog := WrapProgram("user.c", false)
 	// libc sources first, user code last.
 	if !strings.HasSuffix(strings.TrimSpace(prog), `#include "user.c"`) {
 		t.Errorf("user code must come last:\n%s", prog)

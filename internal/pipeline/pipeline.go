@@ -1,15 +1,17 @@
 // Package pipeline is the staged compilation pipeline behind the sulong
-// facade. It decomposes cc.Compile's monolithic front end into explicit,
-// individually-timed stages
+// facade. It runs the front end as explicit, individually-timed stages
 //
-//	assemble → preprocess → parse → lower (typecheck/codegen) → native-opt → verify
+//	assemble → preprocess → parse → lower (typecheck/codegen, link) → native-opt → verify
 //
 // and puts a concurrency-safe, content-addressed module cache in front of
-// them. The cache is keyed by (file-set hash, engine flavor, opt level), so
-// the libc+user translation unit for a given source compiles exactly once
-// per flavor; every later run — including the corpus×engine evaluation
-// matrix fanned out across goroutines — is a cache hit that shares the same
-// immutable *ir.Module.
+// them. The cache is keyed by (user file-set hash, engine flavor, opt
+// level), so a given source compiles exactly once per flavor; every later
+// run — including the corpus×engine evaluation matrix fanned out across
+// goroutines — is a cache hit that shares the same immutable *ir.Module.
+// The bundled libc, which every managed unit includes ahead of the user
+// program, is compiled once per cache and hardening into an immutable
+// cc.Prefix: each managed compile continues it with user.c alone and links
+// against libc's shared functions and globals.
 //
 // Sharing is sound because no engine mutates a compiled module: the managed
 // interpreter materializes globals into its own Objects, the native machine
@@ -27,6 +29,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,7 +67,8 @@ func (f Flavor) String() string {
 type Request struct {
 	// Source is the user program (becomes user.c).
 	Source string
-	// ExtraFiles adds include-able files to the unit.
+	// ExtraFiles adds include-able files to the unit. A bundled libc file's
+	// name is refused: libc is compiled once, not per program.
 	ExtraFiles map[string]string
 	Flavor     Flavor
 	// OptLevel is the native-side optimization level (0 or 3); ignored for
@@ -78,13 +82,14 @@ type Request struct {
 	// string functions consult _bounds_of and truncate at the destination's
 	// end instead of overflowing. Ignored for FlavorNative (its hardening
 	// lives in the precompiled nlibc, selected at machine construction).
-	// The flag changes the unit's contents, so the content hash keys
-	// hardened and plain builds to distinct cache entries automatically.
+	// The two builds are two libc prefixes, and the flag is part of the
+	// content address, so hardened and plain builds are distinct entries.
 	Hardened bool
 }
 
 // Key is the content address of a compiled module: the SHA-256 of the
-// complete input file set plus the engine flavor and opt level.
+// user's file set (the program plus its ExtraFiles) and of the bundled libc
+// it compiles against, plus the engine flavor and opt level.
 type Key struct {
 	Hash     string
 	Flavor   Flavor
@@ -122,32 +127,59 @@ type Result struct {
 	// front-end work.
 	CacheHit bool
 	// Stages holds per-stage wall-clock timings for the work actually
-	// performed (empty on a cache hit).
+	// performed (empty on a cache hit). The compile that built the libc
+	// prefix lists the prefix's preprocess, parse and lower stages right
+	// after its assemble stage.
 	Stages []StageTiming
+}
+
+// stages times a compile's stages in order.
+type stages []StageTiming
+
+func (s *stages) run(stage string, f func() error) error {
+	t0 := time.Now()
+	err := f()
+	*s = append(*s, StageTiming{Stage: stage, Duration: time.Since(t0)})
+	return err
 }
 
 // ---- stages ----
 
-// Assemble is stage 0: it builds the translation unit's file set the way
-// the flavor's toolchain would (the paper's Fig. 4: libc.c + program.c for
-// the managed engine; program.c alone for the native one) and returns the
-// main file name.
-func Assemble(req Request) (mainFile string, files map[string]string) {
-	files = libc.Files()
-	for k, v := range req.ExtraFiles {
-		files[k] = v
-	}
-	files["user.c"] = req.Source
-	if req.Flavor == FlavorManaged {
-		unit := libc.WrapProgram("user.c")
-		if req.Hardened {
-			unit = "#define __SS_HARDENED 1\n" + unit
+// userFile is the name the user program is compiled under.
+const userFile = "user.c"
+
+// userFiles is the assemble stage: the user's file set, the program as
+// user.c plus its ExtraFiles. Everything else a unit includes is the bundled
+// libc, which an ExtraFiles entry may not shadow: libc is compiled once, not
+// per program.
+func userFiles(req Request) (map[string]string, error) {
+	files := make(map[string]string, len(req.ExtraFiles)+1)
+	for name, src := range req.ExtraFiles {
+		if _, bundled := libc.File(name); bundled {
+			return nil, fmt.Errorf("pipeline: ExtraFiles[%q] would shadow the bundled libc file %s", name, name)
 		}
-		files["__program.c"] = unit
-		return "__program.c", files
+		files[name] = src
 	}
-	return "user.c", files
+	files[userFile] = req.Source
+	return files, nil
 }
+
+// address content-addresses req's unit: the user's file set framed behind
+// the unit it compiles in — its main file, the bundled libc's digest and,
+// for the managed flavor, the hardening.
+func address(req Request, files map[string]string) string {
+	unit := userFile
+	if req.Flavor == FlavorManaged {
+		unit = libc.UnitFile
+		if req.Hardened {
+			unit += "+hardened"
+		}
+	}
+	return Fingerprint(unit+"\x00"+libcDigest(), files)
+}
+
+// libcDigest content-addresses the bundled libc, once per process.
+var libcDigest = sync.OnceValue(func() string { return Fingerprint("libc", libc.Files()) })
 
 // Fingerprint content-addresses a translation unit: SHA-256 over the sorted
 // (name, contents) pairs plus the main file name, with length framing so
@@ -185,62 +217,99 @@ func NativeOpt(mod *ir.Module, optLevel int) {
 	}
 }
 
-// CompileUncached runs every stage for req with no cache interaction and
-// returns a module the caller owns exclusively.
-func CompileUncached(req Request) (*ir.Module, []StageTiming, error) {
-	var timings []StageTiming
-	timed := func(stage string, f func() error) error {
-		t0 := time.Now()
-		err := f()
-		timings = append(timings, StageTiming{Stage: stage, Duration: time.Since(t0)})
-		return err
+// buildPrefix preprocesses, parses and lowers the bundled libc: the managed
+// unit's main file up to the line that includes user.c (the paper's Fig. 4
+// libc.c), frozen as a prefix every managed program continues.
+func buildPrefix(hardened bool) (*cc.Prefix, []StageTiming, error) {
+	var st stages
+	prelude := libc.Prelude(hardened)
+	empty, err := cc.NewPrefix(libc.UnitFile, cc.Predefined(nil))
+	if err != nil {
+		return nil, nil, err
 	}
-
-	var (
-		mainFile string
-		files    map[string]string
-		toks     []cc.Token
-		prog     *cc.Program
-		mod      *ir.Module
-		err      error
-	)
-	_ = timed(StageAssemble, func() error {
-		mainFile, files = Assemble(req)
-		return nil
+	u := empty.Continue(func(name string) (string, bool) {
+		if name == libc.UnitFile {
+			return prelude, true
+		}
+		return libc.File(name)
 	})
-	if err = timed(StagePreprocess, func() error {
-		toks, err = cc.Preprocess(mainFile, files, cc.Predefined(nil))
-		return err
-	}); err != nil {
-		return nil, timings, err
+	if err := st.run(StagePreprocess, func() error { return u.Preprocess(libc.UnitFile) }); err != nil {
+		return nil, st, err
 	}
-	if err = timed(StageParse, func() error {
-		prog, err = cc.ParseProgram(toks)
-		return err
-	}); err != nil {
-		return nil, timings, err
+	if err := st.run(StageParse, u.Parse); err != nil {
+		return nil, st, err
 	}
-	if err = timed(StageLower, func() error {
-		mod, err = cc.Lower(prog, mainFile)
-		return err
-	}); err != nil {
-		return nil, timings, err
+	if err := st.run(StageLower, func() error { _, err := u.Lower(); return err }); err != nil {
+		return nil, st, err
+	}
+	return u.Freeze(strings.Count(prelude, "\n") + 1), st, nil
+}
+
+// nativePrefix is the native flavor's empty prefix: the native toolchain
+// compiles user.c alone against libc's headers (its libc is the
+// precompiled nlibc).
+var nativePrefix = sync.OnceValues(func() (*cc.Prefix, error) {
+	return cc.NewPrefix(userFile, cc.Predefined(nil))
+})
+
+// compile runs every stage of req against the prefix its unit continues:
+// libc's, from libcPrefix, for the managed flavor; the empty one for the
+// native flavor. After assemble come the prefix's stages if libcPrefix ran
+// them, then user.c's preprocess, parse and lower (which links it against
+// the prefix's module), the native optimizer unless the request is bare,
+// and verify.
+func compile(req Request, libcPrefix func(hardened bool) (*cc.Prefix, []StageTiming, error)) (*ir.Module, []StageTiming, error) {
+	var (
+		st    stages
+		files map[string]string
+		mod   *ir.Module
+	)
+	if err := st.run(StageAssemble, func() (err error) { files, err = userFiles(req); return err }); err != nil {
+		return nil, st, err
+	}
+	pre, err := nativePrefix()
+	if req.Flavor == FlavorManaged {
+		var prefixStages []StageTiming
+		pre, prefixStages, err = libcPrefix(req.Hardened)
+		st = append(st, prefixStages...)
+	}
+	if err != nil {
+		return nil, st, err
+	}
+	u := pre.Continue(func(name string) (string, bool) {
+		if src, ok := files[name]; ok {
+			return src, true
+		}
+		return libc.File(name)
+	})
+	if err := st.run(StagePreprocess, func() error { return u.Preprocess(userFile) }); err != nil {
+		return nil, st, err
+	}
+	if err := st.run(StageParse, u.Parse); err != nil {
+		return nil, st, err
+	}
+	if err := st.run(StageLower, func() (err error) { mod, err = u.Lower(); return err }); err != nil {
+		return nil, st, err
 	}
 	if req.Flavor == FlavorNative && !req.Bare {
-		_ = timed(StageNativeOpt, func() error {
-			NativeOpt(mod, req.OptLevel)
-			return nil
-		})
+		_ = st.run(StageNativeOpt, func() error { NativeOpt(mod, req.OptLevel); return nil })
 	}
-	if err = timed(StageVerify, func() error {
+	if err := st.run(StageVerify, func() error {
 		if verr := ir.Verify(mod); verr != nil {
 			return fmt.Errorf("pipeline: generated invalid IR: %w", verr)
 		}
 		return nil
 	}); err != nil {
-		return nil, timings, err
+		return nil, st, err
 	}
-	return mod, timings, nil
+	return mod, st, nil
+}
+
+// CompileUncached runs every stage for req with no cache interaction, the
+// managed flavor's libc prefix included, and returns a module the caller
+// owns exclusively.
+func CompileUncached(req Request) (*ir.Module, []StageTiming, error) {
+	return compile(req, buildPrefix)
 }
 
 // ---- cache ----
@@ -275,14 +344,26 @@ type entry struct {
 //
 // Internally it holds two maps: front-end entries keyed by (hash, flavor)
 // — the expensive preprocess/parse/lower work, shared by every opt level —
-// and published modules keyed by the full (hash, flavor, opt level).
+// and published modules keyed by the full (hash, flavor, opt level). Beside
+// them it keeps the managed flavor's libc prefix, one per hardening, built
+// by the first managed miss that needs it (concurrent misses wait for that
+// one build). The prefixes are not entries: the counters never see them,
+// Release keeps them, and Reset drops them.
 type Cache struct {
 	mu       sync.Mutex
 	frontend map[Key]*entry // OptLevel field fixed to frontendLevel
 	modules  map[Key]*entry
+	prefixes [2]*prefixEntry // indexed by Request.Hardened
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
+}
+
+// prefixEntry is one libc prefix, filled once.
+type prefixEntry struct {
+	ready chan struct{} // closed when pre/err are final
+	pre   *cc.Prefix
+	err   error
 }
 
 // frontendLevel marks front-end (pre-opt) cache entries.
@@ -331,6 +412,32 @@ func (e *entry) fill(mod *ir.Module, stages []StageTiming, err error) {
 	close(e.ready)
 }
 
+// prefix returns the libc prefix for a managed request, building it if no
+// compile has since the last Reset. Only the building call gets the
+// prefix's stage timings.
+func (c *Cache) prefix(hardened bool) (*cc.Prefix, []StageTiming, error) {
+	i := 0
+	if hardened {
+		i = 1
+	}
+	c.mu.Lock()
+	e := c.prefixes[i]
+	build := e == nil
+	if build {
+		e = &prefixEntry{ready: make(chan struct{})}
+		c.prefixes[i] = e
+	}
+	c.mu.Unlock()
+	if !build {
+		<-e.ready
+		return e.pre, nil, e.err
+	}
+	pre, st, err := buildPrefix(hardened)
+	e.pre, e.err = pre, err
+	close(e.ready)
+	return pre, st, err
+}
+
 // frontendModule returns the shared post-lower (pre-opt) module for req,
 // compiling it at most once per (hash, flavor).
 func (c *Cache) frontendModule(req Request, hash string) (*entry, error) {
@@ -339,7 +446,7 @@ func (c *Cache) frontendModule(req Request, hash string) (*entry, error) {
 	if fillIt {
 		bare := req
 		bare.Bare = true
-		mod, stages, err := CompileUncached(bare)
+		mod, stages, err := compile(bare, c.prefix)
 		if err == nil {
 			// Content-address the unit before publication (full input-set
 			// hash, not the display-truncated Key.String), so downstream
@@ -358,8 +465,11 @@ func (c *Cache) frontendModule(req Request, hash string) (*entry, error) {
 // goroutine runs the missing stages while concurrent requests for the same
 // key wait and then count as hits of the freshly published entry.
 func (c *Cache) Compile(req Request) (*Result, error) {
-	mainFile, files := Assemble(req)
-	hash := Fingerprint(mainFile, files)
+	files, err := userFiles(req)
+	if err != nil {
+		return nil, err
+	}
+	hash := address(req, files)
 	key := normalizeKey(req, hash)
 
 	e, fillIt := c.lookup(c.modules, key)
@@ -420,7 +530,7 @@ func (c *Cache) Stats() CacheStats {
 // programs do not accumulate in the cache; a subsequent Compile of the same
 // source simply misses and recompiles. Entries still being filled are left
 // alone — releasing mid-flight would race the fill, and the filling
-// goroutine's waiters need the entry to resolve.
+// goroutine's waiters need the entry to resolve. The libc prefixes stay.
 func (c *Cache) Release(mod *ir.Module) {
 	if mod == nil {
 		return
@@ -450,12 +560,14 @@ func (c *Cache) Release(mod *ir.Module) {
 	}
 }
 
-// Reset drops every entry and zeroes the counters (tests and cold-start
-// benchmarks).
+// Reset drops every entry and the libc prefixes and zeroes the counters
+// (tests and cold-start benchmarks): the next managed compile builds libc
+// again, as the first one of a process does.
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	c.frontend = map[Key]*entry{}
 	c.modules = map[Key]*entry{}
+	c.prefixes = [2]*prefixEntry{}
 	c.mu.Unlock()
 	c.hits.Store(0)
 	c.misses.Store(0)

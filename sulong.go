@@ -106,9 +106,10 @@ type Config struct {
 	OnCompile func(name string)
 
 	// NoCache bypasses the content-addressed module cache: the compile runs
-	// every pipeline stage from scratch and the caller owns the resulting
-	// module exclusively (it may be mutated freely). The cache is on by
-	// default; modules it returns are shared and must not be mutated.
+	// every pipeline stage from scratch, the managed libc's included, and
+	// the caller owns the resulting module exclusively (it may be mutated
+	// freely). The cache is on by default; modules it returns are shared and
+	// must not be mutated.
 	NoCache bool
 	// NoCodeCache bypasses the back-end reuse layer: the process-wide
 	// executable-code cache (tier-1 closures shared across runs of the same
