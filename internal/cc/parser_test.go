@@ -8,25 +8,23 @@ import (
 // parse compiles a snippet through preprocessor + parser.
 func parse(t *testing.T, src string) *Program {
 	t.Helper()
-	toks, err := Preprocess("t.c", map[string]string{"t.c": src}, nil)
+	u, err := preprocessed("t.c", map[string]string{"t.c": src}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ParseProgram(toks)
-	if err != nil {
+	if err := u.Parse(); err != nil {
 		t.Fatal(err)
 	}
-	return prog
+	return u.prog
 }
 
 func parseErr(t *testing.T, src string) error {
 	t.Helper()
-	toks, err := Preprocess("t.c", map[string]string{"t.c": src}, nil)
+	u, err := preprocessed("t.c", map[string]string{"t.c": src}, nil)
 	if err != nil {
 		return err
 	}
-	_, err = ParseProgram(toks)
-	return err
+	return u.Parse()
 }
 
 func TestParseFunctionDef(t *testing.T) {

@@ -5,6 +5,26 @@ import (
 	"testing"
 )
 
+// preprocessed runs the preprocessor stage of a unit compiling mainFile on
+// the empty prefix.
+func preprocessed(mainFile string, files, predefined map[string]string) (*Unit, error) {
+	pre, err := NewPrefix(mainFile, predefined)
+	if err != nil {
+		return nil, err
+	}
+	u := pre.Continue(lookupIn(files))
+	return u, u.Preprocess(mainFile)
+}
+
+// preprocess returns the preprocessed tokens of mainFile.
+func preprocess(mainFile string, files, predefined map[string]string) ([]Token, error) {
+	u, err := preprocessed(mainFile, files, predefined)
+	if err != nil {
+		return nil, err
+	}
+	return u.toks, nil
+}
+
 // pp runs the preprocessor and renders the output tokens as a string.
 func pp(t *testing.T, main string, files map[string]string) string {
 	t.Helper()
@@ -12,7 +32,7 @@ func pp(t *testing.T, main string, files map[string]string) string {
 		files = map[string]string{}
 	}
 	files["main.c"] = main
-	toks, err := Preprocess("main.c", files, nil)
+	toks, err := preprocess("main.c", files, nil)
 	if err != nil {
 		t.Fatalf("Preprocess: %v", err)
 	}
@@ -162,18 +182,18 @@ func TestIncludeGuards(t *testing.T) {
 
 func TestMissingIncludeFails(t *testing.T) {
 	files := map[string]string{"main.c": `#include "ghost.h"`}
-	if _, err := Preprocess("main.c", files, nil); err == nil {
+	if _, err := preprocess("main.c", files, nil); err == nil {
 		t.Error("expected error for missing include")
 	}
 }
 
 func TestErrorDirective(t *testing.T) {
 	files := map[string]string{"main.c": "#if 1\n#error boom\n#endif"}
-	if _, err := Preprocess("main.c", files, nil); err == nil {
+	if _, err := preprocess("main.c", files, nil); err == nil {
 		t.Error("#error should fail the compilation")
 	}
 	files = map[string]string{"main.c": "#if 0\n#error never\n#endif\nok"}
-	if _, err := Preprocess("main.c", files, nil); err != nil {
+	if _, err := preprocess("main.c", files, nil); err != nil {
 		t.Errorf("#error in dead branch should be ignored: %v", err)
 	}
 }
@@ -196,7 +216,7 @@ SWAP(x, y);`
 
 func TestPredefinedMacros(t *testing.T) {
 	files := map[string]string{"main.c": "#ifdef __SULONG__\nsulong\n#endif\nNULL"}
-	toks, err := Preprocess("main.c", files, map[string]string{
+	toks, err := preprocess("main.c", files, map[string]string{
 		"__SULONG__": "1",
 		"NULL":       "((void*)0)",
 	})
@@ -217,7 +237,7 @@ func TestPredefinedMacros(t *testing.T) {
 
 func TestUnterminatedIfFails(t *testing.T) {
 	files := map[string]string{"main.c": "#if 1\nx"}
-	if _, err := Preprocess("main.c", files, nil); err == nil {
+	if _, err := preprocess("main.c", files, nil); err == nil {
 		t.Error("unterminated #if should fail")
 	}
 }
