@@ -6,7 +6,11 @@
 // This is precisely the "native execution model" Safe Sulong abstracts from.
 package nativemem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sort"
+)
 
 // PageSize is the simulated page size (4 KiB, as on AMD64).
 const PageSize = 4096
@@ -25,17 +29,19 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("segmentation fault: invalid %s at address 0x%x", kind, f.Addr)
 }
 
-// Memory is a sparse paged address space with demand-paged backing: Map
-// records that a page exists (a nil entry) but the 4 KiB backing store is
-// materialized only on the first write, exactly as a kernel would serve an
-// anonymous mapping from the shared zero page until a write faults. Reads
-// of an untouched mapped page come from one immutable zero page, so the
-// observable bytes are identical to eager zero-filling while mapping an
-// 8 MiB stack costs 2048 map inserts instead of 8 MiB of allocate-and-zero
-// per machine — the dominant construction cost of the native-model engines.
+// Memory is a sparse paged address space with demand-paged backing. Map
+// records a mapped range as one page span, merged with any span it overlaps
+// or touches, and the 4 KiB backing store of a page is materialized only on
+// its first write, exactly as a kernel serves an anonymous mapping from the
+// shared zero page until a write faults. Reads of an untouched mapped page
+// come from one immutable zero page, so the observable bytes are identical
+// to eager zero-filling while mapping an 8 MiB stack appends one span.
 type Memory struct {
-	pages map[uint64][]byte
+	pages map[uint64][]byte // backing of written pages only
+	spans []span            // mapped pages: sorted, disjoint, never adjacent
 }
+
+type span struct{ first, last uint64 } // inclusive page numbers
 
 // zeroPage backs reads of mapped-but-never-written pages. It must never be
 // handed out on a write path.
@@ -50,65 +56,61 @@ func New() *Memory {
 // out to full pages, as mmap would. Backing is allocated lazily on first
 // write.
 func (m *Memory) Map(addr, size uint64) {
-	first := addr / PageSize
-	last := (addr + size - 1) / PageSize
-	for p := first; p <= last; p++ {
-		if _, ok := m.pages[p]; !ok {
-			m.pages[p] = nil
-		}
+	s := span{addr / PageSize, (addr + size - 1) / PageSize}
+	if s.last < s.first {
+		return
 	}
-}
-
-// Unmap removes pages fully covered by [addr, addr+size).
-func (m *Memory) Unmap(addr, size uint64) {
-	first := (addr + PageSize - 1) / PageSize
-	last := (addr + size) / PageSize
-	for p := first; p < last; p++ {
-		delete(m.pages, p)
+	// The spans s overlaps or touches sit contiguously in the sorted slice.
+	i := sort.Search(len(m.spans), func(i int) bool { return m.spans[i].last+1 >= s.first })
+	j := i
+	for ; j < len(m.spans) && m.spans[j].first <= s.last+1; j++ {
+		s.first = min(s.first, m.spans[j].first)
+		s.last = max(s.last, m.spans[j].last)
 	}
+	m.spans = slices.Replace(m.spans, i, j, s)
 }
 
 // Mapped reports whether every byte of [addr, addr+size) is accessible.
 func (m *Memory) Mapped(addr uint64, size int64) bool {
-	if size <= 0 {
-		size = 1
+	i := m.spanOf(addr / PageSize)
+	return i >= 0 && (addr+uint64(max(size, 1))-1)/PageSize <= m.spans[i].last
+}
+
+// spanOf returns the index of the span holding page p, or -1.
+func (m *Memory) spanOf(p uint64) int {
+	i := sort.Search(len(m.spans), func(i int) bool { return m.spans[i].last >= p })
+	if i < len(m.spans) && m.spans[i].first <= p {
+		return i
 	}
-	first := addr / PageSize
-	last := (addr + uint64(size) - 1) / PageSize
-	for p := first; p <= last; p++ {
-		if _, ok := m.pages[p]; !ok {
-			return false
-		}
-	}
-	return true
+	return -1
 }
 
 // rdPage returns a readable view of the page backing addr: the real backing
 // when the page has been written, the shared zero page when it is mapped but
 // untouched, nil when unmapped.
 func (m *Memory) rdPage(addr uint64) []byte {
-	pg, ok := m.pages[addr/PageSize]
-	if !ok {
+	p := addr / PageSize
+	if pg, ok := m.pages[p]; ok {
+		return pg
+	}
+	if m.spanOf(p) < 0 {
 		return nil
 	}
-	if pg == nil {
-		return zeroPage[:]
-	}
-	return pg
+	return zeroPage[:]
 }
 
 // wrPage returns the writable backing of the page at addr, materializing it
 // on first write; nil when unmapped.
 func (m *Memory) wrPage(addr uint64) []byte {
 	p := addr / PageSize
-	pg, ok := m.pages[p]
-	if !ok {
+	if pg, ok := m.pages[p]; ok {
+		return pg
+	}
+	if m.spanOf(p) < 0 {
 		return nil
 	}
-	if pg == nil {
-		pg = make([]byte, PageSize)
-		m.pages[p] = pg
-	}
+	pg := make([]byte, PageSize)
+	m.pages[p] = pg
 	return pg
 }
 
@@ -217,6 +219,3 @@ func (m *Memory) CString(addr uint64, max int64) (string, *Fault) {
 	}
 	return string(buf), nil
 }
-
-// PageCount reports the number of mapped pages (tests, stats).
-func (m *Memory) PageCount() int { return len(m.pages) }

@@ -1,6 +1,7 @@
 package nativemem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -63,18 +64,6 @@ func TestPartialPageFaultOnStraddle(t *testing.T) {
 	}
 }
 
-func TestUnmap(t *testing.T) {
-	m := New()
-	m.Map(0x2000, 2*PageSize)
-	m.Unmap(0x2000, PageSize)
-	if m.Mapped(0x2000, 1) {
-		t.Error("unmapped page still accessible")
-	}
-	if !m.Mapped(0x2000+PageSize, 1) {
-		t.Error("second page should survive")
-	}
-}
-
 func TestBytesAndCString(t *testing.T) {
 	m := New()
 	m.Map(0x3000, 64)
@@ -130,5 +119,174 @@ func TestAdjacentWritesAreSilent(t *testing.T) {
 	v, _ := m.Load(0x5008, 8)
 	if v != 99 {
 		t.Error("corruption did not land")
+	}
+}
+
+// The native machine's stack geometry (nativevm.StackTop/StackSize): one
+// 8 MiB range ending one guard page below the argv block.
+const (
+	stackTop  = 0x7fff_0000
+	stackSize = 8 << 20
+	stackLo   = stackTop - stackSize
+)
+
+func TestStackMapIsLazy(t *testing.T) {
+	m := New()
+	m.Map(stackLo, stackSize)
+	if len(m.pages) != 0 || len(m.spans) != 1 {
+		t.Fatalf("mapping the stack: %d pages, %d spans; want 0, 1", len(m.pages), len(m.spans))
+	}
+	if f := m.Store(stackTop-8, 8, 42); f != nil {
+		t.Fatal(f)
+	}
+	if len(m.pages) != 1 {
+		t.Fatalf("one store materialized %d pages, want 1", len(m.pages))
+	}
+	if _, f := m.Load(stackTop, 1); f == nil {
+		t.Error("the page above the stack must stay unmapped")
+	}
+}
+
+// refMemory is the reference model the span representation is checked
+// against: a set of mapped pages plus a byte map, every access byte by byte.
+type refMemory struct {
+	mapped map[uint64]bool
+	bytes  map[uint64]byte
+}
+
+func (r *refMemory) Map(addr, size uint64) {
+	for p := addr / PageSize; p <= (addr+size-1)/PageSize; p++ {
+		r.mapped[p] = true
+	}
+}
+
+func (r *refMemory) load(addr uint64, n int64) ([]byte, *Fault) {
+	out := make([]byte, n)
+	for i := range out {
+		a := addr + uint64(i)
+		if !r.mapped[a/PageSize] {
+			return nil, &Fault{Addr: a}
+		}
+		out[i] = r.bytes[a]
+	}
+	return out, nil
+}
+
+func (r *refMemory) store(addr uint64, data []byte) *Fault {
+	for i, b := range data {
+		a := addr + uint64(i)
+		if !r.mapped[a/PageSize] {
+			return &Fault{Addr: a, Write: true}
+		}
+		r.bytes[a] = b
+	}
+	return nil
+}
+
+func (r *refMemory) cstring(addr uint64, max int64) (string, *Fault) {
+	var buf []byte
+	for i := int64(0); i < max; i++ {
+		b, f := r.load(addr+uint64(i), 1)
+		if f != nil {
+			return "", f
+		}
+		if b[0] == 0 {
+			break
+		}
+		buf = append(buf, b[0])
+	}
+	return string(buf), nil
+}
+
+// memOp is one random operation of TestMemoryMatchesReference.
+type memOp struct {
+	Kind, Region, Size uint8
+	Off                uint16
+	Len                uint16
+	Val                uint64
+}
+
+// Operations land in a few eight-page windows: the NULL page, a data
+// segment, the bottom of the stack (where a growing heap runs into it) and
+// the top of the stack (with the guard page and the argv block above it).
+var opWindows = []uint64{0, 0x10000, stackLo - 4*PageSize, stackTop - 4*PageSize}
+
+func TestMemoryMatchesReference(t *testing.T) {
+	check := func(stackFirst bool, ops []memOp) bool {
+		m := New()
+		r := &refMemory{mapped: map[uint64]bool{}, bytes: map[uint64]byte{}}
+		// bump models FreeListAlloc: consecutive blocks from below the stack,
+		// allowed (by its 2 GiB limit) to grow into it.
+		bump := uint64(stackLo - 3*PageSize)
+		if stackFirst {
+			m.Map(stackLo, stackSize)
+			r.Map(stackLo, stackSize)
+		}
+		for i, op := range ops {
+			off := uint64(op.Off) % (8 * PageSize)
+			if op.Size&0x80 != 0 {
+				// Just below a page boundary, so accesses straddle it.
+				off = off/PageSize*PageSize + PageSize - uint64(op.Size>>4&7)
+			}
+			addr := opWindows[int(op.Region)%len(opWindows)] + off
+			size := []int64{1, 2, 4, 8}[op.Size%4]
+			var got, want string
+			switch op.Kind % 8 {
+			case 0, 1:
+				n := uint64(op.Len) % (3 * PageSize)
+				m.Map(addr, n)
+				r.Map(addr, n)
+			case 2:
+				n := 16 + uint64(op.Len)%(2*PageSize)
+				m.Map(bump, n)
+				r.Map(bump, n)
+				bump += n
+			case 3:
+				v, f := m.Load(addr, size)
+				got = fmt.Sprint(v, f, m.Mapped(addr, size))
+				data, f := r.load(addr, size)
+				var rv uint64
+				for j, b := range data {
+					rv |= uint64(b) << (8 * j)
+				}
+				want = fmt.Sprint(rv, f, f == nil)
+			case 4:
+				got = fmt.Sprint(m.Store(addr, size, op.Val))
+				data := make([]byte, size)
+				for j := range data {
+					data[j] = byte(op.Val >> (8 * j))
+				}
+				want = fmt.Sprint(r.store(addr, data))
+			case 5:
+				b, f := m.LoadByte(addr)
+				got = fmt.Sprint(b, f)
+				data, f := r.load(addr, 1)
+				var rb byte
+				if f == nil {
+					rb = data[0]
+				}
+				want = fmt.Sprint(rb, f)
+			case 6:
+				data := make([]byte, op.Len%64)
+				for j := range data {
+					data[j] = byte(op.Val >> (8 * (j % 8)))
+				}
+				got = fmt.Sprint(m.WriteBytes(addr, data))
+				want = fmt.Sprint(r.store(addr, data))
+			case 7:
+				s, f := m.CString(addr, int64(op.Len%64))
+				got = fmt.Sprint(s, f)
+				s, f = r.cstring(addr, int64(op.Len%64))
+				want = fmt.Sprint(s, f)
+			}
+			if got != want {
+				t.Logf("op %d %+v at %#x: got %s, want %s", i, op, addr, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
 	}
 }

@@ -26,7 +26,7 @@ const (
 	GlobalBase = uint64(0x0000_0000_0001_0000)
 	HeapBase   = uint64(0x0000_0000_1000_0000)
 	StackTop   = uint64(0x0000_0000_7fff_0000)
-	StackSize  = uint64(8 << 20) // 8 MiB, mapped eagerly
+	StackSize  = uint64(8 << 20) // 8 MiB, one span; pages back on first write
 	// ArgvBase is just above the stack: the kernel-initialized block
 	// holding argv pointers, envp pointers, and their strings. No tool
 	// instruments it (paper case study 1).
@@ -117,7 +117,8 @@ type Config struct {
 	// NewAllocator builds the heap allocator over the machine's memory.
 	// nil uses the default first-fit, immediately-reusing allocator.
 	NewAllocator func(mem *nativemem.Memory) Allocator
-	// Libc binds external function names to native implementations.
+	// Libc binds external function names to native implementations. The
+	// machine only reads it, so one map may serve many machines at once.
 	Libc map[string]LibFunc
 	// StackRedzone adds poisoned padding around each stack object
 	// (ASan-style); 0 packs objects adjacently (native reality).

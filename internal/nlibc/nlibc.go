@@ -8,6 +8,7 @@ package nlibc
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/nativevm"
@@ -19,7 +20,25 @@ import (
 // except the word-wise strlen/strcmp fast paths, which Valgrind famously
 // whitelists (paper §2.3, P4). With checked=false (plain native and ASan),
 // no libc access is ever checked.
+//
+// The table is built once per checked value and shared by every machine in
+// the process, concurrently: callers must treat it as immutable (copy it to
+// wrap entries, as asan.Interceptors does). A LibFunc therefore keeps no
+// state of its own; per-run libc state (strtok's save pointer, the rand
+// seed, ungetc's pushback) lives on the nativevm.Machine it is passed.
 func Table(checked bool) map[string]nativevm.LibFunc {
+	if checked {
+		return checkedTable()
+	}
+	return uncheckedTable()
+}
+
+var (
+	checkedTable   = sync.OnceValue(func() map[string]nativevm.LibFunc { return build(true) })
+	uncheckedTable = sync.OnceValue(func() map[string]nativevm.LibFunc { return build(false) })
+)
+
+func build(checked bool) map[string]nativevm.LibFunc {
 	t := map[string]nativevm.LibFunc{}
 	addStdio(t, checked)
 	addString(t, checked)

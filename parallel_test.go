@@ -84,6 +84,79 @@ func TestConcurrentRunAllEngines(t *testing.T) {
 	wg.Wait()
 }
 
+// TestConcurrentNativeLibcState is the -race audit of the native libc table,
+// which every native machine in the process shares: a program that leans on
+// nlibc's per-run state (strtok's save pointer, the rand seed, ungetc's
+// pushback over stdin) runs on different inputs under Native, ASan and
+// Memcheck at once, and every outcome must match its serial reference.
+func TestConcurrentNativeLibcState(t *testing.T) {
+	const src = `
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+int main(void) {
+    char line[64];
+    int n = 0, c;
+    while ((c = getchar()) != EOF && c != '\n' && n < 63) {
+        if (c == ',') {
+            int d = getchar();
+            ungetc(d, stdin);
+            if (d == ',') continue;
+        }
+        line[n++] = (char)c;
+    }
+    line[n] = 0;
+    unsigned seed = 0;
+    for (int i = 0; i < n; i++) seed = seed * 31 + (unsigned char)line[i];
+    srand(seed);
+    for (char *tok = strtok(line, ","); tok; tok = strtok(NULL, ",")) {
+        int r = 0;
+        for (int k = 0; k < 50; k++) r = rand() % 1000;
+        printf("%s:%d ", tok, r);
+    }
+    printf("\n");
+    return 0;
+}
+`
+	inputs := []string{"alpha,beta,,gamma\n", "one,two,three,four\n", "x,,y,,,z", "red\n"}
+	engines := []sulong.Engine{sulong.EngineNative, sulong.EngineASan, sulong.EngineMemcheck}
+	type key struct {
+		in  int
+		eng sulong.Engine
+	}
+	runOne := func(in int, eng sulong.Engine) string {
+		res, err := sulong.Run(src, sulong.Config{Engine: eng, Stdin: strings.NewReader(inputs[in])})
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return fmt.Sprintf("exit %d bug %v fault %v: %s", res.ExitCode, res.Bug, res.Fault, res.Stdout)
+	}
+	ref := map[key]string{}
+	for in := range inputs {
+		for _, eng := range engines {
+			ref[key{in, eng}] = runOne(in, eng)
+		}
+	}
+	if got := ref[key{0, sulong.EngineNative}]; !strings.HasPrefix(got, "exit 0 bug <nil> fault <nil>: alpha:") {
+		t.Fatalf("serial reference: %s", got)
+	}
+	var wg sync.WaitGroup
+	for round := 0; round < 3; round++ {
+		for in := range inputs {
+			for _, eng := range engines {
+				wg.Add(1)
+				go func(in int, eng sulong.Engine) {
+					defer wg.Done()
+					if got, want := runOne(in, eng), ref[key{in, eng}]; got != want {
+						t.Errorf("input %d under %v diverged:\n got %q\nwant %q", in, eng, got, want)
+					}
+				}(in, eng)
+			}
+		}
+	}
+	wg.Wait()
+}
+
 // TestCacheHitNotMutated asserts that a cache hit returns a module
 // bit-identical to the cold compile even after every engine has executed
 // it — i.e. no run mutates the shared artifact.
