@@ -101,8 +101,9 @@ fuzzcheck:
 # cold compile — stdout, exit, Steps, Calls, diagnostics — for tier-0,
 # forced tier-1, and async+OSR, clean and fault-injected), the code cache's
 # own concurrency suite (singleflight under eviction churn, LRU bound,
-# hit-not-mutated) and the perf-runner pool-reuse pin — under the race
-# detector, since the code cache and engine pool are shared process-wide.
+# hit-not-mutated, a panicking compile releasing its compiler) and the
+# perf-runner pool-reuse pin — under the race detector, since the code
+# cache and engine pool are shared process-wide.
 throughputcheck:
 	$(GO) test -race -timeout 300s -run 'WarmColdCacheParity|CodeCache|PerfRunnerPool|EnginePool' . ./internal/jit ./internal/core ./internal/harness
 

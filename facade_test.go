@@ -188,3 +188,71 @@ func TestStatsExposed(t *testing.T) {
 		t.Errorf("stats empty: %+v", res.Stats)
 	}
 }
+
+// TestReleaseModuleClearsEveryCache: sulong.ReleaseModule retires a module
+// from all three reuse layers at once — the module cache, the
+// executable-code cache and the engine pool — and a later run of the same
+// source recompiles to the identical result. The counters are process-wide,
+// so the test is sequential and asserts on deltas.
+func TestReleaseModuleClearsEveryCache(t *testing.T) {
+	const src = `
+int sq(int x) { return x * x; }
+int main(void) {
+	int s = 0;
+	for (int i = 0; i < 40; i++) s += sq(i);
+	printf("release fan-out %d\n", s);
+	return s % 7;
+}
+`
+	cfg := sulong.Config{Engine: sulong.EngineSafeSulong, JIT: true, JITThreshold: 1}
+	mod, err := sulong.CompileFor(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccBefore := sulong.CodeCacheStats()
+	var runs [2]sulong.Result
+	for i := range runs {
+		if runs[i], err = sulong.RunModule(mod, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs[0].Stdout != runs[1].Stdout || runs[0].Stats.Steps != runs[1].Stats.Steps {
+		t.Fatalf("warm run diverged from the first: %+v vs %+v", runs[0], runs[1])
+	}
+	cc, pool := sulong.CodeCacheStats(), sulong.EnginePoolStats()
+	if cc.Misses == ccBefore.Misses || cc.Hits == ccBefore.Hits {
+		t.Fatalf("the runs did not compile and then reuse tier-1 code: %+v -> %+v", ccBefore, cc)
+	}
+
+	sulong.ReleaseModule(mod)
+	ccAfter, poolAfter := sulong.CodeCacheStats(), sulong.EnginePoolStats()
+	// One JIT configuration compiled the module, so it owned one unit; the
+	// second run reused the first run's engine and parked it again.
+	if got := cc.Units - ccAfter.Units; got != 1 {
+		t.Errorf("release removed %d code-cache units, want the module's 1", got)
+	}
+	if got := pool.Idle - poolAfter.Idle; got != 1 {
+		t.Errorf("release removed %d idle engines, want the module's 1", got)
+	}
+
+	pcBefore := sulong.CacheStats()
+	again, err := sulong.CompileFor(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc := sulong.CacheStats(); pc.Misses != pcBefore.Misses+1 || pc.Hits != pcBefore.Hits {
+		t.Errorf("compile after release was not a module-cache miss: %+v -> %+v", pcBefore, pc)
+	}
+	if again == mod {
+		t.Error("compile after release returned the released module")
+	}
+	res, err := sulong.RunModule(again, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stdout != runs[0].Stdout || res.ExitCode != runs[0].ExitCode || res.Stats.Steps != runs[0].Stats.Steps {
+		t.Fatalf("re-run after release: stdout %q exit %d steps %d, want %q %d %d",
+			res.Stdout, res.ExitCode, res.Stats.Steps, runs[0].Stdout, runs[0].ExitCode, runs[0].Stats.Steps)
+	}
+	sulong.ReleaseModule(again)
+}

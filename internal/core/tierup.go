@@ -73,6 +73,11 @@ type tierKey struct {
 type tierResult struct {
 	key tierKey
 	fn  CompiledFunc
+	// panicked is the value a panicking compile raised on the worker. The
+	// engine thread re-raises it at install, so it leaves through the
+	// caller's containment boundary exactly as a synchronous compile panic
+	// does, instead of killing the process from the worker goroutine.
+	panicked any
 }
 
 // tierPool is the bounded background compile pool. Lifecycle: NewEngine
@@ -122,14 +127,25 @@ func (p *tierPool) worker(e *Engine) {
 			// returns promptly and no new code appears during teardown.
 			continue
 		}
-		var fn CompiledFunc
-		if k.header < 0 {
-			fn = e.cfg.Tier1.Compile(e, k.fidx)
-		} else if oc, ok := e.cfg.Tier1.(OSRCompiler); ok {
-			fn = oc.CompileOSR(e, k.fidx, k.header)
-		}
-		p.publish(tierResult{key: k, fn: fn})
+		p.publish(compileJob(e, k))
 	}
+}
+
+// compileJob runs one background compilation, recovering a compiler panic
+// into the result.
+func compileJob(e *Engine, k tierKey) (r tierResult) {
+	r.key = k
+	defer func() {
+		if v := recover(); v != nil {
+			r.panicked = v
+		}
+	}()
+	if k.header < 0 {
+		r.fn = e.cfg.Tier1.Compile(e, k.fidx)
+	} else if oc, ok := e.cfg.Tier1.(OSRCompiler); ok {
+		r.fn = oc.CompileOSR(e, k.fidx, k.header)
+	}
+	return r
 }
 
 // startPool launches the background compile worker (NewEngine, when
@@ -184,9 +200,13 @@ func (e *Engine) requestCompile(k tierKey) {
 
 // installReady is the safe publication point: it runs on the engine thread,
 // between guest instructions, and moves finished background compilations
-// into the dispatch tables. Called from invoke and from the back-edge probe.
+// into the dispatch tables, re-raising a compile panic a worker recovered.
+// Called from invoke and from the back-edge probe.
 func (e *Engine) installReady() {
 	for _, r := range e.pool.take() {
+		if r.panicked != nil {
+			panic(r.panicked)
+		}
 		if r.fn == nil {
 			continue // bailed: e.queued[r.key] stays set, never retried
 		}

@@ -168,3 +168,57 @@ func (c *countingCompiler) Compile(e *Engine, fidx int) CompiledFunc {
 	c.calls.Add(1)
 	return nil
 }
+
+// panickingCompiler is a fake tier-1 compiler with a bug: every Compile
+// panics.
+type panickingCompiler struct{}
+
+func (panickingCompiler) Compile(e *Engine, fidx int) CompiledFunc {
+	panic("tier-1 compiler bug")
+}
+
+// TestAsyncCompilePanicReachesCaller: a tier-1 compiler panic must surface
+// on the goroutine that called Run — where the facade's containment turns it
+// into an InternalError — whether the compile ran synchronously or on a
+// background worker, and Close must still return. A worker that let the
+// panic escape would kill the whole process instead.
+func TestAsyncCompilePanicReachesCaller(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		name := "sync"
+		if async {
+			name = "async"
+		}
+		t.Run(name, func(t *testing.T) {
+			m := buildModule(t, asyncLoopModule)
+			e, err := NewEngine(m, Config{
+				Tier1:          panickingCompiler{},
+				Tier1Threshold: 1,
+				AsyncJIT:       async,
+				// Backstop: the loop never ends, so a panic that never
+				// arrives shows up as a LimitError, not a hang.
+				MaxSteps: 100_000_000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				_, err = e.Run()
+			}()
+			if got != "tier-1 compiler bug" {
+				t.Fatalf("Run recovered %v (err %v), want the compiler's panic", got, err)
+			}
+			closed := make(chan struct{})
+			go func() {
+				e.Close()
+				close(closed)
+			}()
+			select {
+			case <-closed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close hung after a compile panic")
+			}
+		})
+	}
+}

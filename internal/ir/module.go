@@ -124,16 +124,6 @@ type Module struct {
 	Funcs   []*Func
 	Structs map[string]*StructType
 
-	// ContentID, when non-empty, is a content address for the whole module,
-	// stamped by the compilation pipeline before publication: the full hash
-	// of the input file set plus the flavor and opt level that produced it.
-	// Consumers (the executable-code cache) may key on it instead of
-	// re-hashing the printed IR. It is a claim of immutability — never set
-	// it on a module that might still be mutated — and it is deliberately
-	// not printed, parsed, or cloned: a hand-built, parsed, or cloned module
-	// has no pipeline identity.
-	ContentID string
-
 	funcIdx   map[string]int
 	globalIdx map[string]int
 }

@@ -17,6 +17,13 @@
 // same module. OSR entries are deliberately *not* cached: they lower against
 // one engine's live interpreter frame and consult its speculation blacklist.
 //
+// Units are keyed by module identity, not content: the pipeline cache hands
+// every run of one program the same shared module object, and every driver
+// runs and then releases that object, so the pointer is the key the traffic
+// uses — the same one the module cache and the engine pool release by. Two
+// distinct module objects with equal content (an uncached compile, a file
+// parsed twice) get separate units.
+//
 // Counter parity: each compilation records its counter delta (unitMeta)
 // next to the closure, and a cache hit replays the delta into the running
 // compiler — so JITReport (Compiled, InstrsTotal, Inlined, Bailed) is
@@ -28,8 +35,6 @@ package jit
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
 	"sync"
 	"sync/atomic"
 
@@ -64,52 +69,12 @@ func (c *Compiler) fingerprint() Fingerprint {
 	return Fingerprint{DisableMem2Reg: c.DisableMem2Reg}
 }
 
-// cacheKey addresses one unit: the module's content hash (not its pointer —
-// re-parsed but identical sources share code) plus the config fingerprint.
+// cacheKey addresses one unit: the module's identity plus the config
+// fingerprint. A unit pins its module until it is evicted or released, so the
+// LRU bound also caps how many modules the cache keeps alive.
 type cacheKey struct {
-	hash string
-	fp   Fingerprint
-}
-
-// modHashes memoizes the content hash per module pointer: drivers run the
-// same shared immutable *ir.Module many times, and hashing the printed IR
-// is itself a cost worth paying once. (Keying by pointer is safe because
-// modules handed to engines are immutable by contract.) The memo is
-// epoch-cleared at a size bound rather than grown forever: a fuzzing
-// campaign hashes one fresh module per generated program, and a memo that
-// pins every module it ever saw would leak the whole campaign's IR. The
-// bound comfortably covers the corpus × opt-config working set, so steady
-// drivers never re-hash; a clear costs one re-hash per live module.
-const modHashBound = 512
-
-var (
-	modHashMu sync.Mutex
-	modHashes = make(map[*ir.Module]string, 64)
-)
-
-func moduleHash(m *ir.Module) string {
-	// Pipeline-built modules carry a content address already; hashing the
-	// printed IR per generated program was a measurable share of a fuzzing
-	// campaign's whole budget. The "cid:"/"sha:" prefixes keep the two hash
-	// domains from ever colliding.
-	if m.ContentID != "" {
-		return "cid:" + m.ContentID
-	}
-	modHashMu.Lock()
-	h, ok := modHashes[m]
-	modHashMu.Unlock()
-	if ok {
-		return h
-	}
-	sum := sha256.Sum256([]byte(ir.Print(m)))
-	h = "sha:" + hex.EncodeToString(sum[:])
-	modHashMu.Lock()
-	if len(modHashes) >= modHashBound {
-		modHashes = make(map[*ir.Module]string, 64)
-	}
-	modHashes[m] = h
-	modHashMu.Unlock()
-	return h
+	mod *ir.Module
+	fp  Fingerprint
 }
 
 // funcEntry is one function's compiled artifact inside a unit. ready closes
@@ -164,7 +129,7 @@ func NewCodeCache(capUnits int) *CodeCache {
 // unitFor returns (creating if needed) the unit for m under fp, updating
 // recency and evicting over-capacity units.
 func (cc *CodeCache) unitFor(m *ir.Module, fp Fingerprint) *unit {
-	key := cacheKey{hash: moduleHash(m), fp: fp}
+	key := cacheKey{mod: m, fp: fp}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if u, ok := cc.units[key]; ok {
@@ -202,9 +167,10 @@ func (cc *CodeCache) compile(c *Compiler, e *core.Engine, fidx int) core.Compile
 	u.mu.Unlock()
 	cc.misses.Add(1)
 
-	// Publish even if the compile panics (the facade contains the panic as
-	// an InternalError): waiters then see a nil closure and stay in the
-	// interpreter instead of blocking forever.
+	// Publish and unlock even if the compile panics (the facade contains
+	// the panic as an InternalError): waiters then see a nil closure and
+	// stay in the interpreter instead of blocking forever, and the next
+	// compile on c — a background worker survives the panic — can proceed.
 	published := false
 	defer func() {
 		if !published {
@@ -213,10 +179,10 @@ func (cc *CodeCache) compile(c *Compiler, e *core.Engine, fidx int) core.Compile
 	}()
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.sites = u.sites
 	fn, meta := c.compileFn(e, fidx)
 	c.apply(meta)
-	c.mu.Unlock()
 
 	fe.fn, fe.meta = fn, meta
 	published = true
@@ -225,37 +191,15 @@ func (cc *CodeCache) compile(c *Compiler, e *core.Engine, fidx int) core.Compile
 }
 
 // ReleaseModule evicts every unit compiled from m, across all config
-// fingerprints, and drops m's hash memo. Drivers that retire a module for
-// good call it so a churn workload — a fuzzing campaign compiles one fresh
-// module per generated program and never revisits it — does not fill the LRU
-// with dead code that only GC scan time pays for. Engines still holding
-// closures from a released unit keep running them; release is an eviction,
-// not an invalidation.
+// fingerprints. Drivers that retire a module for good call it so a churn
+// workload — a fuzzing campaign compiles one fresh module per generated
+// program and never revisits it — does not fill the LRU with dead code that
+// only GC scan time pays for. Engines still holding closures from a released
+// unit keep running them; release is an eviction, not an invalidation.
 func (cc *CodeCache) ReleaseModule(m *ir.Module) {
-	var h string
-	if m.ContentID != "" {
-		h = "cid:" + m.ContentID
-	} else {
-		// Consult (and drop) the hash memo rather than re-hashing: every
-		// module that ever entered the cache was memoized by unitFor, so a
-		// miss means the module is not cached and release is a no-op — which
-		// keeps releasing cheap for NoCodeCache runs, where hashing printed
-		// IR would be pure overhead. (If an epoch clear raced in between,
-		// the unit just waits for ordinary LRU eviction instead.)
-		modHashMu.Lock()
-		memo, ok := modHashes[m]
-		if ok {
-			delete(modHashes, m)
-		}
-		modHashMu.Unlock()
-		if !ok {
-			return
-		}
-		h = memo
-	}
 	cc.mu.Lock()
 	for key, u := range cc.units {
-		if key.hash == h {
+		if key.mod == m {
 			cc.lru.Remove(u.elem)
 			delete(cc.units, key)
 			cc.evictions.Add(1)

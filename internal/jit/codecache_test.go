@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ir"
@@ -30,15 +31,22 @@ entry:
 `, k, k)
 }
 
-func cacheEngine(t *testing.T, src string, cc *CodeCache) (*core.Engine, *Compiler, int) {
+// cacheMod parses and verifies cacheModSrc(k). The cache keys units by
+// module identity, so engines meant to share a unit must share the module.
+func cacheMod(t *testing.T, k int) *ir.Module {
 	t.Helper()
-	m, err := ir.Parse(src)
+	m, err := ir.Parse(cacheModSrc(k))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ir.Verify(m); err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func cacheEngine(t *testing.T, m *ir.Module, cc *CodeCache) (*core.Engine, *Compiler, int) {
+	t.Helper()
 	comp := New()
 	comp.Cache = cc
 	e, err := core.NewEngine(m, core.Config{Tier1: comp, Tier1Threshold: 1})
@@ -58,13 +66,13 @@ func cacheEngine(t *testing.T, src string, cc *CodeCache) (*core.Engine, *Compil
 // else waits on the entry and replays its counter delta.
 func TestCodeCacheSingleflightCoalesces(t *testing.T) {
 	cc := NewCodeCache(4)
-	src := cacheModSrc(1)
+	m := cacheMod(t, 1)
 	const n = 16
 	engs := make([]*core.Engine, n)
 	comps := make([]*Compiler, n)
 	fidx := 0
 	for i := range engs {
-		engs[i], comps[i], fidx = cacheEngine(t, src, cc)
+		engs[i], comps[i], fidx = cacheEngine(t, m, cc)
 	}
 	var start, done sync.WaitGroup
 	start.Add(1)
@@ -115,7 +123,7 @@ func TestCodeCacheConcurrentEvictionChurn(t *testing.T) {
 	comps := make([]*Compiler, mods)
 	fidx := 0
 	for i := range engs {
-		engs[i], comps[i], fidx = cacheEngine(t, cacheModSrc(i), cc)
+		engs[i], comps[i], fidx = cacheEngine(t, cacheMod(t, i), cc)
 	}
 
 	var wg sync.WaitGroup
@@ -157,9 +165,9 @@ func TestCodeCacheConcurrentEvictionChurn(t *testing.T) {
 // or replace anything in the unit.
 func TestCodeCacheHitNotMutated(t *testing.T) {
 	cc := NewCodeCache(4)
-	src := cacheModSrc(3)
-	e1, c1, fidx := cacheEngine(t, src, cc)
-	e2, c2, _ := cacheEngine(t, src, cc)
+	m := cacheMod(t, 3)
+	e1, c1, fidx := cacheEngine(t, m, cc)
+	e2, c2, _ := cacheEngine(t, m, cc)
 
 	if fn := c1.Compile(e1, fidx); fn == nil {
 		t.Fatal("miss returned nil closure")
@@ -208,58 +216,54 @@ func TestCodeCacheHitNotMutated(t *testing.T) {
 }
 
 // TestCodeCacheReleaseModule: releasing a module evicts its units (across
-// fingerprints) and drops its hash memo, a never-cached module releases as
-// a no-op, and a re-compile after release simply misses and works — release
-// is an eviction, not an invalidation.
+// fingerprints) and only its units — a separately parsed module with the
+// same printed IR is a different key and keeps its unit — a never-cached
+// module releases as a no-op, and a re-compile after release simply misses
+// and works: release is an eviction, not an invalidation.
 func TestCodeCacheReleaseModule(t *testing.T) {
 	cc := NewCodeCache(8)
-	src := cacheModSrc(7)
-	e1, c1, fidx := cacheEngine(t, src, cc)
-	e2, c2, _ := cacheEngine(t, src, cc)
-	c2.DisableMem2Reg = true // distinct fingerprint, same module content
+	m := cacheMod(t, 7)
+	e1, c1, fidx := cacheEngine(t, m, cc)
+	e2, c2, _ := cacheEngine(t, m, cc)
+	c2.DisableMem2Reg = true // distinct fingerprint, same module
+	twin := cacheMod(t, 7)
+	if ir.Print(twin) != ir.Print(m) {
+		t.Fatal("twin module prints differently")
+	}
+	eT, cT, _ := cacheEngine(t, twin, cc)
 
-	if fn := c1.Compile(e1, fidx); fn == nil {
+	if c1.Compile(e1, fidx) == nil || c2.Compile(e2, fidx) == nil || cT.Compile(eT, fidx) == nil {
 		t.Fatal("compile returned nil closure")
 	}
-	if fn := c2.Compile(e2, fidx); fn == nil {
-		t.Fatal("compile returned nil closure")
-	}
-	if st := cc.Stats(); st.Units != 2 {
-		t.Fatalf("expected 2 units (two fingerprints), got %+v", st)
+	if st := cc.Stats(); st.Units != 3 || st.Misses != 3 {
+		t.Fatalf("expected 3 units and 3 misses (two fingerprints, one twin), got %+v", st)
 	}
 
-	cc.ReleaseModule(e1.Module())
+	cc.ReleaseModule(m)
 	st := cc.Stats()
-	if st.Units != 0 || st.Funcs != 0 {
-		t.Fatalf("release left artifacts behind: %+v", st)
+	if st.Units != 1 || st.Funcs != 1 {
+		t.Fatalf("release of m should leave only the twin's unit: %+v", st)
 	}
 	if st.Evictions != 2 {
 		t.Fatalf("release evicted %d units, want 2", st.Evictions)
 	}
-	modHashMu.Lock()
-	_, memoized := modHashes[e1.Module()]
-	modHashMu.Unlock()
-	if memoized {
-		t.Fatal("release kept the module pinned in the hash memo")
+	if _, ok := cc.units[cacheKey{mod: twin, fp: cT.fingerprint()}]; !ok {
+		t.Fatal("releasing m evicted the twin's unit")
 	}
 
 	// Releasing a module the cache never saw is a no-op.
-	other, err := ir.Parse(cacheModSrc(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc.ReleaseModule(other)
+	cc.ReleaseModule(cacheMod(t, 8))
 	if got := cc.Stats().Evictions; got != 2 {
 		t.Fatalf("no-op release bumped evictions to %d", got)
 	}
 
 	// Life after release: a fresh compile misses, repopulates, and runs.
-	e3, c3, _ := cacheEngine(t, src, cc)
+	e3, c3, _ := cacheEngine(t, m, cc)
 	if fn := c3.Compile(e3, fidx); fn == nil {
 		t.Fatal("post-release compile returned nil closure")
 	}
-	if st := cc.Stats(); st.Units != 1 || st.Misses != 3 {
-		t.Fatalf("post-release stats %+v, want 1 unit and 3 misses", st)
+	if st := cc.Stats(); st.Units != 2 || st.Misses != 4 {
+		t.Fatalf("post-release stats %+v, want 2 units and 4 misses", st)
 	}
 	got, err := e3.CallByName("f", []core.Value{core.IntValue(10)})
 	if err != nil {
@@ -270,18 +274,33 @@ func TestCodeCacheReleaseModule(t *testing.T) {
 	}
 }
 
-// TestCodeCacheReleaseByContentID: a pipeline-stamped module is addressed by
-// its ContentID; release must find its units without consulting the memo.
-func TestCodeCacheReleaseByContentID(t *testing.T) {
-	cc := NewCodeCache(8)
-	src := cacheModSrc(9)
-	e, c, fidx := cacheEngine(t, src, cc)
-	e.Module().ContentID = "testhash/native/O0"
-	if fn := c.Compile(e, fidx); fn == nil {
-		t.Fatal("compile returned nil closure")
-	}
-	cc.ReleaseModule(e.Module())
-	if st := cc.Stats(); st.Units != 0 || st.Evictions != 1 {
-		t.Fatalf("ContentID release missed the unit: %+v", st)
+// TestCodeCachePanicReleasesCompiler: a compile that panics inside the cache
+// must not leave its Compiler locked. A background compile worker survives
+// the panic and takes the next job on the same Compiler; a held lock would
+// block that job forever, and Engine.Close with it.
+func TestCodeCachePanicReleasesCompiler(t *testing.T) {
+	cc := NewCodeCache(4)
+	e, c, fidx := cacheEngine(t, cacheMod(t, 5), cc)
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("compiling an out-of-range function did not panic")
+			}
+		}()
+		// An out-of-range index makes lowering panic, standing in for a
+		// tier-1 compiler bug.
+		c.Compile(e, len(e.Module().Funcs))
+	}()
+
+	done := make(chan core.CompiledFunc, 1)
+	go func() { done <- c.Compile(e, fidx) }()
+	select {
+	case fn := <-done:
+		if fn == nil {
+			t.Fatal("compile after a panic returned nil closure")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("compile after a panic blocked: the Compiler stayed locked")
 	}
 }

@@ -446,15 +446,7 @@ func (c *Cache) frontendModule(req Request, hash string) (*entry, error) {
 	if fillIt {
 		bare := req
 		bare.Bare = true
-		mod, stages, err := compile(bare, c.prefix)
-		if err == nil {
-			// Content-address the unit before publication (full input-set
-			// hash, not the display-truncated Key.String), so downstream
-			// caches — the executable-code cache keys tier-1 units by it —
-			// never pay a printed-IR rehash per module.
-			mod.ContentID = fmt.Sprintf("%s/%s/O%d", hash, fk.Flavor, fk.OptLevel)
-		}
-		e.fill(mod, stages, err)
+		e.fill(compile(bare, c.prefix))
 	}
 	<-e.ready
 	return e, e.err
