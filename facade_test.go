@@ -84,9 +84,10 @@ int main(void) { printf("%d\n", LIMIT); return 0; }`
 
 // TestExtraFilesCannotShadowLibc pins that an extra file named like a
 // bundled libc file is a compile error naming it: libc is compiled once,
-// so such a file could only have changed how libc itself compiles.
+// so such a file could only have changed how libc itself compiles. So is
+// one named like the program, user.c, which would be dropped.
 func TestExtraFilesCannotShadowLibc(t *testing.T) {
-	for _, name := range []string{"string.h", "stdio.c"} {
+	for _, name := range []string{"string.h", "stdio.c", "user.c"} {
 		for _, cfg := range []sulong.Config{{Engine: sulong.EngineSafeSulong}, {Engine: sulong.EngineSafeSulong, NoCache: true}, {Engine: sulong.EngineNative}} {
 			cfg.ExtraFiles = map[string]string{name: "#define LIMIT 77\n"}
 			_, err := sulong.CompileFor("int main(void) { return 0; }", cfg)
@@ -96,6 +97,47 @@ func TestExtraFilesCannotShadowLibc(t *testing.T) {
 			var ie *core.InternalError
 			if errors.As(err, &ie) {
 				t.Errorf("%s: shadowing must be an ordinary compile error, got an internal error", name)
+			}
+		}
+	}
+}
+
+// TestIncludeGuardPrograms pins what programs that exercise the include
+// guard skip do, as they did before the preprocessor skipped guarded
+// headers: a libc header is processed again after its guard is undefined, a
+// guarded user header twice defines once, a program that defines a libc
+// header's guard does not see that header (libc's own code still declares
+// it for the managed build), and an include chain reaching a skipped header
+// one level too deep fails at that header.
+func TestIncludeGuardPrograms(t *testing.T) {
+	depthErr := func(outer string) string {
+		return outer + strings.Repeat("user.c:2: ", 38) + `user.c:1: cc: include depth exceeded at "stdio.h"`
+	}
+	for _, c := range []struct {
+		name, src      string
+		extra          map[string]string
+		managed, nativ string // stdout, or the compile error
+	}{
+		{"undef libc guard", "#include <stdio.h>\n#undef _STDIO_H\n#include <stdio.h>\nint main(void) { printf(\"%d\\n\", EOF); return 0; }\n",
+			nil, "-1\n", "-1\n"},
+		{"user header twice", "#include \"twice.h\"\n#include \"twice.h\"\n#include <stdio.h>\nint main(void) { printf(\"%d\\n\", twice + TWICE); return 0; }\n",
+			map[string]string{"twice.h": "#ifndef TWICE_H\n#define TWICE_H\n#define TWICE 40\nint twice = 2;\n#endif\n"}, "42\n", "42\n"},
+		{"define libc guard", "#define _STRING_H\n#include <string.h>\n#include <stdio.h>\nint main(void) { printf(\"%d\\n\", (int)strlen(\"abc\")); return 0; }\n",
+			nil, "3\n", `user.c:4: use of undeclared identifier "strlen"`},
+		{"include depth", "#include <stdio.h>\n#include \"user.c\"\nint main(void) { return 0; }\n",
+			nil, depthErr("__program.c:5: "), depthErr("user.c:2: ")},
+	} {
+		for _, run := range []struct {
+			eng  sulong.Engine
+			want string
+		}{{sulong.EngineSafeSulong, c.managed}, {sulong.EngineNative, c.nativ}} {
+			res, err := sulong.Run(c.src, sulong.Config{Engine: run.eng, ExtraFiles: c.extra})
+			got := res.Stdout
+			if err != nil {
+				got = err.Error()
+			}
+			if got != run.want {
+				t.Errorf("%s (%v): got %q, want %q", c.name, run.eng, got, run.want)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package cc
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/ir"
 )
@@ -472,11 +473,48 @@ func (cg *codegen) evalConstExpr(e Expr) (constVal, error) {
 	return constVal{}, fmt.Errorf("cc: initializer expression is not constant")
 }
 
-// collectStructs registers every named struct type reachable from the
-// module's globals and instructions, so the printed SIR is self-contained
-// and re-parses (the textual format declares structs up front).
-func collectStructs(m *ir.Module) {
-	m.Structs = map[string]*ir.StructType{}
+// collectStructs sets m.Structs to every named struct type reachable from
+// m's globals and instructions, so the printed SIR is self-contained and
+// re-parses (the textual format declares structs up front). Where two
+// reachable structs share a name, the one the walk meets last wins and
+// collectStructs reports false; otherwise it reports true.
+//
+// m extends base (ir.Module.Extend), whose Structs this walk made, reporting
+// baseDistinct. If base's names were distinct and m keeps every one of
+// base's functions, what base's globals and functions reach is in
+// base.Structs, so only what m added is walked, from a copy of it. That
+// gives the whole walk's table unless a struct the additions reach shares a
+// name with another: then which one wins depends on the order in which the
+// whole walk meets them, and the whole module is walked.
+func collectStructs(m, base *ir.Module, baseDistinct bool) bool {
+	if baseDistinct && keepsFuncs(m, base) {
+		if structs, ok := walkStructs(m, maps.Clone(base.Structs), len(base.Globals), len(base.Funcs)); ok {
+			m.Structs = structs
+			return true
+		}
+	}
+	structs, distinct := walkStructs(m, map[string]*ir.StructType{}, 0, 0)
+	m.Structs = structs
+	return distinct
+}
+
+// keepsFuncs reports whether every function slot of base holds the same
+// function in m.
+func keepsFuncs(m, base *ir.Module) bool {
+	for i, f := range base.Funcs {
+		if m.Funcs[i] != f {
+			return false
+		}
+	}
+	return true
+}
+
+// walkStructs adds to structs, in walk order, the named structs reachable
+// from m's globals from index globals on and functions from index funcs on,
+// a name's last struct winning. A struct already in structs under its name
+// is not walked again. It reports whether no name met two structs.
+func walkStructs(m *ir.Module, structs map[string]*ir.StructType, globals, funcs int) (map[string]*ir.StructType, bool) {
+	distinct := true
 	seen := map[*ir.StructType]bool{}
 	var walk func(t ir.Type)
 	walk = func(t ir.Type) {
@@ -487,7 +525,13 @@ func collectStructs(m *ir.Module) {
 			}
 			seen[v] = true
 			if v.Name != "" {
-				m.Structs[v.Name] = v
+				switch prev, ok := structs[v.Name]; {
+				case prev == v:
+					return
+				case ok:
+					distinct = false
+				}
+				structs[v.Name] = v
 			}
 			for _, f := range v.Fields {
 				walk(f.Ty)
@@ -505,10 +549,10 @@ func collectStructs(m *ir.Module) {
 			}
 		}
 	}
-	for _, g := range m.Globals {
+	for _, g := range m.Globals[globals:] {
 		walk(g.Ty)
 	}
-	for _, f := range m.Funcs {
+	for _, f := range m.Funcs[funcs:] {
 		if f.Sig != nil {
 			walk(f.Sig)
 		}
@@ -523,4 +567,5 @@ func collectStructs(m *ir.Module) {
 			}
 		}
 	}
+	return structs, distinct
 }

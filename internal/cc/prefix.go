@@ -29,6 +29,12 @@ import (
 //   - Every struct the prefix owns is laid out and frozen by Freeze, so no
 //     later compile fills in its lazy layout, and a later definition of one
 //     of its tags declares a new struct instead of rewriting the shared one.
+//   - The include guards the prefix's files were found to have are read,
+//     never written: a unit records the guards it finds itself.
+//
+// Freeze verifies the prefix's module in full, so a continuing unit need
+// verify only what it adds (ir.VerifyExtension), and need walk only what it
+// adds for the module's struct table (collectStructs).
 type Prefix struct {
 	// Module is the lowered prefix, shared by every unit continuing it.
 	Module *ir.Module
@@ -37,7 +43,8 @@ type Prefix struct {
 	line int    // main-file line that includes the continued file; 0 when empty
 
 	macros map[string]*macro
-	budget int // macro-expansion work left for the rest of the unit
+	budget int               // macro-expansion work left for the rest of the unit
+	guards map[string]string // include name -> its include guard (includeGuard)
 
 	typedefs map[string]*CType
 	structs  map[string]*CStructInfo
@@ -48,6 +55,9 @@ type Prefix struct {
 	globals map[string]*CType
 	strIdx  int
 	refs    map[string]bool
+	// distinctStructs reports that no two structs in Module.Structs's walk
+	// share a name.
+	distinctStructs bool
 }
 
 // macroBudget bounds a whole unit's macro-expansion work; it guards against
@@ -62,12 +72,15 @@ func NewPrefix(unit string, predefined map[string]string) (*Prefix, error) {
 		unit:     unit,
 		macros:   make(map[string]*macro, len(predefined)),
 		budget:   macroBudget,
+		guards:   map[string]string{},
 		typedefs: map[string]*CType{},
 		structs:  map[string]*CStructInfo{},
 		unions:   map[string]*CStructInfo{},
 		enums:    map[string]int64{},
 		funcs:    map[string]*CFuncInfo{},
 		globals:  map[string]*CType{},
+
+		distinctStructs: true,
 	}
 	for name, val := range predefined {
 		toks, err := Lex("<predefined>", val)
@@ -94,10 +107,13 @@ type Unit struct {
 
 	macros map[string]*macro
 	budget int
+	guards map[string]string // the include guards this unit found
 	toks   []Token
 	parser *Parser
 	prog   *Program
 	cg     *codegen
+
+	distinctStructs bool
 }
 
 // Continue starts a unit that compiles one more file after pre. files
@@ -109,7 +125,13 @@ func (pre *Prefix) Continue(files func(name string) (string, bool)) *Unit {
 // Preprocess is the preprocessor stage: it expands file under the prefix's
 // macros.
 func (u *Unit) Preprocess(file string) error {
-	p := &preprocessor{files: u.files, macros: maps.Clone(u.pre.macros), maxWork: u.pre.budget}
+	p := &preprocessor{
+		files:        u.files,
+		macros:       maps.Clone(u.pre.macros),
+		maxWork:      u.pre.budget,
+		sharedGuards: u.pre.guards,
+		guards:       map[string]string{},
+	}
 	if u.pre.line > 0 {
 		// The file is included from the main file: it nests one level deep,
 		// and its errors are reported at the including line.
@@ -128,7 +150,7 @@ func (u *Unit) Preprocess(file string) error {
 			toks = append(toks, t)
 		}
 	}
-	u.toks, u.macros, u.budget = toks, p.macros, p.maxWork
+	u.toks, u.macros, u.budget, u.guards = toks, p.macros, p.maxWork, p.guards
 	return nil
 }
 
@@ -163,20 +185,25 @@ func (u *Unit) Lower() (*ir.Module, error) {
 	if err := u.cg.program(u.prog); err != nil {
 		return nil, err
 	}
-	collectStructs(u.cg.m)
+	u.distinctStructs = collectStructs(u.cg.m, u.pre.Module, u.pre.distinctStructs)
 	return u.cg.m, nil
 }
 
 // Freeze publishes the lowered unit as a prefix whose continuation the main
-// file includes from line. It lays out and freezes every struct the prefix
-// can reach. The unit must not be used afterwards.
-func (u *Unit) Freeze(line int) *Prefix {
+// file includes from line. It verifies the unit's module in full and lays
+// out and freezes every struct the prefix can reach. The unit must not be
+// used afterwards.
+func (u *Unit) Freeze(line int) (*Prefix, error) {
+	if err := ir.Verify(u.cg.m); err != nil {
+		return nil, fmt.Errorf("cc: internal error: generated invalid IR: %w", err)
+	}
 	pre := &Prefix{
 		Module:   u.cg.m,
 		unit:     u.pre.unit,
 		line:     line,
 		macros:   u.macros,
 		budget:   u.budget,
+		guards:   u.guards,
 		typedefs: u.parser.typedefs,
 		structs:  u.parser.structs,
 		unions:   u.parser.unions,
@@ -185,8 +212,11 @@ func (u *Unit) Freeze(line int) *Prefix {
 		globals:  u.cg.globals,
 		strIdx:   u.cg.strIdx,
 		refs:     u.cg.refs,
+
+		distinctStructs: u.distinctStructs,
 	}
 	maps.Copy(pre.refs, u.pre.refs)
+	maps.Copy(pre.guards, u.pre.guards)
 	seen := map[*CStructInfo]bool{}
 	var freeze func(t *CType)
 	freeze = func(t *CType) {
@@ -227,7 +257,7 @@ func (u *Unit) Freeze(line int) *Prefix {
 	for _, sig := range pre.funcs {
 		freezeSig(sig, freeze)
 	}
-	return pre
+	return pre, nil
 }
 
 func freezeSig(sig *CFuncInfo, freeze func(*CType)) {

@@ -23,6 +23,11 @@ type preprocessor struct {
 	out     []Token
 	depth   int
 	maxWork int // expansion budget; guards against runaway recursion
+
+	// The include guard of each file whose whole contents one #ifndef group
+	// holds (see includeGuard): sharedGuards is the prefix's, read-only, and
+	// guards what this unit lexed.
+	sharedGuards, guards map[string]string
 }
 
 // lookupIn resolves include names (as written between quotes or angle
@@ -44,12 +49,94 @@ func (p *preprocessor) processFile(name string) error {
 		return fmt.Errorf("cc: include depth exceeded at %q", name)
 	}
 	defer func() { p.depth-- }()
+	if guard, ok := p.guard(name); ok {
+		if _, defined := p.macros[guard]; defined {
+			// Every token of the file is in a group its guard turns off:
+			// processing it would emit only newlines, define nothing and
+			// spend no expansion budget. (The multiple-include optimization
+			// of GCC's cpp.)
+			return nil
+		}
+	}
 	toks, err := Lex(name, src)
 	if err != nil {
 		return err
 	}
+	if guard, ok := includeGuard(toks); ok {
+		p.guards[name] = guard
+	}
 	return p.processTokens(toks)
 }
+
+// guard returns the include guard recorded for the named file. A name
+// resolves to the same contents for the prefix and every unit continuing
+// it, so the prefix's record holds for the unit.
+func (p *preprocessor) guard(name string) (string, bool) {
+	if g, ok := p.guards[name]; ok {
+		return g, true
+	}
+	g, ok := p.sharedGuards[name]
+	return g, ok
+}
+
+// includeGuard reports whether a lexed file is wholly one include-guard
+// group, returning its macro X: leading newlines, then `#ifndef X` alone on
+// its line, then the group, closed by the #endif that balances it with no
+// #elif or #else of its own, then only newlines. While X is defined such a
+// file emits nothing but newlines: every directive inside the group is in
+// a skipped region, where none but a malformed one acts, and a file that
+// was processed once without error has none of those.
+func includeGuard(toks []Token) (string, bool) {
+	i := 0
+	for i < len(toks) && toks[i].Kind == TokNewline {
+		i++
+	}
+	if i+3 >= len(toks) || !isHash(toks[i]) || toks[i+1].Text != "ifndef" ||
+		toks[i+2].Kind != TokIdent || toks[i+3].Kind != TokNewline {
+		return "", false
+	}
+	guard := toks[i+2].Text
+	depth := 0
+	for atLineStart := true; i < len(toks) && toks[i].Kind != TokEOF; i++ {
+		t := toks[i]
+		if t.Kind == TokNewline {
+			atLineStart = true
+			continue
+		}
+		if !atLineStart {
+			continue
+		}
+		atLineStart = false
+		if !isHash(t) || i+1 == len(toks) {
+			continue
+		}
+		switch toks[i+1].Text {
+		case "if", "ifdef", "ifndef":
+			depth++
+		case "elif", "else":
+			if depth == 1 {
+				return "", false
+			}
+		case "endif":
+			if depth--; depth > 0 {
+				continue
+			}
+			// The rest of the closing #endif's line belongs to it; after
+			// that, only newlines may follow.
+			for i += 2; i < len(toks) && toks[i].Kind != TokNewline && toks[i].Kind != TokEOF; i++ {
+			}
+			for ; i < len(toks) && toks[i].Kind != TokEOF; i++ {
+				if toks[i].Kind != TokNewline {
+					return "", false
+				}
+			}
+			return guard, true
+		}
+	}
+	return "", false // the group is unterminated
+}
+
+func isHash(t Token) bool { return t.Kind == TokPunct && t.Text == "#" }
 
 // condState tracks one #if level.
 type condState struct {
@@ -81,7 +168,7 @@ func (p *preprocessor) processTokens(toks []Token) error {
 			i++
 			continue
 		}
-		if atLineStart && t.Kind == TokPunct && t.Text == "#" {
+		if atLineStart && isHash(t) {
 			// collect directive line
 			j := i + 1
 			for j < len(toks) && toks[j].Kind != TokNewline && toks[j].Kind != TokEOF {

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"maps"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,11 @@ func pp(t *testing.T, main string, files map[string]string) string {
 	if err != nil {
 		t.Fatalf("Preprocess: %v", err)
 	}
+	return renderTokens(toks)
+}
+
+// renderTokens renders preprocessed tokens as a string.
+func renderTokens(toks []Token) string {
 	var parts []string
 	for _, tok := range toks {
 		switch tok.Kind {
@@ -248,5 +254,78 @@ func TestDirectiveAfterMacroUse(t *testing.T) {
 	got := pp(t, src, nil)
 	if got != "1 2" {
 		t.Errorf("got %q", got)
+	}
+}
+
+// TestIncludeGuardDetector pins the include-guard detector: a file is guarded only
+// when one #ifndef group with no top-level #elif or #else holds every token
+// but newlines.
+func TestIncludeGuardDetector(t *testing.T) {
+	for _, c := range []struct {
+		name, src, guard string
+	}{
+		{"classic", "#ifndef A_H\n#define A_H\nint a;\n#endif\n", "A_H"},
+		{"comments and blank lines around", "/* a.h */\n\n#ifndef A_H\n#define A_H\n#endif /* A_H */\n\n\n", "A_H"},
+		{"no trailing newline", "#ifndef A_H\n#define A_H\n#endif", "A_H"},
+		{"tokens on the closing line", "#ifndef A_H\n#endif A_H\n", "A_H"},
+		{"nested groups with their own #else", "#ifndef A_H\n#if X\nint a;\n#elif Y\n#else\n#ifdef Z\n#endif\n#endif\n#endif\n", "A_H"},
+		{"a guard that defines nothing", "#ifndef A_H\nint a;\n#endif\n", "A_H"},
+
+		{"tokens after the closing #endif", "#ifndef A_H\n#define A_H\n#endif\nint b;\n", ""},
+		{"a directive after the closing #endif", "#ifndef A_H\n#define A_H\n#endif\n#define B 1\n", ""},
+		{"top-level #else", "#ifndef A_H\n#define A_H\n#else\nint b;\n#endif\n", ""},
+		{"top-level #elif", "#ifndef A_H\n#define A_H\n#elif 1\nint b;\n#endif\n", ""},
+		{"leading #if !defined", "#if !defined(A_H)\n#define A_H\n#endif\n", ""},
+		{"leading #ifdef", "#ifdef A_H\n#endif\n", ""},
+		{"two top-level groups", "#ifndef A_H\n#define A_H\n#endif\n#ifndef B_H\n#define B_H\n#endif\n", ""},
+		{"tokens before the group", "int b;\n#ifndef A_H\n#define A_H\n#endif\n", ""},
+		{"more than the macro on the #ifndef line", "#ifndef A_H B_H\n#endif\n", ""},
+		{"unterminated", "#ifndef A_H\n#define A_H\n", ""},
+		{"nested group left open", "#ifndef A_H\n#if 1\n#endif\n", ""},
+		{"empty file", "", ""},
+		{"newlines only", "\n\n", ""},
+	} {
+		toks, err := Lex("a.h", c.src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		guard, ok := includeGuard(toks)
+		if guard != c.guard || ok != (c.guard != "") {
+			t.Errorf("%s: includeGuard = %q, %v; want %q", c.name, guard, ok, c.guard)
+		}
+	}
+}
+
+// TestIncludeGuardSkip pins when a guarded file is skipped: on a later
+// #include while its guard is defined, before it is lexed again, and not
+// when the guard was undefined in between.
+func TestIncludeGuardSkip(t *testing.T) {
+	files := map[string]string{
+		"a.h": "#ifndef A_H\n#define A_H\nint a;\n#endif\n",
+		"b.h": "int b;\n",
+	}
+	for _, c := range []struct {
+		name, src, want string
+		guards          map[string]string
+	}{
+		{"included twice", "#include \"a.h\"\n#include \"a.h\"\n#include \"b.h\"\n#include \"b.h\"\n",
+			"int a ; int b ; int b ;", map[string]string{"a.h": "A_H"}},
+		{"guard undefined in between", "#include \"a.h\"\n#undef A_H\n#include \"a.h\"\n",
+			"int a ; int a ;", map[string]string{"a.h": "A_H"}},
+		{"guard defined first", "#define A_H\n#include \"a.h\"\n#include \"a.h\"\n",
+			"", map[string]string{"a.h": "A_H"}},
+	} {
+		files := maps.Clone(files)
+		files["main.c"] = c.src
+		u, err := preprocessed("main.c", files, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := renderTokens(u.toks); got != c.want {
+			t.Errorf("%s: tokens %q, want %q", c.name, got, c.want)
+		}
+		if !maps.Equal(u.guards, c.guards) {
+			t.Errorf("%s: guards %v, want %v", c.name, u.guards, c.guards)
+		}
 	}
 }

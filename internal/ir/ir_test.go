@@ -176,6 +176,56 @@ func TestVerifyCatchesBadRegister(t *testing.T) {
 	}
 }
 
+// TestVerifyExtension pins what the extension verify skips: base's own
+// *Func at the same index, nothing else. It reports a broken function the
+// extension added as Verify does; it skips a broken base function, which is
+// why a base must be verified in full when it is built; and it checks a
+// function that replaced a base slot, though that keeps the slot's name.
+func TestVerifyExtension(t *testing.T) {
+	fn := func(name string, reg int) *Func {
+		f := &Func{Name: name, Sig: &FuncType{Ret: Void}, NumRegs: 1}
+		f.Blocks = []*Block{{Name: "entry", Instrs: []Instr{
+			{Op: OpBin, Dst: 0, Ty: I32, Bin: Add, A: Reg(reg, I32), B: ConstInt(1, I32)},
+			{Op: OpRet},
+		}}}
+		return f
+	}
+	good := func(name string) *Func { return fn(name, 0) }
+	broken := func(name string) *Func { return fn(name, 5) }
+
+	base := NewModule("base")
+	base.AddFunc(good("lib"))
+	ext := base.Extend()
+	ext.AddFunc(broken("user"))
+	want := Verify(ext)
+	if err := VerifyExtension(ext, base); want == nil || err == nil || err.Error() != want.Error() {
+		t.Errorf("a broken added function: VerifyExtension says %v, Verify %v; want the same error", err, want)
+	}
+
+	replaced := base.Extend()
+	replaced.AddFunc(broken("lib"))
+	if replaced.Func("lib") == base.Func("lib") {
+		t.Fatal("the definition did not replace the slot")
+	}
+	if err := VerifyExtension(replaced, base); err == nil || !strings.Contains(err.Error(), "func lib ") {
+		t.Errorf("a broken definition replacing a base slot: VerifyExtension says %v, want an error naming lib", err)
+	}
+
+	brokenBase := NewModule("base")
+	brokenBase.AddFunc(broken("lib"))
+	if Verify(brokenBase) == nil {
+		t.Fatal("Verify accepted the broken base")
+	}
+	ext = brokenBase.Extend()
+	ext.AddFunc(good("user"))
+	if err := VerifyExtension(ext, brokenBase); err != nil {
+		t.Errorf("VerifyExtension checked a function it shares with its base: %v", err)
+	}
+	if Verify(ext) == nil {
+		t.Error("Verify accepted an extension of a broken base")
+	}
+}
+
 func TestVerifyCatchesMissingTerminator(t *testing.T) {
 	m := NewModule("v")
 	f := &Func{Name: "f", Sig: &FuncType{Ret: Void}, NumRegs: 1}

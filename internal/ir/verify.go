@@ -14,17 +14,31 @@ import (
 //   - registers are in range [0, NumRegs),
 //   - operands referencing globals/functions resolve within the module,
 //   - call instructions to known functions pass at least the fixed arg count.
-func Verify(m *Module) error {
+func Verify(m *Module) error { return verifyFuncs(m, nil) }
+
+// VerifyExtension checks what Verify checks, on the functions of m that are
+// not base's: m extends base (Module.Extend), and base passed Verify. A
+// function counts as base's only when it is base's *Func at the same index,
+// so a definition that replaced a slot is checked under the slot's old
+// name. The functions it skips verify the same in m as in base as long as
+// m keeps every name base's code mentions, with the signature base gave
+// it: Extend keeps every name, a replaced slot keeps its name, and the
+// front end refuses to change the prototype of a name base's code
+// mentions. So it reports what Verify(m) would.
+func VerifyExtension(m, base *Module) error { return verifyFuncs(m, base.Funcs) }
+
+// verifyFuncs verifies m's functions, skipping shared[i] at index i.
+func verifyFuncs(m *Module, shared []*Func) error {
 	var errs []error
-	for _, f := range m.Funcs {
-		if f.IsDecl {
+	for i, f := range m.Funcs {
+		if f.IsDecl || i < len(shared) && shared[i] == f {
 			continue
 		}
 		if len(f.Blocks) == 0 {
 			errs = append(errs, fmt.Errorf("func %s: no blocks", f.Name))
 			continue
 		}
-		for bi, b := range f.Blocks {
+		for _, b := range f.Blocks {
 			if len(b.Instrs) == 0 {
 				errs = append(errs, fmt.Errorf("func %s block %s: empty", f.Name, b.Name))
 				continue
@@ -39,7 +53,6 @@ func Verify(m *Module) error {
 					errs = append(errs, fmt.Errorf("func %s block %s instr %d: %w", f.Name, b.Name, ii, err))
 				}
 			}
-			_ = bi
 		}
 	}
 	return errors.Join(errs...)

@@ -128,8 +128,8 @@ type Result struct {
 	CacheHit bool
 	// Stages holds per-stage wall-clock timings for the work actually
 	// performed (empty on a cache hit). The compile that built the libc
-	// prefix lists the prefix's preprocess, parse and lower stages right
-	// after its assemble stage.
+	// prefix lists the prefix's preprocess, parse, lower and verify stages
+	// right after its assemble stage.
 	Stages []StageTiming
 }
 
@@ -151,12 +151,15 @@ const userFile = "user.c"
 // userFiles is the assemble stage: the user's file set, the program as
 // user.c plus its ExtraFiles. Everything else a unit includes is the bundled
 // libc, which an ExtraFiles entry may not shadow: libc is compiled once, not
-// per program.
+// per program. Nor may one replace the program.
 func userFiles(req Request) (map[string]string, error) {
 	files := make(map[string]string, len(req.ExtraFiles)+1)
 	for name, src := range req.ExtraFiles {
 		if _, bundled := libc.File(name); bundled {
 			return nil, fmt.Errorf("pipeline: ExtraFiles[%q] would shadow the bundled libc file %s", name, name)
+		}
+		if name == userFile {
+			return nil, fmt.Errorf("pipeline: ExtraFiles[%q] would replace the program, which is compiled as %s", name, name)
 		}
 		files[name] = src
 	}
@@ -217,9 +220,11 @@ func NativeOpt(mod *ir.Module, optLevel int) {
 	}
 }
 
-// buildPrefix preprocesses, parses and lowers the bundled libc: the managed
-// unit's main file up to the line that includes user.c (the paper's Fig. 4
-// libc.c), frozen as a prefix every managed program continues.
+// buildPrefix preprocesses, parses, lowers and verifies the bundled libc:
+// the managed unit's main file up to the line that includes user.c (the
+// paper's Fig. 4 libc.c), frozen as a prefix every managed program
+// continues. Its verify stage is Freeze's check of the whole prefix module,
+// once, so a program's checks only what the program adds (verifyUnit).
 func buildPrefix(hardened bool) (*cc.Prefix, []StageTiming, error) {
 	var st stages
 	prelude := libc.Prelude(hardened)
@@ -242,7 +247,14 @@ func buildPrefix(hardened bool) (*cc.Prefix, []StageTiming, error) {
 	if err := st.run(StageLower, func() error { _, err := u.Lower(); return err }); err != nil {
 		return nil, st, err
 	}
-	return u.Freeze(strings.Count(prelude, "\n") + 1), st, nil
+	var pre *cc.Prefix
+	if err := st.run(StageVerify, func() (err error) {
+		pre, err = u.Freeze(strings.Count(prelude, "\n") + 1)
+		return err
+	}); err != nil {
+		return nil, st, err
+	}
+	return pre, st, nil
 }
 
 // nativePrefix is the native flavor's empty prefix: the native toolchain
@@ -294,15 +306,21 @@ func compile(req Request, libcPrefix func(hardened bool) (*cc.Prefix, []StageTim
 	if req.Flavor == FlavorNative && !req.Bare {
 		_ = st.run(StageNativeOpt, func() error { NativeOpt(mod, req.OptLevel); return nil })
 	}
-	if err := st.run(StageVerify, func() error {
-		if verr := ir.Verify(mod); verr != nil {
-			return fmt.Errorf("pipeline: generated invalid IR: %w", verr)
-		}
-		return nil
-	}); err != nil {
+	if err := st.run(StageVerify, func() error { return verifyUnit(mod, pre) }); err != nil {
 		return nil, st, err
 	}
 	return mod, st, nil
+}
+
+// verifyUnit is a program's verify stage. It checks the functions the
+// program added to its prefix's module or replaced in it: the prefix's own
+// were verified when it was frozen, and verify the same in every module
+// linking them (ir.VerifyExtension).
+func verifyUnit(mod *ir.Module, pre *cc.Prefix) error {
+	if err := ir.VerifyExtension(mod, pre.Module); err != nil {
+		return fmt.Errorf("pipeline: generated invalid IR: %w", err)
+	}
+	return nil
 }
 
 // CompileUncached runs every stage for req with no cache interaction, the

@@ -11,7 +11,8 @@ import (
 // hazardPrograms touch the state a libc prefix shares with every program:
 // they redefine or forward-declare libc's struct tags, shadow its typedefs
 // and macros, redefine its functions, or redeclare names libc's code uses
-// as something else (an error in both compiles).
+// as something else (an error in both compiles). TestLibcPrefixConcurrentHazards
+// adds the include-guard cases, which read the prefix's guard table.
 var hazardPrograms = []parityProgram{
 	{"redefine a libc struct tag", `#include <stdio.h>
 struct __fmt_out { double d; char c; };
@@ -19,31 +20,31 @@ int main(void) {
 	struct __fmt_out o; o.d = 2.5; o.c = 'x';
 	printf("%d %c %d\n", (int)o.d, o.c, (int)sizeof(struct __fmt_out));
 	return 0;
-}`},
+}`, ""},
 	{"redefine va_list's struct tag", `#include <stdarg.h>
 #include <stdio.h>
 struct __varargs { long pad; int counter; void **args; };
 int sum(int n, ...) { va_list ap; int s = 0; va_start(ap, n); while (n--) s += va_arg(ap, int); return s; }
-int main(void) { printf("%d %d\n", sum(3, 1, 2, 3), (int)sizeof(struct __varargs)); return 0; }`},
+int main(void) { printf("%d %d\n", sum(3, 1, 2, 3), (int)sizeof(struct __varargs)); return 0; }`, ""},
 	{"declare then define a libc struct tag", `struct __varargs;
 struct __varargs { char c; };
-int main(void) { struct __varargs v; v.c = 1; return v.c - 1; }`},
+int main(void) { struct __varargs v; v.c = 1; return v.c - 1; }`, ""},
 	{"shadow a libc typedef", `#include <stdio.h>
 typedef unsigned char size_t;
-int main(void) { size_t n = 300; printf("%d\n", n); return 0; }`},
+int main(void) { size_t n = 300; printf("%d\n", n); return 0; }`, ""},
 	{"shadow libc macros", `#include <stdio.h>
 #undef EOF
 #define EOF 42
 #define va_arg(ap, type) ((type)0)
-int main(void) { printf("%d\n", EOF); return 0; }`},
+int main(void) { printf("%d\n", EOF); return 0; }`, ""},
 	{"redefine libc functions", `#include <stdio.h>
 #include <string.h>
 size_t strlen(const char *s) { return 7; }
 int puts(const char *s) { return printf("[%s]\n", s); }
-int main(void) { puts("hi"); return (int)strlen("abc") - 7; }`},
-	{"redeclare a libc function with another type", `int strlen(int); int main(void) { return 0; }`},
-	{"redeclare a libc function as a global", `int puts; int main(void) { return puts; }`},
-	{"redeclare a libc global as a function", `int __ungot(void) { return 1; } int main(void) { return __ungot(); }`},
+int main(void) { puts("hi"); return (int)strlen("abc") - 7; }`, ""},
+	{"redeclare a libc function with another type", `int strlen(int); int main(void) { return 0; }`, ""},
+	{"redeclare a libc function as a global", `int puts; int main(void) { return puts; }`, ""},
+	{"redeclare a libc global as a function", `int __ungot(void) { return 1; } int main(void) { return __ungot(); }`, ""},
 }
 
 // probeSrc uses what the hazards touch, the way libc declared it.
@@ -64,7 +65,7 @@ int main(void) {
 // compile as libc declared it.
 func TestLibcPrefixConcurrentHazards(t *testing.T) {
 	c := NewCache()
-	progs := append(hazardPrograms, parityProgram{"probe", probeSrc})
+	progs := append(append(hazardPrograms, guardPrograms...), parityProgram{"probe", probeSrc, ""})
 	var before [2]string
 	for i, hardened := range []bool{false, true} {
 		if _, err := c.Compile(Request{Source: probeSrc, Flavor: FlavorManaged, Hardened: hardened}); err != nil {
@@ -79,12 +80,12 @@ func TestLibcPrefixConcurrentHazards(t *testing.T) {
 	wants := map[parityKey]want{}
 	for _, p := range progs {
 		for _, hardened := range []bool{false, true} {
-			mod, err := singleUnit(p.src, hardened)
+			mod, err := singleUnit(p, hardened)
 			w := want{err: fmt.Sprint(err)}
 			if err == nil {
 				w.mod = ir.Print(mod)
 			}
-			wants[parityKey{p.src, hardened}] = w
+			wants[parityKey{p.src, p.header, hardened}] = w
 		}
 	}
 
@@ -98,8 +99,8 @@ func TestLibcPrefixConcurrentHazards(t *testing.T) {
 				for _, hardened := range []bool{false, true} {
 					// A per-worker comment keeps every compile a miss.
 					src := fmt.Sprintf("%s\n/* worker %d */\n", p.src, g)
-					res, err := c.Compile(Request{Source: src, Flavor: FlavorManaged, Hardened: hardened})
-					w := wants[parityKey{p.src, hardened}]
+					res, err := c.Compile(Request{Source: src, ExtraFiles: p.extraFiles(), Flavor: FlavorManaged, Hardened: hardened})
+					w := wants[parityKey{p.src, p.header, hardened}]
 					switch {
 					case fmt.Sprint(err) != w.err:
 						t.Errorf("%s (hardened %v): error %v, single unit %s", p.name, hardened, err, w.err)
@@ -116,7 +117,7 @@ func TestLibcPrefixConcurrentHazards(t *testing.T) {
 		if got := ir.Print(c.prefixes[i].pre.Module); got != before[i] {
 			t.Errorf("hardened %v: the shared prefix changed:\n%s", hardened, firstDiff(before[i], got))
 		}
-		if err := compareLinked(probeSrc, hardened); err != nil {
+		if err := compareLinked(parityProgram{"probe", probeSrc, ""}, hardened); err != nil {
 			t.Errorf("probe after the hazards (hardened %v): %v", hardened, err)
 		}
 	}
