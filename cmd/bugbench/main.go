@@ -19,7 +19,7 @@
 //	bugbench -failnth N      # fail the N-th guest heap allocation
 //	bugbench -failprob P -faultseed S  # seeded random allocation failures
 //	bugbench -retries N      # retry cells that die with internal errors
-//	bugbench -jit -jitthreshold 1 -jitasync -osr -osrthreshold 1
+//	bugbench -jit -jitthreshold 1 -jitasync -osrthreshold 1
 //	                         # force tiered SafeSulong cells (tier-parity check)
 //	bugbench -faultsweep     # FailNth=1..k sweep asserting engine survival
 //	bugbench -json out.json  # also emit a machine-readable report
@@ -104,15 +104,14 @@ func main() {
 	useJIT := flag.Bool("jit", false, "run SafeSulong cells with the tier-1 compiler enabled")
 	jitThreshold := flag.Int64("jitthreshold", 0, "call count that triggers tier-up (0 = engine default, implies -jit)")
 	jitAsync := flag.Bool("jitasync", false, "background tier-up for SafeSulong cells (implies -jit)")
-	osr := flag.Bool("osr", false, "on-stack replacement for SafeSulong cells (implies -jit)")
-	osrThreshold := flag.Int64("osrthreshold", 0, "back-edge count that triggers OSR (0 = library default, implies -jit -osr)")
+	osrThreshold := flag.Int64("osrthreshold", 0, "back-edge count that triggers on-stack replacement (0 = OSR off, implies -jit)")
 	faultSweep := flag.Bool("faultsweep", false, "run the FailNth=1..k allocation-failure sweep instead of the matrix")
 	sweepMax := flag.Int("sweepmax", 3, "with -faultsweep, sweep FailNth from 1 to this value")
 	jsonOut := flag.String("json", "", "write a machine-readable report to this file")
 	flag.Parse()
 
 	plan := fault.Plan{Seed: *faultSeed, FailNth: *failNth, FailProb: *failProb}
-	jit := *useJIT || *jitThreshold > 0 || *jitAsync || *osr || *osrThreshold > 0
+	jit := *useJIT || *jitThreshold > 0 || *jitAsync || *osrThreshold > 0
 	budget := harness.CaseBudget{
 		MaxSteps:      *maxSteps,
 		Timeout:       *timeout,
@@ -123,7 +122,6 @@ func main() {
 		JIT:           jit,
 		JITThreshold:  *jitThreshold,
 		JITAsync:      *jitAsync,
-		OSR:           *osr || *osrThreshold > 0,
 		OSRThreshold:  *osrThreshold,
 	}
 
@@ -177,20 +175,7 @@ func main() {
 		}
 	default:
 		start := time.Now()
-		m := harness.RunDetectionMatrixWith(harness.MatrixOptions{
-			Workers:       *parallel,
-			MaxSteps:      *maxSteps,
-			CaseTimeout:   *timeout,
-			MaxHeapBytes:  *maxHeap,
-			MaxAllocBytes: *maxAlloc,
-			FaultPlan:     plan,
-			MaxRetries:    *retries,
-			JIT:           budget.JIT,
-			JITThreshold:  budget.JITThreshold,
-			JITAsync:      budget.JITAsync,
-			OSR:           budget.OSR,
-			OSRThreshold:  budget.OSRThreshold,
-		})
+		m := harness.RunDetectionMatrixWith(harness.MatrixOptions{Workers: *parallel, Budget: budget})
 		elapsed := time.Since(start)
 		fmt.Print(m.Render())
 		stats := sulong.CacheStats()

@@ -9,7 +9,7 @@
 //	perfbench -startup                 # hello-world start-up per tool
 //	perfbench -warmup [-bench meteor]  # Fig. 15 iterations/s over time
 //	perfbench -peak [-bench all]       # Fig. 16 relative execution times
-//	perfbench -peak -warmups 50 -samples 10 -full   # paper-sized runs
+//	perfbench -peak -full              # paper-sized runs (50 warm-ups, 10 samples)
 //	perfbench -matrix [-parallel N]    # corpus-matrix wall clock, serial vs parallel
 //	perfbench -matrix -timeout 5s      # with a per-cell wall-clock deadline
 //	perfbench ... -json out.json       # machine-readable report (cache stats included)
@@ -71,8 +71,8 @@ func main() {
 	peak := flag.Bool("peak", false, "measure peak performance (Fig. 16)")
 	matrix := flag.Bool("matrix", false, "measure corpus-matrix wall clock, serial vs parallel")
 	benchName := flag.String("bench", "", "benchmark name (default: meteor for -warmup, all for -peak)")
-	warmups := flag.Int("warmups", 10, "in-process warm-up iterations before sampling")
-	samples := flag.Int("samples", 5, "timed iterations per configuration")
+	warmups := flag.Int("warmups", 0, "in-process warm-up iterations before sampling (0 = library default)")
+	samples := flag.Int("samples", 0, "timed iterations per configuration (0 = library default)")
 	seconds := flag.Float64("seconds", 10, "wall-clock duration of the warm-up experiment")
 	full := flag.Bool("full", false, "use the paper-sized workloads (slower)")
 	parallel := flag.Int("parallel", 0, "matrix worker count (0 = one per CPU)")
@@ -135,6 +135,12 @@ func main() {
 			check(err)
 			benches = []benchprog.Benchmark{b}
 		}
+		if *warmups <= 0 {
+			*warmups = harness.DefaultPeakWarmups
+		}
+		if *samples <= 0 {
+			*samples = harness.DefaultPeakSamples
+		}
 		fmt.Printf("Peak performance relative to Clang -O0 (Fig. 16), %d warm-ups, %d samples:\n",
 			*warmups, *samples)
 		var rows []harness.PeakResult
@@ -174,15 +180,12 @@ func main() {
 		// execution, which scales with the worker count.
 		fmt.Printf("Corpus-matrix wall clock (cache warm, %d cases x %d tools):\n",
 			len(harness.RunDetectionMatrix().Cases), len(harness.Tools()))
+		budget := harness.CaseBudget{MaxSteps: *maxSteps, Timeout: *cellTimeout}
 		t0 := time.Now()
-		serial := harness.RunDetectionMatrixWith(harness.MatrixOptions{
-			Workers: 1, MaxSteps: *maxSteps, CaseTimeout: *cellTimeout,
-		})
+		serial := harness.RunDetectionMatrixWith(harness.MatrixOptions{Workers: 1, Budget: budget})
 		serialDur := time.Since(t0)
 		t0 = time.Now()
-		par := harness.RunDetectionMatrixWith(harness.MatrixOptions{
-			Workers: workers, MaxSteps: *maxSteps, CaseTimeout: *cellTimeout,
-		})
+		par := harness.RunDetectionMatrixWith(harness.MatrixOptions{Workers: workers, Budget: budget})
 		parDur := time.Since(t0)
 		if serial.Render() != par.Render() {
 			fmt.Fprintln(os.Stderr, "perfbench: serial and parallel matrices disagree")

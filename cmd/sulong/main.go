@@ -4,15 +4,17 @@
 // Usage:
 //
 //	sulong [-engine safe|native|asan|memcheck] [-O 0|3] [-emit-ir]
-//	       [-jit] [-jitthreshold N] [-jitasync] [-osr] [-osrthreshold N]
+//	       [-jit] [-jitthreshold N] [-jitasync] [-osrthreshold N]
 //	       [-leaks] [-maxheap N] [-failnth N] [-json report.json]
 //	       file.c [program args...]
 //
 // -jitasync moves tier-1 compilation onto a background pool (installs land
-// at dispatch points between guest instructions); -osr additionally compiles
-// hot loops mid-activation via on-stack replacement, with speculative fast
-// paths that deoptimize back to the interpreter when a guard fails. All
-// combinations report identical program behavior — only warm-up changes.
+// at dispatch points between guest instructions); -osrthreshold N (the
+// library's documented value is 64) additionally compiles a loop whose back
+// edge fires N times mid-activation via on-stack replacement, with
+// speculative fast paths that deoptimize back to the interpreter when a
+// guard fails. All combinations report identical program behavior — only
+// warm-up changes.
 //
 // -maxheap bounds the guest's memory: heap allocations past the budget
 // return NULL (so the guest's own error paths run), while stack or global
@@ -47,8 +49,7 @@ func main() {
 	useJIT := flag.Bool("jit", true, "enable the tier-1 dynamic compiler (safe engine)")
 	jitThreshold := flag.Int64("jitthreshold", 0, "call count that triggers tier-up (0 = library default)")
 	jitAsync := flag.Bool("jitasync", false, "compile hot functions on a background pool (safe engine)")
-	osr := flag.Bool("osr", false, "enable on-stack replacement at hot loop back-edges (safe engine)")
-	osrThreshold := flag.Int64("osrthreshold", 0, "back-edge count that triggers OSR (0 = library default, implies -osr)")
+	osrThreshold := flag.Int64("osrthreshold", 0, "back-edge count that triggers on-stack replacement (0 = OSR off; safe engine)")
 	leaks := flag.Bool("leaks", false, "report unfreed heap objects at exit (safe engine)")
 	uar := flag.Bool("use-after-return", false, "detect accesses to stack objects of returned functions (safe engine)")
 	runIR := flag.Bool("ir", false, "treat the input as an SIR module instead of C source")
@@ -96,7 +97,6 @@ func main() {
 		JIT:                  *useJIT,
 		JITThreshold:         *jitThreshold,
 		JITAsync:             *jitAsync,
-		OSR:                  *osr,
 		OSRThreshold:         *osrThreshold,
 		DetectLeaks:          *leaks,
 		DetectUseAfterReturn: *uar,

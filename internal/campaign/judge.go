@@ -56,7 +56,7 @@ func (c *campaign) tierBudgets() []struct {
 	b1 := b0
 	b1.JIT, b1.JITThreshold = true, 1
 	b2 := b1
-	b2.JITAsync, b2.OSR, b2.OSRThreshold = true, true, 1
+	b2.JITAsync, b2.OSRThreshold = true, 1
 	return []struct {
 		name string
 		b    harness.CaseBudget

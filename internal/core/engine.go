@@ -52,8 +52,13 @@ type Builtin func(e *Engine, fr *Frame, args []Value) (Value, error)
 
 // Tier1Compiler is implemented by internal/jit: it turns a hot function into
 // a directly executable closure. A nil result means "keep interpreting".
+// CompileOSR produces a frame-compatible compiled entry starting at a loop
+// header; a nil result means the header is not OSR-able (not a
+// single-header loop, or lowering bailed), and the engine records the
+// failure and never re-requests it.
 type Tier1Compiler interface {
 	Compile(e *Engine, fidx int) CompiledFunc
+	CompileOSR(e *Engine, fidx, header int) CompiledFunc
 }
 
 // CompiledFunc executes a function against a prepared frame.
@@ -94,7 +99,9 @@ type Config struct {
 	Governor *Governor
 	// Tier1 enables dynamic compilation of hot functions.
 	Tier1 Tier1Compiler
-	// Tier1Threshold is the call count that triggers compilation (default 50).
+	// Tier1Threshold is the call count that triggers compilation (0 =
+	// default of 50). A function compiles on the call whose count reaches
+	// the threshold, so any negative value acts as 1: compile on first call.
 	Tier1Threshold int64
 	// AsyncJIT moves tier-1 compilation off the execution thread onto a
 	// bounded background pool owned by the engine: tier-0 keeps running
@@ -102,8 +109,8 @@ type Config struct {
 	// next dispatch point. Engines created with AsyncJIT must be Closed.
 	AsyncJIT bool
 	// OSRThreshold is the per-loop back-edge count that triggers an
-	// on-stack-replacement entry compilation (0 = OSR off). Effective only
-	// when Tier1 also implements OSRCompiler.
+	// on-stack-replacement entry compilation. OSR is on exactly when it is
+	// positive and Tier1 is set.
 	OSRThreshold int64
 	// OnCompile is invoked when a function is tier-1 compiled (Fig. 15's
 	// compilation-event annotations). Under AsyncJIT it fires at install
@@ -188,15 +195,14 @@ type Engine struct {
 	castDesc  map[string]*memdesc.Desc
 	typeObjs  map[string]*Object
 
-	// Async tiering state (tierup.go). pool is the background compile pool
-	// (nil in synchronous mode); queued dedups in-flight requests; the osr*
+	// Tiering state (tierup.go). pool is the background compile pool (nil
+	// in synchronous mode and after Close); queued dedups requests; the osr*
 	// maps hold per-(function, header) back-edge counts and installed OSR
 	// entries; specBad is the deopt blacklist, shared with background
 	// compile workers under specMu.
 	pool       *tierPool
 	closeOnce  sync.Once
 	queued     map[tierKey]bool
-	osrComp    OSRCompiler
 	osrOn      bool
 	osrEntries map[int64]CompiledFunc
 	osrCounts  map[int64]int64
@@ -278,18 +284,14 @@ func (e *Engine) configure(cfg Config, layout func() error) error {
 		return err
 	}
 
-	e.osrComp, e.osrOn = nil, false
+	e.osrOn = cfg.Tier1 != nil && cfg.OSRThreshold > 0
 	e.osrEntries, e.osrCounts = nil, nil
-	if cfg.Tier1 != nil {
-		if oc, ok := cfg.Tier1.(OSRCompiler); ok && cfg.OSRThreshold > 0 {
-			e.osrComp = oc
-			e.osrOn = true
-			e.osrEntries = make(map[int64]CompiledFunc)
-			e.osrCounts = make(map[int64]int64)
-		}
-		if cfg.AsyncJIT {
-			e.startPool()
-		}
+	if e.osrOn {
+		e.osrEntries = make(map[int64]CompiledFunc)
+		e.osrCounts = make(map[int64]int64)
+	}
+	if cfg.Tier1 != nil && cfg.AsyncJIT {
+		e.startPool()
 	}
 	return nil
 }
@@ -350,7 +352,7 @@ func (e *Engine) Reset(cfg Config) error {
 		e.sites[i] = CallSite{}
 	}
 	e.sites = e.sites[:0]
-	e.queued = nil
+	clear(e.queued)
 	e.specMu.Lock()
 	e.specBad = nil
 	e.specMu.Unlock()
@@ -860,30 +862,20 @@ func (e *Engine) invoke(idx int, args []Value, varargs []Pointer) (Value, error)
 	if e.pool != nil && e.pool.pending.Load() {
 		e.installReady()
 	}
-	// Tier-1 dispatch: compiled functions bypass the interpreter.
-	if cf := e.compiled[idx]; cf != nil {
+	// Tier-1 dispatch: compiled functions bypass the interpreter. The call
+	// that reaches the threshold requests the compile; in synchronous mode
+	// the compile installs inline, so that very call already runs compiled.
+	cf := e.compiled[idx]
+	if cf == nil {
+		e.counts[idx]++
+		if e.cfg.Tier1 != nil && e.counts[idx] >= e.cfg.Tier1Threshold {
+			e.requestCompile(tierKey{fidx: idx, header: -1})
+			cf = e.compiled[idx]
+		}
+	}
+	if cf != nil {
 		e.stats.Tier1Calls++
 		return cf(e, fr)
-	}
-	e.counts[idx]++
-	if e.cfg.Tier1 != nil {
-		if e.pool != nil {
-			// Asynchronous tier-up: enqueue and keep interpreting; the
-			// compiled function installs at a later dispatch point.
-			if e.counts[idx] >= e.cfg.Tier1Threshold {
-				e.requestCompile(tierKey{fidx: idx, header: -1})
-			}
-		} else if e.counts[idx] == e.cfg.Tier1Threshold {
-			if cf := e.cfg.Tier1.Compile(e, idx); cf != nil {
-				e.compiled[idx] = cf
-				e.stats.Tier1Funcs++
-				if e.cfg.OnCompile != nil {
-					e.cfg.OnCompile(f.Name)
-				}
-				e.stats.Tier1Calls++
-				return cf(e, fr)
-			}
-		}
 	}
 	e.stats.InterpCalls++
 	return e.interpret(fr)

@@ -1,18 +1,18 @@
-// Asynchronous tiering: the background compile pool, on-stack replacement
-// at hot loop back-edges, and speculative deoptimization.
+// Tiering: the compile queue, on-stack replacement at hot loop back-edges,
+// and speculative deoptimization.
 //
-// The synchronous tier-up path compiles a hot function on the execution
-// thread at the moment its call count crosses the threshold — the compile
-// pause is on the critical path, and a hot loop *entered once* never tiers
-// up at all. This file abstracts that into the Graal-shaped pipeline the
-// paper's Safe Sulong inherits from Truffle:
+// Tier-up is the Graal-shaped pipeline the paper's Safe Sulong inherits from
+// Truffle, one state machine per (function, loop header) site:
 //
-//		profile → enqueue → compile (background) → install → OSR → deopt
+//		profile → enqueue → compile → install → OSR → deopt
 //
-//	  - Profiling stays where it was: per-function call counts in invoke, plus
-//	    per-(function, loop header) back-edge counts in the interpreter.
-//	  - Enqueue hands a (function, header) key to a bounded goroutine pool
-//	    owned by the engine. Workers compile against the immutable module (the
+//	  - Profiling: per-function call counts in invoke, plus per-(function,
+//	    loop header) back-edge counts in the interpreter.
+//	  - Enqueue hands a (function, header) key to the compile queue. A
+//	    synchronous engine is the queue with no worker: the request compiles
+//	    on the engine thread and installs at once, so the compile pause is on
+//	    the critical path. With Config.AsyncJIT a bounded goroutine pool
+//	    owned by the engine compiles against the immutable module (the
 //	    tier-1 compiler clones before optimizing) while tier-0 keeps running.
 //	  - Install is the safe publication point: workers never touch engine
 //	    state; they post results to a mutex-guarded mailbox, and the engine —
@@ -54,14 +54,6 @@ type DeoptError struct {
 }
 
 func (d *DeoptError) Error() string { return "core: deoptimize to tier-0" }
-
-// OSRCompiler is implemented by tier-1 compilers that can produce a
-// frame-compatible compiled entry starting at a loop header. A nil result
-// means the header is not OSR-able (not a single-header loop, or lowering
-// bailed); the engine records the failure and never re-requests it.
-type OSRCompiler interface {
-	CompileOSR(e *Engine, fidx, header int) CompiledFunc
-}
 
 // tierKey identifies one compilation request: a function index plus the OSR
 // loop-header block, or header -1 for a function-entry compilation.
@@ -131,8 +123,8 @@ func (p *tierPool) worker(e *Engine) {
 	}
 }
 
-// compileJob runs one background compilation, recovering a compiler panic
-// into the result.
+// compileJob runs one compilation, recovering a compiler panic into the
+// result.
 func compileJob(e *Engine, k tierKey) (r tierResult) {
 	r.key = k
 	defer func() {
@@ -142,8 +134,8 @@ func compileJob(e *Engine, k tierKey) (r tierResult) {
 	}()
 	if k.header < 0 {
 		r.fn = e.cfg.Tier1.Compile(e, k.fidx)
-	} else if oc, ok := e.cfg.Tier1.(OSRCompiler); ok {
-		r.fn = oc.CompileOSR(e, k.fidx, k.header)
+	} else {
+		r.fn = e.cfg.Tier1.CompileOSR(e, k.fidx, k.header)
 	}
 	return r
 }
@@ -161,7 +153,7 @@ func (e *Engine) startPool() {
 // worker is joined, and the result mailbox is sealed so a result published
 // between the last drain and the join can never be installed. Idempotent.
 // Engines created with Config.AsyncJIT must be closed by their owner; an
-// engine remains usable afterwards, falling back to synchronous tier-up.
+// engine remains usable afterwards, with synchronous tier-up.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		p := e.pool
@@ -179,16 +171,23 @@ func (e *Engine) Close() {
 	})
 }
 
-// requestCompile enqueues a background compilation if the key is not already
-// in flight. A saturated queue drops the request — the site stays hot, so
-// the next threshold crossing re-requests it. Keys whose compilation bailed
-// (nil result) stay marked queued forever: a bail is deterministic, so
-// retrying would only burn a worker.
+// requestCompile asks for a compilation if the key is not already queued.
+// With no pool (synchronous mode, or after Close) it compiles on the engine
+// thread and installs the result at once. With a pool it enqueues; a
+// saturated queue drops the request — the site stays hot, so the next
+// threshold crossing re-requests it. Keys whose compilation bailed (nil
+// result) stay marked queued forever: a bail is deterministic, so retrying
+// would only burn compile time.
 func (e *Engine) requestCompile(k tierKey) {
+	if e.queued[k] {
+		return
+	}
 	if e.queued == nil {
 		e.queued = make(map[tierKey]bool)
 	}
-	if e.queued[k] {
+	if e.pool == nil {
+		e.queued[k] = true
+		e.install(compileJob(e, k))
 		return
 	}
 	select {
@@ -198,34 +197,41 @@ func (e *Engine) requestCompile(k tierKey) {
 	}
 }
 
-// installReady is the safe publication point: it runs on the engine thread,
-// between guest instructions, and moves finished background compilations
-// into the dispatch tables, re-raising a compile panic a worker recovered.
-// Called from invoke and from the back-edge probe.
+// installReady is the safe publication point for background compilations:
+// it runs on the engine thread, between guest instructions, and installs
+// every finished result. Called from invoke and from the back-edge probe.
 func (e *Engine) installReady() {
 	for _, r := range e.pool.take() {
-		if r.panicked != nil {
-			panic(r.panicked)
+		if e.install(r) {
+			e.stats.AsyncInstalls++
 		}
-		if r.fn == nil {
-			continue // bailed: e.queued[r.key] stays set, never retried
-		}
-		if r.key.header < 0 {
-			if e.compiled[r.key.fidx] == nil {
-				e.compiled[r.key.fidx] = r.fn
-				e.stats.Tier1Funcs++
-				if e.cfg.OnCompile != nil {
-					e.cfg.OnCompile(e.mod.Funcs[r.key.fidx].Name)
-				}
-			}
-		} else {
-			e.osrEntries[osrKey(r.key.fidx, r.key.header)] = r.fn
-			e.stats.OSRCompiled++
-		}
-		e.stats.AsyncInstalls++
-		// Allow a later re-request (deopt discards installed entries).
-		delete(e.queued, r.key)
 	}
+}
+
+// install moves one finished compilation into the dispatch tables,
+// re-raising a compile panic, and reports whether it produced code.
+func (e *Engine) install(r tierResult) bool {
+	if r.panicked != nil {
+		panic(r.panicked)
+	}
+	if r.fn == nil {
+		return false // bailed: e.queued[r.key] stays set, never retried
+	}
+	if r.key.header < 0 {
+		if e.compiled[r.key.fidx] == nil {
+			e.compiled[r.key.fidx] = r.fn
+			e.stats.Tier1Funcs++
+			if e.cfg.OnCompile != nil {
+				e.cfg.OnCompile(e.mod.Funcs[r.key.fidx].Name)
+			}
+		}
+	} else {
+		e.osrEntries[osrKey(r.key.fidx, r.key.header)] = r.fn
+		e.stats.OSRCompiled++
+	}
+	// Allow a later re-request (deopt discards installed entries).
+	delete(e.queued, r.key)
+	return true
 }
 
 // osrKey packs a (function, header) pair for the OSR maps.
@@ -233,10 +239,9 @@ func osrKey(fidx, header int) int64 { return int64(fidx)<<20 | int64(header) }
 
 // tryOSR is the interpreter's back-edge probe, called when a backward branch
 // in function fr.FnIdx targets header. It installs any finished background
-// work, counts the edge, requests (or, in synchronous mode, performs) an OSR
-// compilation once the edge is hot, and returns the installed entry — or nil
-// to keep interpreting. The probe charges no fuel: profiling is invisible to
-// the step ledger.
+// work, counts the edge, requests an OSR compilation once the edge is hot,
+// and returns the installed entry — or nil to keep interpreting. The probe
+// charges no fuel: profiling is invisible to the step ledger.
 func (e *Engine) tryOSR(fr *Frame, header int) CompiledFunc {
 	if e.pool != nil && e.pool.pending.Load() {
 		e.installReady()
@@ -247,29 +252,18 @@ func (e *Engine) tryOSR(fr *Frame, header int) CompiledFunc {
 	}
 	n := e.osrCounts[k] + 1
 	e.osrCounts[k] = n
-	if e.pool != nil {
-		if n >= e.cfg.OSRThreshold {
-			e.requestCompile(tierKey{fidx: fr.FnIdx, header: header})
-			// A hot back edge is evidence for the whole function, not just
-			// the loop: promote it for an optimized entry compilation too
-			// (background, so the loop keeps running), instead of waiting
-			// for the call counter to cross the entry threshold. The OSR
-			// entry bridges the current activation; this covers the next
-			// call.
-			if e.compiled[fr.FnIdx] == nil {
-				e.requestCompile(tierKey{fidx: fr.FnIdx, header: -1})
-			}
-		}
-		return nil
-	}
-	if n == e.cfg.OSRThreshold {
-		if cf := e.osrComp.CompileOSR(e, fr.FnIdx, header); cf != nil {
-			e.osrEntries[k] = cf
-			e.stats.OSRCompiled++
-			return cf
+	if n >= e.cfg.OSRThreshold {
+		e.requestCompile(tierKey{fidx: fr.FnIdx, header: header})
+		// A hot back edge is evidence for the whole function, not just
+		// the loop: promote it for an optimized entry compilation too,
+		// instead of waiting for the call counter to cross the entry
+		// threshold. The OSR entry bridges the current activation; this
+		// covers the next call.
+		if e.compiled[fr.FnIdx] == nil {
+			e.requestCompile(tierKey{fidx: fr.FnIdx, header: -1})
 		}
 	}
-	return nil
+	return e.osrEntries[k]
 }
 
 // deopted records a speculation failure at (fr.FnIdx, de.Blk, de.Instr): the

@@ -28,6 +28,8 @@ func (c *blockingCompiler) Compile(e *Engine, fidx int) CompiledFunc {
 	}
 }
 
+func (c *blockingCompiler) CompileOSR(e *Engine, fidx, header int) CompiledFunc { return nil }
+
 // asyncLoopModule is a program that stays hot forever: main loops calling
 // @hot, so with Tier1Threshold 1 the second call enqueues a background
 // compilation and the interpreter keeps spinning until the governor stops it.
@@ -169,6 +171,8 @@ func (c *countingCompiler) Compile(e *Engine, fidx int) CompiledFunc {
 	return nil
 }
 
+func (c *countingCompiler) CompileOSR(e *Engine, fidx, header int) CompiledFunc { return nil }
+
 // panickingCompiler is a fake tier-1 compiler with a bug: every Compile
 // panics.
 type panickingCompiler struct{}
@@ -176,6 +180,8 @@ type panickingCompiler struct{}
 func (panickingCompiler) Compile(e *Engine, fidx int) CompiledFunc {
 	panic("tier-1 compiler bug")
 }
+
+func (panickingCompiler) CompileOSR(e *Engine, fidx, header int) CompiledFunc { return nil }
 
 // TestAsyncCompilePanicReachesCaller: a tier-1 compiler panic must surface
 // on the goroutine that called Run — where the facade's containment turns it
@@ -220,5 +226,141 @@ func TestAsyncCompilePanicReachesCaller(t *testing.T) {
 				t.Fatal("Close hung after a compile panic")
 			}
 		})
+	}
+}
+
+// hotOnlyCompiler compiles @hot to a closure returning 1 and bails on every
+// other function.
+type hotOnlyCompiler struct{}
+
+func (hotOnlyCompiler) Compile(e *Engine, fidx int) CompiledFunc {
+	if e.mod.Funcs[fidx].Name != "hot" {
+		return nil
+	}
+	return func(e *Engine, fr *Frame) (Value, error) { return IntValue(1), nil }
+}
+
+func (hotOnlyCompiler) CompileOSR(e *Engine, fidx, header int) CompiledFunc { return nil }
+
+// untilCompiledModule calls @hot until it returns non-zero, which only its
+// compiled form does: the run ends exactly when @hot's compiled code is
+// installed and dispatched to.
+const untilCompiledModule = `module "t"
+func @hot fn() i32 regs 1 {
+entry:
+  ret i32 0
+}
+func @main fn() i32 regs 2 {
+entry:
+  br loop
+loop:
+  %r0 = call i32 &hot() fixed 0
+  %r1 = cmp eq i32 %r0, 0
+  condbr %r1, loop, done
+done:
+  ret i32 0
+}
+`
+
+// TestTier1OnePathAcrossModes pins the one request/install path in each of
+// its three settings: synchronous, asynchronous, and an async engine closed
+// before it runs. Every mode fires OnCompile once for the one compiled
+// function. The synchronous settings compile on the call that reaches the
+// threshold and run that very call compiled; only background results count
+// as AsyncInstalls.
+func TestTier1OnePathAcrossModes(t *testing.T) {
+	const threshold = 3
+	for _, mode := range []string{"sync", "async", "closed"} {
+		t.Run(mode, func(t *testing.T) {
+			var names []string
+			e, err := NewEngine(buildModule(t, untilCompiledModule), Config{
+				Tier1:          hotOnlyCompiler{},
+				Tier1Threshold: threshold,
+				AsyncJIT:       mode != "sync",
+				OnCompile:      func(name string) { names = append(names, name) },
+				MaxSteps:       10_000_000, // backstop: @hot never installed
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			if mode == "closed" {
+				e.Close()
+			}
+			if _, err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			e.Close()
+			st := e.Stats()
+			if len(names) != 1 || names[0] != "hot" || st.Tier1Funcs != 1 {
+				t.Errorf("OnCompile fired for %v, Tier1Funcs=%d; want [hot] once", names, st.Tier1Funcs)
+			}
+			wantInstalls := int64(0)
+			if mode == "async" {
+				wantInstalls = 1
+			}
+			if st.AsyncInstalls != wantInstalls {
+				t.Errorf("AsyncInstalls=%d, want %d", st.AsyncInstalls, wantInstalls)
+			}
+			if mode == "async" {
+				return // which call first runs compiled depends on the worker
+			}
+			// main plus the threshold-1 calls before @hot compiles run
+			// interpreted; the threshold-th call is the one compiled call.
+			if st.InterpCalls != threshold || st.Tier1Calls != 1 {
+				t.Errorf("InterpCalls=%d Tier1Calls=%d, want %d and 1", st.InterpCalls, st.Tier1Calls, threshold)
+			}
+		})
+	}
+}
+
+// TestTier1BailCompilesOnce: a bail is deterministic, so a function whose
+// compile bails is never requested again, however hot it stays, in either
+// mode.
+func TestTier1BailCompilesOnce(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		cc := &countingCompiler{}
+		e, err := NewEngine(buildModule(t, asyncLoopModule), Config{
+			Tier1:          cc,
+			Tier1Threshold: 2, // main runs once and never reaches it
+			AsyncJIT:       async,
+			MaxSteps:       100_000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(); err == nil {
+			t.Fatalf("async=%v: endless loop finished", async)
+		}
+		e.Close()
+		if n := cc.calls.Load(); n != 1 {
+			t.Errorf("async=%v: bailing compiler called %d times over %d calls, want 1", async, n, e.Stats().Calls)
+		}
+	}
+}
+
+// TestTier1NegativeThresholdActsAsOne: both modes compile on the call whose
+// count reaches the threshold, so a negative threshold compiles every
+// function at its first call, in sync and async alike.
+func TestTier1NegativeThresholdActsAsOne(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		cc := &countingCompiler{}
+		e, err := NewEngine(buildModule(t, untilCompiledModule), Config{
+			Tier1:          cc,
+			Tier1Threshold: -1,
+			AsyncJIT:       async,
+			MaxSteps:       100_000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// countingCompiler never installs, so the loop ends at MaxSteps.
+		if _, err := e.Run(); err == nil {
+			t.Fatalf("async=%v: endless loop finished", async)
+		}
+		e.Close()
+		if n := cc.calls.Load(); n != 2 {
+			t.Errorf("async=%v: %d compiles, want 2 (main and hot at their first call)", async, n)
+		}
 	}
 }

@@ -168,13 +168,12 @@ type CaseBudget struct {
 	// uses it to assert tier parity of injected outcomes.
 	JIT          bool
 	JITThreshold int64
-	// JITAsync moves tier-up onto the background compile pool; OSR enables
-	// on-stack replacement at hot loop back-edges (OSRThreshold 0 = library
-	// default). Both require JIT and apply only to SafeSulong cells. The
+	// JITAsync moves tier-up onto the background compile pool; a positive
+	// OSRThreshold enables on-stack replacement at hot loop back-edges (0 =
+	// off). Both require JIT and apply only to SafeSulong cells. The
 	// forced-OSR sweep uses them to assert that async installs, OSR entries,
 	// and speculative deopts keep cell outcomes byte-identical to tier-0.
 	JITAsync     bool
-	OSR          bool
 	OSRThreshold int64
 	// MaxRetries re-runs a cell that died with a contained engine panic
 	// (*core.InternalError) up to this many extra times, with bounded
@@ -225,7 +224,6 @@ func (b CaseBudget) config(c corpus.Case, tool Tool) sulong.Config {
 		cfg.JIT = true
 		cfg.JITThreshold = b.JITThreshold
 		cfg.JITAsync = b.JITAsync
-		cfg.OSR = b.OSR
 		cfg.OSRThreshold = b.OSRThreshold
 	}
 	return cfg

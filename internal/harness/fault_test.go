@@ -29,9 +29,9 @@ func oomCase() corpus.Case {
 func TestMatrixClassifiesOOMDeterministically(t *testing.T) {
 	normal := corpus.All()[0]
 	opts := MatrixOptions{
-		Cases:        []corpus.Case{normal, oomCase()},
-		Tools:        []Tool{SafeSulong, ASanO0, NativeO0},
-		MaxHeapBytes: 1 << 20,
+		Cases:  []corpus.Case{normal, oomCase()},
+		Tools:  []Tool{SafeSulong, ASanO0, NativeO0},
+		Budget: CaseBudget{MaxHeapBytes: 1 << 20},
 	}
 
 	var renders []string
@@ -81,9 +81,9 @@ func TestMatrixFaultPlanDeterministicAcrossWorkers(t *testing.T) {
 		cases = cases[:8]
 	}
 	opts := MatrixOptions{
-		Cases:     cases,
-		Tools:     []Tool{SafeSulong, NativeO0},
-		FaultPlan: fault.Plan{FailNth: 2},
+		Cases:  cases,
+		Tools:  []Tool{SafeSulong, NativeO0},
+		Budget: CaseBudget{FaultPlan: fault.Plan{FailNth: 2}},
 	}
 
 	var renders, diags []string
@@ -189,9 +189,9 @@ func TestPersistentInternalErrorIsQuarantined(t *testing.T) {
 	// Matrix level: the quarantined cell is listed and the run completes.
 	flakyFailures.Store(1 << 30)
 	m := RunDetectionMatrixWith(MatrixOptions{
-		Cases:      []corpus.Case{corpus.All()[0], flakyCase()},
-		Tools:      []Tool{SafeSulong},
-		MaxRetries: 1,
+		Cases:  []corpus.Case{corpus.All()[0], flakyCase()},
+		Tools:  []Tool{SafeSulong},
+		Budget: CaseBudget{MaxRetries: 1},
 	})
 	if len(m.Quarantined) != 1 || !strings.Contains(m.Quarantined[0], flakyCase().Name) {
 		t.Fatalf("MatrixResult.Quarantined = %v, want the flaky case", m.Quarantined)

@@ -54,9 +54,9 @@ func TestRunCaseWithWallClockClassifiesTimeout(t *testing.T) {
 func TestMatrixDegradesGracefullyAndStaysDeterministic(t *testing.T) {
 	normal := corpus.All()[0]
 	opts := MatrixOptions{
-		Cases:    []corpus.Case{normal, spinCase()},
-		Tools:    []Tool{SafeSulong, NativeO0},
-		MaxSteps: 200_000,
+		Cases:  []corpus.Case{normal, spinCase()},
+		Tools:  []Tool{SafeSulong, NativeO0},
+		Budget: CaseBudget{MaxSteps: 200_000},
 	}
 
 	var renders []string

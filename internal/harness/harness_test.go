@@ -1,12 +1,17 @@
 package harness
 
 import (
+	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	sulong "repro"
 	"repro/internal/benchprog"
+	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/jit"
 )
 
 func TestRunCaseReportsInfrastructureErrors(t *testing.T) {
@@ -59,6 +64,45 @@ func TestRunnersProduceIterations(t *testing.T) {
 		if err := r.RunIteration(); err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}
+	}
+}
+
+// TestMeasurePeakDefaultWarmupCompilesMain: with the default warm-up,
+// Fig. 16's Safe Sulong column reaches the loops that live in main, which
+// is called once per iteration. The replay names the compiles that the
+// same iteration count produces; MeasurePeak must report exactly as many.
+func TestMeasurePeakDefaultWarmupCompilesMain(t *testing.T) {
+	b, err := benchprog.Get("mandelbrot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MeasurePeak(b, b.SmallArg, 0, 1, []PerfConfig{SafeSulongPerf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := sulong.CompileOnly(b.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	eng, err := core.NewEngine(mod, core.Config{
+		Args:           []string{b.SmallArg},
+		Stdout:         io.Discard,
+		Tier1:          jit.New(),
+		Tier1Threshold: DefaultTier1Threshold,
+		OnCompile:      func(name string) { names = append(names, name) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < DefaultPeakWarmups+1; i++ {
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := res.JIT[SafeSulongPerf].Compiled
+	if !slices.Contains(names, "main") || got != len(names) {
+		t.Errorf("MeasurePeak compiled %d functions; %d iterations compile %v, main included", got, DefaultPeakWarmups+1, names)
 	}
 }
 

@@ -6,10 +6,8 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/corpus"
-	"repro/internal/fault"
 )
 
 // ForEach fans fn out over n items on a bounded worker pool. workers <= 0
@@ -85,34 +83,11 @@ type MatrixOptions struct {
 	// Progress, when non-nil, is called after every completed cell with the
 	// running count. Calls are serialized.
 	Progress func(done, total int)
-	// MaxSteps is the per-cell step budget (0 = DefaultMaxSteps, < 0 =
-	// engine default). Deterministic: a case that exhausts it produces the
-	// same Timeout cell at any worker count.
-	MaxSteps int64
-	// CaseTimeout is a per-cell wall-clock deadline (0 = none). A cell that
-	// trips it is classified Timeout, and the rest of the matrix completes
-	// normally.
-	CaseTimeout time.Duration
-	// MaxHeapBytes / MaxAllocBytes bound per-cell guest memory (0 =
-	// unlimited / engine default). Hard exhaustion classifies the cell
-	// "oom" — deterministic, so renders match at any worker count.
-	MaxHeapBytes  int64
-	MaxAllocBytes int64
-	// FaultPlan injects deterministic guest allocation failures into every
-	// cell (see internal/fault.Plan).
-	FaultPlan fault.Plan
-	// MaxRetries re-runs cells that die with a contained engine panic up to
-	// this many extra times (bounded deterministic backoff); persistent
-	// failures are quarantined into MatrixResult.Quarantined instead of
-	// aborting the matrix. 0 = no retries.
-	MaxRetries int
-	// JIT/JITThreshold/JITAsync/OSR/OSRThreshold configure SafeSulong cells'
-	// tiering (see CaseBudget); other tools ignore them.
-	JIT          bool
-	JITThreshold int64
-	JITAsync     bool
-	OSR          bool
-	OSRThreshold int64
+	// Budget bounds and configures every cell (see CaseBudget). Its
+	// Timeout classifies a cell that trips it Timeout while the rest of the
+	// matrix completes normally; persistent engine panics are quarantined
+	// into MatrixResult.Quarantined instead of aborting the matrix.
+	Budget CaseBudget
 }
 
 // RunDetectionMatrixWith runs the corpus×tool evaluation matrix on a
@@ -135,19 +110,6 @@ func RunDetectionMatrixWith(opts MatrixOptions) *MatrixResult {
 	total := len(cases) * nt
 	grid := make([]Detection, total)
 
-	budget := CaseBudget{
-		MaxSteps:      opts.MaxSteps,
-		Timeout:       opts.CaseTimeout,
-		MaxHeapBytes:  opts.MaxHeapBytes,
-		MaxAllocBytes: opts.MaxAllocBytes,
-		FaultPlan:     opts.FaultPlan,
-		MaxRetries:    opts.MaxRetries,
-		JIT:           opts.JIT,
-		JITThreshold:  opts.JITThreshold,
-		JITAsync:      opts.JITAsync,
-		OSR:           opts.OSR,
-		OSRThreshold:  opts.OSRThreshold,
-	}
 	var progressMu sync.Mutex
 	var done int
 	// Longest-first claim order from the duration model (cold start: index
@@ -160,7 +122,7 @@ func RunDetectionMatrixWith(opts MatrixOptions) *MatrixResult {
 		c := cases[i/nt]
 		tool := tools[i%nt]
 		costs.timedCell(c.Name+"|"+tool.String(), func() {
-			grid[i] = RunCaseWith(c, tool, budget)
+			grid[i] = RunCaseWith(c, tool, opts.Budget)
 		})
 		if opts.Progress != nil {
 			progressMu.Lock()

@@ -384,18 +384,27 @@ func (p PeakResult) Relative(cfg PerfConfig) float64 {
 	return float64(p.Times[cfg]) / float64(base)
 }
 
+// DefaultPeakWarmups and DefaultPeakSamples are MeasurePeak's iteration
+// counts when the caller passes 0. The paper warms up for 50 iterations,
+// which also carries every function main calls once per iteration — main
+// itself included — past DefaultTier1Threshold.
+const (
+	DefaultPeakWarmups = 50
+	DefaultPeakSamples = 10
+)
+
 // MeasurePeak measures steady-state iteration time for each configuration:
-// `warmups` in-process iterations first (the paper uses 50), then the
-// median of `samples` timed iterations.
+// `warmups` in-process iterations first, then the median of `samples` timed
+// iterations (0 = DefaultPeakWarmups / DefaultPeakSamples).
 func MeasurePeak(bench benchprog.Benchmark, arg string, warmups, samples int, cfgs []PerfConfig) (PeakResult, error) {
 	if arg == "" {
 		arg = bench.DefaultArg
 	}
 	if warmups <= 0 {
-		warmups = 50
+		warmups = DefaultPeakWarmups
 	}
 	if samples <= 0 {
-		samples = 10
+		samples = DefaultPeakSamples
 	}
 	res := PeakResult{
 		Bench: bench.Name,

@@ -35,7 +35,7 @@ const (
 	maxBailReasons  = 16
 )
 
-// Compiler implements core.Tier1Compiler and core.OSRCompiler. Compilation
+// Compiler implements core.Tier1Compiler. Compilation
 // may run on the engine's background compile pool while the engine thread
 // executes tier-0 code, so every compile entry point and every counter
 // access is serialized by mu — the *compiled closures* it produces still

@@ -88,19 +88,20 @@ type Config struct {
 
 	// JIT enables Safe Sulong's tier-1 dynamic compiler.
 	JIT bool
-	// JITThreshold overrides the default compile-after-N-calls policy.
+	// JITThreshold overrides the default compile-after-N-calls policy (0 =
+	// engine default). A function compiles on the call whose count reaches
+	// it, so any negative value acts as 1: compile on first call.
 	JITThreshold int64
 	// JITAsync compiles hot functions on a background pool owned by the
 	// engine while tier-0 keeps executing; compiled code is installed at
 	// the next dispatch point instead of stalling the hot call.
 	JITAsync bool
-	// OSR enables on-stack replacement: a loop whose back edge fires
-	// OSRThreshold times is entered mid-execution by frame-compatible
-	// compiled code with speculative (deopting) fast paths, so a hot loop
-	// tiers up even when its function is called once.
-	OSR bool
-	// OSRThreshold overrides the hot back-edge count (default 64; setting
-	// it non-zero implies OSR).
+	// OSRThreshold, when positive, enables on-stack replacement: a loop
+	// whose back edge fires OSRThreshold times is entered mid-execution by
+	// frame-compatible compiled code with speculative (deopting) fast paths,
+	// and its function is promoted for entry compilation, so a hot loop
+	// tiers up even when its function is called once. 0 = OSR off;
+	// DefaultOSRThreshold is the documented value.
 	OSRThreshold int64
 	// OnCompile observes tier-1 compilation events (Fig. 15).
 	OnCompile func(name string)
@@ -208,9 +209,8 @@ type JITReport struct {
 	AsyncInstalls int64 `json:"async_installs,omitempty"`
 }
 
-// DefaultOSRThreshold is the back-edge count after which a loop is compiled
-// for on-stack replacement when Config.OSR is set without an explicit
-// threshold.
+// DefaultOSRThreshold is the documented Config.OSRThreshold: the back-edge
+// count after which a loop is compiled for on-stack replacement.
 const DefaultOSRThreshold = 64
 
 // CompileOnly compiles a C program (user source plus the bundled libc) to an
@@ -399,12 +399,7 @@ func runManaged(mod *ir.Module, cfg Config, gov *core.Governor) (Result, error) 
 		ecfg.Tier1 = comp
 		ecfg.Tier1Threshold = cfg.JITThreshold
 		ecfg.AsyncJIT = cfg.JITAsync
-		if cfg.OSR || cfg.OSRThreshold > 0 {
-			ecfg.OSRThreshold = cfg.OSRThreshold
-			if ecfg.OSRThreshold == 0 {
-				ecfg.OSRThreshold = DefaultOSRThreshold
-			}
-		}
+		ecfg.OSRThreshold = cfg.OSRThreshold
 	}
 	var eng *core.Engine
 	var err error

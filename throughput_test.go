@@ -33,7 +33,6 @@ var throughputTiers = []struct {
 		c.JIT = true
 		c.JITThreshold = 1
 		c.JITAsync = true
-		c.OSR = true
 		c.OSRThreshold = 1
 	}},
 }

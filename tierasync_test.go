@@ -27,7 +27,6 @@ func runAsyncOSR(t *testing.T, c corpus.Case, plan fault.Plan) sulong.Result {
 		JIT:          true,
 		JITThreshold: 1,
 		JITAsync:     true,
-		OSR:          true,
 		OSRThreshold: 1,
 		FaultPlan:    plan,
 	}
@@ -142,11 +141,12 @@ func TestTierCheckAsyncOSRFaultSchedules(t *testing.T) {
 	}
 }
 
-// TestTierCheckOSREntersSingleCallLoop pins the scenario synchronous
-// tier-up can never reach: a loop that is hot inside its *first and only*
+// TestTierCheckOSREntersSingleCallLoop pins the scenario call-count tier-up
+// can never reach: a loop that is hot inside its *first and only*
 // activation. The entry threshold is set unreachably high, so the only way
 // compiled code can run is a mid-activation OSR transfer at a loop back
-// edge — and the run must still match tier-0 exactly.
+// edge — and the run must still match tier-0 exactly. The hot back edge
+// also promotes main for entry compilation, here in synchronous mode.
 func TestTierCheckOSREntersSingleCallLoop(t *testing.T) {
 	const src = `
 #include <stdio.h>
@@ -156,6 +156,7 @@ int main(void) {
     printf("%ld\n", s);
     return 0;
 }`
+	var compiled []string
 	run := func(osr bool) sulong.Result {
 		cfg := sulong.Config{
 			Engine:   sulong.EngineSafeSulong,
@@ -165,8 +166,8 @@ int main(void) {
 		if osr {
 			cfg.JIT = true
 			cfg.JITThreshold = 1 << 30 // entry compilation unreachable
-			cfg.OSR = true
 			cfg.OSRThreshold = 1
+			cfg.OnCompile = func(name string) { compiled = append(compiled, name) }
 		}
 		res, err := sulong.Run(src, cfg)
 		if err != nil {
@@ -179,6 +180,10 @@ int main(void) {
 	requireTierCheckParity(t, interp, osr)
 	if osr.JIT == nil || osr.JIT.OSREntries == 0 {
 		t.Fatalf("hot single-call loop never entered an OSR compilation: %+v", osr.JIT)
+	}
+	// main's loop is the first hot back edge; printf's own loops follow.
+	if len(compiled) == 0 || compiled[0] != "main" || osr.Stats.Tier1Funcs != int64(len(compiled)) {
+		t.Fatalf("hot back edges promoted %v (Tier1Funcs %d), want main first", compiled, osr.Stats.Tier1Funcs)
 	}
 }
 
@@ -212,7 +217,6 @@ int main(void) {
 		if osr {
 			cfg.JIT = true
 			cfg.JITThreshold = 1 << 30
-			cfg.OSR = true
 			cfg.OSRThreshold = 1
 		}
 		res, err := sulong.Run(src, cfg)
