@@ -21,7 +21,8 @@
 //	bugbench -retries N      # retry cells that die with internal errors
 //	bugbench -jit -jitthreshold 1 -jitasync -osrthreshold 1
 //	                         # force tiered SafeSulong cells (tier-parity check)
-//	bugbench -faultsweep     # FailNth=1..k sweep asserting engine survival
+//	bugbench -faultsweep     # FailNth=1..k sweep asserting engine survival and
+//	                         # three-tier SafeSulong parity, under the budget flags
 //	bugbench -json out.json  # also emit a machine-readable report
 //	bugbench -casestudies    # only the Figs. 10-14 case studies
 //	bugbench -case NAME      # one corpus case, all tools, with reports
@@ -139,12 +140,7 @@ func main() {
 				c.Name, c.Category, c.Access, c.Direction, c.Mem, extra)
 		}
 	case *faultSweep:
-		res := harness.FaultSweep(harness.SweepOptions{
-			MaxNth:       *sweepMax,
-			Workers:      *parallel,
-			MaxSteps:     *maxSteps,
-			MaxHeapBytes: *maxHeap,
-		})
+		res := harness.FaultSweep(harness.SweepOptions{MaxNth: *sweepMax, Workers: *parallel, Budget: budget})
 		fmt.Print(res.Render())
 		if *jsonOut != "" {
 			writeJSON(*jsonOut, res)

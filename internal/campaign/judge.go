@@ -5,7 +5,8 @@ package campaign
 //
 //  1. Tier parity — the same program under tier-0 interpretation, forced
 //     tier-1 compilation (threshold 1), and async tiering with forced OSR
-//     must produce byte-identical observables: classification, report,
+//     (harness.Tiers, which FaultSweep shares) must produce byte-identical
+//     observables (Outcome.Signature): classification, report,
 //     stdout, exit code, and the exact instruction count (the step-refund
 //     ledger makes Steps tier-invariant by construction). Any difference is
 //     a wrong-code or accounting bug in a tier.
@@ -46,37 +47,20 @@ func (c *campaign) baseBudget() harness.CaseBudget {
 	}
 }
 
-// tierBudgets returns the three tier configurations the parity oracle
-// compares, tier-0 first.
-func (c *campaign) tierBudgets() []struct {
-	name string
-	b    harness.CaseBudget
-} {
-	b0 := c.baseBudget()
-	b1 := b0
-	b1.JIT, b1.JITThreshold = true, 1
-	b2 := b1
-	b2.JITAsync, b2.OSRThreshold = true, 1
-	return []struct {
-		name string
-		b    harness.CaseBudget
-	}{{"tier-0", b0}, {"tier-1", b1}, {"async+osr", b2}}
-}
-
 // judge classifies one program. The returned record is a pure function of
 // (idx, seed, info, options): it never depends on wall-clock time, worker
 // identity, or scheduling.
 func (c *campaign) judge(idx int, seed uint64, info gen.Info, genName string) seedRecord {
 	rec := seedRecord{T: "seed", I: idx, S: seed, Gen: genName, Bug: info.Bug}
 	src := info.Source
-	tiers := c.tierBudgets()
+	base := c.baseBudget()
 
 	// One compiled artifact serves every managed oracle below: the three
 	// tier-parity runs and the 2×MaxNth fault-parity runs all share
 	// SafeSulong's pipeline flavor, so the front end runs once per program
 	// instead of once per oracle run. Compile-stage failures classify
 	// exactly as they did when tier-0's run compiled first.
-	mod, bad := harness.CompileOutcome(src, harness.SafeSulong, tiers[0].b)
+	mod, bad := harness.CompileOutcome(src, harness.SafeSulong, base)
 	if bad != nil {
 		switch bad.Class {
 		case "compile-error":
@@ -86,7 +70,7 @@ func (c *campaign) judge(idx int, seed uint64, info gen.Info, genName string) se
 			return rec
 		case "panic":
 			return c.finish(rec, KindEnginePanic, "tier-0: "+bad.Report, src, func(s string) bool {
-				return harness.RunSource(s, harness.SafeSulong, c.baseBudget()).Class == "panic"
+				return harness.RunSource(s, harness.SafeSulong, base).Class == "panic"
 			})
 		default: // "error" and anything else non-deterministic
 			rec.C, rec.R = "quarantine", "tier-0: "+bad.Report
@@ -101,23 +85,24 @@ func (c *campaign) judge(idx int, seed uint64, info gen.Info, genName string) se
 	defer harness.ReleaseModule(mod)
 
 	// Oracle 1: tier parity.
+	tiers := harness.Tiers()
 	outs := make([]harness.Outcome, len(tiers))
 	for i, t := range tiers {
-		o := harness.RunModule(mod, harness.SafeSulong, t.b)
+		b := t.Budget(base)
+		o := harness.RunModule(mod, harness.SafeSulong, b)
 		switch o.Class {
 		case "deadline", "error":
-			rec.C, rec.R = "quarantine", t.name+": "+o.Report
+			rec.C, rec.R = "quarantine", t.String()+": "+o.Report
 			return rec
 		case "panic":
-			b := t.b
-			return c.finish(rec, KindEnginePanic, t.name+": "+o.Report, src, func(s string) bool {
+			return c.finish(rec, KindEnginePanic, t.String()+": "+o.Report, src, func(s string) bool {
 				return harness.RunSource(s, harness.SafeSulong, b).Class == "panic"
 			})
 		}
 		outs[i] = o
 		if i > 0 && o.Signature() != outs[0].Signature() {
-			b0, bt := tiers[0].b, t.b
-			sig := fmt.Sprintf("%s vs tier-0: {%s} != {%s}", t.name, o.Signature(), outs[0].Signature())
+			b0, bt := harness.Tier0.Budget(base), b
+			sig := fmt.Sprintf("%s vs tier-0: {%s} != {%s}", t, o.Signature(), outs[0].Signature())
 			return c.finish(rec, KindTierDivergence, sig, src, func(s string) bool {
 				a := harness.RunSource(s, harness.SafeSulong, b0)
 				z := harness.RunSource(s, harness.SafeSulong, bt)
@@ -131,30 +116,27 @@ func (c *campaign) judge(idx int, seed uint64, info gen.Info, genName string) se
 	// schedule that can actually fire (the program allocates).
 	if c.opts.MaxNth > 0 && o0.HeapAllocs > 0 {
 		for nth := int64(1); nth <= c.opts.MaxNth; nth++ {
-			plan := fault.Plan{FailNth: nth}
-			f0b, f1b := tiers[0].b, tiers[1].b
-			f0b.FaultPlan, f1b.FaultPlan = plan, plan
-			f0 := harness.RunModule(mod, harness.SafeSulong, f0b)
-			f1 := harness.RunModule(mod, harness.SafeSulong, f1b)
-			for _, p := range []struct {
-				name string
-				o    harness.Outcome
-				b    harness.CaseBudget
-			}{{"tier-0", f0, f0b}, {"tier-1", f1, f1b}} {
-				if p.o.Class == "deadline" || p.o.Class == "error" {
-					rec.C, rec.R = "quarantine", fmt.Sprintf("failnth=%d %s: %s", nth, p.name, p.o.Report)
+			var fo [2]harness.Outcome
+			var fb [2]harness.CaseBudget
+			for i, t := range tiers[:2] {
+				fb[i] = t.Budget(base)
+				fb[i].FaultPlan = fault.Plan{FailNth: nth}
+				fo[i] = harness.RunModule(mod, harness.SafeSulong, fb[i])
+				switch fo[i].Class {
+				case "deadline", "error":
+					rec.C, rec.R = "quarantine", fmt.Sprintf("failnth=%d %s: %s", nth, t, fo[i].Report)
 					return rec
-				}
-				if p.o.Class == "panic" {
-					b := p.b
-					sig := fmt.Sprintf("failnth=%d %s: %s", nth, p.name, p.o.Report)
+				case "panic":
+					b := fb[i]
+					sig := fmt.Sprintf("failnth=%d %s: %s", nth, t, fo[i].Report)
 					return c.finish(rec, KindFaultPanic, sig, src, func(s string) bool {
 						return harness.RunSource(s, harness.SafeSulong, b).Class == "panic"
 					})
 				}
 			}
-			if f0.Signature() != f1.Signature() {
-				sig := fmt.Sprintf("failnth=%d: tier-1 {%s} != tier-0 {%s}", nth, f1.Signature(), f0.Signature())
+			if fo[0].Signature() != fo[1].Signature() {
+				f0b, f1b := fb[0], fb[1]
+				sig := fmt.Sprintf("failnth=%d: tier-1 {%s} != tier-0 {%s}", nth, fo[1].Signature(), fo[0].Signature())
 				return c.finish(rec, KindFaultDivergence, sig, src, func(s string) bool {
 					a := harness.RunSource(s, harness.SafeSulong, f0b)
 					z := harness.RunSource(s, harness.SafeSulong, f1b)

@@ -7,19 +7,15 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
 
 	sulong "repro"
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/diag"
 	"repro/internal/fault"
-	"repro/internal/nativemem"
 )
 
 // Tool identifies one column of the detection matrix.
@@ -74,27 +70,24 @@ func (t Tool) config() sulong.Config {
 	return sulong.Config{}
 }
 
-// Detection is one cell of the matrix.
+// Detection is one cell of the matrix, derived from the run's Outcome.
 type Detection struct {
 	Detected bool
 	Report   string // the tool's message, when one was produced
 	Crashed  bool   // the program trapped (SIGSEGV-style)
-	// Timeout marks a case that did not terminate within its budget: the
-	// step limit was exhausted (*core.LimitError, deterministic) or the
-	// wall-clock deadline fired (*core.DeadlineError). Distinct from
-	// RunError so the tables do not render a non-terminating program the
-	// same as an infrastructure failure.
+	// Timeout marks a case that did not terminate within its budget: an
+	// Outcome of class "timeout" (step limit, deterministic) or "deadline"
+	// (wall clock). Distinct from RunError so the tables do not render a
+	// non-terminating program the same as an infrastructure failure.
 	Timeout bool
-	// OOM marks hard guest-memory exhaustion: a stack or global allocation
-	// exceeded CaseBudget.MaxHeapBytes (*core.ResourceError). Deterministic
-	// for a given program and budget, like Timeout's step-limit flavor —
-	// heap exhaustion never lands here, because guest malloc returns NULL
-	// and the program keeps running (or mishandles it, which is the point).
+	// OOM marks hard guest-memory exhaustion (class "oom"), deterministic
+	// for a given program and budget. Heap exhaustion never lands here:
+	// guest malloc returns NULL and the program keeps running.
 	OOM      bool
 	RunError string // infrastructure failure (should be empty)
 	// Attempts counts how many times the cell was run (≥ 1). Values above 1
-	// mean the run died with a contained engine panic (*core.InternalError)
-	// and was retried under CaseBudget.MaxRetries.
+	// mean the run died with a contained engine panic (class "panic") and
+	// was retried under CaseBudget.MaxRetries.
 	Attempts int
 	// Quarantined marks a cell whose every attempt died with an internal
 	// engine error. The matrix completes without it instead of aborting;
@@ -124,6 +117,27 @@ func (d Detection) Status() string {
 		return "error"
 	}
 	return "missed"
+}
+
+// detection derives the matrix cell from an Outcome. A crash that trapped
+// on the zero page counts as detected: a NULL dereference is observed by
+// every tool and the bare machine alike, which the paper counts as "could
+// also have been found without a bug-finding tool". RunCaseWith adds the
+// attempt count and the quarantine.
+func (o Outcome) detection() Detection {
+	switch o.Class {
+	case "detected":
+		return Detection{Detected: true, Report: o.Report, Diag: o.diag}
+	case "crashed":
+		return Detection{Detected: o.zeroPage, Crashed: true, Report: o.Report}
+	case "timeout", "deadline":
+		return Detection{Timeout: true, Report: o.Report}
+	case "oom":
+		return Detection{OOM: true, Report: o.Report}
+	case "clean":
+		return Detection{}
+	}
+	return Detection{RunError: o.Report} // "panic", "error", "compile-error"
 }
 
 // MatrixResult is the full detection matrix.
@@ -164,15 +178,12 @@ type CaseBudget struct {
 	// cell's run (the fault sweep sets FailNth).
 	FaultPlan fault.Plan
 	// JIT runs SafeSulong cells with the tier-1 compiler enabled at
-	// JITThreshold (0 = engine default). Other tools ignore it. The sweep
-	// uses it to assert tier parity of injected outcomes.
+	// JITThreshold (0 = engine default). JITAsync moves tier-up onto the
+	// background compile pool; a positive OSRThreshold enables on-stack
+	// replacement at hot loop back-edges (0 = off). Other tools ignore all
+	// four; Tier.Budget sets them for the tier-parity checks.
 	JIT          bool
 	JITThreshold int64
-	// JITAsync moves tier-up onto the background compile pool; a positive
-	// OSRThreshold enables on-stack replacement at hot loop back-edges (0 =
-	// off). Both require JIT and apply only to SafeSulong cells. The
-	// forced-OSR sweep uses them to assert that async installs, OSR entries,
-	// and speculative deopts keep cell outcomes byte-identical to tier-0.
 	JITAsync     bool
 	OSRThreshold int64
 	// MaxRetries re-runs a cell that died with a contained engine panic
@@ -229,6 +240,38 @@ func (b CaseBudget) config(c corpus.Case, tool Tool) sulong.Config {
 	return cfg
 }
 
+// Tier is one managed tier configuration. The tier-parity checks, the
+// campaign judge and FaultSweep, run a program under every tier and require
+// equal Outcome signatures; Tiers is their only tier list.
+type Tier int
+
+const (
+	Tier0        Tier = iota // interpreter only
+	Tier1                    // synchronous compile on the first call
+	TierAsyncOSR             // background compile on the first call, OSR at the first back edge
+)
+
+var tierNames = [...]string{Tier0: "tier-0", Tier1: "tier-1", TierAsyncOSR: "async+osr"}
+
+func (t Tier) String() string { return tierNames[t] }
+
+// Tiers lists every tier, tier-0 (the reference) first.
+func Tiers() []Tier { return []Tier{Tier0, Tier1, TierAsyncOSR} }
+
+// Budget returns b with its tiering fields set to t's; every other field is
+// kept. Only SafeSulong cells read them.
+func (t Tier) Budget(b CaseBudget) CaseBudget {
+	b.JIT, b.JITAsync = t != Tier0, t == TierAsyncOSR
+	b.JITThreshold, b.OSRThreshold = 0, 0
+	if b.JIT {
+		b.JITThreshold = 1
+	}
+	if b.JITAsync {
+		b.OSRThreshold = 1
+	}
+	return b
+}
+
 // RunCase executes one corpus case under one tool with the default budget
 // and classifies the result.
 func RunCase(c corpus.Case, tool Tool) Detection {
@@ -236,15 +279,14 @@ func RunCase(c corpus.Case, tool Tool) Detection {
 }
 
 // RunCaseWith executes one corpus case under one tool within the given
-// budget and classifies the result. It never panics: engine panics are
-// already contained by sulong.RunModuleCtx, and any harness-side panic is
-// recovered here into the cell's RunError, so one bad case cannot take down
-// a whole matrix.
+// budget and classifies the result. It runs the cell the way RunSource
+// runs a program, compile then run, and never panics: compiler, engine and
+// harness panics are all contained there.
 //
-// Cells that die with a contained engine panic (*core.InternalError) are
-// retried up to b.MaxRetries extra times with bounded deterministic backoff
-// (5ms, 10ms, 20ms, …, capped at 50ms); a cell that never recovers is
-// marked Quarantined. Attempts records the count either way, so the cell is
+// Cells that die with a contained engine panic (class "panic") are retried
+// up to b.MaxRetries extra times with bounded deterministic backoff (5ms,
+// 10ms, 20ms, …, capped at 50ms); a cell that never recovers is marked
+// Quarantined. Attempts records the count either way, so the cell is
 // honest about how it was produced.
 //
 // The backoff ladder respects the cell's budget: once b.Timeout worth of
@@ -252,28 +294,30 @@ func RunCase(c corpus.Case, tool Tool) Detection {
 // immediately instead of sleeping out the remaining ladder, and a cancelled
 // b.Ctx interrupts a sleep in progress the same way — a quarantine-bound
 // cell never outlives the budget its caller gave it.
-func RunCaseWith(c corpus.Case, tool Tool, b CaseBudget) (d Detection) {
-	defer func() {
-		if r := recover(); r != nil {
-			d = Detection{RunError: fmt.Sprintf("internal harness error: panic: %v\n%s", r, debug.Stack()), Attempts: 1}
-		}
-	}()
+func RunCaseWith(c corpus.Case, tool Tool, b CaseBudget) Detection {
+	_, d := runCase(c, tool, b)
+	return d
+}
+
+// runCase is RunCaseWith returning the final attempt's Outcome beside the
+// cell derived from it.
+func runCase(c corpus.Case, tool Tool, b CaseBudget) (Outcome, Detection) {
 	var deadline time.Time
 	if b.Timeout > 0 {
 		deadline = time.Now().Add(b.Timeout)
 	}
 	for attempt := 1; ; attempt++ {
-		var internal bool
-		d, internal = runCaseOnce(c, tool, b)
+		o := compileAndRun(c, tool, b)
+		if o.Class == "panic" && attempt <= b.MaxRetries && sleepBackoff(attempt, deadline, b.Ctx) {
+			continue
+		}
+		d := o.detection()
 		d.Attempts = attempt
-		if !internal {
-			return d
-		}
-		if attempt > b.MaxRetries || !sleepBackoff(attempt, deadline, b.Ctx) {
+		if o.Class == "panic" {
 			d.Quarantined = true
-			d.RunError = fmt.Sprintf("quarantined after %d attempt(s): %s", attempt, firstLine(d.RunError))
-			return d
+			d.RunError = fmt.Sprintf("quarantined after %d attempt(s): %s", attempt, o.Report)
 		}
+		return o, d
 	}
 }
 
@@ -311,52 +355,6 @@ func sleepBackoff(attempt int, deadline time.Time, ctx context.Context) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// runCaseOnce executes a single attempt. internal reports whether the run
-// died with a contained engine panic / internal fault — the only class of
-// failure worth retrying (everything else is deterministic).
-func runCaseOnce(c corpus.Case, tool Tool, b CaseBudget) (d Detection, internal bool) {
-	res, err := sulong.RunCtx(b.ctx(), c.Source, b.config(c, tool))
-	if err != nil {
-		var limit *core.LimitError
-		var deadline *core.DeadlineError
-		if errors.As(err, &limit) || errors.As(err, &deadline) {
-			return Detection{Timeout: true, Report: err.Error()}, false
-		}
-		var oom *core.ResourceError
-		if errors.As(err, &oom) {
-			// Hard guest-memory exhaustion: a stack or global allocation
-			// exceeded the budget. Deterministic for a given program and
-			// budget — the report quotes the configured limit only.
-			return Detection{OOM: true, Report: err.Error()}, false
-		}
-		var ie *core.InternalError
-		if errors.As(err, &ie) {
-			return Detection{RunError: err.Error()}, true
-		}
-		return Detection{RunError: err.Error()}, false
-	}
-	d = Detection{}
-	if res.Bug != nil {
-		d.Detected = true
-		d.Report = res.Bug.Error()
-		if len(res.Diagnostics) > 0 {
-			d.Diag = res.Diagnostics[0]
-		}
-		return d, false
-	}
-	if res.Fault != nil {
-		d.Crashed = true
-		d.Report = res.Fault.Error()
-		// A NULL dereference traps on the zero page; every tool (and the
-		// bare machine) observes that crash, which the paper counts as
-		// "could also have been found without a bug-finding tool".
-		if f, ok := res.Fault.(*nativemem.Fault); ok && f.Addr < nativemem.PageSize {
-			d.Detected = true
-		}
-	}
-	return d, false
 }
 
 // RunDetectionMatrix runs every corpus case under every tool, fanned out
@@ -399,25 +397,23 @@ func (m *MatrixResult) Table2() (rw map[corpus.Access]int, dir map[corpus.Direct
 // deterministic (case, tool) order. Empty under the default budgets: the
 // corpus terminates.
 func (m *MatrixResult) Timeouts() []string {
-	var out []string
-	for _, c := range m.Cases {
-		for _, tool := range Tools() {
-			if m.Cells[c.Name][tool].Timeout {
-				out = append(out, fmt.Sprintf("%s / %s", c.Name, tool))
-			}
-		}
-	}
-	return out
+	return m.cellsWhere(func(d Detection) bool { return d.Timeout })
 }
 
 // OOMs lists every cell classified OOM (hard guest-memory exhaustion), as
 // "case/tool" strings in deterministic (case, tool) order. Empty unless a
 // heap budget was configured.
 func (m *MatrixResult) OOMs() []string {
+	return m.cellsWhere(func(d Detection) bool { return d.OOM })
+}
+
+// cellsWhere lists the cells keep selects as "case / tool" strings in
+// deterministic (case, tool) order.
+func (m *MatrixResult) cellsWhere(keep func(Detection) bool) []string {
 	var out []string
 	for _, c := range m.Cases {
 		for _, tool := range Tools() {
-			if m.Cells[c.Name][tool].OOM {
+			if keep(m.Cells[c.Name][tool]) {
 				out = append(out, fmt.Sprintf("%s / %s", c.Name, tool))
 			}
 		}

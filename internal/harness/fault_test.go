@@ -118,8 +118,9 @@ func TestFaultSweepSubsetClean(t *testing.T) {
 	if !res.OK() {
 		t.Fatalf("sweep violations:\n%s", res.Render())
 	}
-	if want := len(cases)*2*len(Tools()) + len(cases)*2; res.Runs != want {
-		// Every SafeSulong cell runs twice (tier-0 + forced tier-1).
+	if want := len(cases)*2*len(Tools()) + len(cases)*2*2; res.Runs != want {
+		// Every SafeSulong cell runs once per tier: tier-0, forced tier-1
+		// and async+OSR.
 		t.Fatalf("Runs = %d, want %d", res.Runs, want)
 	}
 	if !strings.Contains(res.Render(), "no engine panics") {

@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/fault"
@@ -12,8 +10,8 @@ import (
 
 // SweepOptions configures a fault-injection sweep: every case is run under
 // FailNth = 1..MaxNth for every tool, asserting that injected allocation
-// failures never panic an engine and that the managed engine classifies
-// each injected outcome identically in tier 0 and tier 1.
+// failures never panic an engine and that the managed engine's Outcome
+// signature is identical in every tier (see Tiers).
 type SweepOptions struct {
 	// MaxNth sweeps FailNth from 1 to this value (default 3).
 	MaxNth int
@@ -23,10 +21,9 @@ type SweepOptions struct {
 	Tools []Tool
 	// Workers bounds the goroutine pool (<= 0 = GOMAXPROCS, 1 = serial).
 	Workers int
-	// MaxSteps is the per-run step budget (0 = DefaultMaxSteps).
-	MaxSteps int64
-	// MaxHeapBytes additionally bounds guest memory per run (0 = none).
-	MaxHeapBytes int64
+	// Budget bounds every run (see CaseBudget). The sweep sets its
+	// FaultPlan and its tier fields; the rest applies as given.
+	Budget CaseBudget
 	// Progress, when non-nil, is called after every completed (case, nth,
 	// tool) cell with the running count. Calls are serialized, so the
 	// callback needs no locking of its own. The campaign driver reports its
@@ -40,9 +37,9 @@ type SweepViolation struct {
 	Case string `json:"case"`
 	Tool string `json:"tool"`
 	Nth  int    `json:"failNth"`
-	// Kind is "panic" (an engine died with an internal error under
-	// injection) or "tier-mismatch" (tier-0 and tier-1 SafeSulong disagreed
-	// on the injected outcome).
+	// Kind is "panic" (a run under injection ended in an engine panic or
+	// another infrastructure error) or "tier-mismatch" (a SafeSulong tier's
+	// Outcome signature differed from tier-0's).
 	Kind   string `json:"kind"`
 	Detail string `json:"detail"`
 }
@@ -79,11 +76,12 @@ func (r *SweepResult) Render() string {
 // (case, nth, tool) triple it runs the case under fault.Plan{FailNth: nth}
 // and asserts the engine survives (no contained panic — a guest that
 // mishandles a NULL malloc must produce a *report* or a crash
-// classification, never an engine death). For SafeSulong it additionally
-// runs the same plan with the tier-1 compiler forced hot (JITThreshold 1)
-// and asserts both tiers classify the injected outcome identically — the
-// paper's "identical semantics across tiers" claim extended to injected
-// allocation failures.
+// classification, never an engine death). For SafeSulong it runs the same
+// plan in every tier (see Tiers) and asserts each tier's Outcome signature,
+// class, report, stdout, exit, Steps and fault counters, equals tier-0's —
+// the paper's "identical semantics across tiers" claim extended to injected
+// allocation failures. As in the campaign judge, a pair where either side
+// hit a wall-clock deadline is not compared: elapsed time is not a verdict.
 //
 // Work is fanned out cell-by-cell onto a bounded pool; results land in an
 // index-addressed grid, so the assembled violations list is deterministic
@@ -104,24 +102,8 @@ func FaultSweep(opts SweepOptions) *SweepResult {
 	nt := len(tools)
 	total := len(cases) * maxNth * nt
 
-	type cellOut struct {
-		violations []SweepViolation
-		runs       int
-	}
-	grid := make([]cellOut, total)
-
-	var progressMu sync.Mutex
-	var done int
-	report := func() {
-		if opts.Progress == nil {
-			return
-		}
-		progressMu.Lock()
-		done++
-		opts.Progress(done, total)
-		progressMu.Unlock()
-	}
-
+	grid := make([]sweepCell, total)
+	tick := serialProgress(opts.Progress, total)
 	// Longest-first claim order from the shared duration model. Every nth of
 	// one (case, tool) pair shares a key — injection changes where a run
 	// stops, not its scale — so matrix runs train the sweep's schedule too.
@@ -129,54 +111,11 @@ func FaultSweep(opts SweepOptions) *SweepResult {
 		return cases[i/(maxNth*nt)].Name + "|" + tools[i%(maxNth*nt)%nt].String()
 	})
 	ForEachOrdered(total, opts.Workers, order, func(i int) {
-		defer report()
+		defer tick()
 		c := cases[i/(maxNth*nt)]
 		rem := i % (maxNth * nt)
-		nth := rem/nt + 1
-		tool := tools[rem%nt]
-
-		budget := CaseBudget{
-			MaxSteps:     opts.MaxSteps,
-			MaxHeapBytes: opts.MaxHeapBytes,
-			FaultPlan:    fault.Plan{FailNth: int64(nth)},
-		}
-		out := &grid[i]
-		start := time.Now()
-		defer func() { costs.observe(c.Name+"|"+tool.String(), time.Since(start)) }()
-		cell := RunCaseWith(c, tool, budget)
-		out.runs++
-		if cell.RunError != "" {
-			out.violations = append(out.violations, SweepViolation{
-				Case: c.Name, Tool: tool.String(), Nth: nth,
-				Kind: "panic", Detail: cell.RunError,
-			})
-			return
-		}
-		if tool != SafeSulong {
-			return
-		}
-		// Tier parity: the same plan with the compiler forced hot must
-		// classify identically and produce the identical report.
-		jb := budget
-		jb.JIT = true
-		jb.JITThreshold = 1
-		jcell := RunCaseWith(c, tool, jb)
-		out.runs++
-		if jcell.RunError != "" {
-			out.violations = append(out.violations, SweepViolation{
-				Case: c.Name, Tool: tool.String(), Nth: nth,
-				Kind: "panic", Detail: "tier-1: " + jcell.RunError,
-			})
-			return
-		}
-		if cell.Status() != jcell.Status() || cell.Report != jcell.Report {
-			out.violations = append(out.violations, SweepViolation{
-				Case: c.Name, Tool: tool.String(), Nth: nth,
-				Kind: "tier-mismatch",
-				Detail: fmt.Sprintf("tier-0 %s %q vs tier-1 %s %q",
-					cell.Status(), firstLine(cell.Report), jcell.Status(), firstLine(jcell.Report)),
-			})
-		}
+		nth, tool := rem/nt+1, tools[rem%nt]
+		costs.timedCell(c.Name+"|"+tool.String(), func() { grid[i] = runSweepCell(c, tool, nth, opts.Budget) })
 	})
 
 	res := &SweepResult{Cases: len(cases), MaxNth: maxNth}
@@ -185,4 +124,48 @@ func FaultSweep(opts SweepOptions) *SweepResult {
 		res.Violations = append(res.Violations, grid[i].violations...)
 	}
 	return res
+}
+
+// sweepCell is one (case, FailNth, tool) cell's runs and violations.
+type sweepCell struct {
+	violations []SweepViolation
+	runs       int
+}
+
+// runSweepCell runs the case under FailNth = nth: once, or for SafeSulong
+// once per tier, comparing each tier's Outcome signature with tier-0's.
+func runSweepCell(c corpus.Case, tool Tool, nth int, b CaseBudget) (out sweepCell) {
+	b.FaultPlan = fault.Plan{FailNth: int64(nth)}
+	tiers := Tiers()
+	if tool != SafeSulong {
+		tiers = tiers[:1]
+	}
+	violation := func(kind, detail string) {
+		out.violations = append(out.violations, SweepViolation{
+			Case: c.Name, Tool: tool.String(), Nth: nth, Kind: kind, Detail: detail,
+		})
+	}
+	var o0 Outcome
+	for k, t := range tiers {
+		o, cell := runCase(c, tool, t.Budget(b))
+		out.runs++
+		if cell.RunError != "" {
+			if k > 0 {
+				cell.RunError = t.String() + ": " + cell.RunError
+			}
+			violation("panic", cell.RunError)
+			return out
+		}
+		if k == 0 {
+			o0 = o
+			continue
+		}
+		if o0.Class == "deadline" || o.Class == "deadline" {
+			continue
+		}
+		if o.Signature() != o0.Signature() {
+			violation("tier-mismatch", fmt.Sprintf("%s vs tier-0: {%s} != {%s}", t, o.Signature(), o0.Signature()))
+		}
+	}
+	return out
 }

@@ -1,13 +1,15 @@
 package harness
 
-// Oracle adapters for the differential fuzzing campaign (internal/campaign).
+// Oracle adapters for the differential fuzzing campaign (internal/campaign),
+// and the one classifier every driver shares.
 //
 // The detection matrix compares *classifications* of known-buggy corpus
 // programs; the campaign compares everything observable about *generated*
 // programs across tiers and tools — a wrong-code bug shows up as identical
 // classifications with different stdout, exit codes, or step counts, which
-// Detection cannot express. Outcome carries the full comparison surface, and
-// RunSource produces one without going through corpus registration.
+// Detection cannot express. Outcome carries the full comparison surface;
+// classify produces it for every driver, and a matrix cell is derived from
+// it (Outcome.detection).
 
 import (
 	"crypto/sha256"
@@ -17,7 +19,9 @@ import (
 	sulong "repro"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/diag"
 	"repro/internal/ir"
+	"repro/internal/nativemem"
 )
 
 // Outcome is everything the campaign's oracles compare about one run of one
@@ -55,6 +59,12 @@ type Outcome struct {
 	// which is tier-invariant for heap traffic by construction.
 	HeapAllocs     int64 `json:"heapAllocs,omitempty"`
 	InjectedFaults int64 `json:"injectedFaults,omitempty"`
+
+	// diag is a detected bug's first structured diagnostic, and zeroPage
+	// marks a crash that trapped on the zero page: what a matrix cell
+	// needs beyond the class (see detection).
+	diag     *diag.Diagnostic
+	zeroPage bool
 }
 
 // Signature renders the outcome compactly and deterministically for journal
@@ -73,6 +83,63 @@ func (o Outcome) Signature() string {
 // Detected reports whether the tool positively identified a bug.
 func (o Outcome) Detected() bool { return o.Class == "detected" }
 
+// compileError marks an error from the compile stage for classify.
+type compileError struct{ error }
+
+func (e compileError) Unwrap() error { return e.error }
+
+// classify maps a compile or run result to its Outcome; it is the only
+// place an error becomes a class. A panic (from either stage) and a compile
+// error keep only their report's first line. Without an error the run is
+// "detected" when the tool reported a bug, "crashed" when the machine
+// trapped, and "clean" otherwise.
+func classify(res sulong.Result, err error) Outcome {
+	o := Outcome{
+		Stdout:         res.Stdout,
+		Exit:           res.ExitCode,
+		Steps:          res.Stats.Steps,
+		HeapAllocs:     res.Stats.HeapAllocs,
+		InjectedFaults: res.Stats.InjectedFaults,
+	}
+	if err != nil {
+		var limit *core.LimitError
+		var deadline *core.DeadlineError
+		var oom *core.ResourceError
+		var ie *core.InternalError
+		var ce compileError
+		switch {
+		case errors.As(err, &limit):
+			o.Class, o.Report = "timeout", err.Error()
+		case errors.As(err, &deadline):
+			o.Class, o.Report = "deadline", err.Error()
+		case errors.As(err, &oom):
+			o.Class, o.Report = "oom", err.Error()
+		case errors.As(err, &ie):
+			o.Class, o.Report = "panic", firstLine(err.Error())
+		case errors.As(err, &ce):
+			o.Class, o.Report = "compile-error", firstLine(err.Error())
+		default:
+			o.Class, o.Report = "error", err.Error()
+		}
+		return o
+	}
+	switch {
+	case res.Bug != nil:
+		o.Class, o.Report = "detected", res.Bug.Error()
+		if len(res.Diagnostics) > 0 {
+			o.diag = res.Diagnostics[0]
+			o.Kind = o.diag.Kind
+		}
+	case res.Fault != nil:
+		o.Class, o.Report = "crashed", res.Fault.Error()
+		f, ok := res.Fault.(*nativemem.Fault)
+		o.zeroPage = ok && f.Addr < nativemem.PageSize
+	default:
+		o.Class = "clean"
+	}
+	return o
+}
+
 // RunSource compiles and executes an arbitrary C program (not a registered
 // corpus case) under one tool within the given budget, and captures the
 // full comparison surface. It never panics and never kills the process:
@@ -80,11 +147,17 @@ func (o Outcome) Detected() bool { return o.Class == "detected" }
 // generated program that is the finding itself, not a retry candidate), and
 // any harness-side panic lands in class "error".
 func RunSource(src string, tool Tool, b CaseBudget) Outcome {
-	mod, bad := CompileOutcome(src, tool, b)
+	return compileAndRun(corpus.Case{Source: src}, tool, b)
+}
+
+// compileAndRun is one attempt at a case: CompileOutcome, then the module
+// run with the case's Args and Stdin.
+func compileAndRun(c corpus.Case, tool Tool, b CaseBudget) Outcome {
+	mod, bad := CompileOutcome(c.Source, tool, b)
 	if bad != nil {
 		return *bad
 	}
-	return RunModule(mod, tool, b)
+	return runModule(mod, c, tool, b)
 }
 
 // CompileOutcome runs just the compile stage of RunSource, returning the
@@ -98,14 +171,10 @@ func CompileOutcome(src string, tool Tool, b CaseBudget) (m *ir.Module, bad *Out
 			m, bad = nil, &Outcome{Class: "error", Report: fmt.Sprintf("internal harness error: panic: %v", r)}
 		}
 	}()
-	cfg := b.config(corpus.Case{Name: "generated", Source: src}, tool)
-	mod, err := sulong.CompileFor(src, cfg)
+	mod, err := sulong.CompileFor(src, b.config(corpus.Case{}, tool))
 	if err != nil {
-		var ie *core.InternalError
-		if errors.As(err, &ie) {
-			return nil, &Outcome{Class: "panic", Report: firstLine(err.Error())}
-		}
-		return nil, &Outcome{Class: "compile-error", Report: firstLine(err.Error())}
+		o := classify(sulong.Result{}, compileError{err})
+		return nil, &o
 	}
 	return mod, nil
 }
@@ -117,50 +186,16 @@ func ReleaseModule(mod *ir.Module) { sulong.ReleaseModule(mod) }
 
 // RunModule executes an already-compiled module under one tool within the
 // given budget (the execution half of RunSource).
-func RunModule(mod *ir.Module, tool Tool, b CaseBudget) (o Outcome) {
+func RunModule(mod *ir.Module, tool Tool, b CaseBudget) Outcome {
+	return runModule(mod, corpus.Case{}, tool, b)
+}
+
+// runModule is RunModule with the case's Args and Stdin.
+func runModule(mod *ir.Module, c corpus.Case, tool Tool, b CaseBudget) (o Outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			o = Outcome{Class: "error", Report: fmt.Sprintf("internal harness error: panic: %v", r)}
 		}
 	}()
-	cfg := b.config(corpus.Case{Name: "generated"}, tool)
-	res, err := sulong.RunModuleCtx(b.ctx(), mod, cfg)
-	o = Outcome{
-		Stdout:         res.Stdout,
-		Exit:           res.ExitCode,
-		Steps:          res.Stats.Steps,
-		HeapAllocs:     res.Stats.HeapAllocs,
-		InjectedFaults: res.Stats.InjectedFaults,
-	}
-	if err != nil {
-		var limit *core.LimitError
-		var deadline *core.DeadlineError
-		var oom *core.ResourceError
-		var ie *core.InternalError
-		switch {
-		case errors.As(err, &limit):
-			o.Class, o.Report = "timeout", err.Error()
-		case errors.As(err, &deadline):
-			o.Class, o.Report = "deadline", err.Error()
-		case errors.As(err, &oom):
-			o.Class, o.Report = "oom", err.Error()
-		case errors.As(err, &ie):
-			o.Class, o.Report = "panic", firstLine(err.Error())
-		default:
-			o.Class, o.Report = "error", err.Error()
-		}
-		return o
-	}
-	switch {
-	case res.Bug != nil:
-		o.Class, o.Report = "detected", res.Bug.Error()
-		if len(res.Diagnostics) > 0 {
-			o.Kind = res.Diagnostics[0].Kind
-		}
-	case res.Fault != nil:
-		o.Class, o.Report = "crashed", res.Fault.Error()
-	default:
-		o.Class = "clean"
-	}
-	return o
+	return classify(sulong.RunModuleCtx(b.ctx(), mod, b.config(c, tool)))
 }

@@ -64,6 +64,23 @@ func ForEach(n, workers int, fn func(i int)) {
 	}
 }
 
+// serialProgress returns a callback to call once per completed item: it
+// reports the running count to progress, serialized, so progress needs no
+// locking of its own. A nil progress makes it a no-op.
+func serialProgress(progress func(done, total int), total int) func() {
+	var mu sync.Mutex
+	var done int
+	return func() {
+		if progress == nil {
+			return
+		}
+		mu.Lock()
+		done++
+		progress(done, total)
+		mu.Unlock()
+	}
+}
+
 // workerPanic records the first panic observed by a ForEach worker.
 type workerPanic struct {
 	item  int
@@ -109,9 +126,7 @@ func RunDetectionMatrixWith(opts MatrixOptions) *MatrixResult {
 	nt := len(tools)
 	total := len(cases) * nt
 	grid := make([]Detection, total)
-
-	var progressMu sync.Mutex
-	var done int
+	tick := serialProgress(opts.Progress, total)
 	// Longest-first claim order from the duration model (cold start: index
 	// order). Cells land by index, so the grid — and everything rendered
 	// from it — is byte-identical whatever order the workers claimed.
@@ -124,12 +139,7 @@ func RunDetectionMatrixWith(opts MatrixOptions) *MatrixResult {
 		costs.timedCell(c.Name+"|"+tool.String(), func() {
 			grid[i] = RunCaseWith(c, tool, opts.Budget)
 		})
-		if opts.Progress != nil {
-			progressMu.Lock()
-			done++
-			opts.Progress(done, total)
-			progressMu.Unlock()
-		}
+		tick()
 	})
 
 	m := &MatrixResult{

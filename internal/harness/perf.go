@@ -276,12 +276,13 @@ func MeasureStartup(runs int) ([]StartupResult, error) {
 				// NoCache keeps the measurement honest: it builds a private
 				// libc prefix on every call, so each run pays the front-end
 				// work that the module cache and its shared libc prefix
-				// would otherwise skip.
-				mod, err := sulong.CompileFor(helloSrc, sulong.Config{Engine: sulong.EngineSafeSulong, NoCache: true})
+				// would otherwise skip, and it runs on a fresh engine.
+				cfg := sulong.Config{Engine: sulong.EngineSafeSulong, Stdout: io.Discard, NoCache: true}
+				mod, err := sulong.CompileFor(helloSrc, cfg)
 				if err != nil {
 					return nil, err
 				}
-				if _, err := sulong.RunModule(mod, sulong.Config{Engine: sulong.EngineSafeSulong, Stdout: io.Discard}); err != nil {
+				if _, err := sulong.RunModule(mod, cfg); err != nil {
 					return nil, err
 				}
 			default:

@@ -106,18 +106,16 @@ type Config struct {
 	// OnCompile observes tier-1 compilation events (Fig. 15).
 	OnCompile func(name string)
 
-	// NoCache bypasses the content-addressed module cache: the compile runs
-	// every pipeline stage from scratch, the managed libc's included, and
-	// the caller owns the resulting module exclusively (it may be mutated
-	// freely). The cache is on by default; modules it returns are shared and
-	// must not be mutated.
+	// NoCache bypasses every process-wide reuse layer. A compile runs every
+	// pipeline stage from scratch, the managed libc's included, and the
+	// caller owns the resulting module exclusively (it may be mutated
+	// freely). A run constructs a fresh engine instead of taking one from
+	// the reset/reuse pool, and tier-1 compiles its closures instead of
+	// sharing them through the executable-code cache — the cold baseline
+	// the warm-vs-cold parity suite compares against. The layers are on by
+	// default; modules the module cache returns are shared and must not be
+	// mutated.
 	NoCache bool
-	// NoCodeCache bypasses the back-end reuse layer: the process-wide
-	// executable-code cache (tier-1 closures shared across runs of the same
-	// module) and the engine reset/reuse pool. Every run then constructs a
-	// fresh engine and compiles from scratch — the cold baseline the
-	// warm-vs-cold parity suite compares against.
-	NoCodeCache bool
 
 	// MaxSteps bounds execution (0 = engine default). The budget is
 	// enforced in every tier: the tier-0 interpreters charge one step per
@@ -248,7 +246,7 @@ func ResetCache() { pipeline.Default.Reset() }
 
 // The back-end reuse layer: one executable-code cache and one engine pool
 // for the whole process, mirroring pipeline.Default on the front end.
-// Config.NoCodeCache opts a run out of both.
+// Config.NoCache opts a run out of both.
 var (
 	codeCache  = jit.NewCodeCache(0)
 	enginePool = core.NewEnginePool(0)
@@ -393,7 +391,7 @@ func runManaged(mod *ir.Module, cfg Config, gov *core.Governor) (Result, error) 
 	var comp *jit.Compiler
 	if cfg.JIT {
 		comp = jit.New()
-		if !cfg.NoCodeCache {
+		if !cfg.NoCache {
 			comp.Cache = codeCache
 		}
 		ecfg.Tier1 = comp
@@ -403,7 +401,7 @@ func runManaged(mod *ir.Module, cfg Config, gov *core.Governor) (Result, error) 
 	}
 	var eng *core.Engine
 	var err error
-	if cfg.NoCodeCache {
+	if cfg.NoCache {
 		eng, err = core.NewEngine(mod, ecfg)
 	} else {
 		eng, err = enginePool.Get(mod, ecfg)
@@ -444,7 +442,7 @@ func runManaged(mod *ir.Module, cfg Config, gov *core.Governor) (Result, error) 
 	// Everything the result needs has been read out of the engine (output
 	// string, stats, leak reports — all value types or engine-independent
 	// persistent structures), so it is safe to recycle it.
-	if !cfg.NoCodeCache {
+	if !cfg.NoCache {
 		pooled = true
 		enginePool.Put(eng)
 	}
@@ -452,18 +450,12 @@ func runManaged(mod *ir.Module, cfg Config, gov *core.Governor) (Result, error) 
 	if cfg.JIT {
 		tier = "tier-1"
 	}
-	if err != nil {
-		var bug *core.BugError
-		if asBug(err, &bug) {
-			res.Bug = bug
-			res.collectDiagnostics("SafeSulong", tier)
-			return res, nil
-		}
-		res.collectDiagnostics("SafeSulong", tier)
-		return res, err
+	var bug *core.BugError
+	if asBug(err, &bug) {
+		res.Bug, err = bug, nil
 	}
 	res.collectDiagnostics("SafeSulong", tier)
-	return res, nil
+	return res, err
 }
 
 // collectDiagnostics converts the run's reports (the bug, then leaks, in

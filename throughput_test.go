@@ -11,12 +11,14 @@ package sulong_test
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	sulong "repro"
 	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/harness"
+	"repro/internal/ir"
 )
 
 // throughputTiers are the tier selections the pin sweeps: interpreter only,
@@ -37,24 +39,31 @@ var throughputTiers = []struct {
 	}},
 }
 
-// runPin executes one corpus case once. cold opts out of the code cache and
-// engine pool (the from-scratch execution model); warm runs use both.
-func runPin(t *testing.T, c corpus.Case, tier func(*sulong.Config), failNth int64, cold bool) sulong.Result {
+// runPin executes one corpus case once. A cold run (cold != nil) runs the
+// case's privately compiled module with NoCache: a fresh engine, no code
+// cache. A warm run compiles through the module cache and uses both.
+func runPin(t *testing.T, c corpus.Case, tier func(*sulong.Config), failNth int64, cold *ir.Module) sulong.Result {
 	t.Helper()
 	cfg := sulong.Config{
-		Engine:      sulong.EngineSafeSulong,
-		Args:        c.Args,
-		MaxSteps:    harness.DefaultMaxSteps,
-		FaultPlan:   fault.Plan{FailNth: failNth},
-		NoCodeCache: cold,
+		Engine:    sulong.EngineSafeSulong,
+		Args:      c.Args,
+		MaxSteps:  harness.DefaultMaxSteps,
+		FaultPlan: fault.Plan{FailNth: failNth},
+		NoCache:   cold != nil,
 	}
 	if c.Stdin != "" {
 		cfg.Stdin = strings.NewReader(c.Stdin)
 	}
 	tier(&cfg)
-	res, err := sulong.Run(c.Source, cfg)
+	var res sulong.Result
+	var err error
+	if cold != nil {
+		res, err = sulong.RunModule(cold, cfg)
+	} else {
+		res, err = sulong.Run(c.Source, cfg)
+	}
 	if err != nil {
-		t.Fatalf("%s (cold=%v, failNth=%d): %v", c.Name, cold, failNth, err)
+		t.Fatalf("%s (cold=%v, failNth=%d): %v", c.Name, cold != nil, failNth, err)
 	}
 	return res
 }
@@ -80,6 +89,15 @@ func TestWarmColdCacheParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus sweep skipped in -short mode")
 	}
+	// Each case's cold module is compiled once, with NoCache, by whichever
+	// tier's subtest needs it first, and every tier and FailNth runs it.
+	coldModule := map[string]func() (*ir.Module, error){}
+	for _, c := range corpus.All() {
+		src := c.Source
+		coldModule[c.Name] = sync.OnceValues(func() (*ir.Module, error) {
+			return sulong.CompileFor(src, sulong.Config{Engine: sulong.EngineSafeSulong, NoCache: true})
+		})
+	}
 	for _, tier := range throughputTiers {
 		tier := tier
 		t.Run(tier.name, func(t *testing.T) {
@@ -87,10 +105,14 @@ func TestWarmColdCacheParity(t *testing.T) {
 				c := c
 				t.Run(c.Name, func(t *testing.T) {
 					t.Parallel()
+					mod, err := coldModule[c.Name]()
+					if err != nil {
+						t.Fatalf("%s: cold compile: %v", c.Name, err)
+					}
 					for _, failNth := range []int64{0, 1, 2} {
-						cold := observables(runPin(t, c, tier.cfg, failNth, true))
-						warm1 := observables(runPin(t, c, tier.cfg, failNth, false))
-						warm2 := observables(runPin(t, c, tier.cfg, failNth, false))
+						cold := observables(runPin(t, c, tier.cfg, failNth, mod))
+						warm1 := observables(runPin(t, c, tier.cfg, failNth, nil))
+						warm2 := observables(runPin(t, c, tier.cfg, failNth, nil))
 						if warm1 != cold {
 							t.Errorf("failNth=%d: first warm run diverges from cold:\ncold:\n%s\nwarm:\n%s",
 								failNth, cold, warm1)
