@@ -102,10 +102,10 @@ fuzzcheck:
 # forced tier-1, and async+OSR, clean and fault-injected), the code cache's
 # own concurrency suite (singleflight under eviction churn, LRU bound,
 # hit-not-mutated, a panicking compile releasing its compiler) and the
-# perf-runner pool-reuse pin — under the race detector, since the code
-# cache and engine pool are shared process-wide.
+# engine pool's — under the race detector, since the code cache and engine
+# pool are shared process-wide.
 throughputcheck:
-	$(GO) test -race -timeout 300s -run 'WarmColdCacheParity|CodeCache|PerfRunnerPool|EnginePool' . ./internal/jit ./internal/core ./internal/harness
+	$(GO) test -race -timeout 300s -run 'WarmColdCacheParity|CodeCache|EnginePool' . ./internal/jit ./internal/core
 
 # Benchmark-module gate: bench/ is its own module built against this one's
 # internal packages, so `./...` above never compiles it. Vet and test it

@@ -39,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -46,6 +47,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/harness"
+	"repro/internal/pipeline"
 )
 
 // matrixSchemaVersion identifies the -json report shape. Bump it whenever a
@@ -64,29 +66,17 @@ type matrixReport struct {
 	// category (Table 1 plus the beyond-the-paper type-confusion row).
 	// Maps marshal key-sorted, so the report is byte-identical at any
 	// -parallel worker count.
-	Categories  map[string]int    `json:"categories"`
-	MissedBoth  []string          `json:"foundOnlyBySafeSulong"`
-	Timeouts    []string          `json:"timeouts,omitempty"`
-	OOMs        []string          `json:"ooms,omitempty"`
-	Quarantined []string          `json:"quarantined,omitempty"`
-	FaultPlan   string            `json:"faultPlan,omitempty"`
-	Cache       sulongCacheReport `json:"cache"`
+	Categories  map[string]int      `json:"categories"`
+	MissedBoth  []string            `json:"foundOnlyBySafeSulong"`
+	Timeouts    []string            `json:"timeouts,omitempty"`
+	OOMs        []string            `json:"ooms,omitempty"`
+	Quarantined []string            `json:"quarantined,omitempty"`
+	FaultPlan   string              `json:"faultPlan,omitempty"`
+	Cache       pipeline.CacheStats `json:"cache"`
 	// Diagnostics carries every cell's structured report (kind, message,
 	// tool/tier provenance, access/alloc/free backtraces) in deterministic
 	// (case, tool) order — byte-identical at any -parallel worker count.
 	Diagnostics []harness.CellDiagnostic `json:"diagnostics"`
-}
-
-type sulongCacheReport struct {
-	Hits    uint64  `json:"hits"`
-	Misses  uint64  `json:"misses"`
-	HitRate float64 `json:"hitRate"`
-	Entries int     `json:"entries"`
-}
-
-func cacheReport() sulongCacheReport {
-	s := sulong.CacheStats()
-	return sulongCacheReport{Hits: s.Hits, Misses: s.Misses, HitRate: s.HitRate(), Entries: s.Entries}
 }
 
 func main() {
@@ -170,18 +160,22 @@ func main() {
 			}
 		}
 	default:
+		workers := *parallel
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
 		start := time.Now()
-		m := harness.RunDetectionMatrixWith(harness.MatrixOptions{Workers: *parallel, Budget: budget})
+		m := harness.RunDetectionMatrixWith(harness.MatrixOptions{Workers: workers, Budget: budget})
 		elapsed := time.Since(start)
 		fmt.Print(m.Render())
 		stats := sulong.CacheStats()
 		fmt.Printf("\nmatrix wall clock %v (workers=%d), module cache %d hits / %d misses (%.0f%% hit rate)\n",
-			elapsed.Round(time.Millisecond), *parallel, stats.Hits, stats.Misses, 100*stats.HitRate())
+			elapsed.Round(time.Millisecond), workers, stats.Hits, stats.Misses, 100*stats.HitRate)
 		if *jsonOut != "" {
 			rep := matrixReport{
 				SchemaVersion: matrixSchemaVersion,
 				Cases:         len(m.Cases),
-				Workers:       *parallel,
+				Workers:       workers,
 				WallClockMs:   float64(elapsed.Microseconds()) / 1000,
 				Totals:        map[string]int{},
 				Categories:    map[string]int{},
@@ -189,7 +183,7 @@ func main() {
 				Timeouts:      m.Timeouts(),
 				OOMs:          m.OOMs(),
 				Quarantined:   m.Quarantined,
-				Cache:         cacheReport(),
+				Cache:         stats,
 				Diagnostics:   m.Diagnostics(),
 			}
 			if plan.Enabled() {

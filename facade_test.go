@@ -25,7 +25,7 @@ func TestEngineNames(t *testing.T) {
 }
 
 func TestRunModuleRejectsUnknownEngine(t *testing.T) {
-	mod, err := sulong.CompileBare("int main(void){ return 0; }")
+	mod, err := sulong.CompileNative("int main(void){ return 0; }", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,11 @@ import (
 // Constructing an engine repeats work that is a pure function of the module
 // — binding the builtin table, laying out and initializing every global in
 // the linked libc image — so drivers that run one module many times (the
-// FailNth sweep, tier-parity triples, perfbench sample loops) pay that
-// layout once and Reset thereafter. Get falls back to NewEngine on an empty
-// pool or a failed Reset, so a pool is never less correct than cold
-// construction, only faster; the warm-vs-cold parity suite pins that the
-// two are byte-identical.
+// FailNth sweep, tier-parity triples) pay that layout once and Reset
+// thereafter. Get falls back to NewEngine on an empty pool or a failed
+// Reset, so a pool is never less correct than cold construction, only
+// faster; the warm-vs-cold parity suite pins that the two are
+// byte-identical.
 type EnginePool struct {
 	mu    sync.Mutex
 	idle  map[*ir.Module][]*Engine
@@ -144,10 +144,11 @@ func (p *EnginePool) unorder(e *Engine) {
 }
 
 // EnginePoolStats is a point-in-time snapshot of pool effectiveness.
+// Fields are in key order, so the JSON form diffs stably between reports.
 type EnginePoolStats struct {
 	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
 	Idle   int    `json:"idle"`
+	Misses uint64 `json:"misses"`
 }
 
 // Stats returns the pool's hit/miss counters and current idle population.

@@ -2,68 +2,28 @@ package harness
 
 import (
 	sulong "repro"
+	"repro/internal/core"
+	"repro/internal/jit"
+	"repro/internal/pipeline"
 )
 
 // CacheReport groups every process-wide cache's effectiveness counters for
 // the bench CLIs' machine-readable reports (fuzzbench -json, perfbench
-// -json). Field names — and therefore the emitted JSON keys — are sorted
-// alphabetically at every level, so reports from different runs diff
-// stably against each other.
+// -json). Each layer's stats type declares its fields in key order, so the
+// emitted JSON keys are sorted at every level and reports from different
+// runs diff stably against each other.
 type CacheReport struct {
-	CodeCache  CodeCacheReport     `json:"codeCache"`
-	EnginePool EnginePoolReport    `json:"enginePool"`
-	Pipeline   PipelineCacheReport `json:"pipeline"`
-}
-
-// CodeCacheReport mirrors jit.CodeCacheStats with key-sorted fields.
-type CodeCacheReport struct {
-	Evictions uint64 `json:"evictions"`
-	Funcs     int    `json:"funcs"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Units     int    `json:"units"`
-}
-
-// EnginePoolReport mirrors core.EnginePoolStats with key-sorted fields.
-type EnginePoolReport struct {
-	Hits   uint64 `json:"hits"`
-	Idle   int    `json:"idle"`
-	Misses uint64 `json:"misses"`
-}
-
-// PipelineCacheReport mirrors pipeline.CacheStats with key-sorted fields
-// plus the derived hit rate.
-type PipelineCacheReport struct {
-	Entries int     `json:"entries"`
-	HitRate float64 `json:"hitRate"`
-	Hits    uint64  `json:"hits"`
-	Misses  uint64  `json:"misses"`
+	CodeCache  jit.CodeCacheStats   `json:"codeCache"`
+	EnginePool core.EnginePoolStats `json:"enginePool"`
+	Pipeline   pipeline.CacheStats  `json:"pipeline"`
 }
 
 // Caches snapshots the pipeline module cache, the executable-code cache,
 // and the engine reuse pool in one report.
 func Caches() CacheReport {
-	pc := sulong.CacheStats()
-	cc := sulong.CodeCacheStats()
-	ep := sulong.EnginePoolStats()
 	return CacheReport{
-		CodeCache: CodeCacheReport{
-			Evictions: cc.Evictions,
-			Funcs:     cc.Funcs,
-			Hits:      cc.Hits,
-			Misses:    cc.Misses,
-			Units:     cc.Units,
-		},
-		EnginePool: EnginePoolReport{
-			Hits:   ep.Hits,
-			Idle:   ep.Idle,
-			Misses: ep.Misses,
-		},
-		Pipeline: PipelineCacheReport{
-			Entries: pc.Entries,
-			HitRate: pc.HitRate(),
-			Hits:    pc.Hits,
-			Misses:  pc.Misses,
-		},
+		CodeCache:  sulong.CodeCacheStats(),
+		EnginePool: sulong.EnginePoolStats(),
+		Pipeline:   sulong.CacheStats(),
 	}
 }

@@ -61,8 +61,18 @@ func TestRunnersProduceIterations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}
-		if err := r.RunIteration(); err != nil {
-			t.Fatalf("%v: %v", cfg, err)
+		defer r.Close()
+		iters := 1
+		if cfg == SafeSulongPerf {
+			iters = 30 // past DefaultTier1Threshold
+		}
+		for i := 0; i < iters; i++ {
+			if err := r.RunIteration(); err != nil {
+				t.Fatalf("%v: %v", cfg, err)
+			}
+		}
+		if es, _ := r.Stats(); cfg == SafeSulongPerf && es.Tier1Funcs == 0 {
+			t.Errorf("%v compiled no function in %d iterations", cfg, iters)
 		}
 	}
 }

@@ -57,104 +57,34 @@ const DefaultTier1Threshold = 25
 // harness keeps state, letting the dynamic compiler reach a steady state).
 type Runner interface {
 	RunIteration() error
-	// CompiledFunctions reports tier-1 compilations so far (managed only).
-	// Under async configs this counts *installed* entry compilations.
-	CompiledFunctions() int
-	// JITStats reports tier-1 compiler activity (zero for native runners).
-	JITStats() RunnerJITStats
-	// TierStats reports the engine's tiering counters (zero for native
-	// runners): OSR installs/entries, deopts, async installs.
-	TierStats() RunnerTierStats
+	// Stats reports the managed engine's counters and its tier-1 compiler's
+	// (zero for native runners, and the compiler's under SafeSulongNoJIT).
+	// Under async configs Tier1Funcs counts *installed* entry compilations.
+	Stats() (core.Stats, jit.Stats)
 	// Close releases engine resources. Async configs own a background
 	// compile pool; Close drains it. Idempotent, required for every runner.
 	Close()
 }
 
-// RunnerTierStats mirrors core.Stats' async-tiering counters for benchmark
-// reports and warm-up curves.
-type RunnerTierStats struct {
-	OSRCompiled   int64 `json:"osr_compiled"`
-	OSREntries    int64 `json:"osr_entries"`
-	Deopts        int64 `json:"deopts"`
-	AsyncInstalls int64 `json:"async_installs"`
-}
-
-// RunnerJITStats mirrors the tier-1 compiler's counters for benchmark
-// reports: a bail-out or a missing inline shows up here instead of as an
-// unexplained slow row.
-type RunnerJITStats struct {
-	Compiled    int      `json:"compiled"`
-	InstrsTotal int      `json:"instrs_total"`
-	Bailed      int      `json:"bailed"`
-	BailReasons []string `json:"bail_reasons,omitempty"`
-	Inlined     int      `json:"inlined"`
-}
-
-// perfPool parks managed benchmark engines between runners. Sample rows
-// that rebuild a Runner for the same module (repeated MeasureWarmup or
-// MeasurePeak calls) reset a parked engine — globals re-zeroed,
-// libc layout kept — instead of paying NewEngine's full layout cost.
-var perfPool = core.NewEnginePool(0)
-
 type managedRunner struct {
-	eng      *core.Engine
-	comp     *jit.Compiler
-	compiled int
-	bad      bool // an iteration errored: never park this engine
-	closed   bool // Close is idempotent, but Put must happen exactly once
+	eng  *core.Engine
+	comp *jit.Compiler // nil under SafeSulongNoJIT
 }
 
 func (r *managedRunner) RunIteration() error {
 	_, err := r.eng.Run()
-	if err != nil {
-		r.bad = true
-	}
 	return err
 }
 
-func (r *managedRunner) CompiledFunctions() int { return r.compiled }
-
-func (r *managedRunner) JITStats() RunnerJITStats {
-	if r.comp == nil {
-		return RunnerJITStats{}
+func (r *managedRunner) Stats() (core.Stats, jit.Stats) {
+	var js jit.Stats
+	if r.comp != nil {
+		js = r.comp.Snapshot()
 	}
-	// Snapshot, not direct field reads: async configs mutate the compiler's
-	// counters from pool workers.
-	cs := r.comp.Snapshot()
-	return RunnerJITStats{
-		Compiled:    cs.Compiled,
-		InstrsTotal: cs.InstrsTotal,
-		Bailed:      cs.Bailed,
-		BailReasons: cs.BailReasons,
-		Inlined:     cs.Inlined,
-	}
+	return r.eng.Stats(), js
 }
 
-func (r *managedRunner) TierStats() RunnerTierStats {
-	st := r.eng.Stats()
-	return RunnerTierStats{
-		OSRCompiled:   st.OSRCompiled,
-		OSREntries:    st.OSREntries,
-		Deopts:        st.Deopts,
-		AsyncInstalls: st.AsyncInstalls,
-	}
-}
-
-// Close parks the engine for the next runner of the same module instead of
-// discarding it (the pool closes it first, draining any async pool). An
-// engine whose iteration errored is closed and dropped: its state is not
-// worth trusting to a reset.
-func (r *managedRunner) Close() {
-	if r.closed {
-		return
-	}
-	r.closed = true
-	if r.bad {
-		r.eng.Close()
-		return
-	}
-	perfPool.Put(r.eng)
-}
+func (r *managedRunner) Close() { r.eng.Close() }
 
 type nativeRunner struct {
 	m *nativevm.Machine
@@ -165,11 +95,7 @@ func (r *nativeRunner) RunIteration() error {
 	return err
 }
 
-func (r *nativeRunner) CompiledFunctions() int { return 0 }
-
-func (r *nativeRunner) JITStats() RunnerJITStats { return RunnerJITStats{} }
-
-func (r *nativeRunner) TierStats() RunnerTierStats { return RunnerTierStats{} }
+func (r *nativeRunner) Stats() (core.Stats, jit.Stats) { return core.Stats{}, jit.Stats{} }
 
 func (r *nativeRunner) Close() {}
 
@@ -183,13 +109,7 @@ func NewRunner(cfgKind PerfConfig, src, arg string) (Runner, error) {
 			return nil, err
 		}
 		r := &managedRunner{}
-		ecfg := core.Config{
-			Args:   []string{arg},
-			Stdout: io.Discard,
-			OnCompile: func(string) {
-				r.compiled++
-			},
-		}
+		ecfg := core.Config{Args: []string{arg}, Stdout: io.Discard}
 		if cfgKind != SafeSulongNoJIT {
 			r.comp = jit.New()
 			ecfg.Tier1 = r.comp
@@ -202,11 +122,9 @@ func NewRunner(cfgKind PerfConfig, src, arg string) (Runner, error) {
 			ecfg.AsyncJIT = true
 			ecfg.OSRThreshold = sulong.DefaultOSRThreshold
 		}
-		eng, err := perfPool.Get(mod, ecfg)
-		if err != nil {
+		if r.eng, err = core.NewEngine(mod, ecfg); err != nil {
 			return nil, err
 		}
-		r.eng = eng
 		return r, nil
 	default:
 		optLevel := 0
@@ -302,16 +220,12 @@ func MeasureStartup(runs int) ([]StartupResult, error) {
 
 // ---- warm-up (Fig. 15) ----
 
-// WarmupSample is one time bucket of Fig. 15, extended in PR 6 with the
-// async-tiering counters so the curve shows *when* compilation happened,
-// not just how many iterations completed.
+// WarmupSample is one time bucket of Fig. 15. Compiled shows *when*
+// compilation happened, not just how many iterations completed.
 type WarmupSample struct {
-	Bucket      int // index of the time bucket
-	Iterations  int // benchmark iterations completed in this bucket
-	Compiled    int // cumulative tier-1 compiled (installed) functions at bucket end
-	OSRCompiled int // cumulative installed OSR entries at bucket end
-	OSREntries  int // cumulative OSR transfers at bucket end
-	Deopts      int // cumulative speculative deopts at bucket end
+	Bucket     int // index of the time bucket
+	Iterations int // benchmark iterations completed in this bucket
+	Compiled   int // cumulative tier-1 compiled (installed) functions at bucket end
 }
 
 // MeasureWarmup replays the paper's Fig. 15: run the benchmark continuously
@@ -327,11 +241,8 @@ func MeasureWarmup(bench benchprog.Benchmark, arg string, total time.Duration, b
 			return nil, err
 		}
 		snap := func(s *WarmupSample) {
-			s.Compiled = r.CompiledFunctions()
-			ts := r.TierStats()
-			s.OSRCompiled = int(ts.OSRCompiled)
-			s.OSREntries = int(ts.OSREntries)
-			s.Deopts = int(ts.Deopts)
+			es, _ := r.Stats()
+			s.Compiled = int(es.Tier1Funcs)
 		}
 		start := time.Now()
 		var samples []WarmupSample
@@ -372,7 +283,7 @@ type PeakResult struct {
 	// JIT carries the tier-1 compiler counters per managed configuration
 	// (compiled/bailed/inlined), so a bail-out can be asserted against
 	// instead of read off a slow row.
-	JIT map[PerfConfig]RunnerJITStats
+	JIT map[PerfConfig]jit.Stats
 }
 
 // Relative returns the ratio of a configuration's time to Clang -O0
@@ -410,7 +321,7 @@ func MeasurePeak(bench benchprog.Benchmark, arg string, warmups, samples int, cf
 	res := PeakResult{
 		Bench: bench.Name,
 		Times: map[PerfConfig]time.Duration{},
-		JIT:   map[PerfConfig]RunnerJITStats{},
+		JIT:   map[PerfConfig]jit.Stats{},
 	}
 	// Prepare every configuration's runner up front on the worker pool: the
 	// compile work (and module-cache population) overlaps across
@@ -455,7 +366,7 @@ func MeasurePeak(bench benchprog.Benchmark, arg string, warmups, samples int, cf
 		}
 		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 		res.Times[cfgKind] = times[len(times)/2]
-		res.JIT[cfgKind] = r.JITStats()
+		_, res.JIT[cfgKind] = r.Stats()
 	}
 	return res, nil
 }

@@ -209,12 +209,13 @@ func (cc *CodeCache) ReleaseModule(m *ir.Module) {
 }
 
 // CodeCacheStats is a point-in-time snapshot of cache effectiveness.
+// Fields are in key order, so the JSON form diffs stably between reports.
 type CodeCacheStats struct {
+	Evictions uint64 `json:"evictions"`
+	Funcs     int    `json:"funcs"`
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
 	Units     int    `json:"units"`
-	Funcs     int    `json:"funcs"`
 }
 
 // Stats returns hit/miss/eviction counters and the current population.

@@ -94,8 +94,8 @@ loop:
 		t.Fatal(err)
 	}
 	_, err = e.CallByName("spin", nil)
-	if comp.Compiled != 1 {
-		t.Fatalf("spin was not tier-1 compiled (Compiled=%d)", comp.Compiled)
+	if n := comp.Snapshot().Compiled; n != 1 {
+		t.Fatalf("spin was not tier-1 compiled (Compiled=%d)", n)
 	}
 	var limit *core.LimitError
 	if !errors.As(err, &limit) {
@@ -128,8 +128,8 @@ loop:
 		t.Fatal(err)
 	}
 	_, err = e.CallByName("spin", nil)
-	if comp.Compiled != 1 {
-		t.Fatalf("spin was not tier-1 compiled (Compiled=%d)", comp.Compiled)
+	if n := comp.Snapshot().Compiled; n != 1 {
+		t.Fatalf("spin was not tier-1 compiled (Compiled=%d)", n)
 	}
 	var deadline *core.DeadlineError
 	if !errors.As(err, &deadline) {

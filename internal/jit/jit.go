@@ -41,23 +41,6 @@ const (
 // access is serialized by mu — the *compiled closures* it produces still
 // execute single-threaded on the engine thread.
 type Compiler struct {
-	// Compiled counts tier-1 compiled functions; InstrsTotal their size
-	// (both committed only when a compilation succeeds, so a bail-out never
-	// skews the totals).
-	Compiled    int
-	InstrsTotal int
-	// Bailed counts compilations abandoned back to the interpreter, and
-	// BailReasons records why (capped; "func: reason"). A silent bail-out
-	// shows up in benchmarks only as slow numbers — these counters make it
-	// visible in perfbench -json and sulong -json.
-	Bailed      int
-	BailReasons []string
-	// Inlined counts call sites expanded by the tier-2 inliner.
-	Inlined int
-	// OSRCompiled counts frame-compatible on-stack-replacement entries
-	// produced (osr.go); OSRInstrs their lowered instruction count.
-	OSRCompiled int
-	OSRInstrs   int
 	// DisableMem2Reg turns off scalar promotion and every later pass
 	// (ablation benchmarks: the tier-0-shaped closure compiler).
 	DisableMem2Reg bool
@@ -70,8 +53,9 @@ type Compiler struct {
 	Cache *CodeCache
 
 	// mu serializes compilations (the engine may run them on background
-	// workers) and guards the counters above against concurrent Stats reads.
-	mu sync.Mutex
+	// workers) and guards stats against concurrent Snapshot reads.
+	mu    sync.Mutex
+	stats Stats
 
 	// sites allocates per-call-site IDs for the engine-resident state behind
 	// compiled closures (argument buffers, inline caches). When compiling
@@ -87,31 +71,31 @@ type Compiler struct {
 	osrMode      bool // lowering an OSR entry: frame-compatible, no inlining
 }
 
-// Stats is a consistent snapshot of the compiler's counters, safe to take
-// while background compilations are in flight.
+// Stats is a snapshot of the compiler's counters.
 type Stats struct {
+	// Compiled counts tier-1 compiled functions; InstrsTotal their size
+	// (both committed only when a compilation succeeds, so a bail-out never
+	// skews the totals).
 	Compiled    int
 	InstrsTotal int
+	// Bailed counts compilations abandoned back to the interpreter, and
+	// BailReasons records why (capped; "func: reason"). A silent bail-out
+	// shows up in benchmarks only as slow numbers — these counters make it
+	// visible in sulong -json and the benchmark's per-layer report.
 	Bailed      int
 	BailReasons []string
-	Inlined     int
-	OSRCompiled int
+	// Inlined counts call sites expanded by the tier-2 inliner.
+	Inlined int
 }
 
-// Snapshot returns the counters under the compile lock. Callers observing a
-// run in progress (warmup-curve capture) must use this instead of reading
-// the fields, which would race with a worker mid-compile.
+// Snapshot returns the counters under the compile lock, so it is safe to
+// take while background compilations are in flight.
 func (c *Compiler) Snapshot() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{
-		Compiled:    c.Compiled,
-		InstrsTotal: c.InstrsTotal,
-		Bailed:      c.Bailed,
-		BailReasons: append([]string(nil), c.BailReasons...),
-		Inlined:     c.Inlined,
-		OSRCompiled: c.OSRCompiled,
-	}
+	s := c.stats
+	s.BailReasons = append([]string(nil), s.BailReasons...)
+	return s
 }
 
 // New returns a tier-1 compiler.
@@ -119,9 +103,14 @@ func New() *Compiler { return &Compiler{} }
 
 // bail abandons the current compilation, recording why.
 func (c *Compiler) bail(fn string, err error) {
-	c.Bailed++
-	if len(c.BailReasons) < maxBailReasons {
-		c.BailReasons = append(c.BailReasons, fmt.Sprintf("%s: %v", fn, err))
+	c.stats.bail(fmt.Sprintf("%s: %v", fn, err))
+}
+
+// bail counts one abandoned compilation and keeps its reason, up to the cap.
+func (s *Stats) bail(reason string) {
+	s.Bailed++
+	if len(s.BailReasons) < maxBailReasons {
+		s.BailReasons = append(s.BailReasons, reason)
 	}
 }
 
@@ -160,16 +149,13 @@ type unitMeta struct {
 
 // apply commits one compilation's counter delta. Callers hold c.mu.
 func (c *Compiler) apply(m unitMeta) {
-	c.Inlined += m.inlined
+	c.stats.Inlined += m.inlined
 	if m.bailed {
-		c.Bailed++
-		if len(c.BailReasons) < maxBailReasons {
-			c.BailReasons = append(c.BailReasons, m.bailMsg)
-		}
+		c.stats.bail(m.bailMsg)
 		return
 	}
-	c.Compiled++
-	c.InstrsTotal += m.instrs
+	c.stats.Compiled++
+	c.stats.InstrsTotal += m.instrs
 }
 
 // siteID allocates the next per-call-site state ID for the current compile.
@@ -196,7 +182,7 @@ func (c *Compiler) Compile(e *core.Engine, fidx int) core.CompiledFunc {
 }
 
 // compileFn performs one tier-1 compilation and returns the closure plus its
-// counter delta, without touching the public counters. Callers hold c.mu.
+// counter delta, without touching the counters. Callers hold c.mu.
 func (c *Compiler) compileFn(e *core.Engine, fidx int) (core.CompiledFunc, unitMeta) {
 	orig := e.Module().Funcs[fidx]
 	f := cloneForJIT(orig)

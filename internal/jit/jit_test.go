@@ -214,8 +214,8 @@ entry:
 	e, _ := core.NewEngine(m, core.Config{Tier1: comp, Tier1Threshold: 1})
 	e.CallByName("f", nil)
 	e.CallByName("f", nil)
-	if comp.Compiled != 1 || comp.InstrsTotal == 0 {
-		t.Errorf("stats: %+v", comp)
+	if s := comp.Snapshot(); s.Compiled != 1 || s.InstrsTotal == 0 {
+		t.Errorf("stats: %+v", s)
 	}
 }
 
@@ -255,12 +255,13 @@ entry:
 	if got := comp.Compile(e, 0); got != nil {
 		t.Fatal("corrupted function compiled")
 	}
-	if comp.Bailed != 1 || comp.Compiled != 0 || comp.InstrsTotal != 0 {
+	s := comp.Snapshot()
+	if s.Bailed != 1 || s.Compiled != 0 || s.InstrsTotal != 0 {
 		t.Errorf("after bail: Bailed=%d Compiled=%d InstrsTotal=%d, want 1/0/0",
-			comp.Bailed, comp.Compiled, comp.InstrsTotal)
+			s.Bailed, s.Compiled, s.InstrsTotal)
 	}
-	if len(comp.BailReasons) != 1 || !strings.HasPrefix(comp.BailReasons[0], "bad: ") {
-		t.Errorf("bail reason not recorded: %q", comp.BailReasons)
+	if len(s.BailReasons) != 1 || !strings.HasPrefix(s.BailReasons[0], "bad: ") {
+		t.Errorf("bail reason not recorded: %q", s.BailReasons)
 	}
 
 	// A healthy function still compiles on the same compiler, and only its
@@ -268,15 +269,17 @@ entry:
 	if got := comp.Compile(e, 1); got == nil {
 		t.Fatal("good function failed to compile")
 	}
-	if comp.Compiled != 1 || comp.InstrsTotal == 0 {
-		t.Errorf("after success: Compiled=%d InstrsTotal=%d", comp.Compiled, comp.InstrsTotal)
+	s = comp.Snapshot()
+	if s.Compiled != 1 || s.InstrsTotal == 0 {
+		t.Errorf("after success: Compiled=%d InstrsTotal=%d", s.Compiled, s.InstrsTotal)
 	}
-	instrs := comp.InstrsTotal
+	instrs := s.InstrsTotal
 
 	// A second bail still moves only the bail counters.
 	comp.Compile(e, 0)
-	if comp.Bailed != 2 || comp.Compiled != 1 || comp.InstrsTotal != instrs {
+	s = comp.Snapshot()
+	if s.Bailed != 2 || s.Compiled != 1 || s.InstrsTotal != instrs {
 		t.Errorf("after second bail: Bailed=%d Compiled=%d InstrsTotal=%d, want 2/1/%d",
-			comp.Bailed, comp.Compiled, comp.InstrsTotal, instrs)
+			s.Bailed, s.Compiled, s.InstrsTotal, instrs)
 	}
 }

@@ -65,7 +65,6 @@ func (c *Compiler) CompileOSR(e *core.Engine, fidx, header int) core.CompiledFun
 	defer func() { c.osrMode = false }()
 
 	blocks := make([]osrBlock, len(f.Blocks))
-	instrs := 0
 	for bi, b := range f.Blocks {
 		lb, err := c.lowerOSRBlock(e, f, fidx, bi, b)
 		if err != nil {
@@ -73,10 +72,7 @@ func (c *Compiler) CompileOSR(e *core.Engine, fidx, header int) core.CompiledFun
 			return nil
 		}
 		blocks[bi] = lb
-		instrs += len(b.Instrs)
 	}
-	c.OSRCompiled++
-	c.OSRInstrs += instrs
 
 	entry := header
 	return func(e *core.Engine, fr *core.Frame) (core.Value, error) {

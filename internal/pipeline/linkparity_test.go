@@ -117,7 +117,7 @@ func linked(p parityProgram, hardened bool) (*ir.Module, error) {
 				return testPrefixes()[1], nil, nil
 			}
 			return testPrefixes()[0], nil, nil
-		})
+		}, false)
 	return mod, err
 }
 

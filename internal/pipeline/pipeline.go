@@ -74,10 +74,6 @@ type Request struct {
 	// OptLevel is the native-side optimization level (0 or 3); ignored for
 	// FlavorManaged.
 	OptLevel int
-	// Bare skips the native-opt stage entirely (not even the -O0 backend
-	// fold), yielding the raw front-end module. Only meaningful for
-	// FlavorNative; used by sulong.CompileBare.
-	Bare bool
 	// Hardened compiles the managed libc with __SS_HARDENED: the bulk-write
 	// string functions consult _bounds_of and truncate at the destination's
 	// end instead of overflowing. Ignored for FlavorNative (its hardening
@@ -268,9 +264,9 @@ var nativePrefix = sync.OnceValues(func() (*cc.Prefix, error) {
 // libc's, from libcPrefix, for the managed flavor; the empty one for the
 // native flavor. After assemble come the prefix's stages if libcPrefix ran
 // them, then user.c's preprocess, parse and lower (which links it against
-// the prefix's module), the native optimizer unless the request is bare,
-// and verify.
-func compile(req Request, libcPrefix func(hardened bool) (*cc.Prefix, []StageTiming, error)) (*ir.Module, []StageTiming, error) {
+// the prefix's module), for the native flavor the native optimizer unless
+// nativeOpt is false, and verify.
+func compile(req Request, libcPrefix func(hardened bool) (*cc.Prefix, []StageTiming, error), nativeOpt bool) (*ir.Module, []StageTiming, error) {
 	var (
 		st    stages
 		files map[string]string
@@ -303,7 +299,7 @@ func compile(req Request, libcPrefix func(hardened bool) (*cc.Prefix, []StageTim
 	if err := st.run(StageLower, func() (err error) { mod, err = u.Lower(); return err }); err != nil {
 		return nil, st, err
 	}
-	if req.Flavor == FlavorNative && !req.Bare {
+	if nativeOpt && req.Flavor == FlavorNative {
 		_ = st.run(StageNativeOpt, func() error { NativeOpt(mod, req.OptLevel); return nil })
 	}
 	if err := st.run(StageVerify, func() error { return verifyUnit(mod, pre) }); err != nil {
@@ -327,25 +323,19 @@ func verifyUnit(mod *ir.Module, pre *cc.Prefix) error {
 // managed flavor's libc prefix included, and returns a module the caller
 // owns exclusively.
 func CompileUncached(req Request) (*ir.Module, []StageTiming, error) {
-	return compile(req, buildPrefix)
+	return compile(req, buildPrefix, true)
 }
 
 // ---- cache ----
 
 // CacheStats is a snapshot of cache effectiveness counters.
+// Fields are in key order, so the JSON form diffs stably between reports.
 type CacheStats struct {
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Entries int    `json:"entries"`
-}
-
-// HitRate is Hits / (Hits + Misses), or 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
+	Entries int `json:"entries"`
+	// HitRate is Hits / (Hits + Misses), or 0 before any lookup.
+	HitRate float64 `json:"hitRate"`
+	Hits    uint64  `json:"hits"`
+	Misses  uint64  `json:"misses"`
 }
 
 type entry struct {
@@ -401,8 +391,6 @@ func normalizeKey(req Request, hash string) Key {
 	k := Key{Hash: hash, Flavor: req.Flavor, OptLevel: req.OptLevel}
 	if req.Flavor == FlavorManaged {
 		k.OptLevel = 0 // Safe Sulong always runs unoptimized IR
-	} else if req.Bare {
-		k.OptLevel = frontendLevel // the raw front-end module
 	} else if k.OptLevel >= 2 {
 		k.OptLevel = 3
 	} else {
@@ -462,9 +450,7 @@ func (c *Cache) frontendModule(req Request, hash string) (*entry, error) {
 	fk := Key{Hash: hash, Flavor: req.Flavor, OptLevel: frontendLevel}
 	e, fillIt := c.lookup(c.frontend, fk)
 	if fillIt {
-		bare := req
-		bare.Bare = true
-		e.fill(compile(bare, c.prefix))
+		e.fill(compile(req, c.prefix, false))
 	}
 	<-e.ready
 	return e, e.err
@@ -509,7 +495,7 @@ func (c *Cache) build(req Request, hash string, key Key) (*ir.Module, []StageTim
 		return nil, nil, err
 	}
 	stages := append([]StageTiming(nil), fe.stages...)
-	if key.OptLevel == frontendLevel || req.Flavor == FlavorManaged {
+	if req.Flavor == FlavorManaged {
 		// The front-end module is the final artifact.
 		return fe.mod, stages, nil
 	}
@@ -532,7 +518,11 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	n := len(c.modules) + len(c.frontend)
 	c.mu.Unlock()
-	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
+	s := CacheStats{Entries: n, Hits: c.hits.Load(), Misses: c.misses.Load()}
+	if total := s.Hits + s.Misses; total > 0 {
+		s.HitRate = float64(s.Hits) / float64(total)
+	}
+	return s
 }
 
 // Release drops every published entry whose module is mod. Drivers that

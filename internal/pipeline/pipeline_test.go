@@ -39,7 +39,7 @@ func TestCacheHitMissCounters(t *testing.T) {
 	if s.Hits != 1 || s.Misses != 1 {
 		t.Errorf("stats = %+v, want 1 hit / 1 miss", s)
 	}
-	if got := s.HitRate(); got != 0.5 {
+	if got := s.HitRate; got != 0.5 {
 		t.Errorf("hit rate = %v, want 0.5", got)
 	}
 }
@@ -58,13 +58,9 @@ func TestKeySeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := c.Compile(Request{Source: testSrc, Flavor: FlavorNative, Bare: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	mods := map[string]*ir.Module{
 		"managed": managed.Module, "nativeO0": nativeO0.Module,
-		"nativeO3": nativeO3.Module, "bare": bare.Module,
+		"nativeO3": nativeO3.Module,
 	}
 	seen := map[*ir.Module]string{}
 	for name, m := range mods {

@@ -41,7 +41,7 @@ func TestPerfCheckSmoke(t *testing.T) {
 					t.Fatalf("iteration %d: %v", i, err)
 				}
 			}
-			js := r.JITStats()
+			es, js := r.Stats()
 			if js.Bailed != 0 {
 				t.Errorf("%d bail-out(s) on a benchgame program: %v", js.Bailed, js.BailReasons)
 			}
@@ -54,7 +54,7 @@ func TestPerfCheckSmoke(t *testing.T) {
 				// Async installs are timing-dependent, but after 30 warm
 				// iterations at threshold 25 the hot functions must have been
 				// published at a dispatch point.
-				if r.CompiledFunctions() == 0 && r.TierStats().OSRCompiled == 0 {
+				if es.Tier1Funcs == 0 && es.OSRCompiled == 0 {
 					t.Error("async tier-up installed nothing after 30 iterations")
 				}
 			}

@@ -224,20 +224,6 @@ func CompileOnly(src string) (*ir.Module, error) {
 	return res.Module, nil
 }
 
-// CompileBare compiles a C program without linking the bundled libc sources
-// (headers remain available). This is the native toolchain's view: libc is
-// precompiled, only prototypes are seen at compile time. No optimizer stage
-// runs — not even the -O0 backend fold. The front-end work is cached, but
-// the returned module is a private deep copy: callers historically hand
-// CompileBare results to the optimizer, which mutates in place.
-func CompileBare(src string) (*ir.Module, error) {
-	res, err := pipeline.Compile(pipeline.Request{Source: src, Flavor: pipeline.FlavorNative, Bare: true})
-	if err != nil {
-		return nil, err
-	}
-	return res.Module.Clone(), nil
-}
-
 // CacheStats snapshots the process-wide module cache counters.
 func CacheStats() pipeline.CacheStats { return pipeline.Default.Stats() }
 
