@@ -19,8 +19,8 @@
 //	bugbench -failnth N      # fail the N-th guest heap allocation
 //	bugbench -failprob P -faultseed S  # seeded random allocation failures
 //	bugbench -retries N      # retry cells that die with internal errors
-//	bugbench -jit -jitthreshold 1 -jitasync -osrthreshold 1
-//	                         # force tiered SafeSulong cells (tier-parity check)
+//	bugbench -tier async+osr # SafeSulong cells in one tier: tier-0 (default),
+//	                         # tier-1 or async+osr (tier-parity check)
 //	bugbench -faultsweep     # FailNth=1..k sweep asserting engine survival and
 //	                         # three-tier SafeSulong parity, under the budget flags
 //	bugbench -json out.json  # also emit a machine-readable report
@@ -92,17 +92,18 @@ func main() {
 	failProb := flag.Float64("failprob", 0, "fail each guest heap allocation with this probability (0 = off)")
 	faultSeed := flag.Int64("faultseed", 0, "PRNG seed for -failprob (deterministic per cell)")
 	retries := flag.Int("retries", 0, "retry cells that die with internal engine errors this many times")
-	useJIT := flag.Bool("jit", false, "run SafeSulong cells with the tier-1 compiler enabled")
-	jitThreshold := flag.Int64("jitthreshold", 0, "call count that triggers tier-up (0 = engine default, implies -jit)")
-	jitAsync := flag.Bool("jitasync", false, "background tier-up for SafeSulong cells (implies -jit)")
-	osrThreshold := flag.Int64("osrthreshold", 0, "back-edge count that triggers on-stack replacement (0 = OSR off, implies -jit)")
+	tierName := flag.String("tier", harness.Tier0.String(), "SafeSulong tier: tier-0, tier-1 (compile on the first call) or async+osr")
 	faultSweep := flag.Bool("faultsweep", false, "run the FailNth=1..k allocation-failure sweep instead of the matrix")
 	sweepMax := flag.Int("sweepmax", 3, "with -faultsweep, sweep FailNth from 1 to this value")
 	jsonOut := flag.String("json", "", "write a machine-readable report to this file")
 	flag.Parse()
 
 	plan := fault.Plan{Seed: *faultSeed, FailNth: *failNth, FailProb: *failProb}
-	jit := *useJIT || *jitThreshold > 0 || *jitAsync || *osrThreshold > 0
+	tier, ok := parseTier(*tierName)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "bugbench: unknown -tier %q (want tier-0, tier-1 or async+osr)\n", *tierName)
+		os.Exit(2)
+	}
 	budget := harness.CaseBudget{
 		MaxSteps:      *maxSteps,
 		Timeout:       *timeout,
@@ -110,10 +111,7 @@ func main() {
 		MaxAllocBytes: *maxAlloc,
 		FaultPlan:     plan,
 		MaxRetries:    *retries,
-		JIT:           jit,
-		JITThreshold:  *jitThreshold,
-		JITAsync:      *jitAsync,
-		OSRThreshold:  *osrThreshold,
+		Tier:          tier,
 	}
 
 	switch {
@@ -198,6 +196,16 @@ func main() {
 			writeJSON(*jsonOut, rep)
 		}
 	}
+}
+
+// parseTier returns the tier whose String is s.
+func parseTier(s string) (harness.Tier, bool) {
+	for _, t := range harness.Tiers() {
+		if t.String() == s {
+			return t, true
+		}
+	}
+	return 0, false
 }
 
 // indentFollowing indents every line after the first by extra spaces, so a

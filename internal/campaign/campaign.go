@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/gen"
-	"repro/internal/harness"
 )
 
 // Finding kinds, ordered by the oracle that produces them. The first four
@@ -266,35 +265,18 @@ func Run(opts Options) (*Result, error) {
 	for i := 0; i < opts.Workers; i++ {
 		spawn()
 	}
-	// The feeder hands out indices in windows, each window reordered
-	// longest-first by the shared duration model (keyed by generator name —
-	// the only cost signal knowable before generating). The reorder buffer
-	// restores strict index order for the journal, so the schedule changes
-	// only which worker runs what when, never any output byte. Serial
-	// campaigns keep the historical sequential feed.
+	// The feeder hands out indices in order; workers finish out of order,
+	// and the reorder buffer below restores index order for the journal.
 	go func() {
 		defer close(todo)
-		window := 4 * opts.Workers
-		for lo := start; lo < opts.Programs; lo += window {
-			hi := lo + window
-			if hi > opts.Programs {
-				hi = opts.Programs
+		for i := start; i < opts.Programs; i++ {
+			if ctx.Err() != nil {
+				return
 			}
-			order := identityOrder(hi - lo)
-			if opts.Workers > 1 {
-				order = harness.CostOrder(hi-lo, func(k int) string {
-					return "campaign|" + c.genNameAt(lo+k)
-				})
-			}
-			for _, k := range order {
-				if ctx.Err() != nil {
-					return
-				}
-				select {
-				case todo <- lo + k:
-				case <-ctx.Done():
-					return
-				}
+			select {
+			case todo <- i:
+			case <-ctx.Done():
+				return
 			}
 		}
 	}()
@@ -367,15 +349,6 @@ func Run(opts Options) (*Result, error) {
 		}
 	}
 	return res, runErr
-}
-
-// identityOrder is the 0..n-1 permutation (the untrained/serial feed order).
-func identityOrder(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // apply folds one in-order record into the result. replayed marks records
@@ -452,36 +425,22 @@ func (c *campaign) worker(todo <-chan int, recs chan<- seedRecord, deaths chan<-
 	}
 }
 
-// genNameAt names program idx's generator without generating it: mutants
-// are selected by index and corpus slot alone. The feeder uses this as the
-// scheduling key — the only cost signal available before a seed runs.
-func (c *campaign) genNameAt(idx int) string {
-	if c.opts.MutateEvery > 0 && (idx+1)%c.opts.MutateEvery == 0 {
-		cases := corpus.All()
-		seed := gen.SeedAt(c.opts.Seed, idx)
-		return "mut:" + cases[int(seed%uint64(len(cases)))].Name
-	}
-	return "gen"
-}
-
-// runOne generates (or mutates) program idx and judges it, feeding the
-// judgment duration back into the shared scheduling model.
+// runOne generates program idx, or mutates a corpus case when idx is a
+// MutateEvery'th program, and judges it.
 func (c *campaign) runOne(idx int, seed uint64) seedRecord {
 	var info gen.Info
-	genName := c.genNameAt(idx)
-	if strings.HasPrefix(genName, "mut:") {
+	genName := "gen"
+	if c.opts.MutateEvery > 0 && (idx+1)%c.opts.MutateEvery == 0 {
 		cases := corpus.All()
-		info = gen.Mutate(cases[int(seed%uint64(len(cases)))].Source, seed)
+		mc := cases[int(seed%uint64(len(cases)))]
+		info, genName = gen.Mutate(mc.Source, seed), "mut:"+mc.Name
 	} else {
 		info = gen.Generate(seed)
 	}
 	if c.opts.hookJudge != nil {
 		return c.opts.hookJudge(idx, seed, info)
 	}
-	start := time.Now()
-	rec := c.judge(idx, seed, info, genName)
-	harness.ObserveCost("campaign|"+genName, time.Since(start))
-	return rec
+	return c.judge(idx, seed, info, genName)
 }
 
 func firstLine(s string) string {

@@ -88,7 +88,8 @@ func (c *campaign) judge(idx int, seed uint64, info gen.Info, genName string) se
 	tiers := harness.Tiers()
 	outs := make([]harness.Outcome, len(tiers))
 	for i, t := range tiers {
-		b := t.Budget(base)
+		b := base
+		b.Tier = t
 		o := harness.RunModule(mod, harness.SafeSulong, b)
 		switch o.Class {
 		case "deadline", "error":
@@ -101,11 +102,10 @@ func (c *campaign) judge(idx int, seed uint64, info gen.Info, genName string) se
 		}
 		outs[i] = o
 		if i > 0 && o.Signature() != outs[0].Signature() {
-			b0, bt := harness.Tier0.Budget(base), b
 			sig := fmt.Sprintf("%s vs tier-0: {%s} != {%s}", t, o.Signature(), outs[0].Signature())
 			return c.finish(rec, KindTierDivergence, sig, src, func(s string) bool {
-				a := harness.RunSource(s, harness.SafeSulong, b0)
-				z := harness.RunSource(s, harness.SafeSulong, bt)
+				a := harness.RunSource(s, harness.SafeSulong, base)
+				z := harness.RunSource(s, harness.SafeSulong, b)
 				return judgeable(a) && judgeable(z) && a.Signature() != z.Signature()
 			})
 		}
@@ -119,7 +119,8 @@ func (c *campaign) judge(idx int, seed uint64, info gen.Info, genName string) se
 			var fo [2]harness.Outcome
 			var fb [2]harness.CaseBudget
 			for i, t := range tiers[:2] {
-				fb[i] = t.Budget(base)
+				fb[i] = base
+				fb[i].Tier = t
 				fb[i].FaultPlan = fault.Plan{FailNth: nth}
 				fo[i] = harness.RunModule(mod, harness.SafeSulong, fb[i])
 				switch fo[i].Class {

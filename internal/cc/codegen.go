@@ -273,6 +273,9 @@ func (cg *codegen) constInit(e Expr, ty *CType) (ir.Const, error) {
 	case *InitList:
 		switch ty.Kind {
 		case CArray:
+			if err := cg.checkArrayInit(ty, len(v.Items), v.Pos); err != nil {
+				return nil, err
+			}
 			var elems []ir.Const
 			for _, item := range v.Items {
 				c, err := cg.constInit(item, ty.Elem)
@@ -303,11 +306,9 @@ func (cg *codegen) constInit(e Expr, ty *CType) (ir.Const, error) {
 		}
 	case *StrLit:
 		if ty.Kind == CArray {
-			data := append([]byte(v.S), 0)
-			if ty.Len >= 0 && int64(len(data)) > ty.Len {
-				// `char t[2] = "ab"` drops the NUL — standard C, and the
-				// source of several corpus bugs.
-				data = data[:ty.Len]
+			data, err := cg.strInit(ty, v.S, v.Pos)
+			if err != nil {
+				return nil, err
 			}
 			return ir.ConstBytes{Data: data}, nil
 		}
@@ -333,6 +334,36 @@ func (cg *codegen) constInit(e Expr, ty *CType) (ir.Const, error) {
 	default:
 		return ir.ConstIntVal{Ty: ty.IR(), V: truncToBits(cv.i, bitsOf(ty), isUnsigned(ty))}, nil
 	}
+}
+
+// checkArrayInit is the one initializer-length rule for arrays, global and
+// local (C11 6.7.9p2): an initializer list of n items must fit in ty. The
+// parser completes every `T a[] = ...`, so the only array still unsized
+// here is a flexible array member, which has no room for initializers.
+func (cg *codegen) checkArrayInit(ty *CType, n int, pos Pos) error {
+	if int64(n) > initRoom(ty) {
+		return cg.errAt(pos, "too many initializers for %s", ty)
+	}
+	return nil
+}
+
+// strInit returns the bytes string literal s stores into array type ty. The
+// characters must fit; the terminating NUL is dropped when they fill ty
+// exactly (C11 6.7.9p14): `char t[2] = "ab"` is standard C, and the source
+// of several corpus bugs.
+func (cg *codegen) strInit(ty *CType, s string, pos Pos) ([]byte, error) {
+	room := initRoom(ty)
+	if int64(len(s)) > room {
+		return nil, cg.errAt(pos, "initializer string too long for %s", ty)
+	}
+	data := append([]byte(s), 0)
+	return data[:min(int64(len(data)), room)], nil
+}
+
+// initRoom is the number of elements an initializer may give array type ty:
+// its length, or none for a flexible array member.
+func initRoom(ty *CType) int64 {
+	return max(ty.Len, 0)
 }
 
 func bitsOf(ty *CType) int {

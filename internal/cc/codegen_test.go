@@ -172,6 +172,42 @@ func TestCodegenErrorsAreDiagnosed(t *testing.T) {
 	}
 }
 
+// TestCodegenInitializerLength: globals and locals share one
+// initializer-length rule (C11 6.7.9p2). Excess list items, at any nesting
+// level, and a string longer than its array are errors, and a flexible
+// array member has room for neither; a string whose characters fill the
+// array exactly drops its NUL (6.7.9p14).
+func TestCodegenInitializerLength(t *testing.T) {
+	for _, tc := range []struct{ decl, msg string }{
+		{`int c[3] = {1, 2, 3, 4};`, "too many initializers for int[3]"},
+		{`int m[2][2] = {{1, 2, 3}, {4, 5}};`, "too many initializers for int[2]"},
+		{`char s[2] = "abcdef";`, "initializer string too long for char[2]"},
+		{`struct S { int n; int d[]; } s = {1, {2, 3}};`, "too many initializers for int["},
+		{`struct T { int n; char d[]; } s = {1, "abc"};`, "initializer string too long for char["},
+	} {
+		for _, src := range []string{
+			tc.decl + "\nint f(void) { return 0; }\n",
+			"int f(void) {\n  " + tc.decl + "\n  return 0;\n}\n",
+		} {
+			_, err := Compile("t.c", map[string]string{"t.c": src}, Options{})
+			if err == nil || !strings.Contains(err.Error(), "t.c:") || !strings.Contains(err.Error(), tc.msg) {
+				t.Errorf("Compile(%q) = %v, want %q", src, err, tc.msg)
+			}
+		}
+	}
+
+	m := compileSnippet(t, `
+char t[2] = "ab";
+char u[3] = "ab";
+int f(void) { char l[2] = "ab"; return l[0]; }
+`)
+	for name, want := range map[string]string{"t": "ab", "u": "ab\x00"} {
+		if b, ok := m.Global(name).Init.(ir.ConstBytes); !ok || string(b.Data) != want {
+			t.Errorf("global %s initializer %#v, want bytes %q", name, m.Global(name).Init, want)
+		}
+	}
+}
+
 func TestCodegenConstCastFoldedAtFrontEnd(t *testing.T) {
 	m := compileSnippet(t, `
 long f(void) { return (long)(char)300; }

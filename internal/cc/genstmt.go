@@ -493,13 +493,13 @@ func (g *fnGen) emitInit(addr ir.Operand, ty *CType, init Expr, pos Pos) error {
 	case *InitList:
 		switch ty.Kind {
 		case CArray:
+			if err := g.cg.checkArrayInit(ty, len(iv.Items), pos); err != nil {
+				return err
+			}
 			if int64(len(iv.Items)) < ty.Len {
 				g.emitZeroFill(addr, ty.Size())
 			}
 			for i, item := range iv.Items {
-				if ty.Len >= 0 && int64(i) >= ty.Len {
-					return g.cg.errAt(pos, "too many initializers")
-				}
 				elemAddr := g.f.NewReg()
 				g.emit(ir.Instr{Op: ir.OpGEP, Dst: elemAddr, Addr: addr, Stride: ty.Elem.Size(), A: ir.ConstInt(int64(i), ir.I64)})
 				if err := g.emitInit(ir.Reg(elemAddr, ir.BytePtr), ty.Elem, item, pos); err != nil {
@@ -530,9 +530,9 @@ func (g *fnGen) emitInit(addr ir.Operand, ty *CType, init Expr, pos Pos) error {
 		}
 	case *StrLit:
 		if ty.Kind == CArray {
-			data := append([]byte(iv.S), 0)
-			if ty.Len >= 0 && int64(len(data)) > ty.Len {
-				data = data[:ty.Len] // may drop the NUL — a real C footgun
+			data, err := g.cg.strInit(ty, iv.S, pos)
+			if err != nil {
+				return err
 			}
 			if int64(len(data)) < ty.Len {
 				g.emitZeroFill(addr, ty.Size())

@@ -177,15 +177,9 @@ type CaseBudget struct {
 	// FaultPlan injects deterministic guest allocation failures into the
 	// cell's run (the fault sweep sets FailNth).
 	FaultPlan fault.Plan
-	// JIT runs SafeSulong cells with the tier-1 compiler enabled at
-	// JITThreshold (0 = engine default). JITAsync moves tier-up onto the
-	// background compile pool; a positive OSRThreshold enables on-stack
-	// replacement at hot loop back-edges (0 = off). Other tools ignore all
-	// four; Tier.Budget sets them for the tier-parity checks.
-	JIT          bool
-	JITThreshold int64
-	JITAsync     bool
-	OSRThreshold int64
+	// Tier runs SafeSulong cells in that managed tier configuration (the
+	// zero value is tier-0, the interpreter alone). Other tools ignore it.
+	Tier Tier
 	// MaxRetries re-runs a cell that died with a contained engine panic
 	// (*core.InternalError) up to this many extra times, with bounded
 	// deterministic backoff; a cell that never recovers is quarantined
@@ -231,11 +225,11 @@ func (b CaseBudget) config(c corpus.Case, tool Tool) sulong.Config {
 	cfg.MaxHeapBytes = b.MaxHeapBytes
 	cfg.MaxAllocBytes = b.MaxAllocBytes
 	cfg.FaultPlan = b.FaultPlan
-	if tool == SafeSulong && b.JIT {
-		cfg.JIT = true
-		cfg.JITThreshold = b.JITThreshold
-		cfg.JITAsync = b.JITAsync
-		cfg.OSRThreshold = b.OSRThreshold
+	if tool == SafeSulong && b.Tier != Tier0 {
+		cfg.JIT, cfg.JITThreshold = true, 1
+		if b.Tier == TierAsyncOSR {
+			cfg.JITAsync, cfg.OSRThreshold = true, 1
+		}
 	}
 	return cfg
 }
@@ -257,20 +251,6 @@ func (t Tier) String() string { return tierNames[t] }
 
 // Tiers lists every tier, tier-0 (the reference) first.
 func Tiers() []Tier { return []Tier{Tier0, Tier1, TierAsyncOSR} }
-
-// Budget returns b with its tiering fields set to t's; every other field is
-// kept. Only SafeSulong cells read them.
-func (t Tier) Budget(b CaseBudget) CaseBudget {
-	b.JIT, b.JITAsync = t != Tier0, t == TierAsyncOSR
-	b.JITThreshold, b.OSRThreshold = 0, 0
-	if b.JIT {
-		b.JITThreshold = 1
-	}
-	if b.JITAsync {
-		b.OSRThreshold = 1
-	}
-	return b
-}
 
 // RunCase executes one corpus case under one tool with the default budget
 // and classifies the result.

@@ -2,10 +2,12 @@ package harness
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	sulong "repro"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/fault"
@@ -103,6 +105,63 @@ func TestMatrixFaultPlanDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if diags[0] != diags[1] {
 		t.Fatal("structured diagnostics differ between -parallel 1 and 8")
+	}
+}
+
+// TestFaultSweepDeterministicAcrossWorkers: the sweep's result does not
+// depend on how many workers claimed its cells or on whether the caches were
+// warm. Two cases that fail to compile put one violation in each of their
+// cells, so the violation list also pins the (case, nth, tool) order the
+// grid is assembled in.
+func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
+	all := corpus.All()
+	bad := []corpus.Case{
+		{Name: "synthetic-lower-error", Source: "int main(void) { return undeclared; }"},
+		{Name: "synthetic-parse-error", Source: "int main(void) {"},
+	}
+	cases := []corpus.Case{all[0], bad[0], all[1], bad[1]}
+	const maxNth = 2
+	run := func(workers int) *SweepResult {
+		return FaultSweep(SweepOptions{Cases: cases, MaxNth: maxNth, Workers: workers})
+	}
+
+	sulong.ResetCache()
+	want := run(1)
+	var wantViolations []SweepViolation
+	for _, c := range bad {
+		for nth := 1; nth <= maxNth; nth++ {
+			for _, tool := range Tools() {
+				wantViolations = append(wantViolations, SweepViolation{Case: c.Name, Tool: tool.String(), Nth: nth, Kind: "panic"})
+			}
+		}
+	}
+	if len(want.Violations) != len(wantViolations) {
+		t.Fatalf("%d violations, want %d:\n%s", len(want.Violations), len(wantViolations), want.Render())
+	}
+	for i, v := range want.Violations {
+		v.Detail = ""
+		if v != wantViolations[i] {
+			t.Fatalf("violation %d is %+v, want %+v", i, v, wantViolations[i])
+		}
+	}
+	// Each good case runs every tool once per nth, plus two more tiers for
+	// SafeSulong; a bad case stops each cell at its first run.
+	if wantRuns := 2*maxNth*(len(Tools())+2) + 2*maxNth*len(Tools()); want.Runs != wantRuns {
+		t.Fatalf("Runs = %d, want %d", want.Runs, wantRuns)
+	}
+
+	for _, v := range []struct {
+		name    string
+		workers int
+		cold    bool
+	}{{"warm/workers=4", 4, false}, {"cold/workers=4", 4, true}, {"warm/workers=1", 1, false}} {
+		if v.cold {
+			sulong.ResetCache()
+		}
+		got := run(v.workers)
+		if got.Render() != want.Render() || got.Runs != want.Runs || !reflect.DeepEqual(got.Violations, want.Violations) {
+			t.Errorf("%s differs from cold/workers=1:\n%s\n---\n%s", v.name, got.Render(), want.Render())
+		}
 	}
 }
 

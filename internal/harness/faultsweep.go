@@ -22,7 +22,7 @@ type SweepOptions struct {
 	// Workers bounds the goroutine pool (<= 0 = GOMAXPROCS, 1 = serial).
 	Workers int
 	// Budget bounds every run (see CaseBudget). The sweep sets its
-	// FaultPlan and its tier fields; the rest applies as given.
+	// FaultPlan and Tier; the rest applies as given.
 	Budget CaseBudget
 	// Progress, when non-nil, is called after every completed (case, nth,
 	// tool) cell with the running count. Calls are serialized, so the
@@ -100,22 +100,12 @@ func FaultSweep(opts SweepOptions) *SweepResult {
 		maxNth = 3
 	}
 	nt := len(tools)
-	total := len(cases) * maxNth * nt
-
-	grid := make([]sweepCell, total)
-	tick := serialProgress(opts.Progress, total)
-	// Longest-first claim order from the shared duration model. Every nth of
-	// one (case, tool) pair shares a key — injection changes where a run
-	// stops, not its scale — so matrix runs train the sweep's schedule too.
-	order := costs.order(total, func(i int) string {
-		return cases[i/(maxNth*nt)].Name + "|" + tools[i%(maxNth*nt)%nt].String()
-	})
-	ForEachOrdered(total, opts.Workers, order, func(i int) {
+	cols := maxNth * nt
+	grid := make([]sweepCell, len(cases)*cols)
+	tick := serialProgress(opts.Progress, len(grid))
+	forEachCell(len(cases), cols, opts.Workers, func(ci, col int) {
 		defer tick()
-		c := cases[i/(maxNth*nt)]
-		rem := i % (maxNth * nt)
-		nth, tool := rem/nt+1, tools[rem%nt]
-		costs.timedCell(c.Name+"|"+tool.String(), func() { grid[i] = runSweepCell(c, tool, nth, opts.Budget) })
+		grid[ci*cols+col] = runSweepCell(cases[ci], tools[col%nt], col/nt+1, opts.Budget)
 	})
 
 	res := &SweepResult{Cases: len(cases), MaxNth: maxNth}
@@ -147,7 +137,8 @@ func runSweepCell(c corpus.Case, tool Tool, nth int, b CaseBudget) (out sweepCel
 	}
 	var o0 Outcome
 	for k, t := range tiers {
-		o, cell := runCase(c, tool, t.Budget(b))
+		b.Tier = t
+		o, cell := runCase(c, tool, b)
 		out.runs++
 		if cell.RunError != "" {
 			if k > 0 {

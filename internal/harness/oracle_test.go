@@ -83,7 +83,9 @@ func TestClassifyTimeoutDeadlineOOMTable(t *testing.T) {
 func TestFaultSweepDeadlineIsNotTierMismatch(t *testing.T) {
 	b := CaseBudget{MaxSteps: -1, Timeout: 30 * time.Millisecond}
 	for _, tier := range Tiers() {
-		if o, _ := runCase(spinCase(), SafeSulong, tier.Budget(b)); o.Class != "deadline" {
+		tb := b
+		tb.Tier = tier
+		if o, _ := runCase(spinCase(), SafeSulong, tb); o.Class != "deadline" {
 			t.Fatalf("%v: class %q, want deadline", tier, o.Class)
 		}
 	}

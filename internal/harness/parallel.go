@@ -64,6 +64,17 @@ func ForEach(n, workers int, fn func(i int)) {
 	}
 }
 
+// forEachCell fans fn out over a rows × cols grid on ForEach's pool. Claim
+// k runs cell (k % rows, k / rows), column by column: workers running at
+// the same time take one column of neighbouring rows. The drivers make
+// cases the rows, and a case's native-tool columns share its compiled
+// modules, so in row order one worker would wait on another's compile of
+// the same case. fn places its result by (row, col), so output does not
+// depend on the claim order or the worker count.
+func forEachCell(rows, cols, workers int, fn func(row, col int)) {
+	ForEach(rows*cols, workers, func(k int) { fn(k%rows, k/rows) })
+}
+
 // serialProgress returns a callback to call once per completed item: it
 // reports the running count to progress, serialized, so progress needs no
 // locking of its own. A nil progress makes it a no-op.
@@ -127,18 +138,8 @@ func RunDetectionMatrixWith(opts MatrixOptions) *MatrixResult {
 	total := len(cases) * nt
 	grid := make([]Detection, total)
 	tick := serialProgress(opts.Progress, total)
-	// Longest-first claim order from the duration model (cold start: index
-	// order). Cells land by index, so the grid — and everything rendered
-	// from it — is byte-identical whatever order the workers claimed.
-	order := costs.order(total, func(i int) string {
-		return cases[i/nt].Name + "|" + tools[i%nt].String()
-	})
-	ForEachOrdered(total, opts.Workers, order, func(i int) {
-		c := cases[i/nt]
-		tool := tools[i%nt]
-		costs.timedCell(c.Name+"|"+tool.String(), func() {
-			grid[i] = RunCaseWith(c, tool, opts.Budget)
-		})
+	forEachCell(len(cases), nt, opts.Workers, func(ci, ti int) {
+		grid[ci*nt+ti] = RunCaseWith(cases[ci], tools[ti], opts.Budget)
 		tick()
 	})
 

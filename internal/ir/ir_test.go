@@ -226,6 +226,53 @@ func TestVerifyExtension(t *testing.T) {
 	}
 }
 
+// TestVerifyInitializerFitsType: a global's initializer must fit its type
+// at every level, whether the front end built it or it was parsed from IR
+// text (where aggregate constants carry no type of their own). An
+// exact-fit byte string without its NUL stays legal.
+func TestVerifyInitializerFitsType(t *testing.T) {
+	for _, tc := range []struct {
+		global string
+		ok     bool
+	}{
+		{`global @c [3 x i32] = array [int 1, int 2, int 3]`, true},
+		{`global @c [3 x i32] = array [int 1, int 2, int 3, int 4]`, false},
+		{`global @m [2 x [2 x i32]] = array [array [int 1, int 2], array [int 4]]`, true},
+		{`global @m [2 x [2 x i32]] = array [array [int 1, int 2, int 3], array [int 4, int 5]]`, false},
+		{`global @s [2 x i8] = bytes "ab"`, true},
+		{`global @s [2 x i8] = bytes "abcdef\x00"`, false},
+		{`global @p %pair = fields {int 1, int 2, int 3}`, false},
+		{`global @q i32 = array [int 1]`, false},
+	} {
+		m, err := Parse("module \"v\"\nstruct %pair { i32 a, i32 b }\n" + tc.global + "\n")
+		if err != nil {
+			t.Fatalf("parse %s: %v", tc.global, err)
+		}
+		if err := Verify(m); (err == nil) != tc.ok {
+			t.Errorf("%s: Verify says %v, want ok=%v", tc.global, err, tc.ok)
+		}
+	}
+
+	// The front end's form, typed constants included.
+	m := NewModule("v")
+	at := &ArrayType{Elem: I32, Len: 3}
+	m.AddGlobal(&Global{Name: "count", Ty: at, Init: ConstArrayVal{Ty: at, Elems: []Const{
+		ConstIntVal{Ty: I32, V: 1}, ConstIntVal{Ty: I32, V: 2}, ConstIntVal{Ty: I32, V: 3}, ConstIntVal{Ty: I32, V: 4},
+	}}})
+	if err := Verify(m); err == nil || !strings.Contains(err.Error(), "global count") {
+		t.Errorf("Verify says %v, want an error naming global count", err)
+	}
+	// VerifyExtension checks the extension's own globals, not its base's.
+	ext := m.Extend()
+	if err := VerifyExtension(ext, m); err != nil {
+		t.Errorf("VerifyExtension checked a global it shares with its base: %v", err)
+	}
+	ext.AddGlobal(&Global{Name: "user", Ty: &ArrayType{Elem: I8, Len: 2}, Init: ConstBytes{Data: []byte("abc")}})
+	if err := VerifyExtension(ext, m); err == nil || !strings.Contains(err.Error(), "global user") || strings.Contains(err.Error(), "global count") {
+		t.Errorf("VerifyExtension says %v, want an error naming only global user", err)
+	}
+}
+
 func TestVerifyCatchesMissingTerminator(t *testing.T) {
 	m := NewModule("v")
 	f := &Func{Name: "f", Sig: &FuncType{Ret: Void}, NumRegs: 1}

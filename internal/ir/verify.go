@@ -13,25 +13,36 @@ import (
 //   - branch targets are valid block indices,
 //   - registers are in range [0, NumRegs),
 //   - operands referencing globals/functions resolve within the module,
-//   - call instructions to known functions pass at least the fixed arg count.
-func Verify(m *Module) error { return verifyFuncs(m, nil) }
+//   - call instructions to known functions pass at least the fixed arg count,
+//   - a global's initializer fits its type (see verifyInit).
+func Verify(m *Module) error { return verify(m, nil, nil) }
 
-// VerifyExtension checks what Verify checks, on the functions of m that are
-// not base's: m extends base (Module.Extend), and base passed Verify. A
-// function counts as base's only when it is base's *Func at the same index,
-// so a definition that replaced a slot is checked under the slot's old
-// name. The functions it skips verify the same in m as in base as long as
-// m keeps every name base's code mentions, with the signature base gave
-// it: Extend keeps every name, a replaced slot keeps its name, and the
-// front end refuses to change the prototype of a name base's code
-// mentions. So it reports what Verify(m) would.
-func VerifyExtension(m, base *Module) error { return verifyFuncs(m, base.Funcs) }
+// VerifyExtension checks what Verify checks, on the globals and functions of
+// m that are not base's: m extends base (Module.Extend), and base passed
+// Verify. A global or function counts as base's only when it is base's
+// pointer at the same index, so a definition that replaced a slot is
+// checked under the slot's old name. The functions it skips verify the
+// same in m as in base as long as m keeps every name base's code mentions,
+// with the signature base gave it: Extend keeps every name, a replaced slot
+// keeps its name, and the front end refuses to change the prototype of a
+// name base's code mentions. A skipped global's initializer is unchanged.
+// So it reports what Verify(m) would.
+func VerifyExtension(m, base *Module) error { return verify(m, base.Globals, base.Funcs) }
 
-// verifyFuncs verifies m's functions, skipping shared[i] at index i.
-func verifyFuncs(m *Module, shared []*Func) error {
+// verify verifies m's globals and functions, skipping sharedGlobals[i] and
+// sharedFuncs[i] at index i.
+func verify(m *Module, sharedGlobals []*Global, sharedFuncs []*Func) error {
 	var errs []error
+	for i, g := range m.Globals {
+		if g.Init == nil || i < len(sharedGlobals) && sharedGlobals[i] == g {
+			continue
+		}
+		if err := verifyInit(g.Init, g.Ty); err != nil {
+			errs = append(errs, fmt.Errorf("global %s: %w", g.Name, err))
+		}
+	}
 	for i, f := range m.Funcs {
-		if f.IsDecl || i < len(shared) && shared[i] == f {
+		if f.IsDecl || i < len(sharedFuncs) && sharedFuncs[i] == f {
 			continue
 		}
 		if len(f.Blocks) == 0 {
@@ -56,6 +67,46 @@ func verifyFuncs(m *Module, shared []*Func) error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// verifyInit checks that initializer c fits type t, as the engines lay it
+// out: an array constant has at most t's length in elements, a byte string
+// at most t's size in bytes, and a struct constant at most t's fields, each
+// element fitting its own type (C11 6.7.9p2 for the front end's output).
+func verifyInit(c Const, t Type) error {
+	switch v := c.(type) {
+	case ConstBytes:
+		if int64(len(v.Data)) > t.Size() {
+			return fmt.Errorf("%d-byte initializer for %d-byte %s", len(v.Data), t.Size(), t)
+		}
+	case ConstArrayVal:
+		at, ok := t.(*ArrayType)
+		if !ok {
+			return fmt.Errorf("array initializer for non-array type %s", t)
+		}
+		if int64(len(v.Elems)) > at.Len {
+			return fmt.Errorf("%d-element initializer for %s", len(v.Elems), t)
+		}
+		for i, e := range v.Elems {
+			if err := verifyInit(e, at.Elem); err != nil {
+				return fmt.Errorf("element %d: %w", i, err)
+			}
+		}
+	case ConstStructVal:
+		st, ok := t.(*StructType)
+		if !ok {
+			return fmt.Errorf("struct initializer for non-struct type %s", t)
+		}
+		if len(v.Fields) > len(st.Fields) {
+			return fmt.Errorf("%d-field initializer for %s", len(v.Fields), t)
+		}
+		for i, f := range v.Fields {
+			if err := verifyInit(f, st.Fields[i].Ty); err != nil {
+				return fmt.Errorf("field %d: %w", i, err)
+			}
+		}
+	}
+	return nil
 }
 
 func verifyInstr(m *Module, f *Func, in *Instr) error {

@@ -33,7 +33,8 @@ func (p parityProgram) extraFiles() map[string]string {
 // program, the first 200 seed-1 generated programs with one mutant each,
 // one program failing in each front-end stage, since an error's position
 // names where the unit was when it failed, redeclarations of libc's names
-// by programs that do not include its headers, and the include-guard cases.
+// by programs that do not include its headers, the include-guard cases and
+// the initializer-length cases.
 func parityPrograms() []parityProgram {
 	ps := []parityProgram{
 		{"error/preprocess", "#include \"missing.h\"\nint main(void) { return 0; }\n", ""},
@@ -43,6 +44,7 @@ func parityPrograms() []parityProgram {
 	}
 	ps = append(ps, redeclarations...)
 	ps = append(ps, guardPrograms...)
+	ps = append(ps, initPrograms...)
 	for _, c := range corpus.All() {
 		ps = append(ps, parityProgram{"corpus/" + c.Name, c.Source, ""})
 	}
@@ -83,6 +85,23 @@ var guardPrograms = []parityProgram{
 		"/* user.h */\n#ifndef USER_H\n#define USER_H\n#define TWICE 40\nint twice = 2;\n#endif\n"},
 	{"guard/define-libc", "#define _STRING_H\n#include <string.h>\n#include <stdio.h>\nint main(void) { printf(\"%d\\n\", (int)strlen(\"abc\")); return 0; }\n", ""},
 	{"guard/depth", "#include <stdio.h>\n#include \"user.c\"\nint main(void) { return 0; }\n", ""},
+}
+
+// initPrograms exceed an array with their initializer, a C11 6.7.9p2
+// constraint violation, as a global and as a local: a list, a nested list
+// and a string, and a flexible array member, which has no room for any
+// initializer. The last fits a string exactly, dropping its NUL, which is
+// legal.
+var initPrograms = []parityProgram{
+	{"init/global-list", "int count[3] = {1, 2, 3, 4};\nint main(void) { return count[0]; }\n", ""},
+	{"init/global-nested", "int m[2][2] = {{1, 2, 3}, {4, 5}};\nint main(void) { return m[0][0]; }\n", ""},
+	{"init/global-string", "char s[2] = \"abcdef\";\nint main(void) { return s[0]; }\n", ""},
+	{"init/local-list", "int main(void) {\n  int count[3] = {1, 2, 3, 4};\n  return count[0];\n}\n", ""},
+	{"init/local-nested", "int main(void) {\n  int m[2][2] = {{1, 2, 3}, {4, 5}};\n  return m[0][0];\n}\n", ""},
+	{"init/local-string", "int main(void) {\n  char s[2] = \"abcdef\";\n  return s[0];\n}\n", ""},
+	{"init/global-flexible", "struct S { int n; int d[]; } s = {1, {2, 3}};\nint main(void) { return s.n; }\n", ""},
+	{"init/local-flexible", "struct S { int n; char d[]; };\nint main(void) {\n  struct S s = {1, \"abc\"};\n  return s.n;\n}\n", ""},
+	{"init/exact-fit-string", "char t[2] = \"ab\";\nint main(void) { char u[2] = \"ab\"; return t[1] - u[1]; }\n", ""},
 }
 
 // singleUnit compiles src the way the managed toolchain did before the
