@@ -90,11 +90,14 @@ typecheck:
 # every finding auto-minimized and re-verified — plus the campaign's own
 # resilience suite: resume byte-identity after cancellation and after a
 # real kill -9, worker panic storms with zero leaked goroutines, journal
-# torn-tail recovery, and the committed fuzz-find regressions.
+# torn-tail recovery, the committed fuzz-find regressions, and the
+# front end's fuzz seeds (corpus and benchmark sources plus committed
+# crashers through CompileFor, every toolchain view: no compiler panic).
 # The campaign package gets its own generous timeout: 200 race-instrumented
 # programs × ~10 oracle runs each is real work on a small machine.
 fuzzcheck:
 	FUZZCHECK_PROGRAMS=200 $(GO) test -race -timeout 600s -run 'Campaign|Journal|Minimize|FuzzFinds|Generate|Mutate|SweepProgress|Backoff' ./internal/campaign ./internal/gen ./internal/corpus ./internal/harness
+	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'FuzzCompileFor' .
 
 # Compile-once/run-many gate: the full-corpus warm-vs-cold parity pin (a
 # code-cache hit on a pooled engine must be observationally identical to a

@@ -42,6 +42,17 @@ type CStructInfo struct {
 	frozen bool
 }
 
+// completeMember reports whether a struct member may have type t: not a
+// struct that is incomplete, nor an array of one (C11 6.7.2.1p3). A
+// struct being defined is incomplete until its closing brace, so no struct
+// contains itself.
+func (t *CType) completeMember() bool {
+	for t.Kind == CArray {
+		t = t.Elem
+	}
+	return t.Kind != CStruct || t.Struct.Complete
+}
+
 // CField is one struct member.
 type CField struct {
 	Name string

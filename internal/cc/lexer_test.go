@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -96,14 +97,24 @@ func TestLexComments(t *testing.T) {
 }
 
 func TestLexPunctuatorsLongestMatch(t *testing.T) {
-	toks := lexKinds(t, "<<= >>= ... << >> <= >= == != && || ++ -- -> += <")
-	want := []string{"<<=", ">>=", "...", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "++", "--", "->", "+=", "<"}
-	if len(toks) != len(want) {
-		t.Fatalf("got %d tokens, want %d", len(toks), len(want))
-	}
-	for i, w := range want {
-		if toks[i].Text != w {
-			t.Errorf("punct %d = %q, want %q", i, toks[i].Text, w)
+	for _, c := range []struct {
+		src  string
+		want []string
+	}{
+		{"<<= >>= ... << >> <= >= == != && || ++ -- -> += <",
+			[]string{"<<=", ">>=", "...", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "++", "--", "->", "+=", "<"}},
+		{"-= *= /= %= &= |= ^= ## + - * / % & | ^ ~ ! = > ? : ; , . ( ) { } [ ] #",
+			[]string{"-=", "*=", "/=", "%=", "&=", "|=", "^=", "##", "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "=", ">", "?", ":", ";", ",", ".", "(", ")", "{", "}", "[", "]", "#"}},
+		// Adjacent punctuators split longest-first, left to right.
+		{"<<<= .. ->> +++ &&& ##= !==", []string{"<<", "<=", ".", ".", "->", ">", "++", "+", "&&", "&", "##", "=", "!=", "="}},
+	} {
+		toks := lexKinds(t, c.src)
+		var got []string
+		for _, tok := range toks {
+			got = append(got, tok.Text)
+		}
+		if strings.Join(got, " ") != strings.Join(c.want, " ") {
+			t.Errorf("%q lexed as %q, want %q", c.src, got, c.want)
 		}
 	}
 }

@@ -30,7 +30,7 @@ func (p *Parser) program() (*Program, error) {
 	return prog, nil
 }
 
-func (p *Parser) tok() Token { return p.toks[p.pos] }
+func (p *Parser) tok() *Token { return &p.toks[p.pos] }
 
 func (p *Parser) atEOF() bool { return p.tok().Kind == TokEOF }
 
@@ -262,6 +262,9 @@ func (p *Parser) structSpec(isUnion bool) (*CType, error) {
 				}
 				if name == "" {
 					return nil, p.errf("struct member requires a name")
+				}
+				if !ty.completeMember() {
+					return nil, p.errf("member %q has incomplete type %s", name, ty)
 				}
 				info.Fields = append(info.Fields, CField{Name: name, Ty: ty})
 				if !p.accept(",") {
@@ -842,7 +845,7 @@ func (p *Parser) assignExpr() (Expr, error) {
 }
 
 func (p *Parser) condExpr() (Expr, error) {
-	c, err := p.binExpr(0)
+	c, err := p.binExpr(1)
 	if err != nil {
 		return nil, err
 	}
@@ -865,49 +868,38 @@ func (p *Parser) condExpr() (Expr, error) {
 	return &Cond{C: c, T: t, F: f, Pos: pos}, nil
 }
 
-// binLevels lists binary operators from lowest to highest precedence.
-var binLevels = [][]string{
-	{"||"},
-	{"&&"},
-	{"|"},
-	{"^"},
-	{"&"},
-	{"==", "!="},
-	{"<", ">", "<=", ">="},
-	{"<<", ">>"},
-	{"+", "-"},
-	{"*", "/", "%"},
+// binPrec gives each binary operator its precedence, higher binding tighter.
+var binPrec = map[string]int{
+	"||": 1, "&&": 2, "|": 3, "^": 4, "&": 5, "==": 6, "!=": 6,
+	"<": 7, ">": 7, "<=": 7, ">=": 7, "<<": 8, ">>": 8,
+	"+": 9, "-": 9, "*": 10, "/": 10, "%": 10,
 }
 
-func (p *Parser) binExpr(level int) (Expr, error) {
-	if level >= len(binLevels) {
-		return p.castExpr()
-	}
-	l, err := p.binExpr(level + 1)
+// binExpr parses a cast expression followed by binary operators of
+// precedence minPrec (at least 1) or higher, by precedence climbing: each
+// operator's right operand takes only the operators that bind tighter, so
+// the operators associate to the left.
+func (p *Parser) binExpr(minPrec int) (Expr, error) {
+	l, err := p.castExpr()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		t := p.tok()
-		matched := ""
+		prec := 0
 		if t.Kind == TokPunct {
-			for _, op := range binLevels[level] {
-				if t.Text == op {
-					matched = op
-					break
-				}
-			}
+			prec = binPrec[t.Text]
 		}
-		if matched == "" {
+		if prec < minPrec {
 			return l, nil
 		}
 		pos := p.here()
 		p.pos++
-		r, err := p.binExpr(level + 1)
+		r, err := p.binExpr(prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		l = &Binary{Op: matched, X: l, Y: r, Pos: pos}
+		l = &Binary{Op: t.Text, X: l, Y: r, Pos: pos}
 	}
 }
 

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -120,6 +121,22 @@ func TestParseSelfReferentialStruct(t *testing.T) {
 	}
 }
 
+// TestParseIncompleteMember pins C11 6.7.2.1p3: a member may not be of an
+// incomplete struct type, the struct being defined included, which once
+// laid out a struct containing itself until the stack overflowed.
+func TestParseIncompleteMember(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"struct node { int v; struct node next; };", `t.c:1: member "next" has incomplete type struct node`},
+		{"struct node { struct node next[2]; };", `t.c:1: member "next" has incomplete type struct node[2]`},
+		{"struct later;\nunion u { int i;\n  struct later l; };", `t.c:3: member "l" has incomplete type struct later`},
+	} {
+		if err := parseErr(t, c.src); err == nil || err.Error() != c.want {
+			t.Errorf("%q: got error %v, want %q", c.src, err, c.want)
+		}
+	}
+	parse(t, "struct later; struct a { struct later *p; }; struct later { struct a a[2]; };")
+}
+
 func TestParseEnumConstantsFold(t *testing.T) {
 	prog := parse(t, "enum e { A, B = 10, C }; int arr[C];")
 	vd := prog.Decls[len(prog.Decls)-1].(*VarDecl)
@@ -148,17 +165,72 @@ func TestParseInferArrayLenFromInit(t *testing.T) {
 	}
 }
 
+// TestParsePrecedence pins the binary operators' precedence and
+// associativity: `a OP1 b OP2 c` for every ordered pair of them, and the
+// boundaries with unary operators, casts and the conditional operator.
 func TestParsePrecedence(t *testing.T) {
-	prog := parse(t, "int x = 2 + 3 * 4;")
-	vd := prog.Decls[0].(*VarDecl)
-	bin, ok := vd.Init.(*Binary)
-	if !ok || bin.Op != "+" {
-		t.Fatalf("top op should be +, got %T", vd.Init)
+	// C's binary operators, from the loosest binding to the tightest.
+	levels := [][]string{
+		{"||"}, {"&&"}, {"|"}, {"^"}, {"&"}, {"==", "!="},
+		{"<", ">", "<=", ">="}, {"<<", ">>"}, {"+", "-"}, {"*", "/", "%"},
 	}
-	rhs, ok := bin.Y.(*Binary)
-	if !ok || rhs.Op != "*" {
-		t.Fatalf("rhs should be *")
+	type row struct{ src, want string }
+	var rows []row
+	for l1, ops1 := range levels {
+		for l2, ops2 := range levels {
+			for _, op1 := range ops1 {
+				for _, op2 := range ops2 {
+					src := fmt.Sprintf("a %s b %s c", op1, op2)
+					want := fmt.Sprintf("((a %s b) %s c)", op1, op2)
+					if l2 > l1 {
+						want = fmt.Sprintf("(a %s (b %s c))", op1, op2)
+					}
+					rows = append(rows, row{src, want})
+				}
+			}
+		}
 	}
+	if len(rows) != 18*18 {
+		t.Fatalf("%d operator pairs, want 18*18", len(rows))
+	}
+	rows = append(rows,
+		row{"2 + 3 * 4", "(2 + (3 * 4))"},
+		row{"-a * b", "((-a) * b)"},
+		row{"a * -b", "(a * (-b))"},
+		row{"!a && b", "((!a) && b)"},
+		row{"(int)a + b", "(((int)a) + b)"},
+		row{"a + (int)b * c", "(a + (((int)b) * c))"},
+		row{"a ? b : c || d", "(a ? b : (c || d))"},
+		row{"a || b ? c : d", "((a || b) ? c : d)"},
+		row{"a ? b : c ? d : e", "(a ? b : (c ? d : e))"},
+		row{"(a + b) * c", "((a + b) * c)"},
+	)
+	for _, r := range rows {
+		prog := parse(t, "int x = "+r.src+";")
+		if got := exprString(prog.Decls[0].(*VarDecl).Init); got != r.want {
+			t.Errorf("%s: parsed as %s, want %s", r.src, got, r.want)
+		}
+	}
+}
+
+// exprString renders the expressions TestParsePrecedence parses, with
+// every operation parenthesized.
+func exprString(e Expr) string {
+	switch e := e.(type) {
+	case *Ident:
+		return e.Name
+	case *IntLit:
+		return fmt.Sprint(e.V)
+	case *Unary:
+		return "(" + e.Op + exprString(e.X) + ")"
+	case *CastExpr:
+		return "((" + e.Ty.String() + ")" + exprString(e.X) + ")"
+	case *Binary:
+		return "(" + exprString(e.X) + " " + e.Op + " " + exprString(e.Y) + ")"
+	case *Cond:
+		return "(" + exprString(e.C) + " ? " + exprString(e.T) + " : " + exprString(e.F) + ")"
+	}
+	return fmt.Sprintf("%T", e)
 }
 
 func TestParseErrorsHaveLocations(t *testing.T) {

@@ -143,14 +143,7 @@ func (u *Unit) Preprocess(file string) error {
 		return err
 	}
 	p.out = append(p.out, Token{Kind: TokEOF, File: u.pre.unit})
-	// Drop newline tokens: the parser is not line-oriented.
-	toks := p.out[:0]
-	for _, t := range p.out {
-		if t.Kind != TokNewline {
-			toks = append(toks, t)
-		}
-	}
-	u.toks, u.macros, u.budget, u.guards = toks, p.macros, p.maxWork, p.guards
+	u.toks, u.macros, u.budget, u.guards = p.out, p.macros, p.maxWork, p.guards
 	return nil
 }
 

@@ -1,7 +1,9 @@
 package cc
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -65,6 +67,8 @@ func (p *preprocessor) processFile(name string) error {
 	if guard, ok := includeGuard(toks); ok {
 		p.guards[name] = guard
 	}
+	// The file's tokens come out at most once each, bar macro expansions.
+	p.out = slices.Grow(p.out, len(toks))
 	return p.processTokens(toks)
 }
 
@@ -91,14 +95,14 @@ func includeGuard(toks []Token) (string, bool) {
 	for i < len(toks) && toks[i].Kind == TokNewline {
 		i++
 	}
-	if i+3 >= len(toks) || !isHash(toks[i]) || toks[i+1].Text != "ifndef" ||
+	if i+3 >= len(toks) || !isHash(&toks[i]) || toks[i+1].Text != "ifndef" ||
 		toks[i+2].Kind != TokIdent || toks[i+3].Kind != TokNewline {
 		return "", false
 	}
 	guard := toks[i+2].Text
 	depth := 0
 	for atLineStart := true; i < len(toks) && toks[i].Kind != TokEOF; i++ {
-		t := toks[i]
+		t := &toks[i]
 		if t.Kind == TokNewline {
 			atLineStart = true
 			continue
@@ -136,14 +140,18 @@ func includeGuard(toks []Token) (string, bool) {
 	return "", false // the group is unterminated
 }
 
-func isHash(t Token) bool { return t.Kind == TokPunct && t.Text == "#" }
+func isHash(t *Token) bool { return t.Kind == TokPunct && t.Text == "#" }
 
 // condState tracks one #if level.
 type condState struct {
 	active    bool // this branch is being emitted
 	taken     bool // some branch at this level has been emitted
 	parentOff bool
+	sawElse   bool // the level's #else has been seen: no #elif or #else may follow
 }
+
+// errBudget reports that a unit's macro expansion ran out of work.
+var errBudget = errors.New("cc: macro expansion budget exceeded (recursive macro?)")
 
 func (p *preprocessor) processTokens(toks []Token) error {
 	var conds []condState
@@ -158,12 +166,13 @@ func (p *preprocessor) processTokens(toks []Token) error {
 		return true
 	}
 	for i < len(toks) {
-		t := toks[i]
+		t := &toks[i]
 		if t.Kind == TokEOF {
 			break
 		}
 		if t.Kind == TokNewline {
-			p.out = append(p.out, t)
+			// The parser is not line-oriented: newlines end directives and
+			// are not emitted.
 			atLineStart = true
 			i++
 			continue
@@ -174,8 +183,7 @@ func (p *preprocessor) processTokens(toks []Token) error {
 			for j < len(toks) && toks[j].Kind != TokNewline && toks[j].Kind != TokEOF {
 				j++
 			}
-			line := toks[i+1 : j]
-			if err := p.directive(line, &conds, emitting()); err != nil {
+			if err := p.directive(toks[i+1:j], &conds, emitting()); err != nil {
 				return fmt.Errorf("%s:%d: %w", t.File, t.Line, err)
 			}
 			i = j
@@ -183,6 +191,16 @@ func (p *preprocessor) processTokens(toks []Token) error {
 		}
 		atLineStart = false
 		if !emitting() {
+			i++
+			continue
+		}
+		if t.Kind != TokIdent || p.macros[t.Text] == nil {
+			// Not a macro invocation: fullExpand's identity case, for the
+			// same one unit of work.
+			if p.maxWork--; p.maxWork < 0 {
+				return fmt.Errorf("%s:%d: %w", t.File, t.Line, errBudget)
+			}
+			p.out = append(p.out, *t)
 			i++
 			continue
 		}
@@ -233,9 +251,8 @@ func (p *preprocessor) fullExpand(inv []Token) ([]Token, error) {
 	var out []Token
 	idx := 0
 	for idx < len(queue) {
-		p.maxWork--
-		if p.maxWork < 0 {
-			return nil, fmt.Errorf("cc: macro expansion budget exceeded (recursive macro?)")
+		if p.maxWork--; p.maxWork < 0 {
+			return nil, errBudget
 		}
 		t := queue[idx]
 		if t.Kind != TokIdent {
@@ -415,6 +432,9 @@ func (p *preprocessor) directive(line []Token, conds *[]condState, emitting bool
 			return fmt.Errorf("#elif without #if")
 		}
 		c := &(*conds)[len(*conds)-1]
+		if c.sawElse {
+			return fmt.Errorf("#elif after #else")
+		}
 		if c.parentOff || c.taken {
 			c.active = false
 			return nil
@@ -430,8 +450,11 @@ func (p *preprocessor) directive(line []Token, conds *[]condState, emitting bool
 			return fmt.Errorf("#else without #if")
 		}
 		c := &(*conds)[len(*conds)-1]
+		if c.sawElse {
+			return fmt.Errorf("#else after #else")
+		}
 		c.active = !c.parentOff && !c.taken
-		c.taken = true
+		c.taken, c.sawElse = true, true
 	case "endif":
 		if len(*conds) == 0 {
 			return fmt.Errorf("#endif without #if")

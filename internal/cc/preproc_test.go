@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"fmt"
 	"maps"
 	"strings"
 	"testing"
@@ -138,6 +139,52 @@ no5
 	got := pp(t, src, nil)
 	if got != "yes1 yes2 yes3 yes4 yes5" {
 		t.Errorf("got %q", got)
+	}
+	// A level has at most one #else, and no #elif after it (C11 6.10.1),
+	// also in a group that is skipped.
+	for _, c := range []struct{ src, want string }{
+		{"#if 1\na\n#else\nb\n#else\nc\n#elif 1\nd\n#endif\n", "main.c:5: #else after #else"},
+		{"#if 0\na\n#else\nb\n#elif 1\nc\n#endif\n", "main.c:5: #elif after #else"},
+		{"#ifdef X\n#else\n#else\n#endif\n", "main.c:3: #else after #else"},
+		{"#if 0\n#if 1\n#else\n#elif 0\n#endif\n#endif\n", "main.c:4: #elif after #else"},
+	} {
+		_, err := preprocess("main.c", map[string]string{"main.c": c.src}, nil)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%q: got error %v, want %q", c.src, err, c.want)
+		}
+	}
+}
+
+// TestMacroBudgetParity pins the expansion budget's charge: one unit for
+// each token the preprocessor emits, a token that names no macro as well
+// as each token of an expansion. A unit of N such tokens passes with N
+// units left and spends them all; with one more token it fails at that
+// token's line.
+func TestMacroBudgetParity(t *testing.T) {
+	const budgetErr = "cc: macro expansion budget exceeded (recursive macro?)"
+	for _, c := range []struct {
+		name, src string
+		cost      int
+		lastLine  int // the line of the unit's last charged token
+	}{
+		{"macro-free", "int x = 1 + f(2, \"s\");\n\nchar c = 'c' ;\n", 17, 3},
+		{"after an expansion", "#define M x y\nM z\n", 4, 2},
+	} {
+		pre, err := NewPrefix("main.c", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre.budget = c.cost
+		u := pre.Continue(lookupIn(map[string]string{"main.c": c.src}))
+		if err := u.Preprocess("main.c"); err != nil || u.budget != 0 {
+			t.Errorf("%s: with %d units: error %v, %d units left, want none", c.name, c.cost, err, u.budget)
+		}
+		pre.budget = c.cost - 1
+		u = pre.Continue(lookupIn(map[string]string{"main.c": c.src}))
+		want := fmt.Sprintf("main.c:%d: %s", c.lastLine, budgetErr)
+		if err := u.Preprocess("main.c"); err == nil || err.Error() != want {
+			t.Errorf("%s: with %d units: error %v, want %q", c.name, c.cost-1, err, want)
+		}
 	}
 }
 
