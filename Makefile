@@ -41,36 +41,45 @@ race:
 hangcheck:
 	$(GO) test -race -timeout 120s -run 'Governor|Timeout|Deadline|Limit|Tier1|RunCtx|Ungetc|PanicContainment|ForEachPropagates|Degrades' ./...
 
-# Diagnostics gate: the tier-parity sweep (full corpus under Safe Sulong,
-# JIT off vs on, rendered diagnostics byte-identical) plus the cross-tool
-# heap-blame check, under the race detector — the persistent stacks are
-# shared across captured diagnostics and worker goroutines, so this must
-# stay race-clean.
+# Diagnostics gate: the tier-parity table's tier-1 slices (corpus rows in
+# tier-1, clean and under FailNth 1 and 2, every cache state, each cell's
+# Outcome equal to tier-0's: Steps, Calls, heap counters, stdout and every
+# rendered diagnostic) and its benchmark and heap-schedule rows in every
+# tier, plus the cross-tool heap-blame check, under the race detector — the
+# persistent stacks are shared across captured diagnostics and worker
+# goroutines, so this must stay race-clean.
 diagcheck:
 	$(GO) test -race -timeout 120s -run 'TierParity|HeapBlame|Diag' ./...
 
 # Fault-plane gate: the allocation-failure suite (heap budgets, injected
-# fault schedules, calloc overflow, glibc realloc semantics, tier parity of
-# injected outcomes, oom-cell determinism, retry/quarantine) under the race
-# detector, plus the corpus-wide FailNth sweep asserting no engine ever
-# panics on an injected allocation failure.
+# fault schedules, calloc overflow, glibc realloc semantics, oom-cell
+# determinism, retry/quarantine) under the race detector, with the
+# tier-parity table's fault rows (the heap-schedule row under its six
+# plans, the hoisted-check and coalesced-run rows, the corpus's async+OSR
+# FailNth slices),
+# plus the corpus-wide FailNth sweep asserting no engine ever panics on an
+# injected allocation failure and every tier's Outcome equals tier-0's.
 faultcheck:
 	$(GO) test -race -timeout 120s -run 'Fault|Calloc|MallocZero|Realloc|HeapBudget|HeapDenial|AllocAuto|NullPlusOffset|OOM|Retry|Quarantin|Sweep' ./...
 	$(GO) run ./cmd/bugbench -faultsweep -sweepmax 3
 
 # Peak-performance gate: one benchgame program under every performance
 # configuration (native anchors, sanitized engines, each managed tiering
-# mode) with zero tolerated bail-outs and the tier-parity step/output sweep
-# on the benchmark programs — all under the race detector.
+# mode) with zero tolerated bail-outs, the tier-parity table's benchmark
+# rows and its tier-2 legality rows (hoisted check, coalesced run,
+# use-after-free under coalescing) in every tier, plan and cache state, and
+# frame-pool reuse after a fault — all under the race detector.
 perfcheck:
-	$(GO) test -race -timeout 120s -run 'PerfCheck|TierParityBenchmarks|HoistedCheck|CoalescedRun|FramePoolFaultReuse' ./...
+	$(GO) test -race -timeout 120s -run 'PerfCheck|TierParityBenchmarks|HoistedCheck|CoalescedRun|UnderCoalescing|FramePoolFaultReuse' ./...
 
 # Tiering gate: the asynchronous pipeline under the race detector — the
-# full-corpus forced-OSR parity sweep (background compile on first call, OSR
-# at the first back edge, speculation on; clean and fault-injected), the
-# single-call-loop OSR and exact-instruction deopt pins, and the governor
-# cancellation race against an in-flight background compilation (no leaked
-# workers, nothing installed after teardown).
+# tier-parity table's async+OSR slices (corpus rows with background compile
+# on first call, OSR at the first back edge, speculation on; clean and under
+# FailNth 1 and 2, every cache state), its single-call-loop and deopt rows
+# in every tier with their OSR-only pins (main entered through OSR first;
+# deopt, then re-entry), and the governor cancellation race against an
+# in-flight background compilation (no leaked workers, nothing installed
+# after teardown).
 tiercheck:
 	$(GO) test -race -timeout 120s -run 'TierCheck|AsyncCompile|AsyncClose' ./...
 
@@ -92,21 +101,23 @@ typecheck:
 # real kill -9, worker panic storms with zero leaked goroutines, journal
 # torn-tail recovery, the committed fuzz-find regressions, and the
 # front end's fuzz seeds (corpus and benchmark sources plus committed
-# crashers through CompileFor, every toolchain view: no compiler panic).
+# crashers through CompileFor, every toolchain view: no compiler panic) and
+# the textual IR's (printed corpus and benchmark modules: Parse never
+# panics, and what parses prints to a fixpoint).
 # The campaign package gets its own generous timeout: 200 race-instrumented
 # programs × ~10 oracle runs each is real work on a small machine.
 fuzzcheck:
 	FUZZCHECK_PROGRAMS=200 $(GO) test -race -timeout 600s -run 'Campaign|Journal|Minimize|FuzzFinds|Generate|Mutate|SweepProgress|Backoff' ./internal/campaign ./internal/gen ./internal/corpus ./internal/harness
-	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'FuzzCompileFor' .
+	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'FuzzCompileFor|FuzzIRRoundTrip' .
 
-# Compile-once/run-many gate: the full-corpus warm-vs-cold parity pin (a
-# code-cache hit on a pooled engine must be observationally identical to a
-# cold compile — stdout, exit, Steps, Calls, diagnostics — for tier-0,
-# forced tier-1, and async+OSR, clean and fault-injected), the code cache's
-# own concurrency suite (singleflight under eviction churn, LRU bound,
-# hit-not-mutated, a panicking compile releasing its compiler) and the
-# engine pool's — under the race detector, since the code cache and engine
-# pool are shared process-wide.
+# Compile-once/run-many gate: the tier-parity table's corpus rows in every
+# tier, plan and cache state (a warm run and a code-cache hit on a pooled
+# engine must equal a cold compile at tier-0 in every observable
+# Outcome.Diff compares), the code cache's own concurrency suite
+# (singleflight under eviction churn, LRU bound, hit-not-mutated, a
+# panicking compile releasing its compiler) and the engine pool's — under
+# the race detector, since the code cache and engine pool are shared
+# process-wide.
 throughputcheck:
 	$(GO) test -race -timeout 300s -run 'WarmColdCacheParity|CodeCache|EnginePool' . ./internal/jit ./internal/core
 

@@ -9,6 +9,7 @@ import (
 // TestBenchProgramsRunEverywhere compiles and runs every benchmark at its
 // small size under all four engines and checks output agreement.
 func TestBenchProgramsRunEverywhere(t *testing.T) {
+	t.Parallel()
 	for _, b := range benchprog.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {

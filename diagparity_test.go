@@ -5,102 +5,7 @@ import (
 	"testing"
 
 	sulong "repro"
-	"repro/internal/core"
-	"repro/internal/corpus"
-	"repro/internal/harness"
 )
-
-// runTier executes one corpus case under Safe Sulong with the given tier
-// selection and returns the result.
-func runTier(t *testing.T, c corpus.Case, jit bool) sulong.Result {
-	t.Helper()
-	cfg := sulong.Config{
-		Engine:   sulong.EngineSafeSulong,
-		Args:     c.Args,
-		Stdin:    strings.NewReader(c.Stdin),
-		MaxSteps: harness.DefaultMaxSteps,
-		JIT:      jit,
-	}
-	if jit {
-		// Compile every function on its first call so that the buggy code
-		// actually executes in tier-1 (most corpus programs call each
-		// function only once).
-		cfg.JITThreshold = 1
-	}
-	res, err := sulong.Run(c.Source, cfg)
-	if err != nil {
-		t.Fatalf("%s (jit=%v): %v", c.Name, jit, err)
-	}
-	return res
-}
-
-// TestTierParityDiagnostics runs the full 68-bug corpus under Safe Sulong
-// twice — tier-0 only, and tier-1 with compile-on-first-call — and requires
-// the rendered diagnostics to be byte-identical. The JIT must not change
-// what is reported or how: same bug kind, same backtraces, same text.
-func TestTierParityDiagnostics(t *testing.T) {
-	if testing.Short() {
-		t.Skip("corpus sweep skipped in -short mode")
-	}
-	for _, c := range corpus.All() {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			t.Parallel()
-			interp := runTier(t, c, false)
-			jitted := runTier(t, c, true)
-
-			if (interp.Bug == nil) != (jitted.Bug == nil) {
-				t.Fatalf("tiers disagree on detection: tier-0 bug=%v, tier-1 bug=%v",
-					interp.Bug, jitted.Bug)
-			}
-			if interp.ExitCode != jitted.ExitCode {
-				t.Errorf("exit codes diverge: tier-0 %d, tier-1 %d",
-					interp.ExitCode, jitted.ExitCode)
-			}
-			if len(interp.Diagnostics) != len(jitted.Diagnostics) {
-				t.Fatalf("diagnostic counts diverge: tier-0 %d, tier-1 %d",
-					len(interp.Diagnostics), len(jitted.Diagnostics))
-			}
-			for i := range interp.Diagnostics {
-				d0 := interp.Diagnostics[i].Render()
-				d1 := jitted.Diagnostics[i].Render()
-				if d0 != d1 {
-					t.Errorf("diagnostic %d renders diverge:\n--- tier-0 ---\n%s\n--- tier-1 ---\n%s", i, d0, d1)
-				}
-			}
-			if interp.Bug == nil {
-				return
-			}
-
-			// Every Safe Sulong detection must carry a non-empty access
-			// call stack whose leaf matches the report's location.
-			for tier, res := range map[string]sulong.Result{"tier-0": interp, "tier-1": jitted} {
-				if res.Bug.AccessStack.IsEmpty() {
-					t.Errorf("%s: detection has empty access stack: %v", tier, res.Bug)
-					continue
-				}
-				top, _ := res.Bug.AccessStack.Top()
-				if res.Bug.Func != "" && top.Func != res.Bug.Func {
-					t.Errorf("%s: stack leaf %q != report site %q", tier, top.Func, res.Bug.Func)
-				}
-			}
-
-			// Heap use-after-free and double-free reports must blame both
-			// the allocation site and the free site.
-			kind := interp.Bug.Kind
-			if interp.Bug.Mem == core.HeapMem && (kind == core.UseAfterFree || kind == core.DoubleFree) {
-				for tier, res := range map[string]sulong.Result{"tier-0": interp, "tier-1": jitted} {
-					if res.Bug.AllocStack.IsEmpty() {
-						t.Errorf("%s: %s report lacks an allocation-site stack", tier, kind)
-					}
-					if res.Bug.FreeStack.IsEmpty() {
-						t.Errorf("%s: %s report lacks a free-site stack", tier, kind)
-					}
-				}
-			}
-		})
-	}
-}
 
 // TestHeapBlameAllTools checks the alloc/free-site acceptance criterion on
 // the tools that can see heap history: for a use-after-free, Safe Sulong,

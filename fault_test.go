@@ -235,110 +235,3 @@ int main(void) {
 		t.Fatal("Stats.DeniedAllocs = 0 under exhausted budget")
 	}
 }
-
-// TestFaultScheduleTierParity runs a heap-heavy program under several fault
-// plans with the tier-1 compiler off and forced hot, requiring identical
-// stdout, exit code, and heap accounting — the paper's "identical semantics
-// across tiers" claim extended to injected allocation failures.
-func TestFaultScheduleTierParity(t *testing.T) {
-	src := `#include <stdlib.h>
-#include <stdio.h>
-int main(void) {
-    int i, live = 0;
-    for (i = 0; i < 20; i++) {
-        char *p = malloc(16 + i);
-        if (!p) { printf("alloc %d failed\n", i); continue; }
-        live++;
-        p[0] = (char)i;
-        if (i % 3 == 0) { free(p); live--; }
-    }
-    printf("live=%d\n", live);
-    return live;
-}`
-	plans := []fault.Plan{
-		{},
-		{FailNth: 1},
-		{FailNth: 7},
-		{FailAfterBytes: 128},
-		{FailProb: 0.25, Seed: 42},
-		{FailProb: 0.5, Seed: 7, FailNth: 3},
-	}
-	for pi, plan := range plans {
-		t0, err := sulong.Run(src, sulong.Config{
-			Engine: sulong.EngineSafeSulong, FaultPlan: plan,
-		})
-		if err != nil {
-			t.Fatalf("plan %d tier-0: %v", pi, err)
-		}
-		t1, err := sulong.Run(src, sulong.Config{
-			Engine: sulong.EngineSafeSulong, JIT: true, JITThreshold: 1, FaultPlan: plan,
-		})
-		if err != nil {
-			t.Fatalf("plan %d tier-1: %v", pi, err)
-		}
-		if t0.Stdout != t1.Stdout || t0.ExitCode != t1.ExitCode {
-			t.Errorf("plan %d (%v): tiers diverge: tier-0 %q/%d vs tier-1 %q/%d",
-				pi, plan, t0.Stdout, t0.ExitCode, t1.Stdout, t1.ExitCode)
-		}
-		for _, f := range []struct {
-			name string
-			a, b int64
-		}{
-			{"HeapAllocs", t0.Stats.HeapAllocs, t1.Stats.HeapAllocs},
-			{"HeapAllocBytes", t0.Stats.HeapAllocBytes, t1.Stats.HeapAllocBytes},
-			{"HeapInUseBytes", t0.Stats.HeapInUseBytes, t1.Stats.HeapInUseBytes},
-			{"InjectedFaults", t0.Stats.InjectedFaults, t1.Stats.InjectedFaults},
-			{"DeniedAllocs", t0.Stats.DeniedAllocs, t1.Stats.DeniedAllocs},
-		} {
-			if f.a != f.b {
-				t.Errorf("plan %d (%v): %s diverges: tier-0 %d vs tier-1 %d",
-					pi, plan, f.name, f.a, f.b)
-			}
-		}
-		// Seeded schedules are reproducible: a second identical run matches.
-		t0b, err := sulong.Run(src, sulong.Config{
-			Engine: sulong.EngineSafeSulong, FaultPlan: plan,
-		})
-		if err != nil {
-			t.Fatalf("plan %d rerun: %v", pi, err)
-		}
-		if t0b.Stdout != t0.Stdout {
-			t.Errorf("plan %d (%v): rerun diverges: %q vs %q", pi, plan, t0b.Stdout, t0.Stdout)
-		}
-	}
-}
-
-// TestNullPlusOffsetRoundtrip pins the offset-preserving null-pointer store:
-// pointer arithmetic on a failed malloc must report the same effective
-// offset whether the pointer spills to memory (tier-0) or stays in a
-// register (tier-1 after scalar promotion).
-func TestNullPlusOffsetRoundtrip(t *testing.T) {
-	src := `#include <stdlib.h>
-int main(void) {
-    char *p = malloc(16); /* injected -> NULL */
-    char *q = p + 4;
-    q[-5] = 'x';          /* effective offset -1 from NULL */
-    return 0;
-}`
-	var reports []string
-	for _, jit := range []bool{false, true} {
-		cfg := sulong.Config{Engine: sulong.EngineSafeSulong, FaultPlan: fault.Plan{FailNth: 1}}
-		if jit {
-			cfg.JIT, cfg.JITThreshold = true, 1
-		}
-		res, err := sulong.Run(src, cfg)
-		if err != nil {
-			t.Fatalf("jit=%v: %v", jit, err)
-		}
-		if res.Bug == nil {
-			t.Fatalf("jit=%v: expected a NULL-deref bug", jit)
-		}
-		reports = append(reports, res.Bug.Error())
-	}
-	if reports[0] != reports[1] {
-		t.Fatalf("tiers report different offsets:\n  tier-0: %s\n  tier-1: %s", reports[0], reports[1])
-	}
-	if !strings.Contains(reports[0], "offset -1") {
-		t.Fatalf("report lost the pointer offset: %s", reports[0])
-	}
-}

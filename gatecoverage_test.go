@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -18,19 +19,62 @@ import (
 // rename or deletion) silently drops that coverage from the gate. Every
 // alternative of every `-run` pattern must match at least one.
 func TestMakefileGateTermsMatch(t *testing.T) {
+	names := topLevelTests(t)
+	for _, g := range makefileGateTerms(t) {
+		if !matchesAny(g.re, names, g.pkgs) {
+			scope := "./..."
+			if g.pkgs != nil {
+				scope = strings.Join(g.pkgs, " ")
+			}
+			t.Errorf("-run term %q (packages %s) matches no Test or Fuzz function", g.re, scope)
+		}
+	}
+}
+
+// TestParityTestsHaveAGate is the converse for the tier-parity table and
+// the tier-2 fault programs: every top-level Test in their files matches a
+// `-run` term of a gate that tests the root package, so none of them runs
+// only outside the race detector.
+func TestParityTestsHaveAGate(t *testing.T) {
+	gates := makefileGateTerms(t)
+	fset := token.NewFileSet()
+	for _, file := range []string{"parity_test.go", "tier2fault_test.go"} {
+		fns, err := testFuncs(fset, file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fn := range fns {
+			gated := slices.ContainsFunc(gates, func(g gateTerm) bool {
+				return (g.pkgs == nil || slices.Contains(g.pkgs, ".")) && g.re.MatchString(fn)
+			})
+			if strings.HasPrefix(fn, "Test") && !gated {
+				t.Errorf("%s: %s matches no Makefile gate's -run term", file, fn)
+			}
+		}
+	}
+}
+
+// gateTerm is one alternative of a Makefile gate's `-run` pattern and the
+// package directories the gate tests (nil = every package).
+type gateTerm struct {
+	re   *regexp.Regexp
+	pkgs []string
+}
+
+// makefileGateTerms parses every `-run` alternative of the Makefile.
+func makefileGateTerms(t *testing.T) []gateTerm {
+	t.Helper()
 	data, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := topLevelTests(t)
 	runRE := regexp.MustCompile(`-run '([^']*)'(.*)`)
-	gates := 0
+	var terms []gateTerm
 	for _, line := range strings.Split(string(data), "\n") {
 		m := runRE.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		gates++
 		pkgs := gatePackages(m[2])
 		for _, term := range strings.Split(m[1], "|") {
 			re, err := regexp.Compile(term)
@@ -38,18 +82,13 @@ func TestMakefileGateTermsMatch(t *testing.T) {
 				t.Errorf("-run term %q: %v", term, err)
 				continue
 			}
-			if !matchesAny(re, names, pkgs) {
-				scope := "./..."
-				if pkgs != nil {
-					scope = strings.Join(pkgs, " ")
-				}
-				t.Errorf("-run term %q (packages %s) matches no Test or Fuzz function", term, scope)
-			}
+			terms = append(terms, gateTerm{re, pkgs})
 		}
 	}
-	if gates == 0 {
+	if len(terms) == 0 {
 		t.Fatal("no -run patterns found in Makefile")
 	}
+	return terms
 }
 
 // topLevelTests maps each package directory of this module (relative,
@@ -77,26 +116,34 @@ func topLevelTests(t *testing.T) map[string][]string {
 		if !strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+		fns, err := testFuncs(fset, path)
 		dir := filepath.ToSlash(filepath.Dir(path))
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv != nil {
-				continue
-			}
-			if n := fn.Name.Name; strings.HasPrefix(n, "Test") || strings.HasPrefix(n, "Fuzz") {
-				names[dir] = append(names[dir], n)
-			}
-		}
-		return nil
+		names[dir] = append(names[dir], fns...)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return names
+}
+
+// testFuncs lists the top-level Test and Fuzz functions of one file.
+func testFuncs(fset *token.FileSet, path string) ([]string, error) {
+	f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Recv != nil {
+			continue
+		}
+		if n := fn.Name.Name; strings.HasPrefix(n, "Test") || strings.HasPrefix(n, "Fuzz") {
+			names = append(names, n)
+		}
+	}
+	return names, nil
 }
 
 // gatePackages returns the package directories a `go test` invocation
@@ -118,21 +165,10 @@ func gatePackages(rest string) []string {
 
 func matchesAny(re *regexp.Regexp, names map[string][]string, pkgs []string) bool {
 	for dir, fns := range names {
-		if pkgs != nil && !contains(pkgs, dir) {
+		if pkgs != nil && !slices.Contains(pkgs, dir) {
 			continue
 		}
-		for _, n := range fns {
-			if re.MatchString(n) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
+		if slices.ContainsFunc(fns, re.MatchString) {
 			return true
 		}
 	}

@@ -127,7 +127,11 @@ func (d Detection) Status() string {
 func (o Outcome) detection() Detection {
 	switch o.Class {
 	case "detected":
-		return Detection{Detected: true, Report: o.Report, Diag: o.diag}
+		d := Detection{Detected: true, Report: o.Report}
+		if len(o.Diagnostics) > 0 {
+			d.Diag = o.Diagnostics[0]
+		}
+		return d
 	case "crashed":
 		return Detection{Detected: o.zeroPage, Crashed: true, Report: o.Report}
 	case "timeout", "deadline":
@@ -225,18 +229,16 @@ func (b CaseBudget) config(c corpus.Case, tool Tool) sulong.Config {
 	cfg.MaxHeapBytes = b.MaxHeapBytes
 	cfg.MaxAllocBytes = b.MaxAllocBytes
 	cfg.FaultPlan = b.FaultPlan
-	if tool == SafeSulong && b.Tier != Tier0 {
-		cfg.JIT, cfg.JITThreshold = true, 1
-		if b.Tier == TierAsyncOSR {
-			cfg.JITAsync, cfg.OSRThreshold = true, 1
-		}
+	if tool == SafeSulong {
+		b.Tier.Configure(&cfg)
 	}
 	return cfg
 }
 
-// Tier is one managed tier configuration. The tier-parity checks, the
-// campaign judge and FaultSweep, run a program under every tier and require
-// equal Outcome signatures; Tiers is their only tier list.
+// Tier is one managed tier configuration. The tier-parity table, the
+// campaign judge and FaultSweep run a program under every tier and require
+// equal Outcomes; Tiers is their only tier list, and Configure their only
+// mapping from a tier to configuration fields.
 type Tier int
 
 const (
@@ -247,7 +249,22 @@ const (
 
 var tierNames = [...]string{Tier0: "tier-0", Tier1: "tier-1", TierAsyncOSR: "async+osr"}
 
-func (t Tier) String() string { return tierNames[t] }
+func (t Tier) String() string {
+	if t < 0 || int(t) >= len(tierNames) {
+		return fmt.Sprintf("Tier(%d)", int(t))
+	}
+	return tierNames[t]
+}
+
+// Configure sets cfg's tiering fields for a Safe Sulong run in tier t.
+func (t Tier) Configure(cfg *sulong.Config) {
+	if t != Tier0 {
+		cfg.JIT, cfg.JITThreshold = true, 1
+		if t == TierAsyncOSR {
+			cfg.JITAsync, cfg.OSRThreshold = true, 1
+		}
+	}
+}
 
 // Tiers lists every tier, tier-0 (the reference) first.
 func Tiers() []Tier { return []Tier{Tier0, Tier1, TierAsyncOSR} }

@@ -10,8 +10,8 @@ import (
 
 // SweepOptions configures a fault-injection sweep: every case is run under
 // FailNth = 1..MaxNth for every tool, asserting that injected allocation
-// failures never panic an engine and that the managed engine's Outcome
-// signature is identical in every tier (see Tiers).
+// failures never panic an engine and that the managed engine's Outcome is
+// identical in every tier (see Tiers and Outcome.Diff).
 type SweepOptions struct {
 	// MaxNth sweeps FailNth from 1 to this value (default 3).
 	MaxNth int
@@ -39,7 +39,8 @@ type SweepViolation struct {
 	Nth  int    `json:"failNth"`
 	// Kind is "panic" (a run under injection ended in an engine panic or
 	// another infrastructure error) or "tier-mismatch" (a SafeSulong tier's
-	// Outcome signature differed from tier-0's).
+	// Outcome differed from tier-0's; Detail is one line naming the first
+	// differing field).
 	Kind   string `json:"kind"`
 	Detail string `json:"detail"`
 }
@@ -77,8 +78,8 @@ func (r *SweepResult) Render() string {
 // and asserts the engine survives (no contained panic — a guest that
 // mishandles a NULL malloc must produce a *report* or a crash
 // classification, never an engine death). For SafeSulong it runs the same
-// plan in every tier (see Tiers) and asserts each tier's Outcome signature,
-// class, report, stdout, exit, Steps and fault counters, equals tier-0's —
+// plan in every tier (see Tiers) and asserts each tier's Outcome equals
+// tier-0's in every observable Outcome.Diff compares —
 // the paper's "identical semantics across tiers" claim extended to injected
 // allocation failures. As in the campaign judge, a pair where either side
 // hit a wall-clock deadline is not compared: elapsed time is not a verdict.
@@ -123,7 +124,7 @@ type sweepCell struct {
 }
 
 // runSweepCell runs the case under FailNth = nth: once, or for SafeSulong
-// once per tier, comparing each tier's Outcome signature with tier-0's.
+// once per tier, comparing each tier's Outcome with tier-0's.
 func runSweepCell(c corpus.Case, tool Tool, nth int, b CaseBudget) (out sweepCell) {
 	b.FaultPlan = fault.Plan{FailNth: int64(nth)}
 	tiers := Tiers()
@@ -154,8 +155,8 @@ func runSweepCell(c corpus.Case, tool Tool, nth int, b CaseBudget) (out sweepCel
 		if o0.Class == "deadline" || o.Class == "deadline" {
 			continue
 		}
-		if o.Signature() != o0.Signature() {
-			violation("tier-mismatch", fmt.Sprintf("%s vs tier-0: {%s} != {%s}", t, o.Signature(), o0.Signature()))
+		if d := o.Diff(o0); d != "" {
+			violation("tier-mismatch", fmt.Sprintf("%s vs tier-0: %s", t, d))
 		}
 	}
 	return out

@@ -8,13 +8,14 @@ package harness
 // programs across tiers and tools — a wrong-code bug shows up as identical
 // classifications with different stdout, exit codes, or step counts, which
 // Detection cannot express. Outcome carries the full comparison surface;
-// classify produces it for every driver, and a matrix cell is derived from
+// Classify produces it for every driver, and a matrix cell is derived from
 // it (Outcome.detection).
 
 import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"strings"
 
 	sulong "repro"
 	"repro/internal/core"
@@ -50,20 +51,25 @@ type Outcome struct {
 	// libc internals legitimately differ on undefined behavior).
 	Stdout string `json:"stdout,omitempty"`
 	Exit   int    `json:"exit"`
-	// Steps is the managed engine's exact instruction count — the tier
-	// parity ledger. Byte-identical between tier-0, forced tier-2, and
-	// async+OSR runs of the same program, so any difference is a find.
-	// Zero for the native family.
+	// Steps and Calls are the managed engine's exact instruction and call
+	// counts, the tier parity ledger. Byte-identical between tier-0,
+	// forced tier-2, and async+OSR runs of the same program, so any
+	// difference is a find. Zero for the native family.
 	Steps int64 `json:"steps,omitempty"`
-	// HeapAllocs / InjectedFaults mirror the fault plane's accounting,
-	// which is tier-invariant for heap traffic by construction.
+	Calls int64 `json:"calls,omitempty"`
+	// The heap counters mirror the fault plane's accounting, which is
+	// tier-invariant for heap traffic by construction.
 	HeapAllocs     int64 `json:"heapAllocs,omitempty"`
+	HeapAllocBytes int64 `json:"heapAllocBytes,omitempty"`
+	HeapInUseBytes int64 `json:"heapInUseBytes,omitempty"`
 	InjectedFaults int64 `json:"injectedFaults,omitempty"`
+	DeniedAllocs   int64 `json:"deniedAllocs,omitempty"`
+	// Diagnostics is every structured report of the run (the bug, then
+	// leaks). Diff renders them, with their stacks, only while comparing.
+	Diagnostics []*diag.Diagnostic `json:"-"`
 
-	// diag is a detected bug's first structured diagnostic, and zeroPage
-	// marks a crash that trapped on the zero page: what a matrix cell
-	// needs beyond the class (see detection).
-	diag     *diag.Diagnostic
+	// zeroPage marks a crash that trapped on the zero page: what a matrix
+	// cell needs beyond the class (see detection).
 	zeroPage bool
 }
 
@@ -80,26 +86,96 @@ func (o Outcome) Signature() string {
 		o.Class, o.Exit, o.Steps, o.HeapAllocs, o.InjectedFaults, firstLine(o.Report), out)
 }
 
+// Diff names the first observable on which o differs from ref, in one line
+// quoting both values ("steps: 120 != 118"), or returns "" when every
+// observable matches: class, report, kind, exit, Steps, Calls, the five
+// heap counters, stdout, and each diagnostic's render with its stacks.
+func (o Outcome) Diff(ref Outcome) string {
+	for _, f := range [...]struct {
+		name string
+		a, b any
+	}{
+		{"class", o.Class, ref.Class},
+		{"report", o.Report, ref.Report},
+		{"kind", o.Kind, ref.Kind},
+		{"exit", o.Exit, ref.Exit},
+		{"steps", o.Steps, ref.Steps},
+		{"calls", o.Calls, ref.Calls},
+		{"heapAllocs", o.HeapAllocs, ref.HeapAllocs},
+		{"heapAllocBytes", o.HeapAllocBytes, ref.HeapAllocBytes},
+		{"heapInUseBytes", o.HeapInUseBytes, ref.HeapInUseBytes},
+		{"injectedFaults", o.InjectedFaults, ref.InjectedFaults},
+		{"deniedAllocs", o.DeniedAllocs, ref.DeniedAllocs},
+		{"stdout", o.Stdout, ref.Stdout},
+		{"diagnostics", len(o.Diagnostics), len(ref.Diagnostics)},
+	} {
+		if f.a != f.b {
+			return f.name + ": " + differingLine(f.a, f.b)
+		}
+	}
+	for i, d := range o.Diagnostics {
+		if a, b := d.Render(), ref.Diagnostics[i].Render(); a != b {
+			return fmt.Sprintf("diagnostic %d: %s", i, differingLine(a, b))
+		}
+	}
+	return ""
+}
+
+// differingLine quotes two unequal values. Strings are cut to at most 60
+// bytes of the line holding their first differing byte, starting up to 20
+// bytes before it, and the line is numbered when it is not the first.
+func differingLine(a, b any) string {
+	x, ok := a.(string)
+	if !ok {
+		return fmt.Sprintf("%v != %v", a, b)
+	}
+	y := b.(string)
+	j := 0
+	for j < len(x) && j < len(y) && x[j] == y[j] {
+		j++
+	}
+	line, at := strings.LastIndexByte(x[:j], '\n')+1, ""
+	if line > 0 {
+		at = fmt.Sprintf("line %d: ", strings.Count(x[:line], "\n")+1)
+	}
+	from := max(line, j-20)
+	return fmt.Sprintf("%s%q != %q", at, excerpt(x[from:]), excerpt(y[from:]))
+}
+
+// excerpt is the first line of s, cut to 60 bytes.
+func excerpt(s string) string {
+	if s = firstLine(s); len(s) > 60 {
+		return s[:60] + "…"
+	}
+	return s
+}
+
 // Detected reports whether the tool positively identified a bug.
 func (o Outcome) Detected() bool { return o.Class == "detected" }
 
-// compileError marks an error from the compile stage for classify.
+// compileError marks an error from the compile stage for Classify.
 type compileError struct{ error }
 
 func (e compileError) Unwrap() error { return e.error }
 
-// classify maps a compile or run result to its Outcome; it is the only
-// place an error becomes a class. A panic (from either stage) and a compile
+// Classify maps a compile or run result to its Outcome; it is the only
+// place an error becomes a class. It copies counters and the diagnostics
+// slice header and renders nothing. A panic (from either stage) and a compile
 // error keep only their report's first line. Without an error the run is
 // "detected" when the tool reported a bug, "crashed" when the machine
 // trapped, and "clean" otherwise.
-func classify(res sulong.Result, err error) Outcome {
+func Classify(res sulong.Result, err error) Outcome {
 	o := Outcome{
 		Stdout:         res.Stdout,
 		Exit:           res.ExitCode,
 		Steps:          res.Stats.Steps,
+		Calls:          res.Stats.Calls,
 		HeapAllocs:     res.Stats.HeapAllocs,
+		HeapAllocBytes: res.Stats.HeapAllocBytes,
+		HeapInUseBytes: res.Stats.HeapInUseBytes,
 		InjectedFaults: res.Stats.InjectedFaults,
+		DeniedAllocs:   res.Stats.DeniedAllocs,
+		Diagnostics:    res.Diagnostics,
 	}
 	if err != nil {
 		var limit *core.LimitError
@@ -127,8 +203,7 @@ func classify(res sulong.Result, err error) Outcome {
 	case res.Bug != nil:
 		o.Class, o.Report = "detected", res.Bug.Error()
 		if len(res.Diagnostics) > 0 {
-			o.diag = res.Diagnostics[0]
-			o.Kind = o.diag.Kind
+			o.Kind = res.Diagnostics[0].Kind
 		}
 	case res.Fault != nil:
 		o.Class, o.Report = "crashed", res.Fault.Error()
@@ -173,7 +248,7 @@ func CompileOutcome(src string, tool Tool, b CaseBudget) (m *ir.Module, bad *Out
 	}()
 	mod, err := sulong.CompileFor(src, b.config(corpus.Case{}, tool))
 	if err != nil {
-		o := classify(sulong.Result{}, compileError{err})
+		o := Classify(sulong.Result{}, compileError{err})
 		return nil, &o
 	}
 	return mod, nil
@@ -197,5 +272,5 @@ func runModule(mod *ir.Module, c corpus.Case, tool Tool, b CaseBudget) (o Outcom
 			o = Outcome{Class: "error", Report: fmt.Sprintf("internal harness error: panic: %v", r)}
 		}
 	}()
-	return classify(sulong.RunModuleCtx(b.ctx(), mod, b.config(c, tool)))
+	return Classify(sulong.RunModuleCtx(b.ctx(), mod, b.config(c, tool)))
 }

@@ -11,6 +11,9 @@ import (
 func Parse(src string) (*Module, error) {
 	p := &parser{lex: newLexer(src)}
 	m, err := p.module()
+	if p.lex.err != nil {
+		err = p.lex.err
+	}
 	if err != nil {
 		return nil, fmt.Errorf("ir: parse error at line %d: %w", p.lex.line, err)
 	}
@@ -41,6 +44,7 @@ type lexer struct {
 	pos  int
 	line int
 	tok  token
+	err  error // a lexical error ends the input
 }
 
 func newLexer(src string) *lexer {
@@ -83,6 +87,12 @@ func (l *lexer) next() {
 				l.pos++
 			}
 			l.pos++
+		}
+		if l.pos >= len(l.src) {
+			l.err = fmt.Errorf("unterminated string")
+			l.pos = len(l.src)
+			l.tok = token{kind: tEOF, line: l.line}
+			return
 		}
 		l.pos++ // closing quote
 		s, err := strconv.Unquote(l.src[start:l.pos])
@@ -705,6 +715,12 @@ func (p *parser) instr(f *Func) (Instr, []target, error) {
 	in, targets, err := p.instrBody(f)
 	if err != nil {
 		return in, targets, err
+	}
+	switch in.Op {
+	case OpAlloca, OpLoad, OpGEP, OpBin, OpCmp, OpCast, OpSelect:
+		if in.Dst < 0 {
+			return in, targets, fmt.Errorf("value instruction without a destination register")
+		}
 	}
 	for p.tok().kind == tPunct && p.tok().s == "!" {
 		p.advance()

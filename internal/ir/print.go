@@ -10,12 +10,7 @@ import (
 func Print(m *Module) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "module %q\n", m.Name)
-	names := make([]string, 0, len(m.Structs))
-	for n := range m.Structs {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	for _, n := range names {
+	for _, n := range structOrder(m) {
 		st := m.Structs[n]
 		// Unions print with their own keyword so the parser can restore the
 		// all-fields-at-offset-0 layout instead of recomputing struct offsets.
@@ -223,6 +218,43 @@ func printConst(b *strings.Builder, c Const, ty Type) {
 	default:
 		b.WriteString("<bad const>")
 	}
+}
+
+// structOrder lists the module's named structs by name, except that each
+// comes after the structs it holds by value: Parse resolves a struct name
+// only once its definition has been read.
+func structOrder(m *Module) []string {
+	names := make([]string, 0, len(m.Structs))
+	for n := range m.Structs {
+		names = append(names, n)
+	}
+	sortStrings(names)
+	out := make([]string, 0, len(names))
+	seen := map[string]bool{}
+	var visit func(t Type)
+	visit = func(t Type) {
+		switch t := t.(type) {
+		case *ArrayType:
+			visit(t.Elem)
+		case *StructType:
+			if t.Name != "" {
+				if seen[t.Name] {
+					return
+				}
+				seen[t.Name] = true
+			}
+			for _, f := range t.Fields {
+				visit(f.Ty)
+			}
+			if t.Name != "" && m.Structs[t.Name] != nil {
+				out = append(out, t.Name)
+			}
+		}
+	}
+	for _, n := range names {
+		visit(m.Structs[n])
+	}
+	return out
 }
 
 func sortStrings(s []string) {

@@ -241,3 +241,25 @@ func TestEvalCastTable(t *testing.T) {
 		}
 	}
 }
+
+// TestPrintDefinesStructsBeforeUse: a struct held by value in another
+// struct whose name sorts first (`struct alpha { struct zed inner; }`) is
+// printed before it, so the printed module parses back.
+func TestPrintDefinesStructsBeforeUse(t *testing.T) {
+	m := NewModule("m")
+	zed := NewStruct("zed", []Field{{Name: "x", Ty: I32}})
+	m.Structs["zed"] = zed
+	m.Structs["alpha"] = NewStruct("alpha", []Field{{Name: "inner", Ty: zed}, {Name: "all", Ty: &ArrayType{Elem: zed, Len: 2}}})
+	m.Structs["beta"] = NewStruct("beta", []Field{{Name: "k", Ty: I64}})
+	text := Print(m)
+	m2, err := Parse(text)
+	if err != nil {
+		t.Fatalf("printed module does not parse: %v\n%s", err, text)
+	}
+	if text2 := Print(m2); text2 != text {
+		t.Fatalf("print/parse/print not a fixpoint:\n%s\n---\n%s", text, text2)
+	}
+	if !strings.Contains(text, "struct %zed { i32 x }\nstruct %alpha {") {
+		t.Errorf("zed not printed right before its user alpha:\n%s", text)
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	sulong "repro"
 	"repro/internal/benchprog"
+	"repro/internal/harness"
 )
 
 // TestNativeLoopAllocaStack pins the native machines' treatment of
@@ -15,6 +16,7 @@ import (
 // enough to exhaust the simulated stack under per-execution carving; their
 // output must match Safe Sulong's.
 func TestNativeLoopAllocaStack(t *testing.T) {
+	t.Parallel()
 	for _, tc := range []struct {
 		bench, arg string
 		engine     sulong.Engine
@@ -30,7 +32,13 @@ func TestNativeLoopAllocaStack(t *testing.T) {
 				t.Fatal(err)
 			}
 			run := func(engine sulong.Engine) sulong.Result {
-				res, err := sulong.Run(b.Source, sulong.Config{Engine: engine, Args: []string{tc.arg}})
+				cfg := sulong.Config{Engine: engine, Args: []string{tc.arg}}
+				if engine == sulong.EngineSafeSulong {
+					// Compiled, since the tier-parity table pins tier-1
+					// to the interpreter's output.
+					harness.Tier1.Configure(&cfg)
+				}
+				res, err := sulong.Run(b.Source, cfg)
 				if err != nil {
 					t.Fatalf("%v: %v", engine, err)
 				}

@@ -240,6 +240,7 @@ func TestStringersGuardUnknownValues(t *testing.T) {
 		sulong.Engine(99), sulong.Engine(-1),
 		harness.Tool(99), harness.Tool(-2),
 		harness.PerfConfig(42), harness.PerfConfig(-1),
+		harness.Tier(7), harness.Tier(-1),
 		pipeline.Flavor(7), pipeline.Flavor(-3),
 	} {
 		got := s.String()
@@ -253,6 +254,9 @@ func TestStringersGuardUnknownValues(t *testing.T) {
 	}
 	if harness.PerfConfig(42).String() != "PerfConfig(42)" {
 		t.Errorf("PerfConfig(42).String() = %q", harness.PerfConfig(42).String())
+	}
+	if harness.Tier(7).String() != "Tier(7)" || harness.TierAsyncOSR.String() != "async+osr" {
+		t.Errorf("Tier(7).String() = %q, TierAsyncOSR.String() = %q", harness.Tier(7).String(), harness.TierAsyncOSR.String())
 	}
 	if sulong.Engine(99).String() != "Engine(99)" {
 		t.Errorf("Engine(99).String() = %q", sulong.Engine(99).String())

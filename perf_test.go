@@ -23,6 +23,7 @@ func TestPeakQuick(t *testing.T) {
 }
 
 func TestWarmupQuick(t *testing.T) {
+	t.Parallel()
 	b, err := benchprog.Get("meteor")
 	if err != nil {
 		t.Fatal(err)

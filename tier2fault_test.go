@@ -8,141 +8,8 @@ import (
 	sulong "repro"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/harness"
 	"repro/internal/jit"
 )
-
-// run2 executes src under Safe Sulong in the given tier and returns the
-// result; tier-2 compiles every function on its first call so the faulting
-// execution runs compiled code.
-func run2(t *testing.T, src string, jitOn bool) sulong.Result {
-	t.Helper()
-	cfg := sulong.Config{
-		Engine:   sulong.EngineSafeSulong,
-		Stdin:    strings.NewReader(""),
-		MaxSteps: harness.DefaultMaxSteps,
-		JIT:      jitOn,
-	}
-	if jitOn {
-		cfg.JITThreshold = 1
-	}
-	res, err := sulong.Run(src, cfg)
-	if err != nil {
-		t.Fatalf("jit=%v: %v", jitOn, err)
-	}
-	return res
-}
-
-// requireFaultParity asserts the two tiers agree on everything observable
-// about a faulting run: the bug kind, the rendered diagnostics (backtraces
-// included), and the exact step count — which pins the faulting iteration.
-func requireFaultParity(t *testing.T, interp, jitted sulong.Result, wantKind core.BugKind) {
-	t.Helper()
-	for tier, res := range map[string]sulong.Result{"tier-0": interp, "tier-2": jitted} {
-		if res.Bug == nil {
-			t.Fatalf("%s: no bug detected", tier)
-		}
-		if res.Bug.Kind != wantKind {
-			t.Fatalf("%s: detected %v, want %v", tier, res.Bug.Kind, wantKind)
-		}
-	}
-	if len(interp.Diagnostics) != len(jitted.Diagnostics) {
-		t.Fatalf("diagnostic counts diverge: tier-0 %d, tier-2 %d",
-			len(interp.Diagnostics), len(jitted.Diagnostics))
-	}
-	for i := range interp.Diagnostics {
-		d0, d1 := interp.Diagnostics[i].Render(), jitted.Diagnostics[i].Render()
-		if d0 != d1 {
-			t.Errorf("diagnostic %d diverges:\n--- tier-0 ---\n%s\n--- tier-2 ---\n%s", i, d0, d1)
-		}
-	}
-	if interp.Stats.Steps != jitted.Stats.Steps {
-		t.Errorf("step accounting diverges: tier-0 %d, tier-2 %d (Δ %d) — "+
-			"the fault did not land on the same iteration/instruction",
-			interp.Stats.Steps, jitted.Stats.Steps, jitted.Stats.Steps-interp.Stats.Steps)
-	}
-}
-
-// TestHoistedCheckFaultsAtExactIteration exercises the hoisting legality
-// rule: the loop's bounds checks may be restructured by tier-2 (invariant
-// operands hoisted to the preheader, gep+access pairs fused), but the
-// out-of-bounds write at i==10 must fault on exactly the same iteration with
-// the same diagnostic as the interpreter. The first call is clean and warms
-// the function into tier-2; the second call faults inside compiled code.
-func TestHoistedCheckFaultsAtExactIteration(t *testing.T) {
-	const src = `
-int buf[10];
-int fill(int n) {
-    int s = 0;
-    for (int i = 0; i < n; i++) {
-        buf[i] = i;        /* faults when i == 10 */
-        s += buf[i];
-    }
-    return s;
-}
-int main(void) {
-    int s = fill(10);      /* clean: warm-up + compile */
-    s += fill(13);         /* out of bounds at iteration 10 */
-    return s;
-}`
-	interp := run2(t, src, false)
-	jitted := run2(t, src, true)
-	requireFaultParity(t, interp, jitted, core.OutOfBounds)
-}
-
-// TestCoalescedRunFaultsAtExactField exercises bounds-check coalescing: the
-// four consecutive constant-index loads in sum() coalesce into one range
-// check over [0,32) in tier-2. On the short 16-byte object that window check
-// fails, the compiled code must fall back to per-access checking, and the
-// fault must blame exactly the third slot (offset 16) — with the loads of
-// q[0] and q[1] charged, and q[2]'s and q[3]'s never charged — matching
-// tier-0 to the step. (The buffers are plain long arrays: casting an
-// undersized block to a wider struct type is now itself a detected
-// mismatched-cast error, tested separately in typecheck_test.go.)
-func TestCoalescedRunFaultsAtExactField(t *testing.T) {
-	const src = `
-#include <stdlib.h>
-long sum(long *q) { return q[0] + q[1] + q[2] + q[3]; }
-int main(void) {
-    long *q = malloc(4 * sizeof(long));
-    q[0] = 1; q[1] = 2; q[2] = 3; q[3] = 4;
-    long s = sum(q);                                  /* clean: warm-up + compile */
-    long *shortq = malloc(2 * sizeof(long));
-    shortq[0] = 5; shortq[1] = 6;
-    s += sum(shortq);                                 /* q[2] reads past the object */
-    return (int)s;
-}`
-	interp := run2(t, src, false)
-	jitted := run2(t, src, true)
-	requireFaultParity(t, interp, jitted, core.OutOfBounds)
-}
-
-// TestUseAfterFreeUnderCoalescing checks the other leg of coalescing
-// legality: a freed object must still be blamed as a use-after-free (not a
-// generic range failure) when the access sits inside a coalesced run, with
-// the allocation-site and free-site stacks intact.
-func TestUseAfterFreeUnderCoalescing(t *testing.T) {
-	const src = `
-#include <stdlib.h>
-struct pair { long x; long y; };
-long both(struct pair *p) { return p->x + p->y; }
-int main(void) {
-    struct pair *p = malloc(sizeof(struct pair));
-    p->x = 1; p->y = 2;
-    long s = both(p);      /* clean: warm-up + compile */
-    free(p);
-    s += both(p);          /* use after free inside the coalesced run */
-    return (int)s;
-}`
-	interp := run2(t, src, false)
-	jitted := run2(t, src, true)
-	requireFaultParity(t, interp, jitted, core.UseAfterFree)
-	for tier, res := range map[string]sulong.Result{"tier-0": interp, "tier-2": jitted} {
-		if res.Bug.AllocStack.IsEmpty() || res.Bug.FreeStack.IsEmpty() {
-			t.Errorf("%s: use-after-free report lacks alloc/free-site stacks", tier)
-		}
-	}
-}
 
 // TestFramePoolFaultReuse is the frame-pool x fault-plane interaction test:
 // an engine that just unwound an injected allocation failure must behave,

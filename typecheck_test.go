@@ -27,7 +27,12 @@ func TestTypeConfusionBlindSpot(t *testing.T) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
-			res := runTier(t, c, false)
+			res, err := sulong.Run(c.Source, sulong.Config{
+				Engine: sulong.EngineSafeSulong, Args: c.Args, Stdin: strings.NewReader(c.Stdin),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if res.Bug == nil {
 				t.Fatalf("managed engine found no bug (stdout=%q exit=%d)", res.Stdout, res.ExitCode)
 			}
@@ -147,13 +152,18 @@ int main(void) {
 			t.Errorf("%v diverges from SafeSulong:\n%s\nwant:\n%s", eng, res.Stdout, first)
 		}
 	}
-	// Tiered managed runs must agree byte-for-byte, steps included.
-	c := corpus.Case{Name: "introspect-failnth", Source: src}
-	interp := runTier0(t, c, plan)
-	tiered := runAsyncOSR(t, c, plan)
-	requireTierCheckParity(t, interp, tiered)
-	if interp.Stdout != first {
-		t.Errorf("tier-0 run diverges from plain run:\n%s\nwant:\n%s", interp.Stdout, first)
+	// Every managed tier agrees byte-for-byte, steps included.
+	var ref harness.Outcome
+	for _, tier := range harness.Tiers() {
+		o := harness.RunSource(src, harness.SafeSulong, harness.CaseBudget{Tier: tier, FaultPlan: plan})
+		if tier == harness.Tier0 {
+			ref = o
+			if o.Stdout != first {
+				t.Errorf("tier-0 run diverges from plain run:\n%s\nwant:\n%s", o.Stdout, first)
+			}
+		} else if d := o.Diff(ref); d != "" {
+			t.Errorf("%s vs tier-0: %s", tier, d)
+		}
 	}
 }
 
