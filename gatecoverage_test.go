@@ -31,21 +31,29 @@ func TestMakefileGateTermsMatch(t *testing.T) {
 	}
 }
 
-// TestParityTestsHaveAGate is the converse for the tier-parity table and
-// the tier-2 fault programs: every top-level Test in their files matches a
-// `-run` term of a gate that tests the root package, so none of them runs
-// only outside the race detector.
+// TestParityTestsHaveAGate is the converse for the tier-parity table, the
+// tier-2 fault programs, the code cache's and the engine pool's suites and
+// the tiering suite: every top-level Test in their files matches a `-run`
+// term of a gate that tests the file's package, so none of them runs only
+// outside the race detector.
 func TestParityTestsHaveAGate(t *testing.T) {
 	gates := makefileGateTerms(t)
 	fset := token.NewFileSet()
-	for _, file := range []string{"parity_test.go", "tier2fault_test.go"} {
+	for _, file := range []string{
+		"parity_test.go",
+		"tier2fault_test.go",
+		"internal/jit/codecache_test.go",
+		"internal/core/tierup_test.go",
+		"internal/core/enginepool_test.go",
+	} {
 		fns, err := testFuncs(fset, file)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pkg := filepath.ToSlash(filepath.Dir(file))
 		for _, fn := range fns {
 			gated := slices.ContainsFunc(gates, func(g gateTerm) bool {
-				return (g.pkgs == nil || slices.Contains(g.pkgs, ".")) && g.re.MatchString(fn)
+				return (g.pkgs == nil || slices.Contains(g.pkgs, pkg)) && g.re.MatchString(fn)
 			})
 			if strings.HasPrefix(fn, "Test") && !gated {
 				t.Errorf("%s: %s matches no Makefile gate's -run term", file, fn)

@@ -165,8 +165,11 @@ type Engine struct {
 	counts     []int64
 	// sites is the dense per-engine call-site state table behind shared
 	// tier-1 closures: argument buffers and inline caches, addressed by the
-	// site IDs the compiler assigned at lowering time (see Site).
-	sites []CallSite
+	// site IDs the compiler assigned at lowering time (see Site). prefixSites
+	// is the same for the negative IDs of code shared by every module
+	// extending one libc prefix.
+	sites       []CallSite
+	prefixSites []CallSite
 
 	stdout *bufio.Writer
 	stdin  *bufio.Reader
@@ -198,8 +201,8 @@ type Engine struct {
 	// Tiering state (tierup.go). pool is the background compile pool (nil
 	// in synchronous mode and after Close); queued dedups requests; the osr*
 	// maps hold per-(function, header) back-edge counts and installed OSR
-	// entries; specBad is the deopt blacklist, shared with background
-	// compile workers under specMu.
+	// entries; specBad is the deopt blacklist and deoptFuncs its functions,
+	// shared with background compile workers under specMu.
 	pool       *tierPool
 	closeOnce  sync.Once
 	queued     map[tierKey]bool
@@ -208,6 +211,7 @@ type Engine struct {
 	osrCounts  map[int64]int64
 	specMu     sync.Mutex
 	specBad    map[specSite]bool
+	deoptFuncs map[int]bool // functions holding a specBad site
 
 	// framePool is a LIFO free-list of activation records. The engine is
 	// single-threaded, so no locking; frames are reset on release (registers
@@ -348,13 +352,11 @@ func (e *Engine) Reset(cfg Config) error {
 	e.heap = e.heap[:0]
 	e.envObjs = nil
 	e.typeObjs = nil
-	for i := range e.sites {
-		e.sites[i] = CallSite{}
-	}
-	e.sites = e.sites[:0]
+	e.sites = clearSites(e.sites)
+	e.prefixSites = clearSites(e.prefixSites)
 	clear(e.queued)
 	e.specMu.Lock()
-	e.specBad = nil
+	e.specBad, e.deoptFuncs = nil, nil
 	e.specMu.Unlock()
 	return e.configure(cfg, e.replayGlobals)
 }
@@ -637,17 +639,34 @@ type CallSite struct {
 }
 
 // Site returns the engine's state cell for call site id, growing the dense
-// site table on demand. The engine is single-threaded, so growth between
+// site table on demand. IDs are two disjoint domains: id >= 0 for code
+// compiled for this engine's module, id < 0 for code shared by every module
+// extending the same libc prefix, so one engine running both never hands
+// two sites one cell. The engine is single-threaded, so growth between
 // guest instructions is safe; closures must not retain the returned pointer
 // across a call that can execute guest code (take the Args slice instead —
 // its backing array survives table growth).
 func (e *Engine) Site(id int) *CallSite {
-	if id >= len(e.sites) {
-		ns := make([]CallSite, id+1, 2*(id+1))
-		copy(ns, e.sites)
-		e.sites = ns
+	if id < 0 {
+		return siteCell(&e.prefixSites, -id-1)
 	}
-	return &e.sites[id]
+	return siteCell(&e.sites, id)
+}
+
+// siteCell returns cell i of a site table, growing it on demand.
+func siteCell(tab *[]CallSite, i int) *CallSite {
+	if i >= len(*tab) {
+		ns := make([]CallSite, i+1, 2*(i+1))
+		copy(ns, *tab)
+		*tab = ns
+	}
+	return &(*tab)[i]
+}
+
+// clearSites empties a site table for a new run, keeping its capacity.
+func clearSites(tab []CallSite) []CallSite {
+	clear(tab)
+	return tab[:0]
 }
 
 // ArgBuf returns the site's persistent argument buffer, sized to n. The

@@ -297,6 +297,18 @@ func (e *Engine) CanSpeculate(fidx, blk, instr int) bool {
 	return !bad
 }
 
+// Deopted reports whether any site of function fidx has deopted in this
+// run. Until one has, CanSpeculate answers true for every site of fidx, so
+// a frame-compatible lowering of fidx is the same on every engine and the
+// tier-1 code cache may share it. Safe to call from background compile
+// workers.
+func (e *Engine) Deopted(fidx int) bool {
+	e.specMu.Lock()
+	bad := e.deoptFuncs[fidx]
+	e.specMu.Unlock()
+	return bad
+}
+
 // noteSpecFailure blacklists a site after its guard failed (one strike: the
 // profile said monomorphic-direct, the program disagreed, believe the
 // program from now on).
@@ -304,7 +316,9 @@ func (e *Engine) noteSpecFailure(fidx, blk, instr int) {
 	e.specMu.Lock()
 	if e.specBad == nil {
 		e.specBad = make(map[specSite]bool)
+		e.deoptFuncs = make(map[int]bool)
 	}
 	e.specBad[specSite{fidx, blk, instr}] = true
+	e.deoptFuncs[fidx] = true
 	e.specMu.Unlock()
 }

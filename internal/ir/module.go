@@ -126,6 +126,7 @@ type Module struct {
 
 	funcIdx   map[string]int
 	globalIdx map[string]int
+	base      *Module // the module Extend copied this one from, or nil
 }
 
 // NewModule returns an empty module.
@@ -214,9 +215,10 @@ func (m *Module) Reindex() {
 // add to: its declarations resolve to m's definitions, and AddFunc replaces
 // a slot of the new module, never m's. It is how a user program links
 // against a libc compiled once. Nothing reachable from m is copied, so m
-// must be immutable from here on.
+// must be immutable from here on. The new module's Base is m.
 func (m *Module) Extend() *Module {
 	return &Module{
+		base:      m,
 		Name:      m.Name,
 		Globals:   append([]*Global(nil), m.Globals...),
 		Funcs:     append([]*Func(nil), m.Funcs...),
@@ -225,6 +227,12 @@ func (m *Module) Extend() *Module {
 		globalIdx: maps.Clone(m.globalIdx),
 	}
 }
+
+// Base returns the module m was extended from (Extend), or nil. Slots of
+// Base's functions and globals that m still holds unreplaced are the same
+// pointers at the same indices, which is what lets the tier-1 code cache
+// serve Base's compiled functions to every module extending it.
+func (m *Module) Base() *Module { return m.base }
 
 // Clone returns a deep copy of the module: functions (blocks, instructions,
 // operand/case slices), globals (including their initializer constants),

@@ -14,8 +14,15 @@
 // mutable state — argument buffers, inline-cache entries — lives in the
 // engine's call-site table, addressed by compile-time site IDs (Engine.Site).
 // A cached closure therefore executes identically on any engine running the
-// same module. OSR entries are deliberately *not* cached: they lower against
-// one engine's live interpreter frame and consult its speculation blacklist.
+// same module.
+//
+// OSR entries are cached too, one frame-compatible lowering per function:
+// the lowering does not depend on the loop header (CompileOSR only picks the
+// entry block), and the function's loop-header set is cached beside it. The
+// shared lowering speculates at every site, which is what a private one
+// lowers on an engine with no deopt in that function (Engine.Deopted); an
+// engine that has deopted there gets a private lowering that honours its
+// blacklist.
 //
 // Units are keyed by module identity, not content: the pipeline cache hands
 // every run of one program the same shared module object, and every driver
@@ -24,17 +31,35 @@
 // distinct module objects with equal content (an uncached compile, a file
 // parsed twice) get separate units.
 //
+// Sharing rule: libc is compiled once per process, not once per program.
+// A linked program extends the libc prefix module (ir.Module.Extend), so it
+// holds the prefix's *ir.Func and *ir.Global pointers at the prefix's
+// indices. When it replaced none of them (checked once per module, by
+// pointer), a request for fidx < len(prefix.Funcs) goes to one unit rooted
+// at the prefix, shared by every such program: the function, its inlined
+// callees, its IsBuiltin answers and every global and function index it
+// resolves are then the prefix's. A program that defines its own copy of a
+// prefix function libc calls replaces that slot, so all of its functions
+// stay in its own unit. ReleaseModule of a program leaves the prefix unit
+// alone; Reset drops it.
+//
+// Site-ID domains: a program unit hands out site IDs 0, 1, 2, ... and a
+// prefix unit -1, -2, -3, ...; Engine.Site keeps one table per domain, so
+// one engine running both kinds of code never gives two sites one cell.
+//
 // Counter parity: each compilation records its counter delta (unitMeta)
 // next to the closure, and a cache hit replays the delta into the running
 // compiler — so JITReport (Compiled, InstrsTotal, Inlined, Bailed) is
 // byte-identical whether the code was compiled in this run or reused, which
 // the warm-vs-cold parity suite pins. Bailed compilations are cached as nil
 // closures (negative caching): a warm run re-bails instantly with the same
-// recorded reason.
+// recorded reason. A bailed shared OSR lowering replays its bail the same
+// way. Hits and misses count entry compilations only.
 package jit
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -43,11 +68,13 @@ import (
 )
 
 // siteAlloc hands out dense call-site IDs for one compilation domain (one
-// cache unit, or one uncached compiler). It has its own lock because a
-// unit's allocator is shared by every compiler filling that unit.
+// cache unit, or one uncached compiler): 0, 1, 2, ... or, for a prefix
+// unit, -1, -2, -3, ... It has its own lock because a unit's allocator is
+// shared by every compiler filling that unit.
 type siteAlloc struct {
 	mu   sync.Mutex
 	next int
+	neg  bool
 }
 
 func (a *siteAlloc) alloc() int {
@@ -55,6 +82,9 @@ func (a *siteAlloc) alloc() int {
 	id := a.next
 	a.next++
 	a.mu.Unlock()
+	if a.neg {
+		return -id - 1
+	}
 	return id
 }
 
@@ -70,11 +100,14 @@ func (c *Compiler) fingerprint() Fingerprint {
 }
 
 // cacheKey addresses one unit: the module's identity plus the config
-// fingerprint. A unit pins its module until it is evicted or released, so the
-// LRU bound also caps how many modules the cache keeps alive.
+// fingerprint, and whether the unit serves the module as a prefix of others
+// (its site IDs are then negative). A unit pins its module until it is
+// evicted or released, so the LRU bound also caps how many modules the
+// cache keeps alive.
 type cacheKey struct {
-	mod *ir.Module
-	fp  Fingerprint
+	mod    *ir.Module
+	fp     Fingerprint
+	prefix bool
 }
 
 // funcEntry is one function's compiled artifact inside a unit. ready closes
@@ -87,6 +120,17 @@ type funcEntry struct {
 	meta  unitMeta
 }
 
+// osrEntry is one function's frame-compatible lowering inside a unit,
+// published like a funcEntry. headers marks the blocks that head a
+// single-header loop (nil if the lowering panicked); blocks is the lowering
+// with every site speculating, nil when it bailed for bailMsg.
+type osrEntry struct {
+	ready   chan struct{}
+	headers []bool
+	blocks  []osrBlock
+	bailMsg string
+}
+
 // unit is every compiled function of one (module, fingerprint) pair, plus
 // the site-ID allocator those functions' closures were compiled against.
 // Units are immutable-once-published: entries are only ever added, and a
@@ -94,9 +138,13 @@ type funcEntry struct {
 type unit struct {
 	key   cacheKey
 	sites *siteAlloc
+	// shared is the prefix module whose functions this program unit leaves
+	// to the prefix's unit (sharedPrefix), or nil.
+	shared *ir.Module
 
 	mu    sync.Mutex
 	funcs map[int]*funcEntry
+	osr   map[int]*osrEntry
 
 	elem *list.Element // position in CodeCache.lru
 }
@@ -126,19 +174,17 @@ func NewCodeCache(capUnits int) *CodeCache {
 	return &CodeCache{cap: capUnits, units: make(map[cacheKey]*unit), lru: list.New()}
 }
 
-// unitFor returns (creating if needed) the unit for m under fp, updating
-// recency and evicting over-capacity units.
-func (cc *CodeCache) unitFor(m *ir.Module, fp Fingerprint) *unit {
-	key := cacheKey{mod: m, fp: fp}
+// unitFor returns (creating if needed) the unit that compiles function fidx
+// of m under fp: the unit of m's libc prefix when m shares it and fidx is
+// one of its functions, else m's own. It updates recency and evicts
+// over-capacity units.
+func (cc *CodeCache) unitFor(m *ir.Module, fp Fingerprint, fidx int) *unit {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if u, ok := cc.units[key]; ok {
-		cc.lru.MoveToFront(u.elem)
-		return u
+	u := cc.lookup(cacheKey{mod: m, fp: fp})
+	if u.shared != nil && fidx < len(u.shared.Funcs) {
+		u = cc.lookup(cacheKey{mod: u.shared, fp: fp, prefix: true})
 	}
-	u := &unit{key: key, sites: &siteAlloc{}, funcs: make(map[int]*funcEntry)}
-	u.elem = cc.lru.PushFront(u)
-	cc.units[key] = u
 	for cc.lru.Len() > cc.cap {
 		ev := cc.lru.Remove(cc.lru.Back()).(*unit)
 		delete(cc.units, ev.key)
@@ -147,11 +193,50 @@ func (cc *CodeCache) unitFor(m *ir.Module, fp Fingerprint) *unit {
 	return u
 }
 
+// lookup returns (creating if needed) the unit for key and marks it most
+// recently used. Callers hold cc.mu.
+func (cc *CodeCache) lookup(key cacheKey) *unit {
+	if u, ok := cc.units[key]; ok {
+		cc.lru.MoveToFront(u.elem)
+		return u
+	}
+	u := &unit{key: key, sites: &siteAlloc{neg: key.prefix},
+		funcs: make(map[int]*funcEntry), osr: make(map[int]*osrEntry)}
+	if !key.prefix {
+		u.shared = sharedPrefix(key.mod)
+	}
+	u.elem = cc.lru.PushFront(u)
+	cc.units[key] = u
+	return u
+}
+
+// sharedPrefix returns the module m extends when m still holds every one of
+// its functions and globals, the same pointers at the same indices — then
+// compiled code of those functions is the same in m as in the prefix — or
+// nil when m extends nothing or replaced a slot.
+func sharedPrefix(m *ir.Module) *ir.Module {
+	b := m.Base()
+	if b == nil || len(b.Funcs) == 0 || len(m.Funcs) < len(b.Funcs) || len(m.Globals) < len(b.Globals) {
+		return nil
+	}
+	for i, f := range b.Funcs {
+		if m.Funcs[i] != f {
+			return nil
+		}
+	}
+	for i, g := range b.Globals {
+		if m.Globals[i] != g {
+			return nil
+		}
+	}
+	return b
+}
+
 // compile serves one Compile request through the cache: a hit replays the
 // recorded counter delta and returns the shared closure; a miss compiles
 // under the unit's site allocator, publishes, and wakes coalesced waiters.
 func (cc *CodeCache) compile(c *Compiler, e *core.Engine, fidx int) core.CompiledFunc {
-	u := cc.unitFor(e.Module(), c.fingerprint())
+	u := cc.unitFor(e.Module(), c.fingerprint(), fidx)
 	u.mu.Lock()
 	if fe, ok := u.funcs[fidx]; ok {
 		u.mu.Unlock()
@@ -188,6 +273,58 @@ func (cc *CodeCache) compile(c *Compiler, e *core.Engine, fidx int) core.Compile
 	published = true
 	close(fe.ready)
 	return fn
+}
+
+// compileOSR serves one CompileOSR request through the cache. The first
+// request for a function of a unit computes its loop-header set and its
+// speculative lowering; every later one only picks the entry block. An
+// engine that has deopted in the function lowers privately (still under
+// the unit's site allocator) against its own blacklist.
+func (cc *CodeCache) compileOSR(c *Compiler, e *core.Engine, fidx, header int) core.CompiledFunc {
+	u := cc.unitFor(e.Module(), c.fingerprint(), fidx)
+	f := e.Module().Funcs[fidx]
+	u.mu.Lock()
+	oe, ok := u.osr[fidx]
+	if !ok {
+		oe = &osrEntry{ready: make(chan struct{})}
+		u.osr[fidx] = oe
+	}
+	u.mu.Unlock()
+	if ok {
+		<-oe.ready
+	} else {
+		cc.lowerOSREntry(c, e, u, f, fidx, oe)
+	}
+
+	if oe.headers == nil || !oe.headers[header] {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !e.Deopted(fidx) {
+		if oe.blocks == nil {
+			c.stats.bail(oe.bailMsg)
+			return nil
+		}
+		return osrEntryAt(oe.blocks, header)
+	}
+	c.sites = u.sites
+	return c.osrPrivate(e, f, fidx, header)
+}
+
+// lowerOSREntry fills and publishes a new osrEntry. A panicking lowering
+// still publishes (with no headers), so waiters keep interpreting.
+func (cc *CodeCache) lowerOSREntry(c *Compiler, e *core.Engine, u *unit, f *ir.Func, fidx int, oe *osrEntry) {
+	defer close(oe.ready)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sites = u.sites
+	blocks, err := c.lowerOSR(e, f, fidx, speculateAll)
+	if err != nil {
+		oe.bailMsg = fmt.Sprintf("%s: %v", f.Name, err)
+	}
+	oe.blocks = blocks
+	oe.headers = loopHeaders(f)
 }
 
 // ReleaseModule evicts every unit compiled from m, across all config

@@ -172,7 +172,7 @@ func TestCodeCacheHitNotMutated(t *testing.T) {
 	if fn := c1.Compile(e1, fidx); fn == nil {
 		t.Fatal("miss returned nil closure")
 	}
-	u := cc.unitFor(e1.Module(), c1.fingerprint())
+	u := cc.unitFor(e1.Module(), c1.fingerprint(), fidx)
 	u.mu.Lock()
 	fe1 := u.funcs[fidx]
 	u.mu.Unlock()

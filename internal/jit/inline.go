@@ -114,7 +114,6 @@ func (c *Compiler) compileCall(e *core.Engine, in *ir.Instr, fname string) (step
 	if err != nil {
 		return nil, err
 	}
-	nFuncs := len(e.Module().Funcs)
 
 	// Inline cache. The guards run in the interpreter's order: a non-function
 	// pointer reports exactly the tier-0 diagnostic (NULL call, call through
@@ -142,8 +141,11 @@ func (c *Compiler) compileCall(e *core.Engine, in *ir.Instr, fname string) (step
 					}
 				}
 			}
+			// The bound is the running module's, read at run time: code
+			// shared across the modules extending one libc prefix calls
+			// back into each program's own functions (qsort, bsearch).
 			idx := p.FuncIndex()
-			if idx < 0 || idx >= nFuncs {
+			if idx < 0 || idx >= len(e.Module().Funcs) {
 				return &core.InternalError{
 					Msg:   fmt.Sprintf("call to unknown function in %s", fname),
 					Guest: e.CaptureStack(fname, line),

@@ -45,11 +45,11 @@ type Compiler struct {
 	// (ablation benchmarks: the tier-0-shaped closure compiler).
 	DisableMem2Reg bool
 
-	// Cache, when set, makes Compile consult the process-wide executable-code
-	// cache before lowering: a hit attaches the shared immutable closure and
-	// replays the compile's recorded counter deltas, so JITReport is
-	// byte-identical whether the code was compiled here or reused. Set it
-	// before the first Compile and never change it.
+	// Cache, when set, makes Compile and CompileOSR consult the process-wide
+	// executable-code cache before lowering: a hit attaches the shared
+	// immutable code and replays the compile's recorded counter deltas, so
+	// JITReport is byte-identical whether the code was compiled here or
+	// reused. Set it before the first Compile and never change it.
 	Cache *CodeCache
 
 	// mu serializes compilations (the engine may run them on background

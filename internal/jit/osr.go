@@ -40,24 +40,63 @@ type osrBlock struct {
 	cost int64
 }
 
-// CompileOSR lowers the function at fidx frame-compatibly with entry at the
-// given loop header. The header is validated against the same loop analysis
-// the tier-2 hoisting pass uses (opt.Loops): a dynamically observed backward
-// branch that is not a single-header loop edge is refused silently — the
-// profiler counts raw backward branches, so irregular targets (a `continue`
-// edge, front-end-shaped control flow) are an expected negative answer, not
-// a compiler failure worth a bail-out entry. A nil result means the
-// interpreter keeps the loop and the engine never re-asks.
+// CompileOSR returns a frame-compatible compiled entry into the function at
+// fidx at the given loop header. The header is validated against the same
+// loop analysis the tier-2 hoisting pass uses (opt.Loops): a dynamically
+// observed backward branch that is not a single-header loop edge is refused
+// silently — the profiler counts raw backward branches, so irregular targets
+// (a `continue` edge, front-end-shaped control flow) are an expected
+// negative answer, not a compiler failure worth a bail-out entry. A nil
+// result means the interpreter keeps the loop and the engine never re-asks.
+//
+// The lowering does not depend on the header: every block is lowered, and
+// the header only picks the entry. With a Cache attached, the loop-header
+// set and the lowering are computed once per unit function and shared while
+// the engine has no deopt in that function (see codecache.go).
 func (c *Compiler) CompileOSR(e *core.Engine, fidx, header int) core.CompiledFunc {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	f := e.Module().Funcs[fidx]
 	if f.IsDecl || header < 0 || header >= len(f.Blocks) {
 		return nil
 	}
-	if !opt.IsLoopHeader(f, header) {
+	if c.Cache != nil {
+		return c.Cache.compileOSR(c, e, fidx, header)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !loopHeaders(f)[header] {
 		return nil
 	}
+	return c.osrPrivate(e, f, fidx, header)
+}
+
+// osrPrivate lowers f for this engine alone, honouring its speculation
+// blacklist, and enters it at header. Callers hold c.mu.
+func (c *Compiler) osrPrivate(e *core.Engine, f *ir.Func, fidx, header int) core.CompiledFunc {
+	blocks, err := c.lowerOSR(e, f, fidx, e.CanSpeculate)
+	if err != nil {
+		c.bail(f.Name, err)
+		return nil
+	}
+	return osrEntryAt(blocks, header)
+}
+
+// loopHeaders marks the blocks of f that head a single-header loop
+// (opt.Loops): the only sound OSR entries.
+func loopHeaders(f *ir.Func) []bool {
+	hs := make([]bool, len(f.Blocks))
+	for _, l := range opt.Loops(f) {
+		hs[l.Header] = true
+	}
+	return hs
+}
+
+// speculateAll is the speculation predicate of a shared OSR lowering: no
+// site of the function has deopted yet, so every site may speculate.
+func speculateAll(fidx, blk, instr int) bool { return true }
+
+// lowerOSR lowers every block of f frame-compatibly; spec says which sites
+// may take a speculative fast path. Callers hold c.mu.
+func (c *Compiler) lowerOSR(e *core.Engine, f *ir.Func, fidx int, spec func(fidx, blk, instr int) bool) ([]osrBlock, error) {
 	// No clone, no passes: lowering only reads the (shared, immutable)
 	// module function, and registers must map 1:1 to the live frame.
 	c.nextReg = f.NumRegs
@@ -66,15 +105,18 @@ func (c *Compiler) CompileOSR(e *core.Engine, fidx, header int) core.CompiledFun
 
 	blocks := make([]osrBlock, len(f.Blocks))
 	for bi, b := range f.Blocks {
-		lb, err := c.lowerOSRBlock(e, f, fidx, bi, b)
+		lb, err := c.lowerOSRBlock(e, f, fidx, bi, b, spec)
 		if err != nil {
-			c.bail(f.Name, err)
-			return nil
+			return nil, err
 		}
 		blocks[bi] = lb
 	}
+	return blocks, nil
+}
 
-	entry := header
+// osrEntryAt runs lowered blocks against the live interpreter frame,
+// entering at block entry.
+func osrEntryAt(blocks []osrBlock, entry int) core.CompiledFunc {
 	return func(e *core.Engine, fr *core.Frame) (core.Value, error) {
 		blk := entry
 		for {
@@ -110,13 +152,13 @@ func (c *Compiler) CompileOSR(e *core.Engine, fidx, header int) core.CompiledFun
 
 // lowerOSRBlock lowers one block 1:1: step i executes instruction i, the
 // terminator is compiled unfused, and scalar loads/stores become speculative
-// deopting fast paths where the engine's blacklist allows.
-func (c *Compiler) lowerOSRBlock(e *core.Engine, f *ir.Func, fidx, bi int, b *ir.Block) (osrBlock, error) {
+// deopting fast paths where spec allows.
+func (c *Compiler) lowerOSRBlock(e *core.Engine, f *ir.Func, fidx, bi int, b *ir.Block, spec func(fidx, blk, instr int) bool) (osrBlock, error) {
 	n := len(b.Instrs)
 	body := make([]step, 0, n-1)
 	for i := 0; i < n-1; i++ {
 		in := &b.Instrs[i]
-		if st, ok := c.specStep(e, fidx, bi, i, in); ok {
+		if st, ok := specStep(in, spec(fidx, bi, i), bi, i); ok {
 			body = append(body, st)
 			continue
 		}
@@ -133,17 +175,17 @@ func (c *Compiler) lowerOSRBlock(e *core.Engine, f *ir.Func, fidx, bi int, b *ir
 	return osrBlock{body: body, term: t, cost: int64(n)}, nil
 }
 
-// specStep lowers a scalar register-addressed load or store as a speculative
-// fast path: the core.Direct* guard (liveness, pointer purity, exact bounds)
-// either passes and the access completes, or the step deopts to tier-0 at
-// exactly this instruction. ok=false keeps the generic lowering (blacklisted
-// site, non-scalar type, speculation disabled).
-func (c *Compiler) specStep(e *core.Engine, fidx, bi, ii int, in *ir.Instr) (step, bool) {
-	if in.Op != ir.OpLoad && in.Op != ir.OpStore {
+// specStep lowers a scalar register-addressed load or store at (bi, ii) as
+// a speculative fast path: the core.Direct* guard (liveness, pointer purity,
+// exact bounds) either passes and the access completes, or the step deopts
+// to tier-0 at exactly this instruction. ok=false keeps the generic lowering
+// (blacklisted site, non-scalar type).
+func specStep(in *ir.Instr, allowed bool, bi, ii int) (step, bool) {
+	if !allowed || in.Op != ir.OpLoad && in.Op != ir.OpStore {
 		return nil, false
 	}
 	kind := directKind(in.Ty)
-	if kind == dkNone || in.Addr.Kind != ir.OperReg || !e.CanSpeculate(fidx, bi, ii) {
+	if kind == dkNone || in.Addr.Kind != ir.OperReg {
 		return nil, false
 	}
 	ar := in.Addr.Reg

@@ -100,15 +100,3 @@ func Loops(f *ir.Func) []Loop {
 	}
 	return loops
 }
-
-// IsLoopHeader reports whether block bi heads a single-header loop of f —
-// the validity check for an OSR entry request derived from a dynamically
-// observed back edge (a backward goto that is not a loop fails it).
-func IsLoopHeader(f *ir.Func, bi int) bool {
-	for _, l := range Loops(f) {
-		if l.Header == bi {
-			return true
-		}
-	}
-	return false
-}
