@@ -103,12 +103,14 @@ typecheck:
 # front end's fuzz seeds (corpus and benchmark sources plus committed
 # crashers through CompileFor, every toolchain view: no compiler panic) and
 # the textual IR's (printed corpus and benchmark modules: Parse never
-# panics, and what parses prints to a fixpoint).
+# panics, and what parses prints to a fixpoint; every benchmark's whole
+# module, libc included, printed, re-parsed and run against the tier-parity
+# table's reference).
 # The campaign package gets its own generous timeout: 200 race-instrumented
 # programs × ~10 oracle runs each is real work on a small machine.
 fuzzcheck:
 	FUZZCHECK_PROGRAMS=200 $(GO) test -race -timeout 600s -run 'Campaign|Journal|Minimize|FuzzFinds|Generate|Mutate|SweepProgress|Backoff' ./internal/campaign ./internal/gen ./internal/corpus ./internal/harness
-	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'FuzzCompileFor|FuzzIRRoundTrip' .
+	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'FuzzCompileFor|IRRoundTrip' .
 
 # Compile-once/run-many gate: the tier-parity table's corpus rows in every
 # tier, plan and cache state (a warm run and a code-cache hit on a pooled

@@ -42,6 +42,8 @@ func TestParityTestsHaveAGate(t *testing.T) {
 	for _, file := range []string{
 		"parity_test.go",
 		"tier2fault_test.go",
+		"irroundtrip_test.go",
+		"libcshare_test.go",
 		"internal/jit/codecache_test.go",
 		"internal/core/tierup_test.go",
 		"internal/core/enginepool_test.go",

@@ -165,7 +165,7 @@ func (g *fnGen) addr(e Expr) (ir.Operand, *CType, error) {
 			return ir.Operand{}, nil, err
 		}
 		dst := g.f.NewReg()
-		g.emit(ir.Instr{Op: ir.OpGEP, Dst: dst, Addr: base, Stride: elem.Size(), A: idx.op, Line: v.Pos.Line})
+		g.emit(ir.Instr{Op: ir.OpGEP, Dst: dst, Addr: base, Stride: elem.Size(), A: idx.op, Line: int32(v.Pos.Line)})
 		return ir.Reg(dst, ir.BytePtr), elem, nil
 	case *Member:
 		var base ir.Operand
@@ -194,7 +194,7 @@ func (g *fnGen) addr(e Expr) (ir.Operand, *CType, error) {
 			return ir.Operand{}, nil, g.cg.errAt(v.Pos, "%s has no member %q", sty, v.Name)
 		}
 		dst := g.f.NewReg()
-		g.emit(ir.Instr{Op: ir.OpGEP, Dst: dst, Addr: base, Stride: 1, A: ir.ConstInt(sty.FieldOffset(fi), ir.I64), Line: v.Pos.Line})
+		g.emit(ir.Instr{Op: ir.OpGEP, Dst: dst, Addr: base, Stride: 1, A: ir.ConstInt(sty.FieldOffset(fi), ir.I64), Line: int32(v.Pos.Line)})
 		return ir.Reg(dst, ir.BytePtr), fty, nil
 	case *StrLit:
 		sym := g.cg.internString(v.S)
@@ -283,7 +283,7 @@ func (g *fnGen) incDec(v *Unary) (value, error) {
 	switch {
 	case ty.Kind == CPtr:
 		dst := g.f.NewReg()
-		g.emit(ir.Instr{Op: ir.OpGEP, Dst: dst, Addr: old.op, Stride: ty.Elem.Size(), A: ir.ConstInt(delta, ir.I64), Line: v.Pos.Line})
+		g.emit(ir.Instr{Op: ir.OpGEP, Dst: dst, Addr: old.op, Stride: ty.Elem.Size(), A: ir.ConstInt(delta, ir.I64), Line: int32(v.Pos.Line)})
 		nv = value{op: ir.Reg(dst, ir.BytePtr), ty: ty}
 	case ty.Kind == CFloat:
 		dst := g.f.NewReg()
@@ -294,7 +294,7 @@ func (g *fnGen) incDec(v *Unary) (value, error) {
 		g.emit(ir.Instr{Op: ir.OpBin, Dst: dst, Ty: ty.IR(), Bin: ir.Add, A: old.op, B: ir.ConstInt(delta, ty.IR())})
 		nv = value{op: ir.Reg(dst, ty.IR()), ty: ty}
 	}
-	g.emit(ir.Instr{Op: ir.OpStore, Ty: ty.Decay().IR(), A: nv.op, Addr: addr, Line: v.Pos.Line})
+	g.emit(ir.Instr{Op: ir.OpStore, Ty: ty.Decay().IR(), A: nv.op, Addr: addr, Line: int32(v.Pos.Line)})
 	if v.Postfix {
 		return old, nil
 	}
@@ -331,7 +331,11 @@ func (g *fnGen) convert(x value, to *CType, pos Pos) (value, error) {
 		// the backend's Fig. 13 const-global fold depends on seeing
 		// constant gep indices.
 		if x.op.Kind == ir.OperConstInt || x.op.Kind == ir.OperConstFloat {
-			iv, fv, isF := ir.EvalCast(op, bitsOfIR(fromIR), bitsOfIR(toIR), x.op.Int, x.op.Flt)
+			i, f := x.op.Int, 0.0
+			if x.op.Kind == ir.OperConstFloat {
+				i, f = 0, x.op.Flt()
+			}
+			iv, fv, isF := ir.EvalCast(op, bitsOfIR(fromIR), bitsOfIR(toIR), i, f)
 			if isF {
 				return value{op: ir.ConstFloat(fv, toIR), ty: to}
 			}
@@ -387,7 +391,7 @@ func (g *fnGen) convert(x value, to *CType, pos Pos) (value, error) {
 			g.emit(ir.Instr{
 				Op: ir.OpCast, Dst: dst, Cast: ir.Bitcast,
 				Ty: ir.BytePtr, Ty2: ir.Ptr(te.IR()), A: x.op,
-				CType: te.String(),
+				Ext: &ir.Ext{CType: te.String()},
 			})
 			return value{op: ir.Reg(dst, ir.BytePtr), ty: to}, nil
 		}
@@ -587,9 +591,9 @@ func (g *fnGen) binaryValues(op string, x, y value, pos Pos) (value, error) {
 		x, y = g.mustConvert(x, common), g.mustConvert(y, common)
 		dst := g.f.NewReg()
 		if common.Kind == CFloat {
-			g.emit(ir.Instr{Op: ir.OpCmp, Dst: dst, Pred: floatPreds[op], Ty: common.IR(), A: x.op, B: y.op, Line: pos.Line})
+			g.emit(ir.Instr{Op: ir.OpCmp, Dst: dst, Pred: floatPreds[op], Ty: common.IR(), A: x.op, B: y.op, Line: int32(pos.Line)})
 		} else {
-			g.emit(ir.Instr{Op: ir.OpCmp, Dst: dst, Pred: preds[pickIdx(common.Unsigned)], Ty: common.IR(), A: x.op, B: y.op, Line: pos.Line})
+			g.emit(ir.Instr{Op: ir.OpCmp, Dst: dst, Pred: preds[pickIdx(common.Unsigned)], Ty: common.IR(), A: x.op, B: y.op, Line: int32(pos.Line)})
 		}
 		return g.boolToInt(ir.Reg(dst, ir.I1)), nil
 	}
@@ -600,7 +604,7 @@ func (g *fnGen) binaryValues(op string, x, y value, pos Pos) (value, error) {
 		y = g.mustConvert(g.promote(y), x.ty)
 		ops := intBinOps[op]
 		dst := g.f.NewReg()
-		g.emit(ir.Instr{Op: ir.OpBin, Dst: dst, Ty: x.ty.IR(), Bin: ops[pickIdx(x.ty.Unsigned)], A: x.op, B: y.op, Line: pos.Line})
+		g.emit(ir.Instr{Op: ir.OpBin, Dst: dst, Ty: x.ty.IR(), Bin: ops[pickIdx(x.ty.Unsigned)], A: x.op, B: y.op, Line: int32(pos.Line)})
 		return value{op: ir.Reg(dst, x.ty.IR()), ty: x.ty}, nil
 	}
 
@@ -612,13 +616,13 @@ func (g *fnGen) binaryValues(op string, x, y value, pos Pos) (value, error) {
 		if !ok {
 			return value{}, g.cg.errAt(pos, "invalid float operator %q", op)
 		}
-		g.emit(ir.Instr{Op: ir.OpBin, Dst: dst, Ty: common.IR(), Bin: bop, A: x.op, B: y.op, Line: pos.Line})
+		g.emit(ir.Instr{Op: ir.OpBin, Dst: dst, Ty: common.IR(), Bin: bop, A: x.op, B: y.op, Line: int32(pos.Line)})
 	} else {
 		ops, ok := intBinOps[op]
 		if !ok {
 			return value{}, g.cg.errAt(pos, "invalid operator %q", op)
 		}
-		g.emit(ir.Instr{Op: ir.OpBin, Dst: dst, Ty: common.IR(), Bin: ops[pickIdx(common.Unsigned)], A: x.op, B: y.op, Line: pos.Line})
+		g.emit(ir.Instr{Op: ir.OpBin, Dst: dst, Ty: common.IR(), Bin: ops[pickIdx(common.Unsigned)], A: x.op, B: y.op, Line: int32(pos.Line)})
 	}
 	return value{op: ir.Reg(dst, common.IR()), ty: common}, nil
 }
@@ -640,7 +644,7 @@ func (g *fnGen) pointerBinary(op string, x, y value, pos Pos) (value, error) {
 		}
 		i = g.mustConvert(i, tyLong)
 		dst := g.f.NewReg()
-		g.emit(ir.Instr{Op: ir.OpGEP, Dst: dst, Addr: p.op, Stride: p.ty.Decay().Elem.Size(), A: i.op, Line: pos.Line})
+		g.emit(ir.Instr{Op: ir.OpGEP, Dst: dst, Addr: p.op, Stride: p.ty.Decay().Elem.Size(), A: i.op, Line: int32(pos.Line)})
 		return value{op: ir.Reg(dst, ir.BytePtr), ty: p.ty.Decay()}, nil
 	case "-":
 		if yt.Kind != CPtr { // ptr - int
@@ -648,7 +652,7 @@ func (g *fnGen) pointerBinary(op string, x, y value, pos Pos) (value, error) {
 			neg := g.f.NewReg()
 			g.emit(ir.Instr{Op: ir.OpBin, Dst: neg, Ty: ir.I64, Bin: ir.Sub, A: ir.ConstInt(0, ir.I64), B: i.op})
 			dst := g.f.NewReg()
-			g.emit(ir.Instr{Op: ir.OpGEP, Dst: dst, Addr: x.op, Stride: xt.Elem.Size(), A: ir.Reg(neg, ir.I64), Line: pos.Line})
+			g.emit(ir.Instr{Op: ir.OpGEP, Dst: dst, Addr: x.op, Stride: xt.Elem.Size(), A: ir.Reg(neg, ir.I64), Line: int32(pos.Line)})
 			return value{op: ir.Reg(dst, ir.BytePtr), ty: xt}, nil
 		}
 		// ptr - ptr: byte difference divided by element size.
@@ -672,7 +676,7 @@ func (g *fnGen) pointerBinary(op string, x, y value, pos Pos) (value, error) {
 			y = g.mustConvert(y, xt)
 		}
 		dst := g.f.NewReg()
-		g.emit(ir.Instr{Op: ir.OpCmp, Dst: dst, Pred: cmpPreds[op][1], Ty: ir.BytePtr, A: x.op, B: y.op, Line: pos.Line})
+		g.emit(ir.Instr{Op: ir.OpCmp, Dst: dst, Pred: cmpPreds[op][1], Ty: ir.BytePtr, A: x.op, B: y.op, Line: int32(pos.Line)})
 		return g.boolToInt(ir.Reg(dst, ir.I1)), nil
 	}
 	return value{}, g.cg.errAt(pos, "invalid pointer operation %q", op)
@@ -693,13 +697,16 @@ func (g *fnGen) assign(v *Assign) (value, error) {
 			// engines implement it with their own (checked or raw) memory ops.
 			g.cg.ensureBuiltin(BuiltinMemcpy, &ir.FuncType{Ret: ir.Void, Params: []ir.Type{ir.BytePtr, ir.BytePtr, ir.I64}})
 			g.emit(ir.Instr{
-				Op: ir.OpCall, Dst: -1, Ty: ir.Void, Callee: ir.FuncRef(BuiltinMemcpy),
-				Args: []ir.Operand{
-					withTy(addr, ir.BytePtr),
-					withTy(r.op, ir.BytePtr),
-					withTy(ir.ConstInt(lty.Size(), ir.I64), ir.I64),
+				Op: ir.OpCall, Dst: -1, Ty: ir.Void, Ext: &ir.Ext{
+					Callee: ir.FuncRef(BuiltinMemcpy),
+					Args: []ir.Operand{
+						withTy(addr, ir.BytePtr),
+						withTy(r.op, ir.BytePtr),
+						withTy(ir.ConstInt(lty.Size(), ir.I64), ir.I64),
+					},
+					FixedArgs: 3,
 				},
-				FixedArgs: 3, Line: v.Pos.Line,
+				Line: int32(v.Pos.Line),
 			})
 			return value{op: addr, ty: lty}, nil
 		}
@@ -707,7 +714,7 @@ func (g *fnGen) assign(v *Assign) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		g.emit(ir.Instr{Op: ir.OpStore, Ty: lty.Decay().IR(), A: r.op, Addr: addr, Line: v.Pos.Line})
+		g.emit(ir.Instr{Op: ir.OpStore, Ty: lty.Decay().IR(), A: r.op, Addr: addr, Line: int32(v.Pos.Line)})
 		return r, nil
 	}
 	// Compound assignment: load, combine, store.
@@ -727,7 +734,7 @@ func (g *fnGen) assign(v *Assign) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
-	g.emit(ir.Instr{Op: ir.OpStore, Ty: lty.Decay().IR(), A: combined.op, Addr: addr, Line: v.Pos.Line})
+	g.emit(ir.Instr{Op: ir.OpStore, Ty: lty.Decay().IR(), A: combined.op, Addr: addr, Line: int32(v.Pos.Line)})
 	return combined, nil
 }
 
@@ -759,12 +766,12 @@ func (g *fnGen) ternary(v *Cond) (value, error) {
 	thenB := g.newBlock("ter.then")
 	elseB := g.newBlock("ter.else")
 	endB := g.newBlock("ter.end")
-	var tmp int
+	var tmp int32
 	if resTy.Kind != CVoid {
 		tmp = g.alloca(resTy, "")
 	}
 	g.emit(ir.Instr{Op: ir.OpCondBr, A: cond, Blk0: thenB, Blk1: elseB})
-	emitArm := func(blk int, e Expr) error {
+	emitArm := func(blk int32, e Expr) error {
 		g.setBlock(blk)
 		av, err := g.expr(e)
 		if err != nil {
@@ -850,13 +857,14 @@ func (g *fnGen) call(v *Call) (value, error) {
 	}
 
 	retTy := sig.Ret
-	dst := -1
+	dst := int32(-1)
 	if retTy.Kind != CVoid {
 		dst = g.f.NewReg()
 	}
 	g.emit(ir.Instr{
-		Op: ir.OpCall, Dst: dst, Ty: retTy.IR(), Callee: callee,
-		Args: args, FixedArgs: len(sig.Params), Line: v.Pos.Line,
+		Op: ir.OpCall, Dst: dst, Ty: retTy.IR(),
+		Ext:  &ir.Ext{Callee: callee, Args: args, FixedArgs: len(sig.Params)},
+		Line: int32(v.Pos.Line),
 	})
 	if retTy.Kind == CVoid {
 		return value{op: ir.ConstInt(0, ir.I32), ty: tyVoid}, nil

@@ -18,14 +18,15 @@ const (
 // (Clang -O0 behaviour), which keeps the IR uniform. The optimizer and the
 // JIT promote non-address-taken scalars back to registers.
 type local struct {
-	addr int // register holding the alloca's address
+	addr int32 // register holding the alloca's address
 	ty   *CType
 }
 
 type pendingGoto struct {
-	blk, instr int
-	name       string
-	pos        Pos
+	blk   int32
+	instr int
+	name  string
+	pos   Pos
 }
 
 // fnGen generates IR for one function body.
@@ -33,12 +34,12 @@ type fnGen struct {
 	cg     *codegen
 	f      *ir.Func
 	sig    *CFuncInfo
-	curIdx int
+	curIdx int32
 
 	scopes    []map[string]*local
-	breaks    []int
-	continues []int
-	labels    map[string]int
+	breaks    []int32
+	continues []int32
+	labels    map[string]int32
 	gotos     []pendingGoto
 
 	staticIdx int
@@ -47,7 +48,7 @@ type fnGen struct {
 	// lowered. emit stamps it on every instruction that was not given an
 	// explicit Line, so diagnostics never see Line == 0 inside a function
 	// body (calls, branches, frees, loads, spills — everything).
-	line int
+	line int32
 }
 
 // at advances the current source line. Positions without line info (Pos{})
@@ -55,7 +56,7 @@ type fnGen struct {
 // the nearest enclosing source location.
 func (g *fnGen) at(pos Pos) {
 	if pos.Line > 0 {
-		g.line = pos.Line
+		g.line = int32(pos.Line)
 	}
 }
 
@@ -95,7 +96,7 @@ func stmtPos(s Stmt) Pos {
 func (cg *codegen) function(fd *FuncDecl) error {
 	f := &ir.Func{Name: fd.Name, Sig: sigIR(fd.Sig), SourceFile: cg.file}
 	f.Blocks = []*ir.Block{{Name: "entry"}}
-	g := &fnGen{cg: cg, f: f, sig: fd.Sig, labels: map[string]int{}}
+	g := &fnGen{cg: cg, f: f, sig: fd.Sig, labels: map[string]int32{}}
 	g.at(fd.Pos) // parameter spills carry the function's own line
 	g.pushScope()
 	// Parameters arrive in registers 0..n-1; spill each into an alloca so
@@ -114,7 +115,7 @@ func (cg *codegen) function(fd *FuncDecl) error {
 			continue
 		}
 		addr := g.alloca(pt, name)
-		g.emit(ir.Instr{Op: ir.OpStore, Ty: pt.Decay().IR(), A: ir.Reg(i, pt.Decay().IR()), Addr: ir.Reg(addr, ir.BytePtr)})
+		g.emit(ir.Instr{Op: ir.OpStore, Ty: pt.Decay().IR(), A: ir.Reg(int32(i), pt.Decay().IR()), Addr: ir.Reg(addr, ir.BytePtr)})
 		g.scopes[0][name] = &local{addr: addr, ty: pt}
 	}
 	if err := g.stmts(fd.Body.Stmts); err != nil {
@@ -163,29 +164,29 @@ func (g *fnGen) emit(in ir.Instr) {
 	g.cur().Instrs = append(g.cur().Instrs, in)
 }
 
-func (g *fnGen) newBlock(prefix string) int {
-	idx := len(g.f.Blocks)
+func (g *fnGen) newBlock(prefix string) int32 {
+	idx := int32(len(g.f.Blocks))
 	g.f.Blocks = append(g.f.Blocks, &ir.Block{Name: fmt.Sprintf("%s.%d", prefix, idx)})
 	return idx
 }
 
 // br terminates the current block with a jump if it is not already terminated.
-func (g *fnGen) br(target int) {
+func (g *fnGen) br(target int32) {
 	if !g.terminated() {
 		g.cur().Instrs = append(g.cur().Instrs, ir.Instr{Op: ir.OpBr, Blk0: target, Line: g.line})
 	}
 }
 
-func (g *fnGen) setBlock(i int) { g.curIdx = i }
+func (g *fnGen) setBlock(i int32) { g.curIdx = i }
 
 // alloca emits an alloca for a C type and returns the address register.
-func (g *fnGen) alloca(ty *CType, name string) int {
+func (g *fnGen) alloca(ty *CType, name string) int32 {
 	dst := g.f.NewReg()
 	// Allocas are emitted where they appear. The entry block would be the
 	// classic place, but emitting in place keeps block-scoped lifetimes
 	// simple and matches the managed model; the native machines give each
 	// re-executed constant-size alloca one slot per frame instead.
-	g.emit(ir.Instr{Op: ir.OpAlloca, Dst: dst, Ty: ty.IR(), Name: name, CType: ty.String()})
+	g.emit(ir.Instr{Op: ir.OpAlloca, Dst: dst, Ty: ty.IR(), Ext: &ir.Ext{Name: name, CType: ty.String()}})
 	return dst
 }
 
@@ -197,7 +198,7 @@ func (g *fnGen) sealFunction() {
 		if len(b.Instrs) > 0 && ir.IsTerminator(b.Instrs[len(b.Instrs)-1].Op) {
 			continue
 		}
-		g.curIdx = i
+		g.curIdx = int32(i)
 		switch rt := g.sig.Ret; {
 		case rt.Kind == CVoid:
 			b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpRet, Line: g.line})
@@ -402,7 +403,7 @@ func (g *fnGen) switchStmt(st *Switch) error {
 	dispatch := g.curIdx
 	endB := g.newBlock("sw.end")
 	var cases []ir.SwitchCase
-	defaultB := -1
+	defaultB := int32(-1)
 
 	g.breaks = append(g.breaks, endB)
 	defer func() { g.breaks = g.breaks[:len(g.breaks)-1] }()
@@ -437,7 +438,7 @@ func (g *fnGen) switchStmt(st *Switch) error {
 	}
 	// Seal any dangling pre-case block.
 	g.f.Blocks[dispatch].Instrs = append(g.f.Blocks[dispatch].Instrs,
-		ir.Instr{Op: ir.OpSwitch, Ty: ir.I64, A: scrut.op, Blk0: defaultB, Cases: cases, Line: st.Pos.Line})
+		ir.Instr{Op: ir.OpSwitch, Ty: ir.I64, A: scrut.op, Blk0: defaultB, Ext: &ir.Ext{Cases: cases}, Line: int32(st.Pos.Line)})
 	g.setBlock(endB)
 	return nil
 }
@@ -481,7 +482,7 @@ func (g *fnGen) localVar(vd *VarDecl) error {
 
 // emitGlobalAddr materializes a global's address into a register so scope
 // entries can treat statics like allocas.
-func (g *fnGen) emitGlobalAddr(name string) int {
+func (g *fnGen) emitGlobalAddr(name string) int32 {
 	dst := g.f.NewReg()
 	g.emit(ir.Instr{Op: ir.OpGEP, Dst: dst, Addr: ir.GlobalRef(name), Stride: 0, A: ir.ConstInt(0, ir.I64)})
 	return dst
@@ -563,13 +564,15 @@ func (g *fnGen) emitInit(addr ir.Operand, ty *CType, init Expr, pos Pos) error {
 
 func (g *fnGen) emitZeroFill(addr ir.Operand, size int64) {
 	g.emit(ir.Instr{
-		Op: ir.OpCall, Dst: -1, Ty: ir.Void, Callee: ir.FuncRef(BuiltinMemset),
-		Args: []ir.Operand{
-			withTy(addr, ir.BytePtr),
-			withTy(ir.ConstInt(0, ir.I32), ir.I32),
-			withTy(ir.ConstInt(size, ir.I64), ir.I64),
+		Op: ir.OpCall, Dst: -1, Ty: ir.Void, Ext: &ir.Ext{
+			Callee: ir.FuncRef(BuiltinMemset),
+			Args: []ir.Operand{
+				withTy(addr, ir.BytePtr),
+				withTy(ir.ConstInt(0, ir.I32), ir.I32),
+				withTy(ir.ConstInt(size, ir.I64), ir.I64),
+			},
+			FixedArgs: 3,
 		},
-		FixedArgs: 3,
 	})
 	g.cg.ensureBuiltin(BuiltinMemset, &ir.FuncType{Ret: ir.Void, Params: []ir.Type{ir.BytePtr, ir.I32, ir.I64}})
 }

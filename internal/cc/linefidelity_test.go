@@ -103,8 +103,8 @@ int main(void) {
 		for _, blk := range f.Blocks {
 			for i := range blk.Instrs {
 				in := &blk.Instrs[i]
-				if in.Op == ir.OpCall && in.Callee.Sym == callee {
-					if in.Line != line {
+				if in.Op == ir.OpCall && in.Ext.Callee.Sym == callee {
+					if int(in.Line) != line {
 						t.Errorf("call %s: Line = %d, want %d", callee, in.Line, line)
 					}
 					return

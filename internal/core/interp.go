@@ -31,7 +31,7 @@ func (e *Engine) interpret(fr *Frame) (Value, error) {
 				count = e.operand(fr, cnt).I
 			}
 			size := in.Ty.Size() * count
-			p, aerr := e.AllocAuto(fr, size, in.Name, in.Ty, in.CType, f.Name, in.Line)
+			p, aerr := e.AllocAuto(fr, size, in.Name(), in.Ty, in.CType(), f.Name, int(in.Line))
 			if aerr != nil {
 				return Value{}, aerr
 			}
@@ -41,13 +41,13 @@ func (e *Engine) interpret(fr *Frame) (Value, error) {
 		case ir.OpLoad:
 			v, be := e.LoadTyped(e.operand(fr, in.Addr).P, in.Ty)
 			if be != nil {
-				return Value{}, e.located(be, f.Name, in.Line)
+				return Value{}, e.located(be, f.Name, int(in.Line))
 			}
 			fr.Regs[in.Dst] = v
 
 		case ir.OpStore:
 			if be := e.StoreTyped(e.operand(fr, in.Addr).P, in.Ty, e.operand(fr, in.A)); be != nil {
-				return Value{}, e.located(be, f.Name, in.Line)
+				return Value{}, e.located(be, f.Name, int(in.Line))
 			}
 
 		case ir.OpGEP:
@@ -66,7 +66,7 @@ func (e *Engine) interpret(fr *Frame) (Value, error) {
 			} else {
 				v, ok := ir.EvalIntBin(in.Bin, intBits(in.Ty), a.I, b.I)
 				if !ok {
-					return Value{}, e.located(&BugError{Kind: DivideByZero}, f.Name, in.Line)
+					return Value{}, e.located(&BugError{Kind: DivideByZero}, f.Name, int(in.Line))
 				}
 				fr.Regs[in.Dst] = IntValue(v)
 			}
@@ -85,13 +85,13 @@ func (e *Engine) interpret(fr *Frame) (Value, error) {
 			fr.Regs[in.Dst] = IntValue(b2i(r))
 
 		case ir.OpCast:
-			if in.CType != "" && in.Cast == ir.Bitcast {
+			if in.Cast == ir.Bitcast && in.CType() != "" {
 				// Checked pointer cast: validate the cast target against the
 				// pointee's effective type (adopting one for fresh heap
 				// blocks), then move the pointer through unchanged.
 				v := e.operand(fr, in.A)
 				if be := e.CheckCast(v.P, in); be != nil {
-					return Value{}, e.located(be, f.Name, in.Line)
+					return Value{}, e.located(be, f.Name, int(in.Line))
 				}
 				fr.Regs[in.Dst] = v
 			} else {
@@ -102,7 +102,7 @@ func (e *Engine) interpret(fr *Frame) (Value, error) {
 			if e.operand(fr, in.A).I != 0 {
 				fr.Regs[in.Dst] = e.operand(fr, in.B)
 			} else {
-				fr.Regs[in.Dst] = e.operand(fr, in.C)
+				fr.Regs[in.Dst] = e.operand(fr, in.Ext.C)
 			}
 
 		case ir.OpCall:
@@ -120,25 +120,25 @@ func (e *Engine) interpret(fr *Frame) (Value, error) {
 			// header, and a deopt transfers it back to the exact
 			// (block, instruction) the guard protected. The probe runs only
 			// with OSR configured, so tier-0 pays one boolean test.
-			if e.osrOn && in.Blk0 <= blk {
-				if cf := e.tryOSR(fr, in.Blk0); cf != nil {
+			if e.osrOn && int(in.Blk0) <= blk {
+				if cf := e.tryOSR(fr, int(in.Blk0)); cf != nil {
 					e.stats.OSREntries++
 					ret, terr := cf(e, fr)
 					if de, ok := terr.(*DeoptError); ok {
-						e.deopted(fr, in.Blk0, de)
+						e.deopted(fr, int(in.Blk0), de)
 						blk, ii = de.Blk, de.Instr
 						continue
 					}
 					return ret, terr
 				}
 			}
-			blk, ii = in.Blk0, 0
+			blk, ii = int(in.Blk0), 0
 			continue
 
 		case ir.OpCondBr:
-			t := in.Blk1
+			t := int(in.Blk1)
 			if e.operand(fr, in.A).I != 0 {
-				t = in.Blk0
+				t = int(in.Blk0)
 			}
 			if e.osrOn && t <= blk {
 				if cf := e.tryOSR(fr, t); cf != nil {
@@ -157,10 +157,10 @@ func (e *Engine) interpret(fr *Frame) (Value, error) {
 
 		case ir.OpSwitch:
 			v := e.operand(fr, in.A).I
-			t := in.Blk0
-			for _, c := range in.Cases {
+			t := int(in.Blk0)
+			for _, c := range in.Ext.Cases {
 				if c.Val == v {
-					t = c.Blk
+					t = int(c.Blk)
 					break
 				}
 			}
@@ -191,13 +191,13 @@ func (e *Engine) interpret(fr *Frame) (Value, error) {
 			// is tier-neutral: the tier-1 compiler emits the identical one.
 			return Value{}, &InternalError{
 				Msg:   fmt.Sprintf("reached unreachable in %s", f.Name),
-				Guest: e.CaptureStack(f.Name, in.Line),
+				Guest: e.CaptureStack(f.Name, int(in.Line)),
 			}
 
 		default:
 			return Value{}, &InternalError{
 				Msg:   fmt.Sprintf("invalid opcode %d in %s", in.Op, f.Name),
-				Guest: e.CaptureStack(f.Name, in.Line),
+				Guest: e.CaptureStack(f.Name, int(in.Line)),
 			}
 		}
 		ii++
@@ -207,50 +207,51 @@ func (e *Engine) interpret(fr *Frame) (Value, error) {
 // execCall evaluates a call instruction: resolving the callee, boxing
 // variadic arguments into managed cells, and dispatching.
 func (e *Engine) execCall(fr *Frame, in *ir.Instr) (Value, error) {
+	x := in.Ext
 	var idx int
-	switch in.Callee.Kind {
+	switch x.Callee.Kind {
 	case ir.OperFunc:
-		idx = e.mod.FuncIndex(in.Callee.Sym)
+		idx = e.mod.FuncIndex(x.Callee.Sym)
 	default:
-		p := e.operand(fr, in.Callee).P
+		p := e.operand(fr, x.Callee).P
 		if p.IsNull() {
-			return Value{}, e.located(&BugError{Kind: NullDeref, Access: CallAccess}, fr.Fn.Name, in.Line)
+			return Value{}, e.located(&BugError{Kind: NullDeref, Access: CallAccess}, fr.Fn.Name, int(in.Line))
 		}
 		if !p.IsFunc() {
 			return Value{}, e.located(&BugError{
 				Kind: TypeViolation, Access: CallAccess, Mem: p.Obj.Mem, Obj: p.Obj.Name,
-			}, fr.Fn.Name, in.Line)
+			}, fr.Fn.Name, int(in.Line))
 		}
 		idx = p.FuncIndex()
 	}
 	if idx < 0 || idx >= len(e.mod.Funcs) {
 		return Value{}, &InternalError{
 			Msg:   fmt.Sprintf("call to unknown function in %s", fr.Fn.Name),
-			Guest: e.CaptureStack(fr.Fn.Name, in.Line),
+			Guest: e.CaptureStack(fr.Fn.Name, int(in.Line)),
 		}
 	}
 	callee := e.mod.Funcs[idx]
 
-	nFixed := in.FixedArgs
-	if nFixed > len(in.Args) {
-		nFixed = len(in.Args)
+	nFixed := x.FixedArgs
+	if nFixed > len(x.Args) {
+		nFixed = len(x.Args)
 	}
 	args := make([]Value, 0, nFixed)
 	for i := 0; i < nFixed; i++ {
-		args = append(args, e.operand(fr, in.Args[i]))
+		args = append(args, e.operand(fr, x.Args[i]))
 	}
 	// The call edge is pushed before variadic boxing so the cells' recorded
 	// allocation stacks name this call site, and before builtin dispatch so
 	// faults inside malloc/free/memcpy capture the caller. The tier-1
 	// compiled call sequence mirrors this ordering exactly.
-	e.PushCall(fr.Fn.Name, in.Line)
+	e.PushCall(fr.Fn.Name, int(in.Line))
 	defer e.PopCall()
 	var cells []Pointer
-	if len(in.Args) > nFixed {
-		cells = make([]Pointer, 0, len(in.Args)-nFixed)
-		for i := nFixed; i < len(in.Args); i++ {
-			v := e.operand(fr, in.Args[i])
-			cells = append(cells, e.BoxVarArg(in.Args[i].Ty, v, i-nFixed))
+	if len(x.Args) > nFixed {
+		cells = make([]Pointer, 0, len(x.Args)-nFixed)
+		for i := nFixed; i < len(x.Args); i++ {
+			v := e.operand(fr, x.Args[i])
+			cells = append(cells, e.BoxVarArg(x.Args[i].Ty, v, i-nFixed))
 		}
 	}
 	// Builtins that need the caller's frame (count_varargs/get_vararg) are
@@ -412,7 +413,7 @@ func (e *Engine) operand(fr *Frame, o ir.Operand) Value {
 	case ir.OperConstInt:
 		return IntValue(o.Int)
 	case ir.OperConstFloat:
-		return FloatValue(o.Flt)
+		return FloatValue(o.Flt())
 	case ir.OperGlobal:
 		return PtrValue(Pointer{Obj: e.globals[o.Sym]})
 	case ir.OperFunc:

@@ -33,26 +33,27 @@ func (e *Engine) descFor(ty ir.Type, ctype string) *memdesc.Desc {
 // the module's struct table. Memoized per engine; nil when unresolvable
 // (the cast then behaves as a plain move, exactly like native).
 func (e *Engine) castDescFor(in *ir.Instr) *memdesc.Desc {
-	if d, ok := e.castDesc[in.CType]; ok {
+	ctype := in.CType()
+	if d, ok := e.castDesc[ctype]; ok {
 		return d
 	}
 	var d *memdesc.Desc
 	if pt, ok := in.Ty2.(*ir.PtrType); ok {
 		if st, ok := pt.Elem.(*ir.StructType); ok && st.Size() > 0 {
-			d = memdesc.FromIR(st, in.CType)
+			d = memdesc.FromIR(st, ctype)
 		}
 	}
 	if d == nil {
-		if name, ok := taggedName(in.CType); ok {
+		if name, ok := taggedName(ctype); ok {
 			if st := e.mod.Structs[name]; st != nil && st.Size() > 0 {
-				d = memdesc.FromIR(st, in.CType)
+				d = memdesc.FromIR(st, ctype)
 			}
 		}
 	}
 	if e.castDesc == nil {
 		e.castDesc = make(map[string]*memdesc.Desc, 8)
 	}
-	e.castDesc[in.CType] = d
+	e.castDesc[ctype] = d
 	return d
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // Opcode identifies an SIR instruction.
-type Opcode int
+type Opcode uint8
 
 const (
 	OpInvalid Opcode = iota
@@ -17,17 +17,17 @@ const (
 	OpBin            // Dst = A <Bin> B, operating on Ty
 	OpCmp            // Dst(i1) = A <Pred> B, comparing at Ty
 	OpCast           // Dst = cast<CastOp>(A) from Ty to Ty2
-	OpSelect         // Dst = A(cond i1) ? B : C
-	OpCall           // Dst = Callee(Args...)
+	OpSelect         // Dst = A(cond i1) ? B : Ext.C
+	OpCall           // Dst = Ext.Callee(Ext.Args...)
 	OpBr             // goto Blk0
 	OpCondBr         // if A goto Blk0 else Blk1
-	OpSwitch         // multiway branch on A; Cases + default Blk0
+	OpSwitch         // multiway branch on A; Ext.Cases + default Blk0
 	OpRet            // return A (or nothing)
 	OpUnreachable
 )
 
 // BinOp is an arithmetic or bitwise operation for OpBin.
-type BinOp int
+type BinOp uint8
 
 const (
 	Add BinOp = iota
@@ -64,7 +64,7 @@ func (b BinOp) IsFloatOp() bool { return b >= FAdd }
 
 // Pred is a comparison predicate for OpCmp. Integer predicates follow LLVM
 // naming (signed/unsigned); float predicates are ordered comparisons.
-type Pred int
+type Pred uint8
 
 const (
 	Eq Pred = iota
@@ -97,7 +97,7 @@ func (p Pred) String() string { return predNames[p] }
 func (p Pred) IsFloatPred() bool { return p >= FOeq }
 
 // CastOp is a conversion operation for OpCast.
-type CastOp int
+type CastOp uint8
 
 const (
 	Trunc CastOp = iota
@@ -123,7 +123,7 @@ var castNames = [...]string{
 func (c CastOp) String() string { return castNames[c] }
 
 // OperandKind discriminates Operand.
-type OperandKind int
+type OperandKind uint8
 
 const (
 	OperNone OperandKind = iota
@@ -137,23 +137,29 @@ const (
 
 // Operand is an instruction input: a register, an immediate constant, or a
 // symbol address. Ty records the operand's type as known to the front end.
+// An integer and a float constant share one 64-bit payload: Int holds the
+// integer value, or the float's IEEE-754 bits, which Flt reads.
 type Operand struct {
 	Kind OperandKind
-	Reg  int
-	Int  int64   // OperConstInt: value, sign-extended to 64 bits
-	Flt  float64 // OperConstFloat
-	Sym  string  // OperGlobal / OperFunc
+	Reg  int32
+	Int  int64  // OperConstInt: value, sign-extended to 64 bits; OperConstFloat: the bits
+	Sym  string // OperGlobal / OperFunc
 	Ty   Type
 }
 
+// Flt returns an OperConstFloat operand's value.
+func (o Operand) Flt() float64 { return math.Float64frombits(uint64(o.Int)) }
+
 // Reg returns a register operand.
-func Reg(r int, ty Type) Operand { return Operand{Kind: OperReg, Reg: r, Ty: ty} }
+func Reg(r int32, ty Type) Operand { return Operand{Kind: OperReg, Reg: r, Ty: ty} }
 
 // ConstInt returns an integer-constant operand.
 func ConstInt(v int64, ty Type) Operand { return Operand{Kind: OperConstInt, Int: v, Ty: ty} }
 
 // ConstFloat returns a float-constant operand.
-func ConstFloat(v float64, ty Type) Operand { return Operand{Kind: OperConstFloat, Flt: v, Ty: ty} }
+func ConstFloat(v float64, ty Type) Operand {
+	return Operand{Kind: OperConstFloat, Int: int64(math.Float64bits(v)), Ty: ty}
+}
 
 // GlobalRef returns an operand holding the address of a module global.
 func GlobalRef(sym string) Operand { return Operand{Kind: OperGlobal, Sym: sym, Ty: BytePtr} }
@@ -175,10 +181,11 @@ func (o Operand) String() string {
 	case OperConstInt:
 		return fmt.Sprintf("%d", o.Int)
 	case OperConstFloat:
-		if o.Flt == math.Trunc(o.Flt) && math.Abs(o.Flt) < 1e15 {
-			return fmt.Sprintf("%.1f", o.Flt)
+		f := o.Flt()
+		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			return fmt.Sprintf("%.1f", f)
 		}
-		return fmt.Sprintf("%g", o.Flt)
+		return fmt.Sprintf("%g", f)
 	case OperGlobal:
 		return "@" + o.Sym
 	case OperFunc:
@@ -192,34 +199,51 @@ func (o Operand) String() string {
 // SwitchCase is one arm of an OpSwitch.
 type SwitchCase struct {
 	Val int64
-	Blk int
+	Blk int32
 }
 
 // Instr is a single SIR instruction. One struct covers all opcodes; unused
 // fields are zero. Dst is -1 when the instruction produces no value.
+//
+// The struct holds inline only what most opcodes read: narrow opcode and
+// selector bytes, the destination, branch targets, the source line, the
+// operation types and the three generic operands. The fields only calls,
+// switches, allocas, checked casts and selects use live in Ext, which is
+// nil for every other instruction. A copied Instr shares its Ext with the
+// original; Func.Clone gives every copied instruction its own.
 type Instr struct {
-	Op  Opcode
-	Dst int
+	Op   Opcode
+	Bin  BinOp
+	Pred Pred
+	Cast CastOp
+	Dst  int32
+
+	Blk0, Blk1 int32
+	Line       int32 // source line, for diagnostics
+
 	Ty  Type // operation type: loaded/stored type, alloca element type, bin/cmp type, cast source type
 	Ty2 Type // cast destination type
 
-	A, B, C Operand // generic inputs (store value in A; select arms in B, C)
-	Addr    Operand // load/store/gep base pointer
+	A, B Operand // generic inputs (store value in A; select arms in B, Ext.C)
+	Addr Operand // load/store/gep base pointer
 
-	Bin    BinOp
-	Pred   Pred
-	Cast   CastOp
 	Stride int64 // gep: byte stride multiplied with index A
+
+	Ext *Ext
+}
+
+// Ext is the out-of-line part of an Instr: the fields of calls, switches,
+// allocas, checked casts and selects.
+type Ext struct {
+	C Operand // select: the false arm
 
 	Callee    Operand
 	Args      []Operand
 	FixedArgs int // number of fixed (non-variadic) parameters at this call site
 
-	Blk0, Blk1 int
-	Cases      []SwitchCase
+	Cases []SwitchCase
 
 	Name string // alloca: source variable name, for diagnostics
-	Line int    // source line, for diagnostics
 
 	// CType records the declared C type behind the instruction, when the
 	// front end knows one: the element type of an alloca, or the target
@@ -228,6 +252,64 @@ type Instr struct {
 	// type-identity checks key on. Empty means "no declared type" — the
 	// instruction behaves exactly as before the type plane existed.
 	CType string
+}
+
+// clone returns a copy of x that shares no slice with it, or nil for nil.
+func (x *Ext) clone() *Ext {
+	if x == nil {
+		return nil
+	}
+	c := *x
+	c.Args = append([]Operand(nil), x.Args...)
+	c.Cases = append([]SwitchCase(nil), x.Cases...)
+	return &c
+}
+
+// CType returns the instruction's declared C type (Ext.CType), or "".
+func (in *Instr) CType() string { return in.ext().CType }
+
+// Name returns an alloca's source variable name (Ext.Name), or "".
+func (in *Instr) Name() string { return in.ext().Name }
+
+// noExt is what ext reads when an instruction has no Ext.
+var noExt Ext
+
+// ext returns the instruction's Ext for reading: an empty one when it has
+// none. Nothing may write through the result.
+func (in *Instr) ext() *Ext {
+	if in.Ext == nil {
+		return &noExt
+	}
+	return in.Ext
+}
+
+// writeExt returns the instruction's Ext for writing, allocating it first
+// when there is none.
+func (in *Instr) writeExt() *Ext {
+	if in.Ext == nil {
+		in.Ext = &Ext{}
+	}
+	return in.Ext
+}
+
+// Operands calls fn with a pointer to each operand the instruction holds,
+// inline and out of line, in a fixed order: A, B, C, Addr, Callee, then
+// Args. Every pass that reads or rewrites operands goes through it, so
+// none can miss one. Operands of kind OperNone are included.
+func (in *Instr) Operands(fn func(*Operand)) {
+	fn(&in.A)
+	fn(&in.B)
+	x := in.Ext
+	if x != nil {
+		fn(&x.C)
+	}
+	fn(&in.Addr)
+	if x != nil {
+		fn(&x.Callee)
+		for i := range x.Args {
+			fn(&x.Args[i])
+		}
+	}
 }
 
 // Block is a basic block: a straight-line instruction sequence ending in a

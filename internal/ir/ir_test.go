@@ -182,7 +182,7 @@ func TestVerifyCatchesBadRegister(t *testing.T) {
 // why a base must be verified in full when it is built; and it checks a
 // function that replaced a base slot, though that keeps the slot's name.
 func TestVerifyExtension(t *testing.T) {
-	fn := func(name string, reg int) *Func {
+	fn := func(name string, reg int32) *Func {
 		f := &Func{Name: name, Sig: &FuncType{Ret: Void}, NumRegs: 1}
 		f.Blocks = []*Block{{Name: "entry", Instrs: []Instr{
 			{Op: OpBin, Dst: 0, Ty: I32, Bin: Add, A: Reg(reg, I32), B: ConstInt(1, I32)},
@@ -285,16 +285,45 @@ func TestVerifyCatchesMissingTerminator(t *testing.T) {
 	}
 }
 
+// TestModuleCloneIsDeep mutates every field of a clone's instructions that
+// lives out of line, in Ext, and checks that the original is unchanged:
+// passes rewrite clones in place while the original stays shared.
 func TestModuleCloneIsDeep(t *testing.T) {
-	m, err := Parse(roundTripSrc)
+	m, err := Parse(strings.Replace(roundTripSrc, `name "arr"`, `name "arr" !ctype "int[10]"`, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := Print(m)
 	c := m.Clone()
-	// Mutating the clone must not affect the original.
-	c.Func("main").Blocks[0].Instrs[0].Name = "mutated"
-	if m.Func("main").Blocks[0].Instrs[0].Name == "mutated" {
-		t.Error("Clone shares instruction storage")
+	find := func(f *Func, op Opcode) *Instr {
+		for _, b := range f.Blocks {
+			for i := range b.Instrs {
+				if b.Instrs[i].Op == op {
+					return &b.Instrs[i]
+				}
+			}
+		}
+		t.Fatalf("no opcode %d in %s", op, f.Name)
+		return nil
+	}
+	main := c.Func("main")
+	alloca := find(main, OpAlloca)
+	alloca.Ext.Name = "mutated"
+	alloca.Ext.CType = "long[10]"
+	call := find(main, OpCall)
+	call.Ext.Callee = FuncRef("main")
+	call.Ext.Args[0] = ConstInt(66, I32)
+	call.Ext.Args = append(call.Ext.Args, ConstInt(1, I32))
+	call.Ext.FixedArgs = 2
+	find(main, OpSelect).Ext.C = ConstInt(3, I32)
+	sw := find(main, OpSwitch)
+	sw.Ext.Cases[0] = SwitchCase{Val: 9, Blk: 2}
+	sw.Ext.Cases = append(sw.Ext.Cases, SwitchCase{Val: 4, Blk: 1})
+	if after := Print(m); after != before {
+		t.Errorf("mutating a clone's out-of-line fields changed the original:\n%s\n---\n%s", before, after)
+	}
+	if Print(c) == before {
+		t.Error("the mutations did not reach the clone")
 	}
 	if c.Func("putchar") == nil || !c.Func("putchar").IsDecl {
 		t.Error("Clone lost declaration")

@@ -18,8 +18,8 @@ type Func struct {
 }
 
 // NewReg allocates a fresh virtual register.
-func (f *Func) NewReg() int {
-	r := f.NumRegs
+func (f *Func) NewReg() int32 {
+	r := int32(f.NumRegs)
 	f.NumRegs++
 	return r
 }
@@ -253,7 +253,7 @@ func (m *Module) Clone() *Module {
 		out.Globals = append(out.Globals, ng)
 	}
 	for _, f := range m.Funcs {
-		out.AddFunc(cloneFunc(f))
+		out.AddFunc(f.Clone())
 	}
 	return out
 }
@@ -286,7 +286,10 @@ func CloneConst(c Const) Const {
 	}
 }
 
-func cloneFunc(f *Func) *Func {
+// Clone returns a deep copy of f: its blocks, instructions and every
+// instruction's Ext (operand and case slices included), so a pass may
+// rewrite the copy in place. Types are shared, as in Module.Clone.
+func (f *Func) Clone() *Func {
 	nf := &Func{
 		Name:       f.Name,
 		Sig:        f.Sig,
@@ -294,18 +297,14 @@ func cloneFunc(f *Func) *Func {
 		NumRegs:    f.NumRegs,
 		IsDecl:     f.IsDecl,
 		SourceFile: f.SourceFile,
+		Blocks:     make([]*Block, len(f.Blocks)),
 	}
-	for _, b := range f.Blocks {
+	for bi, b := range f.Blocks {
 		nb := &Block{Name: b.Name, Instrs: append([]Instr(nil), b.Instrs...)}
 		for i := range nb.Instrs {
-			if nb.Instrs[i].Args != nil {
-				nb.Instrs[i].Args = append([]Operand(nil), nb.Instrs[i].Args...)
-			}
-			if nb.Instrs[i].Cases != nil {
-				nb.Instrs[i].Cases = append([]SwitchCase(nil), nb.Instrs[i].Cases...)
-			}
+			nb.Instrs[i].Ext = nb.Instrs[i].Ext.clone()
 		}
-		nf.Blocks = append(nf.Blocks, nb)
+		nf.Blocks[bi] = nb
 	}
 	return nf
 }

@@ -689,11 +689,11 @@ func (p *parser) funcDef() error {
 		in := &f.Blocks[tg.blk].Instrs[tg.instr]
 		switch {
 		case tg.which == 0:
-			in.Blk0 = idx
+			in.Blk0 = int32(idx)
 		case tg.which == 1:
-			in.Blk1 = idx
+			in.Blk1 = int32(idx)
 		default:
-			in.Cases[tg.which-2].Blk = idx
+			in.Ext.Cases[tg.which-2].Blk = int32(idx)
 		}
 	}
 	p.m.AddFunc(f)
@@ -734,13 +734,16 @@ func (p *parser) instr(f *Func) (Instr, []target, error) {
 			if err != nil {
 				return in, targets, err
 			}
-			in.Line = int(n)
+			if n != int64(int32(n)) {
+				return in, targets, fmt.Errorf("line %d out of range", n)
+			}
+			in.Line = int32(n)
 		case "ctype":
 			s, err := p.str()
 			if err != nil {
 				return in, targets, err
 			}
-			in.CType = s
+			in.writeExt().CType = s
 		default:
 			return in, targets, fmt.Errorf("unknown instruction annotation !%s", key)
 		}
@@ -762,7 +765,7 @@ func (p *parser) instrBody(f *Func) (Instr, []target, error) {
 		if !strings.HasPrefix(reg, "r") {
 			return in, nil, fmt.Errorf("bad register %q", reg)
 		}
-		n, err := strconv.Atoi(reg[1:])
+		n, err := regNum(reg)
 		if err != nil {
 			return in, nil, err
 		}
@@ -793,8 +796,7 @@ func (p *parser) instrBody(f *Func) (Instr, []target, error) {
 		}
 		if p.tok().kind == tIdent && p.tok().s == "name" {
 			p.advance()
-			in.Name, err = p.str()
-			if err != nil {
+			if in.writeExt().Name, err = p.str(); err != nil {
 				return in, nil, err
 			}
 		}
@@ -886,11 +888,12 @@ func (p *parser) instrBody(f *Func) (Instr, []target, error) {
 		if err = p.expectPunct(","); err != nil {
 			return in, nil, err
 		}
-		if in.C, err = p.operand(); err != nil {
+		if in.writeExt().C, err = p.operand(); err != nil {
 			return in, nil, err
 		}
 	case "call":
 		in.Op = OpCall
+		x := in.writeExt()
 		if p.tok().kind == tIdent && p.tok().s == "void" {
 			p.advance()
 			in.Ty = Void
@@ -899,14 +902,14 @@ func (p *parser) instrBody(f *Func) (Instr, []target, error) {
 				return in, nil, err
 			}
 		}
-		if in.Callee, err = p.operand(); err != nil {
+		if x.Callee, err = p.operand(); err != nil {
 			return in, nil, err
 		}
 		if err = p.expectPunct("("); err != nil {
 			return in, nil, err
 		}
 		for !(p.tok().kind == tPunct && p.tok().s == ")") {
-			if len(in.Args) > 0 {
+			if len(x.Args) > 0 {
 				if err = p.expectPunct(","); err != nil {
 					return in, nil, err
 				}
@@ -920,7 +923,7 @@ func (p *parser) instrBody(f *Func) (Instr, []target, error) {
 				return in, nil, err
 			}
 			a.Ty = aty
-			in.Args = append(in.Args, a)
+			x.Args = append(x.Args, a)
 		}
 		p.advance() // )
 		if err = p.expectIdent("fixed"); err != nil {
@@ -930,7 +933,7 @@ func (p *parser) instrBody(f *Func) (Instr, []target, error) {
 		if err != nil {
 			return in, nil, err
 		}
-		in.FixedArgs = int(n)
+		x.FixedArgs = int(n)
 	case "br":
 		in.Op = OpBr
 		name, err := p.ident()
@@ -960,6 +963,7 @@ func (p *parser) instrBody(f *Func) (Instr, []target, error) {
 		targets = append(targets, target{which: 0, name: n0}, target{which: 1, name: n1})
 	case "switch":
 		in.Op = OpSwitch
+		x := in.writeExt()
 		if in.Ty, err = p.typ(); err != nil {
 			return in, nil, err
 		}
@@ -981,7 +985,7 @@ func (p *parser) instrBody(f *Func) (Instr, []target, error) {
 			return in, nil, err
 		}
 		for !(p.tok().kind == tPunct && p.tok().s == "]") {
-			if len(in.Cases) > 0 {
+			if len(x.Cases) > 0 {
 				if err = p.expectPunct(","); err != nil {
 					return in, nil, err
 				}
@@ -997,8 +1001,8 @@ func (p *parser) instrBody(f *Func) (Instr, []target, error) {
 			if err != nil {
 				return in, nil, err
 			}
-			targets = append(targets, target{which: 2 + len(in.Cases), name: cn})
-			in.Cases = append(in.Cases, SwitchCase{Val: v})
+			targets = append(targets, target{which: 2 + len(x.Cases), name: cn})
+			x.Cases = append(x.Cases, SwitchCase{Val: v})
 		}
 		p.advance()
 	case "ret":
@@ -1060,6 +1064,12 @@ func (p *parser) instrBody(f *Func) (Instr, []target, error) {
 	return in, targets, nil
 }
 
+// regNum parses the number of register name "rN".
+func regNum(reg string) (int32, error) {
+	n, err := strconv.ParseInt(reg[1:], 10, 32)
+	return int32(n), err
+}
+
 func (p *parser) operand() (Operand, error) {
 	t := p.tok()
 	switch {
@@ -1072,7 +1082,7 @@ func (p *parser) operand() (Operand, error) {
 		if !strings.HasPrefix(reg, "r") {
 			return Operand{}, fmt.Errorf("bad register %q", reg)
 		}
-		n, err := strconv.Atoi(reg[1:])
+		n, err := regNum(reg)
 		if err != nil {
 			return Operand{}, err
 		}

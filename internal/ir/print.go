@@ -87,8 +87,8 @@ func printFunc(b *strings.Builder, f *Func) {
 			// (without !line the parser would repoint Line at the IR-text
 			// token line; without !ctype checked casts would degrade to
 			// plain moves).
-			if blk.Instrs[i].CType != "" {
-				fmt.Fprintf(b, " !ctype %q", blk.Instrs[i].CType)
+			if ct := blk.Instrs[i].CType(); ct != "" {
+				fmt.Fprintf(b, " !ctype %q", ct)
 			}
 			if blk.Instrs[i].Line > 0 {
 				fmt.Fprintf(b, " !line %d", blk.Instrs[i].Line)
@@ -100,8 +100,8 @@ func printFunc(b *strings.Builder, f *Func) {
 	b.WriteString("}\n")
 }
 
-func blkName(f *Func, i int) string {
-	if i < 0 || i >= len(f.Blocks) {
+func blkName(f *Func, i int32) string {
+	if i < 0 || int(i) >= len(f.Blocks) {
 		return fmt.Sprintf("<bad:%d>", i)
 	}
 	return f.Blocks[i].Name
@@ -114,8 +114,8 @@ func printInstr(b *strings.Builder, f *Func, in *Instr) {
 		if cnt, ok := in.CountOp(); ok {
 			fmt.Fprintf(b, " count %s", cnt)
 		}
-		if in.Name != "" {
-			fmt.Fprintf(b, " name %q", in.Name)
+		if name := in.Name(); name != "" {
+			fmt.Fprintf(b, " name %q", name)
 		}
 	case OpLoad:
 		fmt.Fprintf(b, "%%r%d = load %s, %s", in.Dst, in.Ty, in.Addr)
@@ -130,27 +130,28 @@ func printInstr(b *strings.Builder, f *Func, in *Instr) {
 	case OpCast:
 		fmt.Fprintf(b, "%%r%d = %s %s %s to %s", in.Dst, in.Cast, in.Ty, in.A, in.Ty2)
 	case OpSelect:
-		fmt.Fprintf(b, "%%r%d = select %s, %s %s, %s", in.Dst, in.A, in.Ty, in.B, in.C)
+		fmt.Fprintf(b, "%%r%d = select %s, %s %s, %s", in.Dst, in.A, in.Ty, in.B, in.ext().C)
 	case OpCall:
+		x := in.ext()
 		if in.Dst >= 0 {
-			fmt.Fprintf(b, "%%r%d = call %s %s(", in.Dst, in.Ty, in.Callee)
+			fmt.Fprintf(b, "%%r%d = call %s %s(", in.Dst, in.Ty, x.Callee)
 		} else {
-			fmt.Fprintf(b, "call void %s(", in.Callee)
+			fmt.Fprintf(b, "call void %s(", x.Callee)
 		}
-		for i, a := range in.Args {
+		for i, a := range x.Args {
 			if i > 0 {
 				b.WriteString(", ")
 			}
 			fmt.Fprintf(b, "%s %s", a.Ty, a)
 		}
-		fmt.Fprintf(b, ") fixed %d", in.FixedArgs)
+		fmt.Fprintf(b, ") fixed %d", x.FixedArgs)
 	case OpBr:
 		fmt.Fprintf(b, "br %s", blkName(f, in.Blk0))
 	case OpCondBr:
 		fmt.Fprintf(b, "condbr %s, %s, %s", in.A, blkName(f, in.Blk0), blkName(f, in.Blk1))
 	case OpSwitch:
 		fmt.Fprintf(b, "switch %s %s, default %s [", in.Ty, in.A, blkName(f, in.Blk0))
-		for i, c := range in.Cases {
+		for i, c := range in.ext().Cases {
 			if i > 0 {
 				b.WriteString(", ")
 			}

@@ -24,7 +24,7 @@ func randOperand(r *genRNG, regs int) Operand {
 	case 1:
 		return ConstFloat(float64(r.intn(100))+0.5, F64)
 	default:
-		return Reg(r.intn(regs), I64)
+		return Reg(int32(r.intn(regs)), I64)
 	}
 }
 
@@ -58,18 +58,18 @@ func randFunc(r *genRNG, name string, blocks int) *Func {
 				blk.Instrs = append(blk.Instrs, Instr{
 					Op: OpSelect, Dst: dst,
 					A: randOperand(r, f.NumRegs), Ty: I64,
-					B: randOperand(r, f.NumRegs), C: randOperand(r, f.NumRegs),
+					B: randOperand(r, f.NumRegs), Ext: &Ext{C: randOperand(r, f.NumRegs)},
 				})
 			}
 		}
 		if b == blocks-1 {
 			blk.Instrs = append(blk.Instrs, Instr{Op: OpRet, Ty: I64, A: randOperand(r, f.NumRegs)})
 		} else if r.intn(2) == 0 {
-			blk.Instrs = append(blk.Instrs, Instr{Op: OpBr, Blk0: b + 1})
+			blk.Instrs = append(blk.Instrs, Instr{Op: OpBr, Blk0: int32(b + 1)})
 		} else {
 			blk.Instrs = append(blk.Instrs, Instr{
 				Op: OpCondBr, A: randOperand(r, f.NumRegs),
-				Blk0: b + 1, Blk1: blocks - 1,
+				Blk0: int32(b + 1), Blk1: int32(blocks - 1),
 			})
 		}
 		f.Blocks = append(f.Blocks, blk)
@@ -119,15 +119,15 @@ func TestLineMetadataRoundTrip(t *testing.T) {
 	f.NumRegs = 2
 	b0 := &Block{Name: "b0"}
 	b0.Instrs = []Instr{
-		{Op: OpAlloca, Dst: f.NewReg(), Ty: I64, Name: "x", Line: 2},
+		{Op: OpAlloca, Dst: f.NewReg(), Ty: I64, Ext: &Ext{Name: "x"}, Line: 2},
 		{Op: OpStore, Ty: I64, A: Reg(0, I64), Addr: Reg(2, nil), Line: 3},
 		{Op: OpLoad, Dst: f.NewReg(), Ty: I64, Addr: Reg(2, nil), Line: 4},
 		{Op: OpBin, Dst: f.NewReg(), Ty: I64, Bin: Add, A: Reg(3, I64), B: Reg(1, I64), Line: 5},
 		{Op: OpCast, Dst: f.NewReg(), Cast: Trunc, Ty: I64, Ty2: I32, A: Reg(4, I64), Line: 6},
 		{Op: OpCmp, Dst: f.NewReg(), Ty: I64, Pred: Slt, A: Reg(4, I64), B: Reg(1, I64), Line: 7},
 		{Op: OpGEP, Dst: f.NewReg(), Addr: Reg(2, nil), Stride: 8, A: Reg(1, I64), Line: 8},
-		{Op: OpCall, Dst: f.NewReg(), Ty: I64, Callee: FuncRef("f"),
-			Args: []Operand{Reg(4, I64), Reg(1, I64)}, FixedArgs: 2, Line: 9},
+		{Op: OpCall, Dst: f.NewReg(), Ty: I64, Ext: &Ext{Callee: FuncRef("f"),
+			Args: []Operand{Reg(4, I64), Reg(1, I64)}, FixedArgs: 2}, Line: 9},
 		{Op: OpCondBr, A: Reg(6, I64), Blk0: 1, Blk1: 1, Line: 10},
 	}
 	b1 := &Block{Name: "b1"}

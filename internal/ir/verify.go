@@ -113,7 +113,7 @@ func verifyInstr(m *Module, f *Func, in *Instr) error {
 	checkOp := func(o Operand) error {
 		switch o.Kind {
 		case OperReg:
-			if o.Reg < 0 || o.Reg >= f.NumRegs {
+			if o.Reg < 0 || int(o.Reg) >= f.NumRegs {
 				return fmt.Errorf("register %%r%d out of range (regs=%d)", o.Reg, f.NumRegs)
 			}
 		case OperGlobal:
@@ -127,25 +127,31 @@ func verifyInstr(m *Module, f *Func, in *Instr) error {
 		}
 		return nil
 	}
-	checkBlk := func(idx int) error {
-		if idx < 0 || idx >= len(f.Blocks) {
+	checkBlk := func(idx int32) error {
+		if idx < 0 || int(idx) >= len(f.Blocks) {
 			return fmt.Errorf("branch target %d out of range", idx)
 		}
 		return nil
 	}
-	for _, o := range []Operand{in.A, in.B, in.C, in.Addr, in.Callee} {
-		if o.Kind != OperNone {
-			if err := checkOp(o); err != nil {
-				return err
-			}
+	var opErr error
+	in.Operands(func(o *Operand) {
+		if opErr == nil && o.Kind != OperNone {
+			opErr = checkOp(*o)
 		}
+	})
+	if opErr != nil {
+		return opErr
 	}
-	for _, o := range in.Args {
-		if err := checkOp(o); err != nil {
-			return err
-		}
+	x := in.ext()
+	for _, o := range x.Args {
 		if o.Ty == nil {
 			return fmt.Errorf("call argument missing type")
+		}
+	}
+	switch in.Op {
+	case OpCall, OpSwitch, OpSelect:
+		if in.Ext == nil {
+			return fmt.Errorf("opcode %d: no Ext (callee, cases or select arm)", in.Op)
 		}
 	}
 	switch in.Op {
@@ -155,14 +161,14 @@ func verifyInstr(m *Module, f *Func, in *Instr) error {
 		if in.Dst < 0 {
 			return fmt.Errorf("%v: missing destination", in.Op)
 		}
-		if in.Dst >= f.NumRegs {
+		if int(in.Dst) >= f.NumRegs {
 			return fmt.Errorf("destination %%r%d out of range", in.Dst)
 		}
 	case OpCast:
 		if in.Dst < 0 || in.Ty == nil || in.Ty2 == nil {
 			return fmt.Errorf("cast: missing dst or types")
 		}
-		if in.Dst >= f.NumRegs {
+		if int(in.Dst) >= f.NumRegs {
 			return fmt.Errorf("destination %%r%d out of range", in.Dst)
 		}
 	case OpBr:
@@ -176,20 +182,20 @@ func verifyInstr(m *Module, f *Func, in *Instr) error {
 		if err := checkBlk(in.Blk0); err != nil {
 			return err
 		}
-		for _, c := range in.Cases {
+		for _, c := range x.Cases {
 			if err := checkBlk(c.Blk); err != nil {
 				return err
 			}
 		}
 	case OpCall:
-		if in.Dst >= f.NumRegs {
+		if int(in.Dst) >= f.NumRegs {
 			return fmt.Errorf("destination %%r%d out of range", in.Dst)
 		}
-		if in.Callee.Kind == OperFunc {
-			callee := m.Func(in.Callee.Sym)
+		if x.Callee.Kind == OperFunc {
+			callee := m.Func(x.Callee.Sym)
 			if callee != nil && callee.Sig != nil {
-				if len(in.Args) < len(callee.Sig.Params) && callee.Sig.Variadic {
-					return fmt.Errorf("call to %s: %d args < %d fixed params", callee.Name, len(in.Args), len(callee.Sig.Params))
+				if len(x.Args) < len(callee.Sig.Params) && callee.Sig.Variadic {
+					return fmt.Errorf("call to %s: %d args < %d fixed params", callee.Name, len(x.Args), len(callee.Sig.Params))
 				}
 			}
 		}

@@ -22,9 +22,9 @@ import (
 type runOp struct {
 	kind   int   // dkI8..dkF64
 	store  bool  // access direction
-	gepDst int   // the gep's destination register (still written!)
+	gepDst int32 // the gep's destination register (still written!)
 	delta  int64 // constant byte offset from the run's base pointer
-	reg    int   // load destination, or store value register (-1: constant)
+	reg    int32 // load destination, or store value register (-1: constant)
 	constI int64
 	constF float64
 }
@@ -40,7 +40,7 @@ func (c *Compiler) tryFusePair(e *core.Engine, f *ir.Func, g, a *ir.Instr) (step
 	gdst := g.Dst
 	stride := g.Stride
 	// Offset: constant delta, or stride-scaled register index.
-	idxReg := -1
+	idxReg := int32(-1)
 	var delta int64
 	switch g.A.Kind {
 	case ir.OperConstInt:
@@ -60,7 +60,7 @@ func (c *Compiler) tryFusePair(e *core.Engine, f *ir.Func, g, a *ir.Instr) (step
 		}
 		dst := a.Dst
 		ty := a.Ty
-		line := a.Line
+		line := int(a.Line)
 		slow := func(e *core.Engine, fr *core.Frame, p core.Pointer) error {
 			v, be := e.LoadTyped(p, ty)
 			if be != nil {
@@ -123,7 +123,7 @@ func (c *Compiler) tryFusePair(e *core.Engine, f *ir.Func, g, a *ir.Instr) (step
 		if kind == dkNone || a.Addr.Kind != ir.OperReg || a.Addr.Reg != gdst {
 			return nil, false, nil
 		}
-		vr := -1
+		vr := int32(-1)
 		var cvI int64
 		var cvF float64
 		switch a.A.Kind {
@@ -132,12 +132,12 @@ func (c *Compiler) tryFusePair(e *core.Engine, f *ir.Func, g, a *ir.Instr) (step
 		case ir.OperConstInt:
 			cvI = a.A.Int
 		case ir.OperConstFloat:
-			cvF = a.A.Flt
+			cvF = a.A.Flt()
 		default:
 			return nil, false, nil
 		}
 		ty := a.Ty
-		line := a.Line
+		line := int(a.Line)
 		getVal, err := c.compileOperand(e, a.A)
 		if err != nil {
 			return nil, false, err
@@ -207,7 +207,7 @@ func (c *Compiler) tryFusePair(e *core.Engine, f *ir.Func, g, a *ir.Instr) (step
 // scanRun greedily matches consecutive (gep base+const, load/store) pairs
 // that share one base register. The base must not be redefined inside the
 // run so the single coalesced check covers every access.
-func scanRun(instrs []ir.Instr) (ops []runOp, base int, lo, hi int64, consumed int) {
+func scanRun(instrs []ir.Instr) (ops []runOp, base int32, lo, hi int64, consumed int) {
 	base = -1
 	for k := 0; k+1 < len(instrs); k += 2 {
 		g := &instrs[k]
@@ -249,7 +249,7 @@ func scanRun(instrs []ir.Instr) (ops []runOp, base int, lo, hi int64, consumed i
 
 // matchRunAccess decodes the access half of a run pair: a direct-width load
 // or store through addrReg that does not clobber the run's base register.
-func matchRunAccess(a *ir.Instr, addrReg, base int) (runOp, bool) {
+func matchRunAccess(a *ir.Instr, addrReg, base int32) (runOp, bool) {
 	op := runOp{reg: -1}
 	switch a.Op {
 	case ir.OpLoad:
@@ -271,7 +271,7 @@ func matchRunAccess(a *ir.Instr, addrReg, base int) (runOp, bool) {
 		case ir.OperConstInt:
 			op.constI = a.A.Int
 		case ir.OperConstFloat:
-			op.constF = a.A.Flt
+			op.constF = a.A.Flt()
 		default:
 			return op, false
 		}

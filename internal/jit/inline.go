@@ -35,30 +35,31 @@ const icCapacity = 4
 // slice while calling back into guest code). Indirect calls go through an
 // inline cache.
 func (c *Compiler) compileCall(e *core.Engine, in *ir.Instr, fname string) (step, error) {
-	if in.Callee.Kind == ir.OperFunc {
+	x := in.Ext
+	if x.Callee.Kind == ir.OperFunc {
 		if st, ok := c.tryInline(e, in, fname); ok {
 			return st, nil
 		}
 	}
 
-	getters := make([]getter, len(in.Args))
-	for i, a := range in.Args {
+	getters := make([]getter, len(x.Args))
+	for i, a := range x.Args {
 		g, err := c.compileOperand(e, a)
 		if err != nil {
 			return nil, err
 		}
 		getters[i] = g
 	}
-	nFixed := in.FixedArgs
-	if nFixed > len(in.Args) {
-		nFixed = len(in.Args)
+	nFixed := x.FixedArgs
+	if nFixed > len(x.Args) {
+		nFixed = len(x.Args)
 	}
-	varTypes := make([]ir.Type, 0, len(in.Args)-nFixed)
-	for i := nFixed; i < len(in.Args); i++ {
-		varTypes = append(varTypes, in.Args[i].Ty)
+	varTypes := make([]ir.Type, 0, len(x.Args)-nFixed)
+	for i := nFixed; i < len(x.Args); i++ {
+		varTypes = append(varTypes, x.Args[i].Ty)
 	}
 	dst := in.Dst
-	line := in.Line
+	line := int(in.Line)
 
 	invoke := func(e *core.Engine, fr *core.Frame, idx int, args []core.Value) error {
 		for i := 0; i < nFixed; i++ {
@@ -87,10 +88,10 @@ func (c *Compiler) compileCall(e *core.Engine, in *ir.Instr, fname string) (step
 		return nil
 	}
 
-	if in.Callee.Kind == ir.OperFunc {
-		idx := e.Module().FuncIndex(in.Callee.Sym)
+	if x.Callee.Kind == ir.OperFunc {
+		idx := e.Module().FuncIndex(x.Callee.Sym)
 		if idx < 0 {
-			return nil, fmt.Errorf("jit: unknown callee %s", in.Callee.Sym)
+			return nil, fmt.Errorf("jit: unknown callee %s", x.Callee.Sym)
 		}
 		callee := e.Module().Funcs[idx]
 		if len(varTypes) == 0 && !callee.IsDecl && !e.IsBuiltin(idx) {
@@ -110,7 +111,7 @@ func (c *Compiler) compileCall(e *core.Engine, in *ir.Instr, fname string) (step
 		}, nil
 	}
 
-	getCallee, err := c.compileOperand(e, in.Callee)
+	getCallee, err := c.compileOperand(e, x.Callee)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +185,7 @@ func isLeaf(f *ir.Func) bool {
 
 // remapRegs shifts every register reference in f by base, relocating the
 // callee into a private window of the caller's frame.
-func remapRegs(f *ir.Func, base int) {
+func remapRegs(f *ir.Func, base int32) {
 	mo := func(o *ir.Operand) {
 		if o.Kind == ir.OperReg {
 			o.Reg += base
@@ -196,14 +197,7 @@ func remapRegs(f *ir.Func, base int) {
 			if in.Dst >= 0 {
 				in.Dst += base
 			}
-			mo(&in.A)
-			mo(&in.B)
-			mo(&in.C)
-			mo(&in.Addr)
-			mo(&in.Callee)
-			for j := range in.Args {
-				mo(&in.Args[j])
-			}
+			in.Operands(mo)
 		}
 	}
 }
@@ -219,7 +213,8 @@ func (c *Compiler) tryInline(e *core.Engine, in *ir.Instr, callerName string) (s
 		// interpreter frame's, breaking frame-compatible deopt transfer.
 		return nil, false
 	}
-	idx := e.Module().FuncIndex(in.Callee.Sym)
+	x := in.Ext
+	idx := e.Module().FuncIndex(x.Callee.Sym)
 	if idx < 0 || e.IsBuiltin(idx) {
 		return nil, false
 	}
@@ -230,7 +225,7 @@ func (c *Compiler) tryInline(e *core.Engine, in *ir.Instr, callerName string) (s
 	// Only plain call shapes: every argument fixed and matching the
 	// signature (C's lax arity mismatches keep the generic path, which
 	// reproduces the interpreter's copy-min semantics).
-	if in.FixedArgs != len(in.Args) || len(in.Args) != len(callee.Sig.Params) {
+	if x.FixedArgs != len(x.Args) || len(x.Args) != len(callee.Sig.Params) {
 		return nil, false
 	}
 	n := callee.InstrCount()
@@ -240,7 +235,7 @@ func (c *Compiler) tryInline(e *core.Engine, in *ir.Instr, callerName string) (s
 
 	// Clone and optimize the callee exactly like a toplevel compilation, then
 	// relocate it into a fresh register window.
-	cf := cloneForJIT(callee)
+	cf := callee.Clone()
 	cw := opt.NewWeights(cf)
 	opt.Mem2Reg(cf)
 	opt.FoldConstants(cf)
@@ -251,7 +246,7 @@ func (c *Compiler) tryInline(e *core.Engine, in *ir.Instr, callerName string) (s
 	opt.SweepDeadMoves(cf, cw)
 	base := c.nextReg
 	c.nextReg = base + cf.NumRegs
-	remapRegs(cf, base)
+	remapRegs(cf, int32(base))
 	blocks, _, err := c.lowerFunc(e, cf, cw)
 	if err != nil {
 		return nil, false // unlowerable callee: generic call instead
@@ -259,8 +254,8 @@ func (c *Compiler) tryInline(e *core.Engine, in *ir.Instr, callerName string) (s
 	c.inlinedInstr += n
 	c.inlinedSites++
 
-	argGetters := make([]getter, len(in.Args))
-	for i, a := range in.Args {
+	argGetters := make([]getter, len(x.Args))
+	for i, a := range x.Args {
 		g, gerr := c.compileOperand(e, a)
 		if gerr != nil {
 			return nil, false
@@ -270,7 +265,7 @@ func (c *Compiler) tryInline(e *core.Engine, in *ir.Instr, callerName string) (s
 	nRegs := cf.NumRegs
 	calleeName := callee.Name
 	dst := in.Dst
-	line := in.Line
+	line := int(in.Line)
 
 	return func(e *core.Engine, fr *core.Frame) error {
 		// Fresh-frame semantics inside the window: the callee's registers

@@ -185,7 +185,7 @@ func (c *Compiler) Compile(e *core.Engine, fidx int) core.CompiledFunc {
 // counter delta, without touching the counters. Callers hold c.mu.
 func (c *Compiler) compileFn(e *core.Engine, fidx int) (core.CompiledFunc, unitMeta) {
 	orig := e.Module().Funcs[fidx]
-	f := cloneForJIT(orig)
+	f := orig.Clone()
 	w := opt.NewWeights(f)
 	if !c.DisableMem2Reg {
 		opt.Mem2Reg(f)
@@ -289,7 +289,7 @@ func (c *Compiler) lowerBlock(e *core.Engine, f *ir.Func, b *ir.Block, bw []int6
 		t := &b.Instrs[n-1]
 		if cmp.Op == ir.OpCmp && t.Op == ir.OpCondBr &&
 			t.A.Kind == ir.OperReg && t.A.Reg == cmp.Dst &&
-			cmp.Dst >= 0 && cmp.Dst < len(uses) && uses[cmp.Dst] == 1 {
+			cmp.Dst >= 0 && int(cmp.Dst) < len(uses) && uses[cmp.Dst] == 1 {
 			fuseCmp = true
 			last = n - 2
 		}
@@ -353,25 +353,6 @@ func (c *Compiler) lowerBlock(e *core.Engine, f *ir.Func, b *ir.Block, bw []int6
 	return block{body: body, term: t, cost: cost, refund: refund}, nil
 }
 
-// cloneForJIT deep-copies one function so tier-1 optimization cannot
-// disturb the interpreter's view.
-func cloneForJIT(f *ir.Func) *ir.Func {
-	nf := &ir.Func{Name: f.Name, Sig: f.Sig, NumRegs: f.NumRegs, ParamNames: f.ParamNames}
-	for _, b := range f.Blocks {
-		nb := &ir.Block{Name: b.Name, Instrs: append([]ir.Instr(nil), b.Instrs...)}
-		for i := range nb.Instrs {
-			if nb.Instrs[i].Args != nil {
-				nb.Instrs[i].Args = append([]ir.Operand(nil), nb.Instrs[i].Args...)
-			}
-			if nb.Instrs[i].Cases != nil {
-				nb.Instrs[i].Cases = append([]ir.SwitchCase(nil), nb.Instrs[i].Cases...)
-			}
-		}
-		nf.Blocks = append(nf.Blocks, nb)
-	}
-	return nf
-}
-
 // regUsesJIT counts operand reads per register (array sized to cover the
 // possibly-remapped register space).
 func regUsesJIT(f *ir.Func, size int) []int {
@@ -379,22 +360,14 @@ func regUsesJIT(f *ir.Func, size int) []int {
 		size = f.NumRegs
 	}
 	uses := make([]int, size)
-	mark := func(o ir.Operand) {
-		if o.Kind == ir.OperReg && o.Reg >= 0 && o.Reg < size {
+	mark := func(o *ir.Operand) {
+		if o.Kind == ir.OperReg && o.Reg >= 0 && int(o.Reg) < size {
 			uses[o.Reg]++
 		}
 	}
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			mark(in.A)
-			mark(in.B)
-			mark(in.C)
-			mark(in.Addr)
-			mark(in.Callee)
-			for _, a := range in.Args {
-				mark(a)
-			}
+			b.Instrs[i].Operands(mark)
 		}
 	}
 	return uses
@@ -412,7 +385,7 @@ func (c *Compiler) compileOperand(e *core.Engine, o ir.Operand) (getter, error) 
 		v := core.IntValue(o.Int)
 		return func(e *core.Engine, fr *core.Frame) core.Value { return v }, nil
 	case ir.OperConstFloat:
-		v := core.FloatValue(o.Flt)
+		v := core.FloatValue(o.Flt())
 		return func(e *core.Engine, fr *core.Frame) core.Value { return v }, nil
 	case ir.OperGlobal:
 		// Resolve to the module global *index* at compile time and to the
@@ -441,14 +414,14 @@ func (c *Compiler) compileOperand(e *core.Engine, o ir.Operand) (getter, error) 
 
 func (c *Compiler) compileStep(e *core.Engine, f *ir.Func, in *ir.Instr) (step, error) {
 	fname := f.Name
-	line := in.Line
+	line := int(in.Line)
 	switch in.Op {
 	case ir.OpAlloca:
 		ty := in.Ty
-		name := in.Name
+		name := in.Name()
 		dst := in.Dst
 		size := ty.Size()
-		ctype := in.CType
+		ctype := in.CType()
 		if cnt, ok := in.CountOp(); ok {
 			getCnt, err := c.compileOperand(e, cnt)
 			if err != nil {
@@ -535,7 +508,7 @@ func (c *Compiler) compileStep(e *core.Engine, f *ir.Func, in *ir.Instr) (step, 
 		if err != nil {
 			return nil, err
 		}
-		getF, err := c.compileOperand(e, in.C)
+		getF, err := c.compileOperand(e, in.Ext.C)
 		if err != nil {
 			return nil, err
 		}
@@ -573,12 +546,12 @@ func (c *Compiler) compileStep(e *core.Engine, f *ir.Func, in *ir.Instr) (step, 
 func (c *Compiler) compileTerm(e *core.Engine, f *ir.Func, in *ir.Instr) (term, error) {
 	switch in.Op {
 	case ir.OpBr:
-		next := in.Blk0
+		next := int(in.Blk0)
 		return func(e *core.Engine, fr *core.Frame) (int, core.Value, bool, error) {
 			return next, core.Value{}, false, nil
 		}, nil
 	case ir.OpCondBr:
-		t, fl := in.Blk0, in.Blk1
+		t, fl := int(in.Blk0), int(in.Blk1)
 		if in.A.Kind == ir.OperReg {
 			cond := in.A.Reg
 			return func(e *core.Engine, fr *core.Frame) (int, core.Value, bool, error) {
@@ -603,10 +576,10 @@ func (c *Compiler) compileTerm(e *core.Engine, f *ir.Func, in *ir.Instr) (term, 
 		if err != nil {
 			return nil, err
 		}
-		def := in.Blk0
-		table := make(map[int64]int, len(in.Cases))
-		for _, cs := range in.Cases {
-			table[cs.Val] = cs.Blk
+		def := int(in.Blk0)
+		table := make(map[int64]int, len(in.Ext.Cases))
+		for _, cs := range in.Ext.Cases {
+			table[cs.Val] = int(cs.Blk)
 		}
 		return func(e *core.Engine, fr *core.Frame) (int, core.Value, bool, error) {
 			if blk, ok := table[getV(e, fr).I]; ok {
@@ -635,7 +608,7 @@ func (c *Compiler) compileTerm(e *core.Engine, f *ir.Func, in *ir.Instr) (term, 
 		}, nil
 	case ir.OpUnreachable:
 		name := f.Name
-		line := in.Line
+		line := int(in.Line)
 		return func(e *core.Engine, fr *core.Frame) (int, core.Value, bool, error) {
 			// Identical message and guest stack to the tier-0 interpreter, so
 			// the two tiers classify and render this fault the same way.

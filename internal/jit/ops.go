@@ -106,7 +106,7 @@ func (c *Compiler) compileBin(e *core.Engine, in *ir.Instr, fname string, line i
 // intBinRR builds a direct register-register closure, or nil when the
 // operator has no fast form. Values are canonically sign-extended, so the
 // narrowing normalization is a pair of baked shifts (zero shifts at i64).
-func intBinRR(op ir.BinOp, dst, ra, rb int, shift uint) step {
+func intBinRR(op ir.BinOp, dst, ra, rb int32, shift uint) step {
 	switch op {
 	case ir.Add:
 		if shift == 0 {
@@ -172,7 +172,7 @@ func intBinRR(op ir.BinOp, dst, ra, rb int, shift uint) step {
 
 // intBinRC builds a direct register-constant closure (loop increments,
 // masks, strides), or nil when the operator has no fast form.
-func intBinRC(op ir.BinOp, dst, ra int, bv int64, shift uint) step {
+func intBinRC(op ir.BinOp, dst, ra int32, bv int64, shift uint) step {
 	switch op {
 	case ir.Add:
 		if shift == 0 {
@@ -272,7 +272,7 @@ func (c *Compiler) compileFloatBin(e *core.Engine, in *ir.Instr) (step, error) {
 		}
 	}
 	if bits == 64 && in.A.Kind == ir.OperReg && in.B.Kind == ir.OperConstFloat {
-		ra, bv := in.A.Reg, in.B.Flt
+		ra, bv := in.A.Reg, in.B.Flt()
 		switch in.Bin {
 		case ir.FAdd:
 			return func(e *core.Engine, fr *core.Frame) error {
@@ -472,7 +472,7 @@ func (c *Compiler) compileFusedCmpBr(e *core.Engine, cmp, br *ir.Instr) (term, e
 	if err != nil {
 		return nil, err
 	}
-	t, f := br.Blk0, br.Blk1
+	t, f := int(br.Blk0), int(br.Blk1)
 	return func(e *core.Engine, fr *core.Frame) (int, core.Value, bool, error) {
 		if cond(e, fr) {
 			return t, core.Value{}, false, nil
@@ -489,7 +489,7 @@ func (c *Compiler) compileCast(e *core.Engine, in *ir.Instr, fname string, line 
 	dst := in.Dst
 	switch in.Cast {
 	case ir.Bitcast:
-		if in.CType != "" {
+		if in.CType() != "" {
 			// Checked pointer cast: validate the target type against the
 			// pointee's effective type via the shared interpreter check, so
 			// both tiers produce the byte-identical diagnostic.
@@ -718,7 +718,7 @@ func (c *Compiler) compileStore(e *core.Engine, in *ir.Instr, fname string, line
 	if kind := directKind(ty); kind != dkNone && in.Addr.Kind == ir.OperReg {
 		ar := in.Addr.Reg
 		// Pre-split the value operand: register read or baked constant.
-		vr := -1
+		vr := int32(-1)
 		var cvI int64
 		var cvF float64
 		switch in.A.Kind {
@@ -727,7 +727,7 @@ func (c *Compiler) compileStore(e *core.Engine, in *ir.Instr, fname string, line
 		case ir.OperConstInt:
 			cvI = in.A.Int
 		case ir.OperConstFloat:
-			cvF = in.A.Flt
+			cvF = in.A.Flt()
 		default:
 			kind = dkNone // globals/null/function values: generic path
 		}

@@ -257,7 +257,7 @@ func specStep(in *ir.Instr, allowed bool, bi, ii int) (step, bool) {
 	// Store: pre-split the value operand like compileStore does. A store
 	// whose guard fails has performed no write — the interpreter re-executes
 	// the whole store after the deopt, so no side effect can double.
-	vr := -1
+	vr := int32(-1)
 	var cvI int64
 	var cvF float64
 	switch in.A.Kind {
@@ -266,7 +266,7 @@ func specStep(in *ir.Instr, allowed bool, bi, ii int) (step, bool) {
 	case ir.OperConstInt:
 		cvI = in.A.Int
 	case ir.OperConstFloat:
-		cvF = in.A.Flt
+		cvF = in.A.Flt()
 	default:
 		return nil, false
 	}

@@ -106,7 +106,7 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 		}
 		in := &f.Blocks[blk].Instrs[ii]
 		if in.Line > 0 {
-			m.curLine = in.Line
+			m.curLine = int(in.Line)
 		}
 		if m.perInstr != nil {
 			m.perInstr(int(in.Op))
@@ -139,8 +139,8 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 			if err != nil {
 				return Value{}, err
 			}
-			if m.trackTypes && in.CType != "" {
-				m.Types.Register(int64(addr), size, m.descFor(in.Ty, in.CType))
+			if ct := in.CType(); m.trackTypes && ct != "" {
+				m.Types.Register(int64(addr), size, m.descFor(in.Ty, ct))
 			}
 			if reuse {
 				m.loopSlots = append(m.loopSlots, loopSlot{in: in, addr: addr})
@@ -200,7 +200,7 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 			a := m.oper(fr, in.A)
 			switch in.Cast {
 			case ir.PtrToInt, ir.IntToPtr, ir.Bitcast:
-				if in.Cast == ir.Bitcast && in.CType != "" {
+				if in.Cast == ir.Bitcast && in.CType() != "" {
 					// Checked cast site: native execution never validates it
 					// (that is the blind spot), but a fresh heap block adopts
 					// the target type so introspection mirrors the managed
@@ -221,7 +221,7 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 			if m.oper(fr, in.A).I != 0 {
 				fr.Regs[in.Dst] = m.oper(fr, in.B)
 			} else {
-				fr.Regs[in.Dst] = m.oper(fr, in.C)
+				fr.Regs[in.Dst] = m.oper(fr, in.Ext.C)
 			}
 
 		case ir.OpCall:
@@ -234,22 +234,22 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 			}
 
 		case ir.OpBr:
-			blk, ii = in.Blk0, 0
+			blk, ii = int(in.Blk0), 0
 			continue
 		case ir.OpCondBr:
 			if m.oper(fr, in.A).I != 0 {
-				blk = in.Blk0
+				blk = int(in.Blk0)
 			} else {
-				blk = in.Blk1
+				blk = int(in.Blk1)
 			}
 			ii = 0
 			continue
 		case ir.OpSwitch:
 			v := m.oper(fr, in.A).I
-			blk = in.Blk0
-			for _, c := range in.Cases {
+			blk = int(in.Blk0)
+			for _, c := range in.Ext.Cases {
 				if c.Val == v {
-					blk = c.Blk
+					blk = int(c.Blk)
 					break
 				}
 			}
@@ -316,37 +316,38 @@ func (m *Machine) stackAlloc(fr *Frame, size, align int64) (uint64, error) {
 
 // execCall resolves a call instruction: direct, libc, or indirect.
 func (m *Machine) execCall(fr *Frame, in *ir.Instr) (Value, error) {
+	x := in.Ext
 	var idx int
-	switch in.Callee.Kind {
+	switch x.Callee.Kind {
 	case ir.OperFunc:
-		idx = m.Mod.FuncIndex(in.Callee.Sym)
+		idx = m.Mod.FuncIndex(x.Callee.Sym)
 	default:
-		addr := uint64(m.oper(fr, in.Callee).I)
+		addr := uint64(m.oper(fr, x.Callee).I)
 		idx = FuncIndexOf(addr)
 		if idx < 0 || idx >= len(m.Mod.Funcs) {
 			return Value{}, &nativeFaultErr{addr: addr}
 		}
 	}
-	nFixed := in.FixedArgs
-	if nFixed > len(in.Args) {
-		nFixed = len(in.Args)
+	nFixed := x.FixedArgs
+	if nFixed > len(x.Args) {
+		nFixed = len(x.Args)
 	}
 	args := make([]Value, 0, nFixed)
 	for i := 0; i < nFixed; i++ {
-		args = append(args, m.oper(fr, in.Args[i]))
+		args = append(args, m.oper(fr, x.Args[i]))
 	}
 	// Variadic area: extra arguments go into 8-byte stack slots. There is
 	// no count on the machine; reading past the last slot reads whatever
 	// the stack holds next.
 	var vaBase uint64
 	spBeforeVa := m.sp
-	vaCount := len(in.Args) - nFixed
+	vaCount := len(x.Args) - nFixed
 	if vaCount > 0 {
 		m.sp -= uint64(8 * vaCount)
 		m.sp &^= 15
 		vaBase = m.sp
 		for i := 0; i < vaCount; i++ {
-			a := in.Args[nFixed+i]
+			a := x.Args[nFixed+i]
 			v := m.oper(fr, a)
 			var raw uint64
 			if _, isFloat := a.Ty.(*ir.FloatType); isFloat {
@@ -362,7 +363,7 @@ func (m *Machine) execCall(fr *Frame, in *ir.Instr) (Value, error) {
 	// Record the call edge on the shadow call stack before transferring
 	// control — including to precompiled libc, so allocator and interceptor
 	// reports can name the guest call site.
-	m.PushCall(fr.Fn.Name, in.Line)
+	m.PushCall(fr.Fn.Name, int(in.Line))
 	ret, err := m.callFrom(fr, idx, args, vaBase, vaCount)
 	m.PopCall()
 	if vaBase != 0 {
@@ -424,7 +425,7 @@ func (m *Machine) oper(fr *Frame, o ir.Operand) Value {
 	case ir.OperConstInt:
 		return IntVal(o.Int)
 	case ir.OperConstFloat:
-		return FloatVal(o.Flt)
+		return FloatVal(o.Flt())
 	case ir.OperGlobal:
 		return IntVal(int64(m.globalAddr[o.Sym]))
 	case ir.OperFunc:

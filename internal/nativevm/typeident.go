@@ -72,26 +72,27 @@ func (m *Machine) descFor(ty ir.Type, ctype string) *memdesc.Desc {
 // instruction's Ty2 pointee and falling back to the module struct table for
 // round-tripped modules whose pointers are all typed "ptr".
 func (m *Machine) castDescFor(in *ir.Instr) *memdesc.Desc {
-	if d, ok := m.castDesc[in.CType]; ok {
+	ctype := in.CType()
+	if d, ok := m.castDesc[ctype]; ok {
 		return d
 	}
 	var d *memdesc.Desc
 	if pt, ok := in.Ty2.(*ir.PtrType); ok {
 		if st, ok := pt.Elem.(*ir.StructType); ok && st.Size() > 0 {
-			d = memdesc.FromIR(st, in.CType)
+			d = memdesc.FromIR(st, ctype)
 		}
 	}
 	if d == nil {
-		if name, ok := memdesc.TagName(in.CType); ok {
+		if name, ok := memdesc.TagName(ctype); ok {
 			if st := m.Mod.Structs[name]; st != nil && st.Size() > 0 {
-				d = memdesc.FromIR(st, in.CType)
+				d = memdesc.FromIR(st, ctype)
 			}
 		}
 	}
 	if m.castDesc == nil {
 		m.castDesc = make(map[string]*memdesc.Desc, 8)
 	}
-	m.castDesc[in.CType] = d
+	m.castDesc[ctype] = d
 	return d
 }
 

@@ -9,7 +9,7 @@ import "repro/internal/ir"
 func DeadStoreElim(f *ir.Func) {
 	// Address set rooted at each alloca: the alloca register plus every gep
 	// derived from a register in the set.
-	root := make([]int, f.NumRegs) // reg -> alloca dst reg + 1, 0 = none
+	root := make([]int32, f.NumRegs) // reg -> alloca dst reg + 1, 0 = none
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
@@ -34,8 +34,8 @@ func DeadStoreElim(f *ir.Func) {
 		}
 	}
 	// loaded / escaped analysis per alloca root.
-	loaded := map[int]bool{}
-	escaped := map[int]bool{}
+	loaded := map[int32]bool{}
+	escaped := map[int32]bool{}
 	note := func(o ir.Operand, esc bool) {
 		if o.Kind == ir.OperReg && root[o.Reg] != 0 && esc {
 			escaped[root[o.Reg]-1] = true
@@ -56,14 +56,7 @@ func DeadStoreElim(f *ir.Func) {
 				note(in.A, true)
 			case ir.OpAlloca:
 			default:
-				note(in.A, true)
-				note(in.B, true)
-				note(in.C, true)
-				note(in.Addr, true)
-				note(in.Callee, true)
-				for _, a := range in.Args {
-					note(a, true)
-				}
+				in.Operands(func(o *ir.Operand) { note(*o, true) })
 			}
 		}
 	}
@@ -138,13 +131,13 @@ func DeleteDeadLoops(f *ir.Func) {
 		}
 		switch t.Op {
 		case ir.OpBr:
-			succ[i] = []int{t.Blk0}
+			succ[i] = []int{int(t.Blk0)}
 		case ir.OpCondBr:
-			succ[i] = []int{t.Blk0, t.Blk1}
+			succ[i] = []int{int(t.Blk0), int(t.Blk1)}
 		case ir.OpSwitch:
-			succ[i] = []int{t.Blk0}
-			for _, c := range t.Cases {
-				succ[i] = append(succ[i], c.Blk)
+			succ[i] = []int{int(t.Blk0)}
+			for _, c := range t.Ext.Cases {
+				succ[i] = append(succ[i], int(c.Blk))
 			}
 		}
 	}
@@ -166,7 +159,7 @@ func DeleteDeadLoops(f *ir.Func) {
 		}
 		pure := true
 		exits := map[int]bool{}
-		defined := map[int]bool{}
+		defined := map[int32]bool{}
 		for _, bi := range scc {
 			for i := range f.Blocks[bi].Instrs {
 				in := &f.Blocks[bi].Instrs[i]
@@ -195,25 +188,19 @@ func DeleteDeadLoops(f *ir.Func) {
 				continue
 			}
 			for i := range f.Blocks[bi].Instrs {
-				in := &f.Blocks[bi].Instrs[i]
-				for _, o := range []ir.Operand{in.A, in.B, in.C, in.Addr, in.Callee} {
+				f.Blocks[bi].Instrs[i].Operands(func(o *ir.Operand) {
 					if o.Kind == ir.OperReg && defined[o.Reg] {
 						liveOut = true
 					}
-				}
-				for _, o := range in.Args {
-					if o.Kind == ir.OperReg && defined[o.Reg] {
-						liveOut = true
-					}
-				}
+				})
 			}
 		}
 		if liveOut {
 			continue
 		}
-		var exit int
+		var exit int32
 		for e := range exits {
-			exit = e
+			exit = int32(e)
 		}
 		// Redirect every entry edge into the cycle straight to the exit.
 		for bi := range f.Blocks {
@@ -224,8 +211,8 @@ func DeleteDeadLoops(f *ir.Func) {
 			if t == nil {
 				continue
 			}
-			redirect := func(blk *int) {
-				if inSCC[*blk] {
+			redirect := func(blk *int32) {
+				if inSCC[int(*blk)] {
 					*blk = exit
 				}
 			}
@@ -235,8 +222,10 @@ func DeleteDeadLoops(f *ir.Func) {
 				if t.Op == ir.OpCondBr {
 					redirect(&t.Blk1)
 				}
-				for ci := range t.Cases {
-					redirect(&t.Cases[ci].Blk)
+				if t.Op == ir.OpSwitch {
+					for ci := range t.Ext.Cases {
+						redirect(&t.Ext.Cases[ci].Blk)
+					}
 				}
 			}
 		}

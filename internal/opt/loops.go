@@ -26,13 +26,13 @@ func Successors(f *ir.Func) [][]int {
 		t := b.Terminator()
 		switch t.Op {
 		case ir.OpBr:
-			succ[i] = append(succ[i], t.Blk0)
+			succ[i] = append(succ[i], int(t.Blk0))
 		case ir.OpCondBr:
-			succ[i] = append(succ[i], t.Blk0, t.Blk1)
+			succ[i] = append(succ[i], int(t.Blk0), int(t.Blk1))
 		case ir.OpSwitch:
-			succ[i] = append(succ[i], t.Blk0)
-			for _, c := range t.Cases {
-				succ[i] = append(succ[i], c.Blk)
+			succ[i] = append(succ[i], int(t.Blk0))
+			for _, c := range t.Ext.Cases {
+				succ[i] = append(succ[i], int(c.Blk))
 			}
 		}
 	}

@@ -48,22 +48,14 @@ func RunO3(m *ir.Module) {
 // regUses counts, for each register, every operand position that reads it.
 func regUses(f *ir.Func) []int {
 	uses := make([]int, f.NumRegs)
-	see := func(o ir.Operand) {
-		if o.Kind == ir.OperReg && o.Reg >= 0 && o.Reg < f.NumRegs {
+	see := func(o *ir.Operand) {
+		if o.Kind == ir.OperReg && o.Reg >= 0 && int(o.Reg) < f.NumRegs {
 			uses[o.Reg]++
 		}
 	}
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			see(in.A)
-			see(in.B)
-			see(in.C)
-			see(in.Addr)
-			see(in.Callee)
-			for _, a := range in.Args {
-				see(a)
-			}
+			b.Instrs[i].Operands(see)
 		}
 	}
 	return uses
@@ -97,7 +89,7 @@ func Mem2Reg(f *ir.Func) {
 		ty    ir.Type
 		valid bool
 	}
-	cands := map[int]*cand{} // address register -> candidacy
+	cands := map[int32]*cand{} // address register -> candidacy
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
@@ -118,7 +110,7 @@ func Mem2Reg(f *ir.Func) {
 	if len(cands) == 0 {
 		return
 	}
-	disqualify := func(o ir.Operand) {
+	disqualify := func(o *ir.Operand) {
 		if o.Kind == ir.OperReg {
 			if c, ok := cands[o.Reg]; ok {
 				c.valid = false
@@ -137,7 +129,7 @@ func Mem2Reg(f *ir.Func) {
 					continue
 				}
 			case ir.OpStore:
-				disqualify(in.A) // storing the address itself escapes it
+				disqualify(&in.A) // storing the address itself escapes it
 				if in.Addr.Kind == ir.OperReg {
 					if c, ok := cands[in.Addr.Reg]; ok && !ir.TypesEqual(c.ty, in.Ty) {
 						c.valid = false
@@ -147,20 +139,13 @@ func Mem2Reg(f *ir.Func) {
 			case ir.OpAlloca:
 				continue
 			default:
-				disqualify(in.A)
-				disqualify(in.B)
-				disqualify(in.C)
-				disqualify(in.Addr)
-				disqualify(in.Callee)
-				for _, a := range in.Args {
-					disqualify(a)
-				}
+				in.Operands(disqualify)
 			}
 		}
 	}
 	// Rewrite: each promoted alloca gets a fresh value register.
-	valueReg := map[int]int{}
-	valueTy := map[int]ir.Type{}
+	valueReg := map[int32]int32{}
+	valueTy := map[int32]ir.Type{}
 	for addrReg, c := range cands {
 		if c.valid {
 			valueReg[addrReg] = f.NewReg()
@@ -214,26 +199,18 @@ func Mem2Reg(f *ir.Func) {
 // FoldConstants performs block-local constant folding and copy propagation.
 func FoldConstants(f *ir.Func) {
 	for _, b := range f.Blocks {
-		known := map[int]ir.Operand{} // reg -> constant operand
-		resolve := func(o ir.Operand) ir.Operand {
+		known := map[int32]ir.Operand{} // reg -> constant operand
+		resolve := func(o *ir.Operand) {
 			if o.Kind == ir.OperReg {
 				if c, ok := known[o.Reg]; ok {
 					c.Ty = o.Ty
-					return c
+					*o = c
 				}
 			}
-			return o
 		}
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			in.A = resolve(in.A)
-			in.B = resolve(in.B)
-			in.C = resolve(in.C)
-			in.Addr = resolve(in.Addr)
-			in.Callee = resolve(in.Callee)
-			for k := range in.Args {
-				in.Args[k] = resolve(in.Args[k])
-			}
+			in.Operands(resolve)
 			if in.Dst >= 0 {
 				delete(known, in.Dst)
 			}
@@ -245,7 +222,7 @@ func FoldConstants(f *ir.Func) {
 						makeMove(in, ir.ConstInt(v, in.Ty), in.Ty)
 					}
 				} else if in.A.Kind == ir.OperConstFloat && in.B.Kind == ir.OperConstFloat && in.Bin.IsFloatOp() {
-					v := ir.EvalFloatBin(in.Bin, intBits(in.Ty), in.A.Flt, in.B.Flt)
+					v := ir.EvalFloatBin(in.Bin, intBits(in.Ty), in.A.Flt(), in.B.Flt())
 					known[in.Dst] = ir.ConstFloat(v, in.Ty)
 					makeMove(in, ir.ConstFloat(v, in.Ty), in.Ty)
 				}
@@ -263,7 +240,11 @@ func FoldConstants(f *ir.Func) {
 				if in.Cast == ir.Bitcast && in.A.IsConst() {
 					known[in.Dst] = in.A
 				} else if in.A.Kind == ir.OperConstInt || in.A.Kind == ir.OperConstFloat {
-					iv, fv, isF := ir.EvalCast(in.Cast, intBits(in.Ty), intBits(in.Ty2), in.A.Int, in.A.Flt)
+					i, f := in.A.Int, 0.0
+					if in.A.Kind == ir.OperConstFloat {
+						i, f = 0, in.A.Flt()
+					}
+					iv, fv, isF := ir.EvalCast(in.Cast, intBits(in.Ty), intBits(in.Ty2), i, f)
 					if in.Cast != ir.PtrToInt && in.Cast != ir.IntToPtr {
 						if isF {
 							known[in.Dst] = ir.ConstFloat(fv, in.Ty2)
@@ -294,7 +275,7 @@ func FoldConstants(f *ir.Func) {
 func foldConstGlobalLoads(m *ir.Module, f *ir.Func) {
 	for _, b := range f.Blocks {
 		// reg -> (global, byte offset) for geps with constant indices
-		addr := map[int]struct {
+		addr := map[int32]struct {
 			g   *ir.Global
 			off int64
 		}{}

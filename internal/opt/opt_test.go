@@ -185,7 +185,7 @@ done:
 	DeleteDeadLoops(f)
 	// The entry edge must now bypass the loop.
 	term := f.Blocks[0].Terminator()
-	if term.Blk0 != f.BlockIndex("done") {
+	if int(term.Blk0) != f.BlockIndex("done") {
 		t.Errorf("entry should branch straight to done:\n%s", ir.PrintFunc(f))
 	}
 }
@@ -209,7 +209,7 @@ done:
 	f := m.Func("f")
 	DeleteDeadLoops(f)
 	term := f.Blocks[0].Terminator()
-	if term.Blk0 == f.BlockIndex("done") {
+	if int(term.Blk0) == f.BlockIndex("done") {
 		t.Error("loop with live-out value must not be deleted")
 	}
 }
@@ -340,7 +340,7 @@ func makeChainFunc(seed int) *ir.Func {
 	f := &ir.Func{Name: "chain" + itoa(seed), Sig: &ir.FuncType{Ret: ir.I64, Params: []ir.Type{ir.I64}}}
 	f.NumRegs = 1
 	entry := &ir.Block{Name: "entry"}
-	prev := 0
+	prev := int32(0)
 	for i := 0; i < 20; i++ {
 		dst := f.NewReg()
 		entry.Instrs = append(entry.Instrs, ir.Instr{

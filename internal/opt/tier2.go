@@ -67,7 +67,7 @@ func (w Weights) BlockCost(bi int) int64 {
 func isMoveCast(in *ir.Instr) bool {
 	// A cast carrying a declared C type is a *checked* cast — the engines
 	// validate it against the pointee's effective type — never a pure move.
-	if in.Op != ir.OpCast || in.Dst < 0 || in.CType != "" {
+	if in.Op != ir.OpCast || in.Dst < 0 || in.CType() != "" {
 		return false
 	}
 	switch in.Cast {
@@ -93,19 +93,18 @@ func isMoveCast(in *ir.Instr) bool {
 // faults at the same instruction with the same diagnostic.
 func CopyPropagate(f *ir.Func) {
 	for _, b := range f.Blocks {
-		known := map[int]ir.Operand{} // reg -> current value source (reg or const)
-		isBool := map[int]bool{}      // reg -> definitely holds 0/1
-		resolve := func(o ir.Operand) ir.Operand {
+		known := map[int32]ir.Operand{} // reg -> current value source (reg or const)
+		isBool := map[int32]bool{}      // reg -> definitely holds 0/1
+		resolve := func(o *ir.Operand) {
 			if o.Kind == ir.OperReg {
 				if c, ok := known[o.Reg]; ok {
 					c.Ty = o.Ty
-					return c
+					*o = c
 				}
 			}
-			return o
 		}
 		// kill invalidates everything that depends on register r.
-		kill := func(r int) {
+		kill := func(r int32) {
 			delete(known, r)
 			for k, v := range known {
 				if v.Kind == ir.OperReg && v.Reg == r {
@@ -125,14 +124,7 @@ func CopyPropagate(f *ir.Func) {
 		}
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			in.A = resolve(in.A)
-			in.B = resolve(in.B)
-			in.C = resolve(in.C)
-			in.Addr = resolve(in.Addr)
-			in.Callee = resolve(in.Callee)
-			for k := range in.Args {
-				in.Args[k] = resolve(in.Args[k])
-			}
+			in.Operands(resolve)
 
 			// Normalize identity casts to moves so they participate in copy
 			// propagation and dead-move sweeping.
@@ -154,7 +146,7 @@ func CopyPropagate(f *ir.Func) {
 			srcBool := in.Op == ir.OpCast && in.Cast == ir.Bitcast && boolSource(in.A)
 			kill(in.Dst)
 			switch {
-			case in.Op == ir.OpCast && in.Cast == ir.Bitcast && in.CType == "" &&
+			case in.Op == ir.OpCast && in.Cast == ir.Bitcast && in.CType() == "" &&
 				(in.A.Kind == ir.OperReg || in.A.Kind == ir.OperConstInt || in.A.Kind == ir.OperConstFloat):
 				if !(in.A.Kind == ir.OperReg && in.A.Reg == in.Dst) {
 					known[in.Dst] = in.A
@@ -180,20 +172,20 @@ func CopyPropagate(f *ir.Func) {
 func CSEAddresses(f *ir.Func) {
 	type gepKey struct {
 		addrKind ir.OperandKind
-		addrReg  int
+		addrReg  int32
 		addrSym  string
 		stride   int64
 		idxKind  ir.OperandKind
-		idxReg   int
+		idxReg   int32
 		idxInt   int64
 	}
-	keyReads := func(k gepKey, r int) bool {
+	keyReads := func(k gepKey, r int32) bool {
 		return (k.addrKind == ir.OperReg && k.addrReg == r) ||
 			(k.idxKind == ir.OperReg && k.idxReg == r)
 	}
 	for _, b := range f.Blocks {
-		avail := map[gepKey]int{} // key -> register holding the result
-		invalidate := func(r int) {
+		avail := map[gepKey]int32{} // key -> register holding the result
+		invalidate := func(r int32) {
 			for k, v := range avail {
 				if v == r || keyReads(k, r) {
 					delete(avail, k)
@@ -243,7 +235,7 @@ func SweepDeadMoves(f *ir.Func, w Weights) {
 		var carry int64
 		for i := range b.Instrs {
 			in := b.Instrs[i]
-			if in.Op == ir.OpCast && in.Cast == ir.Bitcast && in.CType == "" && in.Dst >= 0 && in.Dst < len(uses) &&
+			if in.Op == ir.OpCast && in.Cast == ir.Bitcast && in.CType() == "" && in.Dst >= 0 && int(in.Dst) < len(uses) &&
 				uses[in.Dst] == 0 && len(b.Instrs) > 1 {
 				// Weight attaches to the next surviving instruction; the
 				// terminator is never a move, so a carrier always exists.
@@ -293,7 +285,7 @@ func HoistLoopInvariants(f *ir.Func, w Weights) Weights {
 		}
 
 		// Registers defined anywhere inside the loop are not invariant.
-		defined := map[int]bool{}
+		defined := map[int32]bool{}
 		for _, bi := range comp {
 			for i := range f.Blocks[bi].Instrs {
 				if d := f.Blocks[bi].Instrs[i].Dst; d >= 0 {
@@ -334,9 +326,9 @@ func HoistLoopInvariants(f *ir.Func, w Weights) Weights {
 				case ir.OpCast:
 					// Checked casts are checks, not computations: they must
 					// fire on their own iteration for the exact diagnostic.
-					ok = in.CType == "" && invariant(in.A)
+					ok = in.CType() == "" && invariant(in.A)
 				case ir.OpSelect:
-					ok = invariant(in.A) && invariant(in.B) && invariant(in.C)
+					ok = invariant(in.A) && invariant(in.B) && invariant(in.Ext.C)
 				}
 				if !ok {
 					continue
@@ -367,9 +359,14 @@ func HoistLoopInvariants(f *ir.Func, w Weights) Weights {
 		// header, all weight 0 (tier 0 never executes this block).
 		ph := &ir.Block{Name: "preheader." + f.Blocks[header].Name}
 		ph.Instrs = append(ph.Instrs, hoisted...)
-		ph.Instrs = append(ph.Instrs, ir.Instr{Op: ir.OpBr, Dst: -1, Blk0: header})
+		ph.Instrs = append(ph.Instrs, ir.Instr{Op: ir.OpBr, Dst: -1, Blk0: int32(header)})
 		phIdx := len(f.Blocks)
 		f.Blocks = append(f.Blocks, ph)
+		retarget := func(blk *int32) {
+			if int(*blk) == header {
+				*blk = int32(phIdx)
+			}
+		}
 
 		// Retarget every loop entry edge (from outside the SCC) to the
 		// preheader. Back edges keep jumping straight to the header.
@@ -380,24 +377,14 @@ func HoistLoopInvariants(f *ir.Func, w Weights) Weights {
 			t := f.Blocks[bi].Terminator()
 			switch t.Op {
 			case ir.OpBr:
-				if t.Blk0 == header {
-					t.Blk0 = phIdx
-				}
+				retarget(&t.Blk0)
 			case ir.OpCondBr:
-				if t.Blk0 == header {
-					t.Blk0 = phIdx
-				}
-				if t.Blk1 == header {
-					t.Blk1 = phIdx
-				}
+				retarget(&t.Blk0)
+				retarget(&t.Blk1)
 			case ir.OpSwitch:
-				if t.Blk0 == header {
-					t.Blk0 = phIdx
-				}
-				for ci := range t.Cases {
-					if t.Cases[ci].Blk == header {
-						t.Cases[ci].Blk = phIdx
-					}
+				retarget(&t.Blk0)
+				for ci := range t.Ext.Cases {
+					retarget(&t.Ext.Cases[ci].Blk)
 				}
 			}
 		}

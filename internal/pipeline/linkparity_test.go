@@ -268,14 +268,14 @@ func TestVerifyStageMatchesVerify(t *testing.T) {
 			if in.A.Kind != ir.OperReg {
 				return false
 			}
-			in.A.Reg = f.NumRegs + 3
+			in.A.Reg = int32(f.NumRegs + 3)
 			return true
 		}},
 		{"branch target out of range", func(f *ir.Func, in *ir.Instr) bool {
 			if in.Op != ir.OpBr {
 				return false
 			}
-			in.Blk0 = len(f.Blocks) + 3
+			in.Blk0 = int32(len(f.Blocks) + 3)
 			return true
 		}},
 		{"unknown global", func(f *ir.Func, in *ir.Instr) bool {
