@@ -53,14 +53,14 @@ diagcheck:
 
 # Fault-plane gate: the allocation-failure suite (heap budgets, injected
 # fault schedules, calloc overflow, glibc realloc semantics, oom-cell
-# determinism, retry/quarantine) under the race detector, with the
+# determinism, quarantine) under the race detector, with the
 # tier-parity table's fault rows (the heap-schedule row under its six
 # plans, the hoisted-check and coalesced-run rows, the corpus's async+OSR
 # FailNth slices),
 # plus the corpus-wide FailNth sweep asserting no engine ever panics on an
 # injected allocation failure and every tier's Outcome equals tier-0's.
 faultcheck:
-	$(GO) test -race -timeout 120s -run 'Fault|Calloc|MallocZero|Realloc|HeapBudget|HeapDenial|AllocAuto|NullPlusOffset|OOM|Retry|Quarantin|Sweep' ./...
+	$(GO) test -race -timeout 120s -run 'Fault|Calloc|MallocZero|Realloc|HeapBudget|HeapDenial|AllocAuto|NullPlusOffset|OOM|Quarantin|Sweep' ./...
 	$(GO) run ./cmd/bugbench -faultsweep -sweepmax 3
 
 # Peak-performance gate: one benchgame program under every performance
@@ -109,7 +109,7 @@ typecheck:
 # The campaign package gets its own generous timeout: 200 race-instrumented
 # programs × ~10 oracle runs each is real work on a small machine.
 fuzzcheck:
-	FUZZCHECK_PROGRAMS=200 $(GO) test -race -timeout 600s -run 'Campaign|Journal|Minimize|FuzzFinds|Generate|Mutate|SweepProgress|Backoff' ./internal/campaign ./internal/gen ./internal/corpus ./internal/harness
+	FUZZCHECK_PROGRAMS=200 $(GO) test -race -timeout 600s -run 'Campaign|Journal|Minimize|FuzzFinds|Generate|Mutate|SweepProgress' ./internal/campaign ./internal/gen ./internal/corpus ./internal/harness
 	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'FuzzCompileFor|IRRoundTrip' .
 
 # Compile-once/run-many gate: the tier-parity table's corpus rows in every

@@ -18,7 +18,6 @@
 //	bugbench -maxheap N      # per-cell guest heap budget in bytes
 //	bugbench -failnth N      # fail the N-th guest heap allocation
 //	bugbench -failprob P -faultseed S  # seeded random allocation failures
-//	bugbench -retries N      # retry cells that die with internal errors
 //	bugbench -tier async+osr # SafeSulong cells in one tier: tier-0 (default),
 //	                         # tier-1 or async+osr (tier-parity check)
 //	bugbench -faultsweep     # FailNth=1..k sweep asserting engine survival and
@@ -30,7 +29,7 @@
 //
 // A case that exhausts its step budget renders as a "timeout" cell, one
 // whose stack or globals exhaust -maxheap as an "oom" cell, and one whose
-// every retry dies with an internal engine error as a "quarantined" cell;
+// run dies with an internal engine error as a "quarantined" cell;
 // the rest of the matrix completes normally in each instance.
 package main
 
@@ -91,7 +90,6 @@ func main() {
 	failNth := flag.Int64("failnth", 0, "fail the N-th guest heap allocation in every cell (0 = off)")
 	failProb := flag.Float64("failprob", 0, "fail each guest heap allocation with this probability (0 = off)")
 	faultSeed := flag.Int64("faultseed", 0, "PRNG seed for -failprob (deterministic per cell)")
-	retries := flag.Int("retries", 0, "retry cells that die with internal engine errors this many times")
 	tierName := flag.String("tier", harness.Tier0.String(), "SafeSulong tier: tier-0, tier-1 (compile on the first call) or async+osr")
 	faultSweep := flag.Bool("faultsweep", false, "run the FailNth=1..k allocation-failure sweep instead of the matrix")
 	sweepMax := flag.Int("sweepmax", 3, "with -faultsweep, sweep FailNth from 1 to this value")
@@ -110,7 +108,6 @@ func main() {
 		MaxHeapBytes:  *maxHeap,
 		MaxAllocBytes: *maxAlloc,
 		FaultPlan:     plan,
-		MaxRetries:    *retries,
 		Tier:          tier,
 	}
 

@@ -32,8 +32,8 @@ func TestMakefileGateTermsMatch(t *testing.T) {
 }
 
 // TestParityTestsHaveAGate is the converse for the tier-parity table, the
-// tier-2 fault programs, the code cache's and the engine pool's suites and
-// the tiering suite: every top-level Test in their files matches a `-run`
+// tier-2 fault programs, the code cache's and the engine pool's suites, the
+// tiering suite and the campaign's suite: every top-level Test in their files matches a `-run`
 // term of a gate that tests the file's package, so none of them runs only
 // outside the race detector.
 func TestParityTestsHaveAGate(t *testing.T) {
@@ -47,6 +47,7 @@ func TestParityTestsHaveAGate(t *testing.T) {
 		"internal/jit/codecache_test.go",
 		"internal/core/tierup_test.go",
 		"internal/core/enginepool_test.go",
+		"internal/campaign/campaign_test.go",
 	} {
 		fns, err := testFuncs(fset, file)
 		if err != nil {

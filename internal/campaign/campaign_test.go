@@ -24,6 +24,7 @@ import (
 	"testing"
 	"time"
 
+	sulong "repro"
 	"repro/internal/gen"
 )
 
@@ -295,9 +296,11 @@ func TestCampaignWorkerPanicStorm(t *testing.T) {
 // with the full oracle set (tier parity, FailNth 1..2 fault parity,
 // cross-tool blind spots) must finish with zero hard findings, zero
 // quarantines, and every finding minimized to a committed-corpus-sized
-// program that re-verified against its oracle. FUZZCHECK_PROGRAMS scales
-// the campaign (the Makefile gate runs 200; the default keeps plain
-// `go test ./...` brisk).
+// program that re-verified against its oracle. The campaign keeps nothing
+// it has judged: afterwards the pipeline cache and the engine pool are
+// back to their sizes before it. FUZZCHECK_PROGRAMS scales the campaign
+// (the Makefile gate runs 200; the default keeps plain `go test ./...`
+// brisk).
 func TestCampaignFuzzCheck(t *testing.T) {
 	programs := 60
 	if v := os.Getenv("FUZZCHECK_PROGRAMS"); v != "" {
@@ -309,12 +312,16 @@ func TestCampaignFuzzCheck(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	out := filepath.Join(t.TempDir(), "finds")
+	entries, idle := sulong.CacheStats().Entries, sulong.EnginePoolStats().Idle
 	res, err := Run(Options{
 		Seed: 0xC0FFEE, Programs: programs, MaxNth: 2,
 		Journal: path, OutDir: out,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if e, i := sulong.CacheStats().Entries, sulong.EnginePoolStats().Idle; e != entries || i != idle {
+		t.Errorf("after the campaign: %d cache entries and %d idle engines, want %d and %d as before it", e, i, entries, idle)
 	}
 	if hard := res.Hard(); len(hard) > 0 {
 		t.Fatalf("campaign found %d hard engine defects:\n%s", len(hard), res.Summary())

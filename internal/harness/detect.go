@@ -85,12 +85,8 @@ type Detection struct {
 	// guest malloc returns NULL and the program keeps running.
 	OOM      bool
 	RunError string // infrastructure failure (should be empty)
-	// Attempts counts how many times the cell was run (≥ 1). Values above 1
-	// mean the run died with a contained engine panic (class "panic") and
-	// was retried under CaseBudget.MaxRetries.
-	Attempts int
-	// Quarantined marks a cell whose every attempt died with an internal
-	// engine error. The matrix completes without it instead of aborting;
+	// Quarantined marks a cell whose run died with an internal engine
+	// error. The matrix completes without it instead of aborting;
 	// MatrixResult.Quarantined lists the coordinates.
 	Quarantined bool
 	// Diag is the structured diagnostic behind Report when the tool produced
@@ -122,8 +118,8 @@ func (d Detection) Status() string {
 // detection derives the matrix cell from an Outcome. A crash that trapped
 // on the zero page counts as detected: a NULL dereference is observed by
 // every tool and the bare machine alike, which the paper counts as "could
-// also have been found without a bug-finding tool". RunCaseWith adds the
-// attempt count and the quarantine.
+// also have been found without a bug-finding tool". runCase adds the
+// quarantine.
 func (o Outcome) detection() Detection {
 	switch o.Class {
 	case "detected":
@@ -149,8 +145,8 @@ type MatrixResult struct {
 	Cases  []corpus.Case
 	Cells  map[string]map[Tool]Detection // case name -> tool -> cell
 	Totals map[Tool]int
-	// Quarantined lists cells whose every attempt died with a contained
-	// engine panic, as "case / tool" strings in deterministic (case, tool)
+	// Quarantined lists cells whose run died with a contained engine
+	// panic, as "case / tool" strings in deterministic (case, tool)
 	// order. The matrix completes without them instead of aborting.
 	Quarantined []string
 }
@@ -184,16 +180,10 @@ type CaseBudget struct {
 	// Tier runs SafeSulong cells in that managed tier configuration (the
 	// zero value is tier-0, the interpreter alone). Other tools ignore it.
 	Tier Tier
-	// MaxRetries re-runs a cell that died with a contained engine panic
-	// (*core.InternalError) up to this many extra times, with bounded
-	// deterministic backoff; a cell that never recovers is quarantined
-	// instead of aborting the matrix. 0 = no retries.
-	MaxRetries int
 	// Ctx, when non-nil, cancels the cell cooperatively: the run's governor
-	// is stopped at the next basic-block boundary and a retry backoff sleep
-	// is interrupted instead of slept out. The campaign driver threads its
-	// supervision context through here so a cancelled campaign never idles
-	// in a backoff ladder. nil = context.Background().
+	// is stopped at the next basic-block boundary. The campaign driver
+	// threads its supervision context through here. nil =
+	// context.Background().
 	Ctx context.Context
 }
 
@@ -276,82 +266,31 @@ func RunCase(c corpus.Case, tool Tool) Detection {
 }
 
 // RunCaseWith executes one corpus case under one tool within the given
-// budget and classifies the result. It runs the cell the way RunSource
-// runs a program, compile then run, and never panics: compiler, engine and
-// harness panics are all contained there.
-//
-// Cells that die with a contained engine panic (class "panic") are retried
-// up to b.MaxRetries extra times with bounded deterministic backoff (5ms,
-// 10ms, 20ms, …, capped at 50ms); a cell that never recovers is marked
-// Quarantined. Attempts records the count either way, so the cell is
-// honest about how it was produced.
-//
-// The backoff ladder respects the cell's budget: once b.Timeout worth of
-// wall clock has elapsed since the first attempt the cell quarantines
-// immediately instead of sleeping out the remaining ladder, and a cancelled
-// b.Ctx interrupts a sleep in progress the same way — a quarantine-bound
-// cell never outlives the budget its caller gave it.
+// budget and classifies the result. It compiles through the process-wide
+// module cache and keeps the module there, since the matrix runs every
+// case under several tools, and never panics: compiler, engine and harness
+// panics are all contained. A cell whose run dies with a contained engine
+// panic (class "panic") is marked Quarantined: every engine is
+// deterministic, so running it again would panic again.
 func RunCaseWith(c corpus.Case, tool Tool, b CaseBudget) Detection {
 	_, d := runCase(c, tool, b)
 	return d
 }
 
-// runCase is RunCaseWith returning the final attempt's Outcome beside the
-// cell derived from it.
-func runCase(c corpus.Case, tool Tool, b CaseBudget) (Outcome, Detection) {
-	var deadline time.Time
-	if b.Timeout > 0 {
-		deadline = time.Now().Add(b.Timeout)
+// runCase is RunCaseWith returning the run's Outcome beside the cell
+// derived from it.
+func runCase(c corpus.Case, tool Tool, b CaseBudget) (o Outcome, d Detection) {
+	if mod, bad := compile(c.Source, tool); bad != nil {
+		o = *bad
+	} else {
+		o = runModule(mod, c, tool, b)
 	}
-	for attempt := 1; ; attempt++ {
-		o := compileAndRun(c, tool, b)
-		if o.Class == "panic" && attempt <= b.MaxRetries && sleepBackoff(attempt, deadline, b.Ctx) {
-			continue
-		}
-		d := o.detection()
-		d.Attempts = attempt
-		if o.Class == "panic" {
-			d.Quarantined = true
-			d.RunError = fmt.Sprintf("quarantined after %d attempt(s): %s", attempt, o.Report)
-		}
-		return o, d
+	d = o.detection()
+	if o.Class == "panic" {
+		d.Quarantined = true
+		d.RunError = "quarantined: " + o.Report
 	}
-}
-
-// retryBackoff is the bounded deterministic backoff schedule between retry
-// attempts: 5ms << (attempt-1), capped at 50ms. No jitter — determinism is
-// worth more here than collision avoidance (attempts are per-cell serial).
-func retryBackoff(attempt int) time.Duration {
-	if attempt >= 5 { // 5ms << 4 = 80ms, past the cap
-		return 50 * time.Millisecond
-	}
-	return 5 * time.Millisecond << (attempt - 1)
-}
-
-// sleepBackoff waits out the retry backoff before attempt+1, clamped to the
-// cell's remaining wall budget and interruptible by ctx. It reports whether
-// another attempt is worth making: false when the budget is already blown
-// (or would be blown by the sleep alone) or the caller gave up.
-func sleepBackoff(attempt int, deadline time.Time, ctx context.Context) bool {
-	d := retryBackoff(attempt)
-	if !deadline.IsZero() {
-		rem := time.Until(deadline)
-		if rem <= d {
-			return false
-		}
-	}
-	if ctx == nil {
-		time.Sleep(d)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+	return o, d
 }
 
 // RunDetectionMatrix runs every corpus case under every tool, fanned out

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	sulong "repro"
@@ -187,59 +187,33 @@ func TestFaultSweepSubsetClean(t *testing.T) {
 	}
 }
 
-// flakyFailures controls the __flaky_probe builtin: each run decrements it;
-// while positive the builtin panics (an engine bug by construction), after
-// that it succeeds. Registered once; reset per test.
-var flakyFailures atomic.Int64
-
+// __panic_probe is a builtin that panics: an engine bug by construction.
 func init() {
-	core.RegisterBuiltin("__flaky_probe", func(e *core.Engine, fr *core.Frame, args []core.Value) (core.Value, error) {
-		if flakyFailures.Add(-1) >= 0 {
-			panic("flaky test double: injected engine failure")
-		}
-		return core.Value{}, nil
+	core.RegisterBuiltin("__panic_probe", func(e *core.Engine, fr *core.Frame, args []core.Value) (core.Value, error) {
+		panic("test double: injected engine failure")
 	})
 }
 
-func flakyCase() corpus.Case {
+func panicCase() corpus.Case {
 	return corpus.Case{
-		Name:     "synthetic-flaky-probe",
-		Source:   "void __flaky_probe(void);\nint main(void) { __flaky_probe(); return 0; }",
+		Name:     "synthetic-panic-probe",
+		Source:   "void __panic_probe(void);\nint main(void) { __panic_probe(); return 0; }",
 		Category: corpus.NullDereference, // arbitrary; never detected
 	}
 }
 
-// TestRetryRecoversTransientInternalError: a cell whose engine dies twice
-// and then succeeds is retried under MaxRetries and lands as a normal cell
-// with its attempt count recorded.
-func TestRetryRecoversTransientInternalError(t *testing.T) {
-	flakyFailures.Store(2)
-	cell := RunCaseWith(flakyCase(), SafeSulong, CaseBudget{MaxRetries: 3})
-	if cell.Quarantined || cell.RunError != "" {
-		t.Fatalf("cell %+v, want recovered run", cell)
-	}
-	if cell.Attempts != 3 {
-		t.Fatalf("Attempts = %d, want 3 (two failures + one success)", cell.Attempts)
-	}
-}
-
-// TestPersistentInternalErrorIsQuarantined: a cell that fails on every
-// attempt is quarantined with a deterministic single-line reason instead of
-// aborting the matrix.
+// TestPersistentInternalErrorIsQuarantined: a cell whose engine panics is
+// quarantined after its one run, with a deterministic single-line reason,
+// instead of aborting the matrix.
 func TestPersistentInternalErrorIsQuarantined(t *testing.T) {
-	flakyFailures.Store(1 << 30) // effectively always fail
-	defer flakyFailures.Store(0)
-	cell := RunCaseWith(flakyCase(), SafeSulong, CaseBudget{MaxRetries: 1})
+	cell := RunCaseWith(panicCase(), SafeSulong, CaseBudget{})
 	if !cell.Quarantined {
 		t.Fatalf("cell %+v, want Quarantined", cell)
-	}
-	if cell.Attempts != 2 {
-		t.Fatalf("Attempts = %d, want 2 (initial + one retry)", cell.Attempts)
 	}
 	if got := cell.Status(); got != "quarantined" {
 		t.Fatalf("Status() = %q, want \"quarantined\"", got)
 	}
-	if !strings.HasPrefix(cell.RunError, "quarantined after 2 attempt(s): ") {
+	if !strings.HasPrefix(cell.RunError, "quarantined: internal engine error: panic: ") {
 		t.Fatalf("RunError = %q, want quarantine prefix", cell.RunError)
 	}
 	if strings.Contains(cell.RunError, "\n") {
@@ -247,19 +221,43 @@ func TestPersistentInternalErrorIsQuarantined(t *testing.T) {
 	}
 
 	// Matrix level: the quarantined cell is listed and the run completes.
-	flakyFailures.Store(1 << 30)
 	m := RunDetectionMatrixWith(MatrixOptions{
-		Cases:  []corpus.Case{corpus.All()[0], flakyCase()},
-		Tools:  []Tool{SafeSulong},
-		Budget: CaseBudget{MaxRetries: 1},
+		Cases: []corpus.Case{corpus.All()[0], panicCase()},
+		Tools: []Tool{SafeSulong},
 	})
-	if len(m.Quarantined) != 1 || !strings.Contains(m.Quarantined[0], flakyCase().Name) {
-		t.Fatalf("MatrixResult.Quarantined = %v, want the flaky case", m.Quarantined)
+	if len(m.Quarantined) != 1 || !strings.Contains(m.Quarantined[0], panicCase().Name) {
+		t.Fatalf("MatrixResult.Quarantined = %v, want the panicking case", m.Quarantined)
 	}
 	if !m.Cells[corpus.All()[0].Name][SafeSulong].Detected {
 		t.Fatal("well-behaved case no longer detected next to a quarantined cell")
 	}
 	if !strings.Contains(m.Render(), "Quarantined cells") {
 		t.Error("render does not surface the quarantine section")
+	}
+}
+
+// The sweep's Progress callback reports every completed cell exactly once,
+// serialized and monotonic — the same contract the campaign driver's
+// per-seed progress hook relies on.
+func TestFaultSweepProgress(t *testing.T) {
+	cases := corpus.All()[:2]
+	var mu sync.Mutex
+	var calls [][2]int
+	FaultSweep(SweepOptions{
+		Cases: cases, MaxNth: 2, Workers: 4,
+		Progress: func(done, total int) {
+			mu.Lock()
+			calls = append(calls, [2]int{done, total})
+			mu.Unlock()
+		},
+	})
+	total := len(cases) * 2 * len(Tools())
+	if len(calls) != total {
+		t.Fatalf("Progress called %d times, want %d", len(calls), total)
+	}
+	for i, c := range calls {
+		if c[0] != i+1 || c[1] != total {
+			t.Fatalf("call %d = (%d, %d), want (%d, %d)", i, c[0], c[1], i+1, total)
+		}
 	}
 }

@@ -215,38 +215,50 @@ func Classify(res sulong.Result, err error) Outcome {
 	return o
 }
 
-// RunSource compiles and executes an arbitrary C program (not a registered
-// corpus case) under one tool within the given budget, and captures the
-// full comparison surface. It never panics and never kills the process:
-// compile-stage and engine panics are contained (class "panic" — for a
-// generated program that is the finding itself, not a retry candidate), and
-// any harness-side panic lands in class "error".
-func RunSource(src string, tool Tool, b CaseBudget) Outcome {
-	return compileAndRun(corpus.Case{Source: src}, tool, b)
-}
+// RunFunc runs a compiled program once, under a tool of the toolchain it
+// was compiled for, within budget b.
+type RunFunc func(tool Tool, b CaseBudget) Outcome
 
-// compileAndRun is one attempt at a case: CompileOutcome, then the module
-// run with the case's Args and Stdin.
-func compileAndRun(c corpus.Case, tool Tool, b CaseBudget) Outcome {
-	mod, bad := CompileOutcome(c.Source, tool, b)
-	if bad != nil {
-		return *bad
+// RunOnce is the one path for a program that runs only once: the campaign's
+// judge, its blind-spot oracle and minimizer checks, and RunSource. It
+// compiles src once for tool, calls runs with run — which runs the program
+// under any tool of tool's toolchain (ASan, Valgrind and Native at -O0
+// share one) as often as runs likes — and then releases the program from
+// every process-wide cache. After a failed compile every run returns the
+// compile's Outcome. Compiler and engine panics are contained (class
+// "panic": for a generated program, the finding itself), and harness-side
+// panics land in class "error".
+func RunOnce(src string, tool Tool, runs func(run RunFunc)) {
+	mod, bad := compile(src, tool)
+	if bad == nil {
+		defer sulong.ReleaseModule(mod)
 	}
-	return runModule(mod, c, tool, b)
+	runs(func(t Tool, b CaseBudget) Outcome {
+		if bad != nil {
+			return *bad
+		}
+		return runModule(mod, corpus.Case{}, t, b)
+	})
 }
 
-// CompileOutcome runs just the compile stage of RunSource, returning the
-// module on success or the Outcome that ends the run on failure. Callers
-// that judge one program under several same-toolchain oracles (the
-// campaign's tier-parity and fault oracles all use SafeSulong's pipeline)
-// compile once and feed the module to RunModule per oracle.
-func CompileOutcome(src string, tool Tool, b CaseBudget) (m *ir.Module, bad *Outcome) {
+// RunSource compiles and executes an arbitrary C program (not a registered
+// corpus case) once under one tool within the given budget, and captures
+// the full comparison surface: RunOnce with one run.
+func RunSource(src string, tool Tool, b CaseBudget) (o Outcome) {
+	RunOnce(src, tool, func(run RunFunc) { o = run(tool, b) })
+	return o
+}
+
+// compile compiles src for tool through the process-wide module cache,
+// returning the module on success or the Outcome that ends every run of
+// src on failure.
+func compile(src string, tool Tool) (m *ir.Module, bad *Outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			m, bad = nil, &Outcome{Class: "error", Report: fmt.Sprintf("internal harness error: panic: %v", r)}
 		}
 	}()
-	mod, err := sulong.CompileFor(src, b.config(corpus.Case{}, tool))
+	mod, err := sulong.CompileFor(src, tool.config())
 	if err != nil {
 		o := Classify(sulong.Result{}, compileError{err})
 		return nil, &o
@@ -254,18 +266,8 @@ func CompileOutcome(src string, tool Tool, b CaseBudget) (m *ir.Module, bad *Out
 	return mod, nil
 }
 
-// ReleaseModule retires a CompileOutcome module from the process-wide reuse
-// layers once the caller's last run of it has finished. See
-// sulong.ReleaseModule.
-func ReleaseModule(mod *ir.Module) { sulong.ReleaseModule(mod) }
-
-// RunModule executes an already-compiled module under one tool within the
-// given budget (the execution half of RunSource).
-func RunModule(mod *ir.Module, tool Tool, b CaseBudget) Outcome {
-	return runModule(mod, corpus.Case{}, tool, b)
-}
-
-// runModule is RunModule with the case's Args and Stdin.
+// runModule executes a compiled module under one tool within the given
+// budget, with the case's Args and Stdin.
 func runModule(mod *ir.Module, c corpus.Case, tool Tool, b CaseBudget) (o Outcome) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -28,6 +28,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -35,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/cc"
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/libc"
 	"repro/internal/opt"
@@ -338,17 +340,24 @@ type CacheStats struct {
 	Misses  uint64  `json:"misses"`
 }
 
-type entry struct {
-	ready chan struct{} // closed when mod/err are final
-	mod   *ir.Module
+// cell is one value built once: the caller that creates it runs the build
+// and fills it, and every other caller waits on ready.
+type cell[T any] struct {
+	ready chan struct{} // closed when val/err are final
+	val   T
 	err   error
-	// stages records the work done by the goroutine that filled the entry.
+	// stages records the work done by the goroutine that filled the cell.
 	stages []StageTiming
 }
 
+// entry is a cached module.
+type entry = cell[*ir.Module]
+
 // Cache is a concurrency-safe, content-addressed module cache. Concurrent
 // requests for the same Key are coalesced: one goroutine compiles, the rest
-// block on the entry and then share the resulting module.
+// block on the entry and then share the resulting module. It keeps only
+// modules that compiled: a failed compile's waiters get its error, and the
+// next compile of the same source misses and compiles again.
 //
 // Internally it holds two maps: front-end entries keyed by (hash, flavor)
 // — the expensive preprocess/parse/lower work, shared by every opt level —
@@ -361,17 +370,13 @@ type Cache struct {
 	mu       sync.Mutex
 	frontend map[Key]*entry // OptLevel field fixed to frontendLevel
 	modules  map[Key]*entry
-	prefixes [2]*prefixEntry // indexed by Request.Hardened
+	prefixes [2]*cell[*cc.Prefix] // indexed by Request.Hardened
+	// buildPrefix builds a libc prefix: the package's buildPrefix, which
+	// tests replace.
+	buildPrefix func(hardened bool) (*cc.Prefix, []StageTiming, error)
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
-}
-
-// prefixEntry is one libc prefix, filled once.
-type prefixEntry struct {
-	ready chan struct{} // closed when pre/err are final
-	pre   *cc.Prefix
-	err   error
 }
 
 // frontendLevel marks front-end (pre-opt) cache entries.
@@ -379,7 +384,7 @@ const frontendLevel = -1
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{frontend: map[Key]*entry{}, modules: map[Key]*entry{}}
+	return &Cache{frontend: map[Key]*entry{}, modules: map[Key]*entry{}, buildPrefix: buildPrefix}
 }
 
 // Default is the process-wide cache the sulong facade compiles through.
@@ -400,7 +405,7 @@ func normalizeKey(req Request, hash string) Key {
 }
 
 // lookup finds or creates an entry in m. It reports whether the caller must
-// fill (and close) the entry.
+// fill the entry.
 func (c *Cache) lookup(m map[Key]*entry, k Key) (*entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -412,15 +417,30 @@ func (c *Cache) lookup(m map[Key]*entry, k Key) (*entry, bool) {
 	return e, true
 }
 
-// fill publishes a result into an entry and wakes all waiters.
-func (e *entry) fill(mod *ir.Module, stages []StageTiming, err error) {
-	e.mod, e.stages, e.err = mod, stages, err
-	close(e.ready)
+// fill runs build into e and wakes e's waiters. The cache keeps no failure:
+// when build fails, forget (run under c.mu) removes e before the waiters
+// wake, so they get the error and a later compile builds again. A build
+// that panics fills e with the panic as a *core.InternalError, and the
+// panic goes on once the waiters are awake.
+func fill[T any](c *Cache, e *cell[T], forget func(), build func() (T, []StageTiming, error)) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.err = &core.InternalError{Panic: r, Stack: string(debug.Stack())}
+			defer panic(r)
+		}
+		if e.err != nil {
+			c.mu.Lock()
+			forget()
+			c.mu.Unlock()
+		}
+		close(e.ready)
+	}()
+	e.val, e.stages, e.err = build()
 }
 
 // prefix returns the libc prefix for a managed request, building it if no
-// compile has since the last Reset. Only the building call gets the
-// prefix's stage timings.
+// compile has since the last Reset or the last failed build. Only the
+// building call gets the prefix's stage timings.
 func (c *Cache) prefix(hardened bool) (*cc.Prefix, []StageTiming, error) {
 	i := 0
 	if hardened {
@@ -430,18 +450,16 @@ func (c *Cache) prefix(hardened bool) (*cc.Prefix, []StageTiming, error) {
 	e := c.prefixes[i]
 	build := e == nil
 	if build {
-		e = &prefixEntry{ready: make(chan struct{})}
+		e = &cell[*cc.Prefix]{ready: make(chan struct{})}
 		c.prefixes[i] = e
 	}
 	c.mu.Unlock()
 	if !build {
 		<-e.ready
-		return e.pre, nil, e.err
+		return e.val, nil, e.err
 	}
-	pre, st, err := buildPrefix(hardened)
-	e.pre, e.err = pre, err
-	close(e.ready)
-	return pre, st, err
+	fill(c, e, func() { c.prefixes[i] = nil }, func() (*cc.Prefix, []StageTiming, error) { return c.buildPrefix(hardened) })
+	return e.val, e.stages, e.err
 }
 
 // frontendModule returns the shared post-lower (pre-opt) module for req,
@@ -450,7 +468,7 @@ func (c *Cache) frontendModule(req Request, hash string) (*entry, error) {
 	fk := Key{Hash: hash, Flavor: req.Flavor, OptLevel: frontendLevel}
 	e, fillIt := c.lookup(c.frontend, fk)
 	if fillIt {
-		e.fill(compile(req, c.prefix, false))
+		fill(c, e, func() { delete(c.frontend, fk) }, func() (*ir.Module, []StageTiming, error) { return compile(req, c.prefix, false) })
 	}
 	<-e.ready
 	return e, e.err
@@ -475,16 +493,15 @@ func (c *Cache) Compile(req Request) (*Result, error) {
 			return nil, e.err
 		}
 		c.hits.Add(1)
-		return &Result{Module: e.mod, Key: key, CacheHit: true}, nil
+		return &Result{Module: e.val, Key: key, CacheHit: true}, nil
 	}
 
 	c.misses.Add(1)
-	mod, stages, err := c.build(req, hash, key)
-	e.fill(mod, stages, err)
-	if err != nil {
-		return nil, err
+	fill(c, e, func() { c.drop(key) }, func() (*ir.Module, []StageTiming, error) { return c.build(req, hash, key) })
+	if e.err != nil {
+		return nil, e.err
 	}
-	return &Result{Module: mod, Key: key, Stages: stages}, nil
+	return &Result{Module: e.val, Key: key, Stages: e.stages}, nil
 }
 
 // build runs the stages a miss needs: the (possibly cached) front end,
@@ -497,12 +514,12 @@ func (c *Cache) build(req Request, hash string, key Key) (*ir.Module, []StageTim
 	stages := append([]StageTiming(nil), fe.stages...)
 	if req.Flavor == FlavorManaged {
 		// The front-end module is the final artifact.
-		return fe.mod, stages, nil
+		return fe.val, stages, nil
 	}
 	// Native flavor at a concrete opt level: optimize a private clone so the
 	// shared front-end module stays pristine.
 	t0 := time.Now()
-	mod := fe.mod.Clone()
+	mod := fe.val.Clone()
 	NativeOpt(mod, key.OptLevel)
 	stages = append(stages, StageTiming{Stage: StageNativeOpt, Duration: time.Since(t0)})
 	t0 = time.Now()
@@ -526,7 +543,7 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // Release drops every published entry whose module is mod. Drivers that
-// retire a module for good (the fuzzing-campaign judge) call it so one-shot
+// retire a module for good (programs run only once) call it so one-shot
 // programs do not accumulate in the cache; a subsequent Compile of the same
 // source simply misses and recompiles. Entries still being filled are left
 // alone — releasing mid-flight would race the fill, and the filling
@@ -540,21 +557,25 @@ func (c *Cache) Release(mod *ir.Module) {
 	for k, e := range c.modules {
 		select {
 		case <-e.ready:
-			if e.mod != mod {
-				continue
+			if e.val == mod {
+				c.drop(k)
 			}
-			delete(c.modules, k)
-			// The front-end entry behind a native-flavor module holds a
-			// different *ir.Module (opt levels build from clones), so it is
-			// found by key, not by pointer.
-			fk := Key{Hash: k.Hash, Flavor: k.Flavor, OptLevel: frontendLevel}
-			if fe, ok := c.frontend[fk]; ok {
-				select {
-				case <-fe.ready:
-					delete(c.frontend, fk)
-				default:
-				}
-			}
+		default:
+		}
+	}
+}
+
+// drop removes the module entry at k and the front-end entry behind it,
+// once that is filled: a native-flavor module is built from a clone of the
+// front end's, so the front-end entry is found by key, not by module.
+// Callers hold c.mu.
+func (c *Cache) drop(k Key) {
+	delete(c.modules, k)
+	fk := Key{Hash: k.Hash, Flavor: k.Flavor, OptLevel: frontendLevel}
+	if fe, ok := c.frontend[fk]; ok {
+		select {
+		case <-fe.ready:
+			delete(c.frontend, fk)
 		default:
 		}
 	}
@@ -567,7 +588,7 @@ func (c *Cache) Reset() {
 	c.mu.Lock()
 	c.frontend = map[Key]*entry{}
 	c.modules = map[Key]*entry{}
-	c.prefixes = [2]*prefixEntry{}
+	c.prefixes = [2]*cell[*cc.Prefix]{}
 	c.mu.Unlock()
 	c.hits.Store(0)
 	c.misses.Store(0)

@@ -1,10 +1,13 @@
 package pipeline
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cc"
 	"repro/internal/ir"
 )
 
@@ -164,13 +167,71 @@ func TestCompileErrorPropagatesToWaiters(t *testing.T) {
 	if _, err := c.Compile(req); err == nil {
 		t.Fatal("expected compile error")
 	}
-	// The error is cached too: the retry observes the same failure without
-	// counting as a hit.
+	// The cache keeps no failure: the retry misses, compiles again and
+	// fails the same way, and no entry is left behind.
 	if _, err := c.Compile(req); err == nil {
-		t.Fatal("expected cached compile error")
+		t.Fatal("expected the compile error again")
 	}
-	if s := c.Stats(); s.Hits != 0 {
-		t.Errorf("error lookups must not count as hits, got %+v", s)
+	if s := c.Stats(); s.Hits != 0 || s.Misses != 2 || s.Entries != 0 {
+		t.Errorf("stats %+v, want 0 hits, 2 misses, 0 entries", s)
+	}
+}
+
+// compileWithin compiles req on c, returning its error, or its panic as an
+// error, and fails the test if the compile has not returned within a few
+// seconds.
+func compileWithin(t *testing.T, c *Cache, req Request) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				done <- fmt.Errorf("panic: %v", r)
+			}
+		}()
+		_, err := c.Compile(req)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatal("compile still blocked after 5s")
+		return nil
+	}
+}
+
+// TestCacheCompilePanicDoesNotWedge: a compile that panics in the front end
+// leaves no entry for the next compile of the same source to wait on. A
+// managed prefix entry holding a nil prefix makes every compile panic.
+func TestCacheCompilePanicDoesNotWedge(t *testing.T) {
+	c := NewCache()
+	ready := make(chan struct{})
+	close(ready)
+	c.prefixes[0] = &cell[*cc.Prefix]{ready: ready}
+	req := Request{Source: testSrc, Flavor: FlavorManaged}
+	for i := 1; i <= 2; i++ {
+		if err := compileWithin(t, c, req); err == nil {
+			t.Fatalf("compile %d over a nil prefix succeeded", i)
+		}
+	}
+	if s := c.Stats(); s.Entries != 0 {
+		t.Errorf("%d entries after panicked compiles, want 0", s.Entries)
+	}
+}
+
+// TestCachePrefixPanicDoesNotWedge: a libc-prefix build that panics leaves
+// no prefix for later managed compiles to wait on; the next one builds it.
+func TestCachePrefixPanicDoesNotWedge(t *testing.T) {
+	c := NewCache()
+	c.buildPrefix = func(bool) (*cc.Prefix, []StageTiming, error) { panic("injected prefix-build panic") }
+	req := Request{Source: testSrc, Flavor: FlavorManaged}
+	if err := compileWithin(t, c, req); err == nil || !strings.Contains(err.Error(), "injected") {
+		t.Fatalf("compile over a panicking prefix build: %v, want its panic", err)
+	}
+	c.buildPrefix = buildPrefix
+	if err := compileWithin(t, c, req); err != nil {
+		t.Fatalf("compile after the panicked prefix build: %v", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cc"
 	"repro/internal/ir"
 )
 
@@ -71,7 +72,7 @@ func TestLibcPrefixConcurrentHazards(t *testing.T) {
 		if _, err := c.Compile(Request{Source: probeSrc, Flavor: FlavorManaged, Hardened: hardened}); err != nil {
 			t.Fatal(err)
 		}
-		before[i] = ir.Print(c.prefixes[i].pre.Module)
+		before[i] = ir.Print(c.prefixes[i].val.Module)
 	}
 	type want struct {
 		mod string
@@ -114,7 +115,7 @@ func TestLibcPrefixConcurrentHazards(t *testing.T) {
 	wg.Wait()
 
 	for i, hardened := range []bool{false, true} {
-		if got := ir.Print(c.prefixes[i].pre.Module); got != before[i] {
+		if got := ir.Print(c.prefixes[i].val.Module); got != before[i] {
 			t.Errorf("hardened %v: the shared prefix changed:\n%s", hardened, firstDiff(before[i], got))
 		}
 		if err := compareLinked(parityProgram{"probe", probeSrc, ""}, hardened); err != nil {
@@ -146,7 +147,7 @@ func TestLibcPrefixLifecycle(t *testing.T) {
 	if n := preprocesses(r1.Stages); n != 2 {
 		t.Errorf("the compile that builds the prefix ran %d preprocess stages, want 2 (libc, user.c)", n)
 	}
-	pre := c.prefixes[0].pre
+	pre := c.prefixes[0].val
 	if s := c.Stats(); s.Entries != 2 || s.Misses != 1 || s.Hits != 0 {
 		t.Errorf("stats %+v, want 2 entries (front end, module), 1 miss, 0 hits", s)
 	}
@@ -165,20 +166,20 @@ func TestLibcPrefixLifecycle(t *testing.T) {
 	if r2.CacheHit || r2.Module == r1.Module {
 		t.Error("a released module must compile afresh")
 	}
-	if n := preprocesses(r2.Stages); n != 1 || c.prefixes[0].pre != pre {
+	if n := preprocesses(r2.Stages); n != 1 || c.prefixes[0].val != pre {
 		t.Errorf("after Release the compile ran %d preprocess stages and the prefix was rebuilt: %v; want 1 and the kept prefix",
-			n, c.prefixes[0].pre != pre)
+			n, c.prefixes[0].val != pre)
 	}
 
 	c.Reset()
-	if c.prefixes != [2]*prefixEntry{} {
+	if c.prefixes != [2]*cell[*cc.Prefix]{} {
 		t.Error("Reset kept a prefix")
 	}
 	r3, err := c.Compile(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := preprocesses(r3.Stages); n != 2 || c.prefixes[0].pre == pre {
+	if n := preprocesses(r3.Stages); n != 2 || c.prefixes[0].val == pre {
 		t.Errorf("after Reset the compile ran %d preprocess stages; want 2 and a new prefix", n)
 	}
 

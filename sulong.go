@@ -253,9 +253,9 @@ func ResetCodeCache() {
 
 // ReleaseModule retires mod from every process-wide reuse layer: the module
 // cache, the executable-code cache, and the engine pool. Callers that know a
-// module will never run again — the fuzzing-campaign judge, after the last
-// oracle's verdict on a generated program — use it to implement "compile
-// once, run many, then release": the caches carry the module across its own
+// module will never run again — harness.RunOnce, after the last run of a
+// program that runs only once — use it to implement "compile once, run
+// many, then release": the caches carry the module across its own
 // runs but never accumulate one-shot programs. Releasing is always safe,
 // merely a cache eviction — a later run of the same source recompiles — and
 // concurrent runs of mod are unaffected.
