@@ -74,12 +74,12 @@ perfcheck:
 
 # Tiering gate: the asynchronous pipeline under the race detector — the
 # tier-parity table's async+OSR slices (corpus rows with background compile
-# on first call, OSR at the first back edge, speculation on; clean and under
-# FailNth 1 and 2, every cache state), its single-call-loop and deopt rows
-# in every tier with their OSR-only pins (main entered through OSR first;
-# deopt, then re-entry), and the governor cancellation race against an
-# in-flight background compilation (no leaked workers, nothing installed
-# after teardown).
+# on first call, OSR at the first back edge; clean and under FailNth 1 and
+# 2, every cache state), its single-call-loop and pointer-cell-loop rows in
+# every tier with their OSR-only pins (main entered through OSR first; OSR
+# entered over pointer-carrying cells, never a transfer back to tier-0),
+# and the governor cancellation race against an in-flight background
+# compilation (no leaked workers, nothing installed after teardown).
 tiercheck:
 	$(GO) test -race -timeout 120s -run 'TierCheck|AsyncCompile|AsyncClose' ./...
 

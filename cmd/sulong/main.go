@@ -11,10 +11,9 @@
 // -jitasync moves tier-1 compilation onto a background pool (installs land
 // at dispatch points between guest instructions); -osrthreshold N (the
 // library's documented value is 64) additionally compiles a loop whose back
-// edge fires N times mid-activation via on-stack replacement, with
-// speculative fast paths that deoptimize back to the interpreter when a
-// guard fails. All combinations report identical program behavior — only
-// warm-up changes.
+// edge fires N times mid-activation via on-stack replacement: the running
+// activation continues in compiled code that keeps every check. All
+// combinations report identical program behavior — only warm-up changes.
 //
 // -maxheap bounds the guest's memory: heap allocations past the budget
 // return NULL (so the guest's own error paths run), while stack or global

@@ -133,14 +133,16 @@ type Stats struct {
 	LeaksFound  int
 
 	// Async tiering counters. OSRCompiled counts installed OSR entries,
-	// OSREntries transfers into them, Deopts speculative transfers back to
-	// tier-0, AsyncInstalls background compilations published at a dispatch
-	// point. All are engine-thread counters — unlike Steps/Calls they are
-	// timing-dependent and excluded from tier parity.
+	// OSREntries transfers into them, AsyncInstalls background compilations
+	// published at a dispatch point. All are engine-thread counters — unlike
+	// Steps/Calls they are timing-dependent and excluded from tier parity.
 	OSRCompiled   int64
 	OSREntries    int64
-	Deopts        int64
 	AsyncInstalls int64
+	// Deopts is always 0: compiled code never transfers back to tier-0. The
+	// benchmark module still reads it into its jit.deopts counter; both go
+	// together at the next benchmark change.
+	Deopts int64
 
 	// Heap accounting from the fault plane (internal/fault.Stats).
 	HeapAllocs     int64
@@ -186,32 +188,25 @@ type Engine struct {
 	stats   Stats
 	mem     *fault.Injector // heap budget + fault schedule (nil-safe)
 
-	// Type-identity plane caches. descCache memoizes allocation descriptors
-	// by C type spelling (one *Desc per distinct declared type, shared by
-	// every object of that type); castDesc memoizes checked-cast target
-	// descriptors by instruction CType; typeObjs interns the strings the
-	// _type_of builtin returns. typeObjs objects live outside the heap and
-	// the fault plane (never charged, never leak-checked), so introspection
-	// cannot shift a FailNth schedule: they are engine metadata, not guest
-	// allocations.
-	descCache map[string]*memdesc.Desc
-	castDesc  map[string]*memdesc.Desc
-	typeObjs  map[string]*Object
+	// Type-identity plane caches. descs memoizes allocation and checked-cast
+	// descriptors (one *Desc per distinct C type, shared by every object of
+	// that type); typeObjs interns the strings the _type_of builtin returns.
+	// typeObjs objects live outside the heap and the fault plane (never
+	// charged, never leak-checked), so introspection cannot shift a FailNth
+	// schedule: they are engine metadata, not guest allocations.
+	descs    memdesc.Memo
+	typeObjs map[string]*Object
 
 	// Tiering state (tierup.go). pool is the background compile pool (nil
 	// in synchronous mode and after Close); queued dedups requests; the osr*
 	// maps hold per-(function, header) back-edge counts and installed OSR
-	// entries; specBad is the deopt blacklist and deoptFuncs its functions,
-	// shared with background compile workers under specMu.
+	// entries.
 	pool       *tierPool
 	closeOnce  sync.Once
 	queued     map[tierKey]bool
 	osrOn      bool
 	osrEntries map[int64]CompiledFunc
 	osrCounts  map[int64]int64
-	specMu     sync.Mutex
-	specBad    map[specSite]bool
-	deoptFuncs map[int]bool // functions holding a specBad site
 
 	// framePool is a LIFO free-list of activation records. The engine is
 	// single-threaded, so no locking; frames are reset on release (registers
@@ -320,12 +315,12 @@ func (e *Engine) layoutGlobals() error {
 // exactly as NewEngine would build it: step/depth ledgers, stats, the fault
 // injector (the global charge sequence is replayed against the new budget,
 // so FailNth schedules land on the same allocations), tier-1 dispatch
-// tables and call counts (so tier-up events, OnCompile callbacks, OSR and
-// deopt behavior replay a cold run even when the compiles themselves are
-// code-cache hits), the speculation blacklist, per-site inline-cache and
-// argument-buffer state, the lazily-interned type-name and environment
-// objects (they consume runtime IDs, so they must be re-created in the same
-// order), the diagnostic call stack, and the stdio plumbing. A reset engine
+// tables and call counts (so tier-up events, OnCompile callbacks and OSR
+// behavior replay a cold run even when the compiles themselves are
+// code-cache hits), per-site inline-cache and argument-buffer state, the
+// lazily-interned type-name and environment objects (they consume runtime
+// IDs, so they must be re-created in the same order), the diagnostic call
+// stack, and the stdio plumbing. A reset engine
 // is observationally indistinguishable from a new one — the warm-vs-cold
 // parity suite pins that byte-for-byte.
 //
@@ -355,9 +350,6 @@ func (e *Engine) Reset(cfg Config) error {
 	e.sites = clearSites(e.sites)
 	e.prefixSites = clearSites(e.prefixSites)
 	clear(e.queued)
-	e.specMu.Lock()
-	e.specBad, e.deoptFuncs = nil, nil
-	e.specMu.Unlock()
 	return e.configure(cfg, e.replayGlobals)
 }
 
@@ -523,7 +515,7 @@ func (e *Engine) initGlobals() error {
 		obj := NewObject(g.Ty.Size(), StaticMem, g.Name, e.id())
 		obj.Ty = g.Ty
 		if g.CType != "" {
-			obj.Desc = e.descFor(g.Ty, g.CType)
+			obj.Desc = e.descs.Decl(g.Ty, g.CType)
 			if obj.Desc.HasUnions() {
 				obj.Strict = true
 			}
@@ -814,7 +806,7 @@ func (e *Engine) AllocAuto(fr *Frame, size int64, name string, ty ir.Type, ctype
 	obj := NewObject(size, AutoMem, name, e.id())
 	obj.Ty = ty
 	if ctype != "" {
-		obj.Desc = e.descFor(ty, ctype)
+		obj.Desc = e.descs.Decl(ty, ctype)
 		if obj.Desc.HasUnions() {
 			obj.Strict = true
 		}
@@ -1007,7 +999,7 @@ func (e *Engine) BoxVarArg(ty ir.Type, v Value, idx int) Pointer {
 	// The cell's descriptor records the promoted argument's scalar class so
 	// that reading the other class back (printf("%d", 3.5)) is reportable.
 	// Strict keeps every cell access on the generic checked path.
-	cell.Desc = e.descFor(ty, ty.String())
+	cell.Desc = e.descs.Decl(ty, ty.String())
 	cell.Strict = true
 	// The caller has already pushed its call edge, so the live stack names
 	// the call site that supplied this argument.

@@ -114,66 +114,32 @@ func (e *Engine) interpret(fr *Frame) (Value, error) {
 				fr.Regs[in.Dst] = ret
 			}
 
-		case ir.OpBr:
+		case ir.OpBr, ir.OpCondBr, ir.OpSwitch:
+			// Blk0 is the unconditional target, the true edge and the
+			// switch default.
+			t := int(in.Blk0)
+			switch in.Op {
+			case ir.OpCondBr:
+				if e.operand(fr, in.A).I == 0 {
+					t = int(in.Blk1)
+				}
+			case ir.OpSwitch:
+				v := e.operand(fr, in.A).I
+				for _, c := range in.Ext.Cases {
+					if c.Val == v {
+						t = int(c.Blk)
+						break
+					}
+				}
+			}
 			// Backward branches are the OSR profile points: a hot back edge
 			// transfers this live frame into compiled code at the loop
-			// header, and a deopt transfers it back to the exact
-			// (block, instruction) the guard protected. The probe runs only
+			// header, which finishes the activation. The probe runs only
 			// with OSR configured, so tier-0 pays one boolean test.
-			if e.osrOn && int(in.Blk0) <= blk {
-				if cf := e.tryOSR(fr, int(in.Blk0)); cf != nil {
-					e.stats.OSREntries++
-					ret, terr := cf(e, fr)
-					if de, ok := terr.(*DeoptError); ok {
-						e.deopted(fr, int(in.Blk0), de)
-						blk, ii = de.Blk, de.Instr
-						continue
-					}
-					return ret, terr
-				}
-			}
-			blk, ii = int(in.Blk0), 0
-			continue
-
-		case ir.OpCondBr:
-			t := int(in.Blk1)
-			if e.operand(fr, in.A).I != 0 {
-				t = int(in.Blk0)
-			}
 			if e.osrOn && t <= blk {
 				if cf := e.tryOSR(fr, t); cf != nil {
 					e.stats.OSREntries++
-					ret, terr := cf(e, fr)
-					if de, ok := terr.(*DeoptError); ok {
-						e.deopted(fr, t, de)
-						blk, ii = de.Blk, de.Instr
-						continue
-					}
-					return ret, terr
-				}
-			}
-			blk, ii = t, 0
-			continue
-
-		case ir.OpSwitch:
-			v := e.operand(fr, in.A).I
-			t := int(in.Blk0)
-			for _, c := range in.Ext.Cases {
-				if c.Val == v {
-					t = int(c.Blk)
-					break
-				}
-			}
-			if e.osrOn && t <= blk {
-				if cf := e.tryOSR(fr, t); cf != nil {
-					e.stats.OSREntries++
-					ret, terr := cf(e, fr)
-					if de, ok := terr.(*DeoptError); ok {
-						e.deopted(fr, t, de)
-						blk, ii = de.Blk, de.Instr
-						continue
-					}
-					return ret, terr
+					return cf(e, fr)
 				}
 			}
 			blk, ii = t, 0

@@ -1,10 +1,10 @@
-// Tiering: the compile queue, on-stack replacement at hot loop back-edges,
-// and speculative deoptimization.
+// Tiering: the compile queue and on-stack replacement at hot loop
+// back-edges.
 //
 // Tier-up is the Graal-shaped pipeline the paper's Safe Sulong inherits from
 // Truffle, one state machine per (function, loop header) site:
 //
-//		profile → enqueue → compile → install → OSR → deopt
+//		profile → enqueue → compile → install → OSR
 //
 //	  - Profiling: per-function call counts in invoke, plus per-(function,
 //	    loop header) back-edge counts in the interpreter.
@@ -23,14 +23,8 @@
 //	    loop header. OSR entries are compiled *frame-compatible* (no scalar
 //	    promotion, no instruction restructuring), so the interpreter frame is
 //	    the compiled frame: the transfer is a function call with the same
-//	    *Frame, entered at the header block.
-//	  - Deopt is the reverse transfer. Frame-compatible code may speculate
-//	    per-site invariants ("this access stays direct: live object, no
-//	    pointer slots, in bounds"); a failed guard returns a *DeoptError
-//	    naming the exact (block, instruction), the ledger refunds the fuel of
-//	    everything from that instruction on, and the interpreter resumes at
-//	    it — re-executing the instruction generically, which also reproduces
-//	    the exact tier-0 diagnostic if the failure was a real memory error.
+//	    *Frame, entered at the header block. The activation then finishes in
+//	    compiled code; control never transfers back to the interpreter.
 //
 // The fuel ledger makes the nondeterministic timing safe: compiled code is
 // observationally identical to the interpreter (same output, same
@@ -42,18 +36,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// DeoptError is the control transfer from speculative tier-1 code back to
-// the interpreter: a guard failed before instruction (Blk, Instr) executed.
-// It is consumed by the interpreter's OSR transfer site, never surfaces to
-// users, and deliberately does not wrap another error — a deopt is not a
-// failure, it is a tier change.
-type DeoptError struct {
-	Blk   int
-	Instr int
-}
-
-func (d *DeoptError) Error() string { return "core: deoptimize to tier-0" }
 
 // tierKey identifies one compilation request: a function index plus the OSR
 // loop-header block, or header -1 for a function-entry compilation.
@@ -229,8 +211,6 @@ func (e *Engine) install(r tierResult) bool {
 		e.osrEntries[osrKey(r.key.fidx, r.key.header)] = r.fn
 		e.stats.OSRCompiled++
 	}
-	// Allow a later re-request (deopt discards installed entries).
-	delete(e.queued, r.key)
 	return true
 }
 
@@ -264,61 +244,4 @@ func (e *Engine) tryOSR(fr *Frame, header int) CompiledFunc {
 		}
 	}
 	return e.osrEntries[k]
-}
-
-// deopted records a speculation failure at (fr.FnIdx, de.Blk, de.Instr): the
-// site is blacklisted so recompilations lower it generically, the OSR entry
-// that contained it is discarded, and the back-edge counter restarts so the
-// loop re-tiers once a replacement (without the failed speculation) exists.
-// The interpreter then resumes at exactly (de.Blk, de.Instr).
-func (e *Engine) deopted(fr *Frame, header int, de *DeoptError) {
-	e.stats.Deopts++
-	e.noteSpecFailure(fr.FnIdx, de.Blk, de.Instr)
-	k := osrKey(fr.FnIdx, header)
-	delete(e.osrEntries, k)
-	e.osrCounts[k] = 0
-	delete(e.queued, tierKey{fidx: fr.FnIdx, header: header})
-}
-
-// specSite names one speculatable instruction.
-type specSite struct {
-	fidx  int
-	blk   int
-	instr int
-}
-
-// CanSpeculate reports whether the tier-1 compiler may emit a speculative
-// (deopting) fast path for the instruction at (fidx, blk, instr): the site
-// has not already deopted once. Safe to call from background compile workers.
-func (e *Engine) CanSpeculate(fidx, blk, instr int) bool {
-	e.specMu.Lock()
-	bad := e.specBad[specSite{fidx, blk, instr}]
-	e.specMu.Unlock()
-	return !bad
-}
-
-// Deopted reports whether any site of function fidx has deopted in this
-// run. Until one has, CanSpeculate answers true for every site of fidx, so
-// a frame-compatible lowering of fidx is the same on every engine and the
-// tier-1 code cache may share it. Safe to call from background compile
-// workers.
-func (e *Engine) Deopted(fidx int) bool {
-	e.specMu.Lock()
-	bad := e.deoptFuncs[fidx]
-	e.specMu.Unlock()
-	return bad
-}
-
-// noteSpecFailure blacklists a site after its guard failed (one strike: the
-// profile said monomorphic-direct, the program disagreed, believe the
-// program from now on).
-func (e *Engine) noteSpecFailure(fidx, blk, instr int) {
-	e.specMu.Lock()
-	if e.specBad == nil {
-		e.specBad = make(map[specSite]bool)
-		e.deoptFuncs = make(map[int]bool)
-	}
-	e.specBad[specSite{fidx, blk, instr}] = true
-	e.deoptFuncs[fidx] = true
-	e.specMu.Unlock()
 }

@@ -12,58 +12,9 @@ import (
 // and _bounds_of. The native machine mirrors the same descriptors in a
 // memdesc.Table (internal/nativevm).
 
-// descFor returns the shared descriptor for a declared C type, memoized by
-// spelling so every object of one type shares one *Desc.
-func (e *Engine) descFor(ty ir.Type, ctype string) *memdesc.Desc {
-	if d, ok := e.descCache[ctype]; ok {
-		return d
-	}
-	d := memdesc.FromIR(ty, ctype)
-	if e.descCache == nil {
-		e.descCache = make(map[string]*memdesc.Desc, 16)
-	}
-	e.descCache[ctype] = d
-	return d
-}
-
-// castDescFor resolves a checked cast's target descriptor. The fast route
-// reads the struct type off the instruction's Ty2 pointee; modules that have
-// been through a print/parse round trip type every pointer as "ptr", so the
-// fallback resolves the CType spelling ("struct foo" / "union foo") against
-// the module's struct table. Memoized per engine; nil when unresolvable
-// (the cast then behaves as a plain move, exactly like native).
-func (e *Engine) castDescFor(in *ir.Instr) *memdesc.Desc {
-	ctype := in.CType()
-	if d, ok := e.castDesc[ctype]; ok {
-		return d
-	}
-	var d *memdesc.Desc
-	if pt, ok := in.Ty2.(*ir.PtrType); ok {
-		if st, ok := pt.Elem.(*ir.StructType); ok && st.Size() > 0 {
-			d = memdesc.FromIR(st, ctype)
-		}
-	}
-	if d == nil {
-		if name, ok := taggedName(ctype); ok {
-			if st := e.mod.Structs[name]; st != nil && st.Size() > 0 {
-				d = memdesc.FromIR(st, ctype)
-			}
-		}
-	}
-	if e.castDesc == nil {
-		e.castDesc = make(map[string]*memdesc.Desc, 8)
-	}
-	e.castDesc[ctype] = d
-	return d
-}
-
-// taggedName splits "struct foo" / "union foo" into the bare tag (shared
-// with the native mirror via memdesc).
-func taggedName(ctype string) (string, bool) { return memdesc.TagName(ctype) }
-
 // isTagged reports whether a C type spelling names a struct or union.
 func isTagged(ctype string) bool {
-	_, ok := taggedName(ctype)
+	_, ok := memdesc.TagName(ctype)
 	return ok
 }
 
@@ -86,7 +37,7 @@ func (e *Engine) CheckCast(p Pointer, in *ir.Instr) *BugError {
 	if obj == nil || p.IsFunc() || obj.Freed {
 		return nil
 	}
-	desc := e.castDescFor(in)
+	desc := e.descs.Cast(in, e.mod.Structs)
 	if desc == nil || desc.Size <= 0 {
 		return nil
 	}

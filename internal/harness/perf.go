@@ -27,7 +27,7 @@ const (
 	SafeSulongPerf                       // managed engine with the tier-1 compiler (tier-2 peak layer on), synchronous tier-up
 	SafeSulongNoJIT                      // ablation: tier-0 interpreter only
 	SafeSulongAsync                      // tier-2 with background compilation (install at dispatch points)
-	SafeSulongAsyncOSR                   // async tier-2 plus on-stack replacement and speculative deopt
+	SafeSulongAsyncOSR                   // async tier-2 plus on-stack replacement
 )
 
 var perfNames = [...]string{

@@ -16,13 +16,10 @@
 // A cached closure therefore executes identically on any engine running the
 // same module.
 //
-// OSR entries are cached too, one frame-compatible lowering per function:
-// the lowering does not depend on the loop header (CompileOSR only picks the
-// entry block), and the function's loop-header set is cached beside it. The
-// shared lowering speculates at every site, which is what a private one
-// lowers on an engine with no deopt in that function (Engine.Deopted); an
-// engine that has deopted there gets a private lowering that honours its
-// blacklist.
+// OSR entries are cached too, one plain lowering per function, shared by
+// every engine: the lowering does not depend on the loop header (CompileOSR
+// only picks the entry block), and the function's loop-header set is cached
+// beside it.
 //
 // Units are keyed by module identity, not content: the pipeline cache hands
 // every run of one program the same shared module object, and every driver
@@ -120,14 +117,14 @@ type funcEntry struct {
 	meta  unitMeta
 }
 
-// osrEntry is one function's frame-compatible lowering inside a unit,
-// published like a funcEntry. headers marks the blocks that head a
-// single-header loop (nil if the lowering panicked); blocks is the lowering
-// with every site speculating, nil when it bailed for bailMsg.
+// osrEntry is one function's plain lowering inside a unit, published like a
+// funcEntry. headers marks the blocks that head a single-header loop (nil if
+// the lowering panicked); blocks is the lowering, nil when it bailed for
+// bailMsg.
 type osrEntry struct {
 	ready   chan struct{}
 	headers []bool
-	blocks  []osrBlock
+	blocks  []block
 	bailMsg string
 }
 
@@ -277,12 +274,9 @@ func (cc *CodeCache) compile(c *Compiler, e *core.Engine, fidx int) core.Compile
 
 // compileOSR serves one CompileOSR request through the cache. The first
 // request for a function of a unit computes its loop-header set and its
-// speculative lowering; every later one only picks the entry block. An
-// engine that has deopted in the function lowers privately (still under
-// the unit's site allocator) against its own blacklist.
+// lowering; every later one only picks the entry block.
 func (cc *CodeCache) compileOSR(c *Compiler, e *core.Engine, fidx, header int) core.CompiledFunc {
 	u := cc.unitFor(e.Module(), c.fingerprint(), fidx)
-	f := e.Module().Funcs[fidx]
 	u.mu.Lock()
 	oe, ok := u.osr[fidx]
 	if !ok {
@@ -293,33 +287,29 @@ func (cc *CodeCache) compileOSR(c *Compiler, e *core.Engine, fidx, header int) c
 	if ok {
 		<-oe.ready
 	} else {
-		cc.lowerOSREntry(c, e, u, f, fidx, oe)
+		cc.lowerOSREntry(c, e, u, e.Module().Funcs[fidx], oe)
 	}
 
 	if oe.headers == nil || !oe.headers[header] {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !e.Deopted(fidx) {
-		if oe.blocks == nil {
-			c.stats.bail(oe.bailMsg)
-			return nil
-		}
-		return osrEntryAt(oe.blocks, header)
+	if oe.blocks == nil {
+		c.mu.Lock()
+		c.stats.bail(oe.bailMsg)
+		c.mu.Unlock()
+		return nil
 	}
-	c.sites = u.sites
-	return c.osrPrivate(e, f, fidx, header)
+	return enterAt(oe.blocks, header)
 }
 
 // lowerOSREntry fills and publishes a new osrEntry. A panicking lowering
 // still publishes (with no headers), so waiters keep interpreting.
-func (cc *CodeCache) lowerOSREntry(c *Compiler, e *core.Engine, u *unit, f *ir.Func, fidx int, oe *osrEntry) {
+func (cc *CodeCache) lowerOSREntry(c *Compiler, e *core.Engine, u *unit, f *ir.Func, oe *osrEntry) {
 	defer close(oe.ready)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sites = u.sites
-	blocks, err := c.lowerOSR(e, f, fidx, speculateAll)
+	blocks, err := c.lowerOSR(e, f)
 	if err != nil {
 		oe.bailMsg = fmt.Sprintf("%s: %v", f.Name, err)
 	}

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ir"
-	"repro/internal/opt"
 )
 
 // icCapacity bounds the polymorphic inline cache before a call site goes
@@ -208,9 +207,9 @@ func remapRegs(f *ir.Func, base int32) {
 // per caller. Failure is never a compilation bail — the site falls back to
 // the generic call closure.
 func (c *Compiler) tryInline(e *core.Engine, in *ir.Instr, callerName string) (step, bool) {
-	if c.DisableMem2Reg || c.osrMode {
-		// osrMode: inline windows would grow the register file past the
-		// interpreter frame's, breaking frame-compatible deopt transfer.
+	if c.plain {
+		// Inline windows grow the register file past the interpreter
+		// frame's, so no plain lowering (an OSR entry among them) inlines.
 		return nil, false
 	}
 	x := in.Ext
@@ -236,14 +235,7 @@ func (c *Compiler) tryInline(e *core.Engine, in *ir.Instr, callerName string) (s
 	// Clone and optimize the callee exactly like a toplevel compilation, then
 	// relocate it into a fresh register window.
 	cf := callee.Clone()
-	cw := opt.NewWeights(cf)
-	opt.Mem2Reg(cf)
-	opt.FoldConstants(cf)
-	opt.CopyPropagate(cf)
-	opt.CSEAddresses(cf)
-	opt.CopyPropagate(cf)
-	cw = opt.HoistLoopInvariants(cf, cw)
-	opt.SweepDeadMoves(cf, cw)
+	cw := optimize(cf)
 	base := c.nextReg
 	c.nextReg = base + cf.NumRegs
 	remapRegs(cf, int32(base))
@@ -283,37 +275,15 @@ func (c *Compiler) tryInline(e *core.Engine, in *ir.Instr, callerName string) (s
 			e.PopCall()
 			return err
 		}
-		blk := 0
-		for {
-			b := &blocks[blk]
-			if err := e.ChargeSteps(b.cost); err != nil {
-				e.LeaveInline(fr, sc)
-				e.PopCall()
-				return err
-			}
-			for i, s := range b.body {
-				if err := s(e, fr); err != nil {
-					e.RefundSteps(b.refund[i])
-					e.LeaveInline(fr, sc)
-					e.PopCall()
-					return err
-				}
-			}
-			next, ret, done, err := b.term(e, fr)
-			if err != nil {
-				e.LeaveInline(fr, sc)
-				e.PopCall()
-				return err
-			}
-			if done {
-				e.LeaveInline(fr, sc)
-				e.PopCall()
-				if dst >= 0 {
-					fr.Regs[dst] = ret
-				}
-				return nil
-			}
-			blk = next
+		ret, err := runBlocks(e, fr, blocks, 0)
+		e.LeaveInline(fr, sc)
+		e.PopCall()
+		if err != nil {
+			return err
 		}
+		if dst >= 0 {
+			fr.Regs[dst] = ret
+		}
+		return nil
 	}, true
 }

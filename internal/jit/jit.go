@@ -65,10 +65,13 @@ type Compiler struct {
 	sites *siteAlloc
 
 	// per-Compile state
-	nextReg      int  // first free register (inline windows grow this)
-	inlinedInstr int  // callee instructions inlined so far
-	inlinedSites int  // call sites inlined by this compilation (meta delta)
-	osrMode      bool // lowering an OSR entry: frame-compatible, no inlining
+	nextReg      int // first free register (inline windows grow this)
+	inlinedInstr int // callee instructions inlined so far
+	inlinedSites int // call sites inlined by this compilation (meta delta)
+	// plain lowers 1:1 — no passes, no fusion, no inlining, every weight 1:
+	// entry compiles under DisableMem2Reg, and every OSR entry (whose code
+	// runs on the live interpreter frame).
+	plain bool
 }
 
 // Stats is a snapshot of the compiler's counters.
@@ -184,22 +187,17 @@ func (c *Compiler) Compile(e *core.Engine, fidx int) core.CompiledFunc {
 // compileFn performs one tier-1 compilation and returns the closure plus its
 // counter delta, without touching the counters. Callers hold c.mu.
 func (c *Compiler) compileFn(e *core.Engine, fidx int) (core.CompiledFunc, unitMeta) {
-	orig := e.Module().Funcs[fidx]
-	f := orig.Clone()
+	f := e.Module().Funcs[fidx]
+	c.plain = c.DisableMem2Reg
 	w := opt.NewWeights(f)
-	if !c.DisableMem2Reg {
-		opt.Mem2Reg(f)
-		opt.FoldConstants(f)
-		opt.CopyPropagate(f)
-		opt.CSEAddresses(f)
-		opt.CopyPropagate(f)
-		w = opt.HoistLoopInvariants(f, w)
-		opt.SweepDeadMoves(f, w)
+	if !c.plain {
+		// The passes rewrite in place: optimize a private clone.
+		f = f.Clone()
+		w = optimize(f)
 	}
 	c.nextReg = f.NumRegs
 	c.inlinedInstr = 0
 	c.inlinedSites = 0
-	c.osrMode = false
 
 	blocks, instrs, err := c.lowerFunc(e, f, w)
 	if err != nil {
@@ -207,7 +205,7 @@ func (c *Compiler) compileFn(e *core.Engine, fidx int) (core.CompiledFunc, unitM
 		// sites inlined before the failing block, matching what the counters
 		// historically recorded on a bail.
 		return nil, unitMeta{inlined: c.inlinedSites, bailed: true,
-			bailMsg: fmt.Sprintf("%s: %v", orig.Name, err)}
+			bailMsg: fmt.Sprintf("%s: %v", f.Name, err)}
 	}
 	// The size stats are committed only on success: a compilation that bails
 	// after lowering a few blocks must not inflate InstrsTotal (it produced
@@ -222,38 +220,63 @@ func (c *Compiler) compileFn(e *core.Engine, fidx int) (core.CompiledFunc, unitM
 			copy(regs, fr.Regs)
 			fr.Regs = regs
 		}
-		blk := 0
-		for {
-			b := &blocks[blk]
-			// Fuel + cancellation: one charge per basic block. This is the
-			// execution governor's tier-1 hook — compiled loops consume the
-			// same step budget as interpreted ones and observe cooperative
-			// cancellation at every block boundary.
-			if err := e.ChargeSteps(b.cost); err != nil {
-				return core.Value{}, err
-			}
-			for i, s := range b.body {
-				if err := s(e, fr); err != nil {
-					e.RefundSteps(b.refund[i])
-					return core.Value{}, err
-				}
-			}
-			next, ret, done, err := b.term(e, fr)
-			if err != nil {
-				return core.Value{}, err
-			}
-			if done {
-				return ret, nil
-			}
-			blk = next
-		}
+		return runBlocks(e, fr, blocks, 0)
 	}, meta
+}
+
+// optimize runs the tier-2 pass pipeline over f in place and returns its
+// weight account. Every pass preserves safety: none removes a load or a
+// store, so no check can be optimized away.
+func optimize(f *ir.Func) opt.Weights {
+	w := opt.NewWeights(f)
+	opt.Mem2Reg(f)
+	opt.FoldConstants(f)
+	opt.CopyPropagate(f)
+	opt.CSEAddresses(f)
+	opt.CopyPropagate(f)
+	w = opt.HoistLoopInvariants(f, w)
+	opt.SweepDeadMoves(f, w)
+	return w
+}
+
+// runBlocks executes lowered blocks against fr, entering at block blk, until
+// one returns. It is the one block runner: entry compiles enter at block 0,
+// OSR entries at their loop header, inlined callees at block 0 of their
+// register window.
+func runBlocks(e *core.Engine, fr *core.Frame, blocks []block, blk int) (core.Value, error) {
+	for {
+		b := &blocks[blk]
+		// Fuel + cancellation: one charge per basic block. This is the
+		// execution governor's tier-1 hook — compiled loops consume the
+		// same step budget as interpreted ones and observe cooperative
+		// cancellation at every block boundary.
+		if err := e.ChargeSteps(b.cost); err != nil {
+			return core.Value{}, err
+		}
+		for i, s := range b.body {
+			if err := s(e, fr); err != nil {
+				e.RefundSteps(b.refund[i])
+				return core.Value{}, err
+			}
+		}
+		next, ret, done, err := b.term(e, fr)
+		if err != nil {
+			return core.Value{}, err
+		}
+		if done {
+			return ret, nil
+		}
+		blk = next
+	}
 }
 
 // lowerFunc lowers every block of f (whose weight account is w) and returns
 // the blocks plus the instruction count.
 func (c *Compiler) lowerFunc(e *core.Engine, f *ir.Func, w opt.Weights) ([]block, int, error) {
-	uses := regUsesJIT(f, c.nextReg)
+	var uses []int // only cmp+condbr fusion reads them
+	if !c.plain {
+		uses = regUsesJIT(f, c.nextReg)
+	}
 	blocks := make([]block, len(f.Blocks))
 	instrs := 0
 	for bi, b := range f.Blocks {
@@ -272,9 +295,7 @@ func (c *Compiler) lowerFunc(e *core.Engine, f *ir.Func, w opt.Weights) ([]block
 // cmp+condbr terminator fusion.
 func (c *Compiler) lowerBlock(e *core.Engine, f *ir.Func, b *ir.Block, bw []int64, uses []int) (block, error) {
 	n := len(b.Instrs)
-	tier2 := !c.DisableMem2Reg
-	var body []step
-	var wts []int64
+	tier2 := !c.plain
 	i := 0
 	last := n - 1 // terminator index
 
@@ -294,6 +315,9 @@ func (c *Compiler) lowerBlock(e *core.Engine, f *ir.Func, b *ir.Block, bw []int6
 			last = n - 2
 		}
 	}
+
+	body := make([]step, 0, last)
+	wts := make([]int64, 0, last)
 
 	for i < last {
 		if tier2 {
@@ -344,13 +368,13 @@ func (c *Compiler) lowerBlock(e *core.Engine, f *ir.Func, b *ir.Block, bw []int6
 	for _, x := range wts {
 		cost += x
 	}
-	refund := make([]int64, len(wts))
+	// The step weights become the refunds in place.
 	var prefix int64
 	for j, x := range wts {
 		prefix += x
-		refund[j] = cost - prefix
+		wts[j] = cost - prefix
 	}
-	return block{body: body, term: t, cost: cost, refund: refund}, nil
+	return block{body: body, term: t, cost: cost, refund: wts}, nil
 }
 
 // regUsesJIT counts operand reads per register (array sized to cover the

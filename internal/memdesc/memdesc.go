@@ -150,6 +150,59 @@ func TagName(ctype string) (string, bool) {
 	return "", false
 }
 
+// Memo memoizes one engine's descriptors: declared types by C spelling, so
+// every object of one type shares one *Desc, and checked-cast targets by
+// their instruction's CType. Both execution families keep one per engine;
+// the zero value is ready. Engine-thread-only, like the engines.
+type Memo struct {
+	decl map[string]*Desc
+	cast map[string]*Desc
+}
+
+// Decl returns the shared descriptor for a declared C type.
+func (m *Memo) Decl(ty ir.Type, ctype string) *Desc {
+	if d, ok := m.decl[ctype]; ok {
+		return d
+	}
+	d := FromIR(ty, ctype)
+	if m.decl == nil {
+		m.decl = make(map[string]*Desc, 16)
+	}
+	m.decl[ctype] = d
+	return d
+}
+
+// Cast resolves a checked cast's target descriptor. The fast route reads
+// the struct type off the instruction's Ty2 pointee; modules that have been
+// through a print/parse round trip type every pointer as "ptr", so the
+// fallback resolves the CType spelling ("struct foo" / "union foo") against
+// the module's struct table. nil when unresolvable (the cast then behaves
+// as a plain move).
+func (m *Memo) Cast(in *ir.Instr, structs map[string]*ir.StructType) *Desc {
+	ctype := in.CType()
+	if d, ok := m.cast[ctype]; ok {
+		return d
+	}
+	var d *Desc
+	if pt, ok := in.Ty2.(*ir.PtrType); ok {
+		if st, ok := pt.Elem.(*ir.StructType); ok && st.Size() > 0 {
+			d = FromIR(st, ctype)
+		}
+	}
+	if d == nil {
+		if name, ok := TagName(ctype); ok {
+			if st := structs[name]; st != nil && st.Size() > 0 {
+				d = FromIR(st, ctype)
+			}
+		}
+	}
+	if m.cast == nil {
+		m.cast = make(map[string]*Desc, 8)
+	}
+	m.cast[ctype] = d
+	return d
+}
+
 // span is one Table registration.
 type span struct {
 	lo, hi int64

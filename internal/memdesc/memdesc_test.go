@@ -111,3 +111,26 @@ func TestTable(t *testing.T) {
 		t.Fatal("nil table should be inert")
 	}
 }
+
+func TestMemoSharesDescriptors(t *testing.T) {
+	var m Memo
+	st := ir.NewStruct("pt", []ir.Field{{Name: "x", Ty: ir.I32}, {Name: "y", Ty: ir.I32}})
+	if a, b := m.Decl(st, "struct pt"), m.Decl(st, "struct pt"); a != b || a.Size != 8 {
+		t.Fatalf("declared type not memoized: %p %p (size %d)", a, b, a.Size)
+	}
+
+	// A round-tripped module types the cast as plain "ptr": the spelling
+	// resolves against the struct table instead.
+	in := &ir.Instr{Op: ir.OpCast, Cast: ir.Bitcast, Ty2: ir.BytePtr, Ext: &ir.Ext{CType: "struct pt"}}
+	d := m.Cast(in, map[string]*ir.StructType{"pt": st})
+	if d == nil || d.Size != 8 || d.CType != "struct pt" {
+		t.Fatalf("cast target via struct table = %+v", d)
+	}
+	if again := m.Cast(in, nil); again != d {
+		t.Fatalf("cast target not memoized: %p then %p", d, again)
+	}
+	unknown := &ir.Instr{Op: ir.OpCast, Cast: ir.Bitcast, Ty2: ir.BytePtr, Ext: &ir.Ext{CType: "struct nope"}}
+	if d := m.Cast(unknown, map[string]*ir.StructType{"pt": st}); d != nil {
+		t.Fatalf("unresolvable cast target = %+v, want nil", d)
+	}
+}

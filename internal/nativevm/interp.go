@@ -140,7 +140,7 @@ func (m *Machine) exec(fr *Frame) (Value, error) {
 				return Value{}, err
 			}
 			if ct := in.CType(); m.trackTypes && ct != "" {
-				m.Types.Register(int64(addr), size, m.descFor(in.Ty, ct))
+				m.Types.Register(int64(addr), size, m.descs.Decl(in.Ty, ct))
 			}
 			if reuse {
 				m.loopSlots = append(m.loopSlots, loopSlot{in: in, addr: addr})

@@ -206,8 +206,7 @@ type Machine struct {
 	Types      memdesc.Table
 	trackTypes bool
 	hardened   bool
-	descCache  map[string]*memdesc.Desc
-	castDesc   map[string]*memdesc.Desc
+	descs      memdesc.Memo
 	typeStrs   map[string]uint64
 	typeStrCur uint64
 
@@ -384,7 +383,7 @@ func (m *Machine) layoutGlobals() error {
 			m.checker.GlobalAlloc(addr, size)
 		}
 		if m.trackTypes && g.CType != "" {
-			m.Types.Register(int64(addr), size, m.descFor(g.Ty, g.CType))
+			m.Types.Register(int64(addr), size, m.descs.Decl(g.Ty, g.CType))
 		}
 		if g.Init != nil {
 			if err := m.fillConst(addr, g.Init, g.Ty); err != nil {

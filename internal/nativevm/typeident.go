@@ -1,9 +1,6 @@
 package nativevm
 
-import (
-	"repro/internal/ir"
-	"repro/internal/memdesc"
-)
+import "repro/internal/ir"
 
 // This file is the native half of the dynamic type-identity plane. The
 // machine mirrors the managed engine's per-object descriptors in an
@@ -54,48 +51,6 @@ func (m *Machine) WriteCap(dst uint64, n int64) int64 {
 	return n
 }
 
-// descFor returns the shared descriptor for a declared C type, memoized by
-// spelling (the native analogue of core.Engine.descFor).
-func (m *Machine) descFor(ty ir.Type, ctype string) *memdesc.Desc {
-	if d, ok := m.descCache[ctype]; ok {
-		return d
-	}
-	d := memdesc.FromIR(ty, ctype)
-	if m.descCache == nil {
-		m.descCache = make(map[string]*memdesc.Desc, 16)
-	}
-	m.descCache[ctype] = d
-	return d
-}
-
-// castDescFor resolves a checked cast's target descriptor, preferring the
-// instruction's Ty2 pointee and falling back to the module struct table for
-// round-tripped modules whose pointers are all typed "ptr".
-func (m *Machine) castDescFor(in *ir.Instr) *memdesc.Desc {
-	ctype := in.CType()
-	if d, ok := m.castDesc[ctype]; ok {
-		return d
-	}
-	var d *memdesc.Desc
-	if pt, ok := in.Ty2.(*ir.PtrType); ok {
-		if st, ok := pt.Elem.(*ir.StructType); ok && st.Size() > 0 {
-			d = memdesc.FromIR(st, ctype)
-		}
-	}
-	if d == nil {
-		if name, ok := memdesc.TagName(ctype); ok {
-			if st := m.Mod.Structs[name]; st != nil && st.Size() > 0 {
-				d = memdesc.FromIR(st, ctype)
-			}
-		}
-	}
-	if m.castDesc == nil {
-		m.castDesc = make(map[string]*memdesc.Desc, 8)
-	}
-	m.castDesc[ctype] = d
-	return d
-}
-
 // adoptHeapType gives a type-less heap block an effective type at its first
 // checked cast (the malloc-then-cast pattern), mirroring core.CheckCast's
 // adoption rule. Best-effort and silent: native execution never errors on a
@@ -107,7 +62,7 @@ func (m *Machine) adoptHeapType(addr uint64, in *ir.Instr) {
 	if _, _, _, ok := m.Types.Find(int64(addr)); ok {
 		return // already typed (stack, global, or earlier adoption)
 	}
-	d := m.castDescFor(in)
+	d := m.descs.Cast(in, m.Mod.Structs)
 	if d == nil || d.Size <= 0 {
 		return
 	}

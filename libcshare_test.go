@@ -176,29 +176,29 @@ func TestCodeCacheSharesLibcAcrossPrograms(t *testing.T) {
 	}
 }
 
-// TestConcurrentLibcSharingWithDeopt fills the shared libc unit from two
+// TestConcurrentLibcSharingWithOSR fills the shared libc unit from two
 // goroutines at once, from a cold code cache: one runs a formatting-heavy
-// program, the other the parity table's deopt-loop program with OSR armed,
-// whose post-deopt private lowering of main sits beside the shared one.
-// Every run must equal tier-0 on a private module.
-func TestConcurrentLibcSharingWithDeopt(t *testing.T) {
+// program, the other the parity table's pointer-cell loop with OSR armed,
+// whose OSR lowering of main sits in the program's unit beside the shared
+// libc code. Every run must equal tier-0 on a private module.
+func TestConcurrentLibcSharingWithOSR(t *testing.T) {
 	sulong.ResetCodeCache()
 	refs := map[string]harness.Outcome{
-		libcUserA:     libcRef(t, libcUserA),
-		deoptLoop.src: libcRef(t, deoptLoop.src),
+		libcUserA:           libcRef(t, libcUserA),
+		pointerCellLoop.src: libcRef(t, pointerCellLoop.src),
 	}
 	var wg sync.WaitGroup
-	for _, src := range []string{libcUserA, deoptLoop.src} {
+	for _, src := range []string{libcUserA, pointerCellLoop.src} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
 				for _, tier := range harness.Tiers()[1:] {
-					cfg := deoptLoop.config(tier, fault.Plan{})
-					osrOnly := src == deoptLoop.src && tier == harness.Tier1
+					cfg := pointerCellLoop.config(tier, fault.Plan{})
+					osrOnly := src == pointerCellLoop.src && tier == harness.Tier1
 					if osrOnly {
 						// Entry compilation unreachable: main runs compiled
-						// only through OSR, so its speculation deopts.
+						// only through OSR.
 						cfg.JITThreshold, cfg.OSRThreshold = 1<<30, 1
 					}
 					res, err := sulong.Run(src, cfg)
@@ -206,8 +206,8 @@ func TestConcurrentLibcSharingWithDeopt(t *testing.T) {
 					if d := harness.Classify(res, err).Diff(refs[src]); d != "" {
 						t.Errorf("%s: %s", where, d)
 					}
-					if osrOnly && (res.JIT == nil || res.JIT.Deopts == 0) {
-						t.Errorf("%s: no deopt: %+v", where, res.JIT)
+					if osrOnly && (res.JIT == nil || res.JIT.OSREntries == 0) {
+						t.Errorf("%s: OSR never entered: %+v", where, res.JIT)
 					}
 				}
 			}

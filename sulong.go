@@ -98,8 +98,8 @@ type Config struct {
 	JITAsync bool
 	// OSRThreshold, when positive, enables on-stack replacement: a loop
 	// whose back edge fires OSRThreshold times is entered mid-execution by
-	// frame-compatible compiled code with speculative (deopting) fast paths,
-	// and its function is promoted for entry compilation, so a hot loop
+	// frame-compatible compiled code (the plain tier-1 lowering, every
+	// check kept), and its function is promoted for entry compilation, so a hot loop
 	// tiers up even when its function is called once. 0 = OSR off;
 	// DefaultOSRThreshold is the documented value.
 	OSRThreshold int64
@@ -199,11 +199,10 @@ type JITReport struct {
 	BailReasons []string `json:"bail_reasons,omitempty"`
 	// Inlined counts call sites expanded by the tier-2 inliner.
 	Inlined int `json:"inlined"`
-	// Async tiering activity: OSR entries installed and entered, deopt
-	// transfers back to tier-0, and background compilations installed.
+	// Async tiering activity: OSR entries installed and entered, and
+	// background compilations installed.
 	OSRCompiled   int64 `json:"osr_compiled,omitempty"`
 	OSREntries    int64 `json:"osr_entries,omitempty"`
-	Deopts        int64 `json:"deopts,omitempty"`
 	AsyncInstalls int64 `json:"async_installs,omitempty"`
 }
 
@@ -418,7 +417,6 @@ func runManaged(mod *ir.Module, cfg Config, gov *core.Governor) (Result, error) 
 			Inlined:       cs.Inlined,
 			OSRCompiled:   stats.OSRCompiled,
 			OSREntries:    stats.OSREntries,
-			Deopts:        stats.Deopts,
 			AsyncInstalls: stats.AsyncInstalls,
 		}
 	}
