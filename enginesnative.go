@@ -30,43 +30,25 @@ func CompileNative(src string, optLevel int) (*ir.Module, error) {
 }
 
 // NativeConfig builds the machine configuration for a native-family engine:
-// the libc binding, and for the instrumented engines the checker, the
-// replacement allocator, and the redzone geometry. Callers fill in Args,
-// Stdin/Stdout, and limits.
+// the libc binding, and for the instrumented engines a fresh tool (ASan's
+// libc is nlibc under its interceptors, built once per process). Callers
+// fill in Args, Stdin/Stdout, and limits.
 func NativeConfig(eng Engine) (nativevm.Config, error) {
-	ncfg, _, err := nativeConfigWithHook(eng)
-	return ncfg, err
-}
-
-func nativeConfigWithHook(eng Engine) (nativevm.Config, func(res *Result), error) {
-	var ncfg nativevm.Config
 	switch eng {
 	case EngineNative:
-		ncfg.Libc = nlibc.Table(false)
-		return ncfg, nil, nil
+		return nativevm.Config{Libc: nlibc.Table()}, nil
 	case EngineASan:
-		tool := asan.New(asan.DefaultOptions())
-		ncfg.Checker = tool
-		ncfg.NewAllocator = tool.NewAllocator
-		ncfg.StackRedzone = tool.Options().StackRedzone
-		ncfg.GlobalRedzone = tool.Options().GlobalRedzone
-		ncfg.Libc = asan.Interceptors(nlibc.Table(false), tool)
-		return ncfg, nil, nil
+		return nativevm.Config{Tool: asan.New(asan.DefaultOptions()), Libc: asan.Libc()}, nil
 	case EngineMemcheck:
-		tool := memcheck.New()
-		ncfg.Checker = tool
-		ncfg.NewAllocator = tool.NewAllocator
-		ncfg.PerInstr = tool.PerInstr
-		ncfg.Libc = nlibc.Table(true)
-		return ncfg, func(res *Result) { res.Leaks = tool.Leaks() }, nil
+		return nativevm.Config{Tool: memcheck.New(), Libc: nlibc.Table()}, nil
 	}
-	return ncfg, nil, fmt.Errorf("sulong: engine %v is not native", eng)
+	return nativevm.Config{}, fmt.Errorf("sulong: engine %v is not native", eng)
 }
 
 // runNativeFamily executes a module on the simulated native machine,
 // optionally under ASan or memcheck instrumentation.
 func runNativeFamily(mod *ir.Module, cfg Config, gov *core.Governor) (Result, error) {
-	ncfg, finish, err := nativeConfigWithHook(cfg.Engine)
+	ncfg, err := NativeConfig(cfg.Engine)
 	if err != nil {
 		return Result{}, err
 	}
@@ -94,8 +76,8 @@ func runNativeFamily(mod *ir.Module, cfg Config, gov *core.Governor) (Result, er
 	res.Stats.HeapPeakBytes = ms.HeapPeakBytes
 	res.Stats.InjectedFaults = ms.InjectedFaults
 	res.Stats.DeniedAllocs = ms.DeniedAllocs
-	if finish != nil {
-		finish(&res)
+	if mc, ok := ncfg.Tool.(*memcheck.Tool); ok {
+		res.Leaks = mc.Leaks()
 	}
 	if runErr != nil {
 		switch e := runErr.(type) {

@@ -2,12 +2,15 @@ package sulong_test
 
 import (
 	"errors"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	sulong "repro"
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/nativevm"
 )
 
 func TestEngineNames(t *testing.T) {
@@ -43,16 +46,78 @@ func TestNativeConfigPerEngine(t *testing.T) {
 		if cfg.Libc == nil {
 			t.Errorf("%v: no libc binding", eng)
 		}
-		if eng != sulong.EngineNative && cfg.Checker == nil {
-			t.Errorf("%v: instrumented engine without checker", eng)
+		if eng != sulong.EngineNative && cfg.Tool == nil {
+			t.Errorf("%v: instrumented engine without a tool", eng)
 		}
-		if eng == sulong.EngineNative && cfg.Checker != nil {
-			t.Error("bare native must not have a checker")
+		if eng == sulong.EngineNative && cfg.Tool != nil {
+			t.Error("bare native must not have a tool")
 		}
 	}
 	if _, err := sulong.NativeConfig(sulong.EngineSafeSulong); err == nil {
 		t.Error("NativeConfig(SafeSulong) should error")
 	}
+}
+
+// TestConcurrentASanSharedLibc pins that ASan's interceptor overlay is built
+// once per process: two configs bind the same libc map, and ASan machines
+// running over it at once each report against their own tool — a strcpy
+// overflow on one machine never leaks into a clean run on another.
+func TestConcurrentASanSharedLibc(t *testing.T) {
+	a, err := sulong.NativeConfig(sulong.EngineASan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := sulong.NativeConfig(sulong.EngineASan)
+	if reflect.ValueOf(a.Libc).UnsafePointer() != reflect.ValueOf(b.Libc).UnsafePointer() {
+		t.Fatal("NativeConfig(EngineASan) rebuilt the interceptor overlay")
+	}
+	if a.Tool == b.Tool {
+		t.Fatal("each ASan config needs its own tool")
+	}
+	mod, err := sulong.CompileNative(`#include <stdlib.h>
+#include <string.h>
+int main(int argc, char **argv) {
+    char *buf = malloc(8);
+    strcpy(buf, argv[1]);
+    free(buf);
+    return 0;
+}`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(arg string) error {
+		cfg, err := sulong.NativeConfig(sulong.EngineASan)
+		if err != nil {
+			return err
+		}
+		cfg.Args = []string{arg}
+		m, err := nativevm.New(mod, cfg)
+		if err != nil {
+			return err
+		}
+		_, err = m.Run()
+		return err
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		arg, overflow := "short", i%2 == 1
+		if overflow {
+			arg = "far too long for eight bytes"
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := run(arg)
+			var be *core.BugError
+			switch {
+			case overflow && (!errors.As(err, &be) || be.Func != "asan:strcpy"):
+				t.Errorf("run %d: want an asan:strcpy report, got %v", i, err)
+			case !overflow && err != nil:
+				t.Errorf("run %d: clean run reported %v", i, err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestCompileErrorsSurfaceLocations(t *testing.T) {

@@ -53,7 +53,8 @@ func DefaultOptions() Options {
 	}
 }
 
-// Tool is the ASan instance: checker + allocator + interceptor factory.
+// Tool is the ASan instance: checker, redzone allocator and the state its
+// libc interceptors consult (nativevm.Tool).
 type Tool struct {
 	opts   Options
 	shadow map[uint64][]byte // page index -> per-byte state
@@ -68,38 +69,15 @@ type Tool struct {
 	cachePage uint64
 	cacheBuf  []byte
 
-	// fuel, when set by the machine, charges data-proportional shadow work
-	// (range checks, poisoning) against the run's step budget so
-	// instrumented bulk operations honor the execution governor.
-	fuel func(n int64)
-
-	// stack, when set by the machine, captures the guest backtrace at the
-	// current instruction; allocStacks/freeStacks remember the malloc and
-	// free sites of heap blocks (real ASan stores these in the chunk
-	// header), so use-after-free and double-free reports carry both.
-	stack       func() diag.Stack
+	// m is the machine the tool is attached to: it charges data-
+	// proportional shadow work (range checks, poisoning) against the run's
+	// step budget and captures the guest backtrace at the current
+	// instruction. allocStacks/freeStacks remember the malloc and free
+	// sites of heap blocks (real ASan stores these in the chunk header),
+	// so use-after-free and double-free reports carry both.
+	m           *nativevm.Machine
 	allocStacks map[uint64]diag.Stack
 	freeStacks  map[uint64]diag.Stack
-}
-
-// SetFuel installs the machine's fuel account (nativevm wires this up).
-func (t *Tool) SetFuel(f func(n int64)) { t.fuel = f }
-
-// SetStackSource installs the machine's shadow call stack (nativevm wires
-// this up, like SetFuel).
-func (t *Tool) SetStackSource(f func() diag.Stack) { t.stack = f }
-
-func (t *Tool) capture() diag.Stack {
-	if t.stack != nil {
-		return t.stack()
-	}
-	return diag.Stack{}
-}
-
-func (t *Tool) charge(n int64) {
-	if t.fuel != nil && n > 0 {
-		t.fuel(n)
-	}
 }
 
 // New builds an ASan tool.
@@ -113,9 +91,6 @@ func New(opts Options) *Tool {
 		freeStacks:  map[uint64]diag.Stack{},
 	}
 }
-
-// Options returns the tool's configuration.
-func (t *Tool) Options() Options { return t.opts }
 
 func (t *Tool) state(addr uint64) byte {
 	idx := addr / nativemem.PageSize
@@ -131,7 +106,7 @@ func (t *Tool) state(addr uint64) byte {
 }
 
 func (t *Tool) setState(addr uint64, size int64, s byte) {
-	t.charge(size / 8)
+	t.m.AddSteps(size / 8)
 	for i := int64(0); i < size; i++ {
 		a := addr + uint64(i)
 		pg, ok := t.shadow[a/nativemem.PageSize]
@@ -161,7 +136,7 @@ func (t *Tool) report(s byte, addr uint64, size int64, acc core.AccessKind) *cor
 	default:
 		return nil
 	}
-	be.AccessStack = t.capture()
+	be.AccessStack = t.m.CaptureStack()
 	t.blameHeapBlock(be, addr)
 	return be
 }
@@ -249,7 +224,7 @@ func (t *Tool) Store(addr uint64, size int64) *core.BugError {
 
 // CheckRange validates every byte of a range (interceptors use this).
 func (t *Tool) CheckRange(addr uint64, size int64, acc core.AccessKind) *core.BugError {
-	t.charge(size / 8)
+	t.m.AddSteps(size / 8)
 	for i := int64(0); i < size; i++ {
 		if be := t.report(t.state(addr+uint64(i)), addr+uint64(i), 1, acc); be != nil {
 			return be
@@ -282,11 +257,21 @@ func (t *Tool) GlobalAlloc(addr uint64, size int64) {
 	t.setState(addr+uint64(size), t.opts.GlobalRedzone, shadowGlobalRedzone)
 }
 
-// NewAllocator wraps the machine heap with redzones and a quarantine.
-func (t *Tool) NewAllocator(mem *nativemem.Memory) nativevm.Allocator {
-	t.inner = nativevm.NewFreeListAlloc(mem)
+// Attach implements nativevm.Tool: the heap gets redzones and a quarantine.
+func (t *Tool) Attach(m *nativevm.Machine) nativevm.Allocator {
+	t.m = m
+	t.inner = nativevm.NewFreeListAlloc(m.Mem)
 	return (*asanAlloc)(t)
 }
+
+// Redzones implements nativevm.Tool: ASan pads stack objects and globals.
+func (t *Tool) Redzones() (stack, global int64) {
+	return t.opts.StackRedzone, t.opts.GlobalRedzone
+}
+
+// SeesLibc implements nativevm.Tool: the prebuilt libc is not compiled with
+// ASan, so only its interceptors see libc calls.
+func (t *Tool) SeesLibc() bool { return false }
 
 // asanAlloc is the Tool acting as the heap allocator.
 type asanAlloc Tool
@@ -305,7 +290,7 @@ func (a *asanAlloc) Malloc(size int64) uint64 {
 	t.setState(addr, size, shadowValid)
 	t.setState(addr+uint64(size), rz, shadowHeapRedzone)
 	t.live[addr] = size
-	t.allocStacks[addr] = t.capture()
+	t.allocStacks[addr] = t.m.CaptureStack()
 	delete(t.freeStacks, addr) // block re-allocated: old free site is stale
 	return addr
 }
@@ -316,13 +301,13 @@ func (a *asanAlloc) Free(addr uint64) error {
 	if !ok {
 		if _, inQuarantine := t.freedSize[addr]; inQuarantine {
 			return &core.BugError{Kind: core.DoubleFree, Access: core.Free, Mem: core.HeapMem, Func: "asan",
-				AccessStack: t.capture(), AllocStack: t.allocStacks[addr], FreeStack: t.freeStacks[addr]}
+				AccessStack: t.m.CaptureStack(), AllocStack: t.allocStacks[addr], FreeStack: t.freeStacks[addr]}
 		}
-		return &core.BugError{Kind: core.InvalidFree, Access: core.Free, Func: "asan", AccessStack: t.capture()}
+		return &core.BugError{Kind: core.InvalidFree, Access: core.Free, Func: "asan", AccessStack: t.m.CaptureStack()}
 	}
 	delete(t.live, addr)
 	t.freedSize[addr] = size
-	t.freeStacks[addr] = t.capture()
+	t.freeStacks[addr] = t.m.CaptureStack()
 	t.setState(addr, size, shadowFreed)
 	t.quarantine = append(t.quarantine, addr)
 	t.quarBytes += size

@@ -4,18 +4,32 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/nativemem"
+	"repro/internal/nativevm"
 )
 
-func newTool() (*Tool, *nativemem.Memory) {
-	t := New(DefaultOptions())
-	mem := nativemem.New()
-	t.NewAllocator(mem)
-	return t, mem
+// attach builds a tool from opts and attaches it to a machine over a
+// one-function module, the way the facade does.
+func attach(t *testing.T, opts Options) *Tool {
+	t.Helper()
+	mod, err := ir.Parse(`module "t"
+func @main fn() i32 regs 1 { entry: ret i32 0 }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tool := New(opts)
+	if _, err := nativevm.New(mod, nativevm.Config{Tool: tool}); err != nil {
+		t.Fatal(err)
+	}
+	return tool
 }
 
+func newTool(t *testing.T) *Tool { return attach(t, DefaultOptions()) }
+
 func TestHeapRedzonesFire(t *testing.T) {
-	tool, _ := newTool()
+	tool := newTool(t)
 	alloc := (*asanAlloc)(tool)
 	addr := alloc.Malloc(32)
 	if addr == 0 {
@@ -38,7 +52,7 @@ func TestHeapRedzonesFire(t *testing.T) {
 }
 
 func TestBeyondRedzoneIsInvisible(t *testing.T) {
-	tool, _ := newTool()
+	tool := newTool(t)
 	alloc := (*asanAlloc)(tool)
 	addr := alloc.Malloc(32)
 	// Far past the redzone: unshadowed memory never fires (Fig. 14).
@@ -48,7 +62,7 @@ func TestBeyondRedzoneIsInvisible(t *testing.T) {
 }
 
 func TestFreedMemoryAndQuarantine(t *testing.T) {
-	tool, _ := newTool()
+	tool := newTool(t)
 	alloc := (*asanAlloc)(tool)
 	addr := alloc.Malloc(64)
 	if err := alloc.Free(addr); err != nil {
@@ -73,9 +87,7 @@ func TestFreedMemoryAndQuarantine(t *testing.T) {
 func TestQuarantineEvictionLosesUAF(t *testing.T) {
 	opts := DefaultOptions()
 	opts.QuarantineBytes = 128 // tiny: evicts almost immediately
-	tool := New(opts)
-	mem := nativemem.New()
-	tool.NewAllocator(mem)
+	tool := attach(t, opts)
 	alloc := (*asanAlloc)(tool)
 
 	stale := alloc.Malloc(64)
@@ -96,7 +108,7 @@ func TestQuarantineEvictionLosesUAF(t *testing.T) {
 }
 
 func TestStackRedzones(t *testing.T) {
-	tool, _ := newTool()
+	tool := newTool(t)
 	tool.StackAlloc(0x7000_0000, 16)
 	if be := tool.Load(0x7000_0000, 8); be != nil {
 		t.Errorf("object flagged: %v", be)
@@ -117,7 +129,7 @@ func TestStackRedzones(t *testing.T) {
 }
 
 func TestGlobalRedzones(t *testing.T) {
-	tool, _ := newTool()
+	tool := newTool(t)
 	tool.GlobalAlloc(0x10000, 8)
 	if be := tool.Load(0x10000, 8); be != nil {
 		t.Errorf("global flagged: %v", be)
@@ -129,7 +141,7 @@ func TestGlobalRedzones(t *testing.T) {
 	// With instrumentation off, nothing fires.
 	opts := DefaultOptions()
 	opts.InstrumentGlobals = false
-	tool2 := New(opts)
+	tool2 := attach(t, opts)
 	tool2.GlobalAlloc(0x10000, 8)
 	if be := tool2.Load(0x10008, 4); be != nil {
 		t.Errorf("uninstrumented globals should not fire: %v", be)
@@ -137,7 +149,7 @@ func TestGlobalRedzones(t *testing.T) {
 }
 
 func TestCheckRangeScansEveryByte(t *testing.T) {
-	tool, _ := newTool()
+	tool := newTool(t)
 	alloc := (*asanAlloc)(tool)
 	addr := alloc.Malloc(16)
 	// A 32-byte range starting in-bounds crosses the right redzone.
@@ -150,11 +162,52 @@ func TestCheckRangeScansEveryByte(t *testing.T) {
 }
 
 func TestAccessSpanningPageBoundary(t *testing.T) {
-	tool, _ := newTool()
+	tool := newTool(t)
 	// Poison straddles a shadow-page boundary; the slow path must see it.
 	base := uint64(nativemem.PageSize*10 - 4)
 	tool.setState(base, 8, shadowHeapRedzone)
 	if be := tool.Load(base+2, 4); be == nil {
 		t.Error("cross-page poisoned access missed")
+	}
+}
+
+// TestInterceptorFindsToolThroughMachine pins the shared overlay's wiring:
+// each interceptor call checks against the shadow of the tool attached to
+// the machine it is passed, and is plain libc on a machine without one.
+func TestInterceptorFindsToolThroughMachine(t *testing.T) {
+	mod, err := ir.Parse(`module "t"
+global @s [4 x i8] = bytes "abc\x00"
+func @main fn() i32 regs 1 { entry: ret i32 0 }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine := func() (*Tool, *nativevm.Machine) {
+		tool := New(DefaultOptions())
+		m, err := nativevm.New(mod, nativevm.Config{Tool: tool, Libc: Libc()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tool, m
+	}
+	poisoned, m1 := machine()
+	_, m2 := machine()
+	s := m1.GlobalAddr("s")
+	poisoned.setState(s+2, 1, shadowGlobalRedzone)
+	call := &nativevm.CallCtx{Args: []nativevm.Value{nativevm.IntVal(int64(s))}}
+	_, err = Libc()["strlen"](m1, call)
+	if be, ok := err.(*core.BugError); !ok || be.Func != "asan:strlen" || be.Mem != core.StaticMem {
+		t.Errorf("strlen over a poisoned byte: got %v, want an asan:strlen report", err)
+	}
+	if n, err := Libc()["strlen"](m2, call); err != nil || n.I != 3 {
+		t.Errorf("the other machine's tool is clean: strlen = %d, %v", n.I, err)
+	}
+	// Without an ASan tool the overlay is plain libc.
+	bare, err := nativevm.New(mod, nativevm.Config{Libc: Libc()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := Libc()["strlen"](bare, call); err != nil || n.I != 3 {
+		t.Errorf("bare machine: strlen = %d, %v", n.I, err)
 	}
 }

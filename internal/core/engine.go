@@ -64,6 +64,10 @@ type Tier1Compiler interface {
 // CompiledFunc executes a function against a prepared frame.
 type CompiledFunc func(e *Engine, fr *Frame) (Value, error)
 
+// CallDepthLimit bounds guest recursion in every engine: a deeper call is a
+// stack overflow (a LimitError here, a SIGSEGV exit on the native machine).
+const CallDepthLimit = 4096
+
 // Config configures a managed engine.
 type Config struct {
 	Args   []string
@@ -73,8 +77,6 @@ type Config struct {
 
 	// MaxSteps bounds interpreted instructions (0 = default of 2e9).
 	MaxSteps int64
-	// MaxCallDepth bounds recursion (0 = default of 4096).
-	MaxCallDepth int
 	// DetectLeaks reports unfreed heap objects after main returns (§6).
 	DetectLeaks bool
 	// DetectUseAfterReturn invalidates a function's stack objects when it
@@ -180,7 +182,6 @@ type Engine struct {
 	maxSteps int64
 	gov      *Governor
 	depth    int
-	maxDepth int
 	nextID   int64
 
 	heap    []*Object // live heap objects, for leak detection
@@ -241,7 +242,7 @@ func NewEngine(mod *ir.Module, cfg Config) (*Engine, error) {
 }
 
 // configure is the per-run setup NewEngine and Reset share: it adopts cfg
-// with its MaxSteps, MaxCallDepth and Tier1Threshold defaults, plumbs stdio,
+// with its MaxSteps and Tier1Threshold defaults, plumbs stdio,
 // builds the fault injector for cfg's budget, lets layout charge and
 // initialize the globals against it, and finally arms OSR and the background
 // compile pool (last, so a failed layout leaves no workers behind).
@@ -251,10 +252,6 @@ func (e *Engine) configure(cfg Config, layout func() error) error {
 	e.maxSteps = cfg.MaxSteps
 	if e.maxSteps == 0 {
 		e.maxSteps = 2_000_000_000
-	}
-	e.maxDepth = cfg.MaxCallDepth
-	if e.maxDepth == 0 {
-		e.maxDepth = 4096
 	}
 	if cfg.Tier1Threshold == 0 {
 		e.cfg.Tier1Threshold = 50
@@ -841,8 +838,8 @@ func (e *Engine) invoke(idx int, args []Value, varargs []Pointer) (Value, error)
 	if b := e.builtins[idx]; b != nil {
 		return b(e, nil, args)
 	}
-	if e.depth >= e.maxDepth {
-		return Value{}, &LimitError{What: fmt.Sprintf("call depth %d (stack overflow in %s)", e.maxDepth, f.Name)}
+	if e.depth >= CallDepthLimit {
+		return Value{}, &LimitError{What: fmt.Sprintf("call depth %d (stack overflow in %s)", CallDepthLimit, f.Name)}
 	}
 
 	fr := e.getFrame(f)
@@ -956,8 +953,8 @@ type InlineScope struct {
 // tier-0 byte-for-byte).
 func (e *Engine) EnterInline(fr *Frame, callee string) (InlineScope, error) {
 	e.stats.Calls++
-	if e.depth >= e.maxDepth {
-		return InlineScope{}, &LimitError{What: fmt.Sprintf("call depth %d (stack overflow in %s)", e.maxDepth, callee)}
+	if e.depth >= CallDepthLimit {
+		return InlineScope{}, &LimitError{What: fmt.Sprintf("call depth %d (stack overflow in %s)", CallDepthLimit, callee)}
 	}
 	e.depth++
 	return InlineScope{stackBytes: fr.stackBytes, nAutos: len(fr.Autos)}, nil

@@ -113,10 +113,10 @@ entry:
   ret i32 %r0
 }
 `)
-	e, _ := NewEngine(m, Config{MaxCallDepth: 64})
+	e, _ := NewEngine(m, Config{})
 	_, err := e.Run()
-	if _, ok := err.(*LimitError); !ok {
-		t.Errorf("want LimitError (stack overflow), got %v", err)
+	if le, ok := err.(*LimitError); !ok || le.What != "call depth 4096 (stack overflow in loop)" {
+		t.Errorf("want LimitError (stack overflow at the default depth), got %v", err)
 	}
 }
 

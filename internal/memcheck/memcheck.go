@@ -42,45 +42,22 @@ type Tool struct {
 	regShadow [64]uint64
 	shadowIdx int
 
-	// fuel, when set by the machine, charges data-proportional shadow
-	// bookkeeping (A/V-bit range updates) against the run's step budget so
-	// instrumented bulk operations honor the execution governor.
-	fuel func(n int64)
-
-	// stack, when set by the machine, captures the guest backtrace at the
-	// current instruction; allocStacks/freeStacks remember malloc and free
-	// sites per block (Valgrind's execontexts), so use-after-free and
-	// double-free reports print "Address ... was alloc'd / free'd at".
-	stack       func() diag.Stack
+	// m is the machine the tool is attached to: it charges data-
+	// proportional shadow bookkeeping (A/V-bit range updates) against the
+	// run's step budget and captures the guest backtrace at the current
+	// instruction. allocStacks/freeStacks remember malloc and free sites
+	// per block (Valgrind's execontexts), so use-after-free and double-free
+	// reports print "Address ... was alloc'd / free'd at".
+	m           *nativevm.Machine
 	allocStacks map[uint64]diag.Stack
 	freeStacks  map[uint64]diag.Stack
 }
 
-// SetFuel installs the machine's fuel account (nativevm wires this up).
-func (t *Tool) SetFuel(f func(n int64)) { t.fuel = f }
-
-// SetStackSource installs the machine's shadow call stack (nativevm wires
-// this up, like SetFuel).
-func (t *Tool) SetStackSource(f func() diag.Stack) { t.stack = f }
-
-func (t *Tool) capture() diag.Stack {
-	if t.stack != nil {
-		return t.stack()
-	}
-	return diag.Stack{}
-}
-
-func (t *Tool) charge(n int64) {
-	if t.fuel != nil && n > 0 {
-		t.fuel(n)
-	}
-}
-
-// PerInstr is installed as the machine's per-instruction hook: it performs
-// the register-shadow combination work Valgrind's generated code executes
-// for every original instruction. The work is real (data-dependent state
-// updates), which is what makes memcheck an order of magnitude slower than
-// compile-time instrumentation.
+// PerInstr is the machine's per-instruction hook, installed by Attach: it
+// performs the register-shadow combination work Valgrind's generated code
+// executes for every original instruction. The work is real (data-dependent
+// state updates), which is what makes memcheck an order of magnitude slower
+// than compile-time instrumentation.
 func (t *Tool) PerInstr(op int) {
 	// Valgrind's translated code executes roughly an order of magnitude
 	// more host operations per guest instruction than the original
@@ -122,7 +99,7 @@ func (t *Tool) aState(addr uint64) byte {
 }
 
 func (t *Tool) setA(addr uint64, size int64, v byte) {
-	t.charge(size / 8)
+	t.m.AddSteps(size / 8)
 	for i := int64(0); i < size; i++ {
 		a := addr + uint64(i)
 		pg, ok := t.abits[a/nativemem.PageSize]
@@ -140,7 +117,7 @@ func (t *Tool) setA(addr uint64, size int64, v byte) {
 // observable behaviour, which this model does not flag — the paper found
 // that signal unreliable — but the shadow traffic is real).
 func (t *Tool) touchV(addr uint64, size int64, write bool) {
-	t.charge(size / 8)
+	t.m.AddSteps(size / 8)
 	pgIdx := addr / nativemem.PageSize
 	pg, ok := t.vbits[pgIdx]
 	if !ok {
@@ -185,7 +162,7 @@ func (t *Tool) check(addr uint64, size int64, acc core.AccessKind) *core.BugErro
 	for i := int64(0); i < size; i++ {
 		if t.aState(addr+uint64(i)) == 0 {
 			be := &core.BugError{Kind: core.OutOfBounds, Access: acc, Size: size, Mem: core.HeapMem,
-				Func: "memcheck", AccessStack: t.capture()}
+				Func: "memcheck", AccessStack: t.m.CaptureStack()}
 			// If this byte belongs to a freed (not yet reused) block, the
 			// report is a use-after-free and blames that block's alloc and
 			// free sites (Valgrind's "was alloc'd / free'd at" sections).
@@ -235,11 +212,22 @@ func (t *Tool) StackFree(lo, hi uint64) {}
 // GlobalAlloc is a no-op: the data segment is addressable wholesale.
 func (t *Tool) GlobalAlloc(addr uint64, size int64) {}
 
-// NewAllocator wraps the default heap with redzones and A-bit bookkeeping.
-func (t *Tool) NewAllocator(mem *nativemem.Memory) nativevm.Allocator {
-	t.inner = nativevm.NewFreeListAlloc(mem)
+// Attach implements nativevm.Tool: the default heap gets redzones and A-bit
+// bookkeeping, and every interpreted instruction pays PerInstr.
+func (t *Tool) Attach(m *nativevm.Machine) nativevm.Allocator {
+	t.m = m
+	t.inner = nativevm.NewFreeListAlloc(m.Mem)
+	m.SetPerInstr(t.PerInstr)
 	return (*mcAlloc)(t)
 }
+
+// Redzones implements nativevm.Tool: memcheck pads only heap blocks, in its
+// own allocator; the stack and data segment stay packed.
+func (t *Tool) Redzones() (stack, global int64) { return 0, 0 }
+
+// SeesLibc implements nativevm.Tool: binary translation instruments libc's
+// code like the program's own.
+func (t *Tool) SeesLibc() bool { return true }
 
 type mcAlloc Tool
 
@@ -254,7 +242,7 @@ func (a *mcAlloc) Malloc(size int64) uint64 {
 	addr := raw + heapRedzone
 	t.setA(addr, size, 1)
 	t.live[addr] = size
-	t.allocStacks[addr] = t.capture()
+	t.allocStacks[addr] = t.m.CaptureStack()
 	delete(t.freed, addr) // block re-allocated: stale pointers go dark
 	delete(t.freeStacks, addr)
 	if end := addr + uint64(size); end > t.heapHi {
@@ -269,13 +257,13 @@ func (a *mcAlloc) Free(addr uint64) error {
 	if !ok {
 		if _, wasFreed := t.freed[addr]; wasFreed {
 			return &core.BugError{Kind: core.DoubleFree, Access: core.Free, Mem: core.HeapMem, Func: "memcheck",
-				AccessStack: t.capture(), AllocStack: t.allocStacks[addr], FreeStack: t.freeStacks[addr]}
+				AccessStack: t.m.CaptureStack(), AllocStack: t.allocStacks[addr], FreeStack: t.freeStacks[addr]}
 		}
-		return &core.BugError{Kind: core.InvalidFree, Access: core.Free, Func: "memcheck", AccessStack: t.capture()}
+		return &core.BugError{Kind: core.InvalidFree, Access: core.Free, Func: "memcheck", AccessStack: t.m.CaptureStack()}
 	}
 	delete(t.live, addr)
 	t.freed[addr] = size
-	t.freeStacks[addr] = t.capture()
+	t.freeStacks[addr] = t.m.CaptureStack()
 	t.setA(addr, size, 0)
 	return t.inner.Free(addr - heapRedzone)
 }

@@ -4,18 +4,47 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/nativemem"
+	"repro/internal/ir"
 	"repro/internal/nativevm"
 )
 
-func newTool() (*Tool, nativevm.Allocator) {
-	t := New()
-	alloc := t.NewAllocator(nativemem.New())
-	return t, alloc
+// newTool attaches a fresh tool to a machine over a one-function module, the
+// way the facade does, and returns it with the machine's heap.
+func newTool(t *testing.T) (*Tool, nativevm.Allocator) {
+	tool, m := attach(t)
+	return tool, m.Alloc
+}
+
+func attach(t *testing.T) (*Tool, *nativevm.Machine) {
+	t.Helper()
+	mod, err := ir.Parse(`module "t"
+func @main fn() i32 regs 1 { entry: ret i32 0 }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tool := New()
+	m, err := nativevm.New(mod, nativevm.Config{Tool: tool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tool, m
+}
+
+// TestAttachInstallsPerInstr pins the hook Attach installs: every
+// interpreted instruction pays memcheck's register-shadow work once.
+func TestAttachInstallsPerInstr(t *testing.T) {
+	tool, m := attach(t)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Steps() == 0 || int64(tool.shadowIdx) != m.Steps() {
+		t.Errorf("PerInstr ran %d times over %d steps", tool.shadowIdx, m.Steps())
+	}
 }
 
 func TestHeapBounds(t *testing.T) {
-	tool, alloc := newTool()
+	tool, alloc := newTool(t)
 	addr := alloc.Malloc(24)
 	if be := tool.Load(addr, 8); be != nil {
 		t.Errorf("in-bounds flagged: %v", be)
@@ -32,7 +61,7 @@ func TestHeapBounds(t *testing.T) {
 }
 
 func TestUseAfterFreeUntilReuse(t *testing.T) {
-	tool, alloc := newTool()
+	tool, alloc := newTool(t)
 	addr := alloc.Malloc(32)
 	if err := alloc.Free(addr); err != nil {
 		t.Fatal(err)
@@ -51,7 +80,7 @@ func TestUseAfterFreeUntilReuse(t *testing.T) {
 }
 
 func TestDoubleAndInvalidFree(t *testing.T) {
-	tool, alloc := newTool()
+	tool, alloc := newTool(t)
 	addr := alloc.Malloc(16)
 	alloc.Free(addr)
 	if err := alloc.Free(addr); err == nil {
@@ -66,7 +95,7 @@ func TestDoubleAndInvalidFree(t *testing.T) {
 }
 
 func TestStackAndGlobalsAreBlind(t *testing.T) {
-	tool, _ := newTool()
+	tool, _ := newTool(t)
 	// Stack and global addresses never fire, whatever their contents —
 	// the structural blind spot the paper discusses.
 	if be := tool.Load(nativevm.StackTop-100, 8); be != nil {
@@ -78,7 +107,7 @@ func TestStackAndGlobalsAreBlind(t *testing.T) {
 }
 
 func TestLeakReporting(t *testing.T) {
-	tool, alloc := newTool()
+	tool, alloc := newTool(t)
 	a := alloc.Malloc(10)
 	b := alloc.Malloc(20)
 	alloc.Free(a)
@@ -90,7 +119,7 @@ func TestLeakReporting(t *testing.T) {
 }
 
 func TestPerInstrIsCheap(t *testing.T) {
-	tool, _ := newTool()
+	tool, _ := newTool(t)
 	// Sanity: the per-instruction shadow work must terminate and mutate
 	// state deterministically.
 	before := tool.regShadow

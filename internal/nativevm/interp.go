@@ -40,7 +40,7 @@ func (m *Machine) callFrom(caller *Frame, idx int, args []Value, vaBase uint64, 
 		m.inLib = prevLib
 		return ret, err
 	}
-	if m.depth >= m.maxDepth {
+	if m.depth >= core.CallDepthLimit {
 		// Native recursion exhaustion is a stack overflow: the simulated
 		// machine traps when sp leaves the mapped stack; model it directly.
 		return Value{}, &core.ExitError{Code: 139}
@@ -53,8 +53,8 @@ func (m *Machine) callFrom(caller *Frame, idx int, args []Value, vaBase uint64, 
 	ret, err := m.exec(fr)
 	m.depth--
 	// Epilogue: release the frame's stack range.
-	if m.checker != nil && m.sp < fr.savedSP {
-		m.checker.StackFree(m.sp, fr.savedSP)
+	if m.tool != nil && m.sp < fr.savedSP {
+		m.tool.StackFree(m.sp, fr.savedSP)
 	}
 	if m.trackTypes && m.sp < fr.savedSP {
 		// Retire the frame's stack type registrations: an address range
@@ -285,7 +285,7 @@ func (m *Machine) loopSlot(fr *Frame, in *ir.Instr) (uint64, bool) {
 // call epilogue); exhaustion is hard — the machine cannot express a failed
 // alloca as a value — so it surfaces a *core.ResourceError ("oom").
 func (m *Machine) stackAlloc(fr *Frame, size, align int64) (uint64, error) {
-	rz := uint64(m.cfg.StackRedzone)
+	rz := uint64(m.stackRedzone)
 	m.sp -= rz // redzone above the object
 	m.sp -= uint64(size)
 	if align < 16 {
@@ -308,8 +308,8 @@ func (m *Machine) stackAlloc(fr *Frame, size, align int64) (uint64, error) {
 	if fr != nil {
 		fr.stackBytes += size
 	}
-	if m.checker != nil {
-		m.checker.StackAlloc(addr, size)
+	if m.tool != nil {
+		m.tool.StackAlloc(addr, size)
 	}
 	return addr, nil
 }
@@ -375,8 +375,8 @@ func (m *Machine) execCall(fr *Frame, in *ir.Instr) (Value, error) {
 // LoadMem performs a typed load with tool checking and machine faulting.
 func (m *Machine) LoadMem(addr uint64, ty ir.Type) (Value, error) {
 	size := ty.Size()
-	if m.checker != nil {
-		if rep := m.checker.Load(addr, size); rep != nil {
+	if m.tool != nil {
+		if rep := m.tool.Load(addr, size); rep != nil {
 			return Value{}, rep
 		}
 	}
@@ -400,8 +400,8 @@ func (m *Machine) LoadMem(addr uint64, ty ir.Type) (Value, error) {
 // StoreMem performs a typed store with tool checking and machine faulting.
 func (m *Machine) StoreMem(addr uint64, ty ir.Type, v Value) error {
 	size := ty.Size()
-	if m.checker != nil {
-		if rep := m.checker.Store(addr, size); rep != nil {
+	if m.tool != nil {
+		if rep := m.tool.Store(addr, size); rep != nil {
 			return rep
 		}
 	}

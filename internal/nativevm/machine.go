@@ -92,7 +92,6 @@ type CallCtx struct {
 type LibFunc func(m *Machine, call *CallCtx) (Value, error)
 
 // Checker observes and vets memory traffic; ASan and memcheck implement it.
-// A nil checker means raw native execution.
 type Checker interface {
 	// Load/Store return a report when the access violates the tool's model.
 	Load(addr uint64, size int64) *core.BugError
@@ -101,6 +100,29 @@ type Checker interface {
 	StackAlloc(addr uint64, size int64)
 	StackFree(lo, hi uint64)
 	GlobalAlloc(addr uint64, size int64)
+}
+
+// Tool is a dynamic analysis the machine runs under (ASan, memcheck): one
+// object answers what the tool sees — the accesses it vets, its heap, its
+// redzones, and whether libc's own code is instrumented. A nil Tool means
+// raw native execution. A Tool serves one machine.
+type Tool interface {
+	Checker
+	// Attach binds the tool to a new machine and returns the heap
+	// allocator it runs over m.Mem. The tool may keep m: it charges its
+	// data-proportional shadow work with m.AddSteps, puts m.CaptureStack
+	// backtraces on its reports, and may install a per-instruction hook
+	// with m.SetPerInstr.
+	Attach(m *Machine) Allocator
+	// Redzones is the poisoned padding the machine leaves around each
+	// stack object and after each global; 0 packs objects adjacently
+	// (native reality).
+	Redzones() (stack, global int64)
+	// SeesLibc reports whether libc's own accesses go through the tool's
+	// checker. Binary translation (memcheck) instruments everything;
+	// compile-time instrumentation (ASan) never sees the prebuilt libc and
+	// relies on interceptors instead.
+	SeesLibc() bool
 }
 
 // Allocator is the heap implementation. ASan substitutes a redzone +
@@ -113,29 +135,17 @@ type Allocator interface {
 
 // Config configures a native machine.
 type Config struct {
-	Checker Checker
-	// NewAllocator builds the heap allocator over the machine's memory.
-	// nil uses the default first-fit, immediately-reusing allocator.
-	NewAllocator func(mem *nativemem.Memory) Allocator
+	// Tool is the analysis the machine runs under; nil runs bare native.
+	Tool Tool
 	// Libc binds external function names to native implementations. The
 	// machine only reads it, so one map may serve many machines at once.
 	Libc map[string]LibFunc
-	// StackRedzone adds poisoned padding around each stack object
-	// (ASan-style); 0 packs objects adjacently (native reality).
-	StackRedzone int64
-	// GlobalRedzone likewise pads globals.
-	GlobalRedzone int64
-	// PerInstr, when set, runs before every interpreted instruction.
-	// Binary-translation tools (memcheck) use it to charge the shadow
-	// bookkeeping they perform on all operations, not only memory ones.
-	PerInstr func(op int)
 
 	Args     []string
 	Env      []string
 	Stdin    io.Reader
 	Stdout   io.Writer
 	MaxSteps int64
-	MaxDepth int
 	// MaxHeapBytes / MaxAllocBytes / FaultPlan mirror the managed engine's
 	// resource budget (core.Config): every guest heap allocation — whichever
 	// allocator the tool installed — is charged through one fault.Injector
@@ -148,15 +158,11 @@ type Config struct {
 	// the machine polls it at basic-block boundaries and libc fast paths
 	// charge fuel against the same budget (execution governor).
 	Governor *core.Governor
-	// TrackTypes forces the type-identity mirror on (address-range memdesc
-	// registrations for stack objects, globals, and cast-adopted heap
-	// blocks). It is enabled automatically when the module declares any of
-	// the introspection builtins; the hardened nlibc sets it explicitly so
-	// its bounds clamping has the same source of truth.
-	TrackTypes bool
 	// Hardened makes the nlibc bulk-write family (memcpy/memset/strcpy/...)
 	// consult the machine's object bookkeeping and truncate at the
-	// destination's end instead of overflowing. Implies TrackTypes.
+	// destination's end instead of overflowing. It turns the type-identity
+	// mirror on, so the clamping has the same source of truth as the
+	// introspection builtins.
 	Hardened bool
 }
 
@@ -166,9 +172,14 @@ type Machine struct {
 	Mod   *ir.Module
 	Alloc Allocator
 
-	cfg     Config
-	checker Checker
-	libc    map[string]LibFunc
+	cfg  Config
+	tool Tool
+	libc map[string]LibFunc
+	// libcChecker is tool when it sees libc's own accesses, else nil.
+	libcChecker Checker
+	// stackRedzone/globalRedzone are the tool's padding (0 without one).
+	stackRedzone  int64
+	globalRedzone int64
 
 	globalAddr map[string]uint64
 	perInstr   func(op int)
@@ -188,7 +199,6 @@ type Machine struct {
 	maxSteps int64
 	gov      *core.Governor
 	depth    int
-	maxDepth int
 
 	// libc-private state (strtok pointer, rand seed, ungetc pushback).
 	StrtokSave uint64
@@ -232,21 +242,16 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 		Mem:        nativemem.New(),
 		Mod:        mod,
 		cfg:        cfg,
-		checker:    cfg.Checker,
-		perInstr:   cfg.PerInstr,
+		tool:       cfg.Tool,
 		libc:       cfg.Libc,
 		globalAddr: map[string]uint64{},
 		maxSteps:   cfg.MaxSteps,
 		gov:        cfg.Governor,
-		maxDepth:   cfg.MaxDepth,
 		RandState:  1,
 		Ungot:      -2,
 	}
 	if m.maxSteps == 0 {
 		m.maxSteps = 2_000_000_000
-	}
-	if m.maxDepth == 0 {
-		m.maxDepth = 4096
 	}
 	out := cfg.Stdout
 	if out == nil {
@@ -263,8 +268,12 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 		MaxHeapBytes:  cfg.MaxHeapBytes,
 		MaxAllocBytes: cfg.MaxAllocBytes,
 	})
-	if cfg.NewAllocator != nil {
-		m.Alloc = cfg.NewAllocator(m.Mem)
+	if m.tool != nil {
+		m.Alloc = m.tool.Attach(m)
+		m.stackRedzone, m.globalRedzone = m.tool.Redzones()
+		if m.tool.SeesLibc() {
+			m.libcChecker = m.tool
+		}
 	} else {
 		m.Alloc = NewFreeListAlloc(m.Mem)
 	}
@@ -272,19 +281,6 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 	// and fault schedules apply before redzones/quarantine ever see the
 	// request, so all four engines observe identical allocation outcomes.
 	m.Alloc = &gatedAlloc{inner: m.Alloc, inj: m.inj, charged: map[uint64]int64{}}
-	// Tools that perform data-proportional shadow work (ASan's range
-	// checks, memcheck's A/V-bit updates) charge it against the machine's
-	// step budget so instrumented bulk operations cannot escape MaxSteps.
-	if fa, ok := any(m.checker).(interface{ SetFuel(func(n int64)) }); ok && m.checker != nil {
-		fa.SetFuel(m.AddSteps)
-	}
-	// Tools that attach backtraces to their reports get the machine's shadow
-	// call stack (same interface-assertion wiring as the fuel account).
-	if sa, ok := any(m.checker).(interface {
-		SetStackSource(func() diag.Stack)
-	}); ok && m.checker != nil {
-		sa.SetStackSource(m.CaptureStack)
-	}
 
 	// Stack.
 	m.Mem.Map(StackTop-StackSize, StackSize)
@@ -292,7 +288,7 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 	m.stackLow = StackTop - StackSize
 
 	m.hardened = cfg.Hardened
-	m.trackTypes = cfg.TrackTypes || cfg.Hardened || moduleWantsIntrospection(mod)
+	m.trackTypes = cfg.Hardened || moduleWantsIntrospection(mod)
 
 	if err := m.layoutGlobals(); err != nil {
 		return nil, err
@@ -300,8 +296,19 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Checker returns the configured tool checker (nil for raw native).
-func (m *Machine) Checker() Checker { return m.checker }
+// Tool returns the attached tool (nil for raw native). Code shared by every
+// machine, such as ASan's libc interceptors, finds its run's tool here.
+func (m *Machine) Tool() Tool { return m.tool }
+
+// LibcChecker returns the checker libc's own accesses go through: the tool
+// when it sees libc (Tool.SeesLibc), else nil.
+func (m *Machine) LibcChecker() Checker { return m.libcChecker }
+
+// SetPerInstr installs a hook that runs before every interpreted
+// instruction. Binary-translation tools (memcheck) install one in Attach to
+// charge the shadow bookkeeping they perform on all operations, not only
+// memory ones.
+func (m *Machine) SetPerInstr(f func(op int)) { m.perInstr = f }
 
 // PushCall records a call edge (caller function + call-site line) on the
 // shadow call stack. O(1): one persistent-stack node.
@@ -337,9 +344,15 @@ func (m *Machine) Steps() int64 { return m.steps }
 func (m *Machine) MemStats() fault.Stats { return m.inj.Stats() }
 
 // AddSteps charges n steps of fuel without an inline budget check; the
-// exhaustion is observed at the next instruction boundary. Checker tools
-// use it for shadow bookkeeping (their interfaces have no error path).
-func (m *Machine) AddSteps(n int64) { m.steps += n }
+// exhaustion is observed at the next instruction boundary. Tools use it for
+// data-proportional shadow work (their interfaces have no error path), so
+// instrumented bulk operations cannot escape MaxSteps. A non-positive n
+// charges nothing.
+func (m *Machine) AddSteps(n int64) {
+	if n > 0 {
+		m.steps += n
+	}
+}
 
 // ChargeSteps charges n steps of fuel against the machine's budget and
 // polls the run governor. Libc fast paths that loop over guest memory
@@ -379,8 +392,8 @@ func (m *Machine) layoutGlobals() error {
 		}
 		m.Mem.Map(addr, uint64(size))
 		m.globalAddr[g.Name] = addr
-		if m.checker != nil {
-			m.checker.GlobalAlloc(addr, size)
+		if m.tool != nil {
+			m.tool.GlobalAlloc(addr, size)
 		}
 		if m.trackTypes && g.CType != "" {
 			m.Types.Register(int64(addr), size, m.descs.Decl(g.Ty, g.CType))
@@ -391,9 +404,9 @@ func (m *Machine) layoutGlobals() error {
 			}
 		}
 		addr += uint64(size)
-		if m.cfg.GlobalRedzone > 0 {
-			m.Mem.Map(addr, uint64(m.cfg.GlobalRedzone))
-			addr += uint64(m.cfg.GlobalRedzone)
+		if m.globalRedzone > 0 {
+			m.Mem.Map(addr, uint64(m.globalRedzone))
+			addr += uint64(m.globalRedzone)
 		}
 	}
 	return nil

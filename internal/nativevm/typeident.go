@@ -14,14 +14,11 @@ import "repro/internal/ir"
 // moduleWantsIntrospection reports whether the program can observe the type
 // mirror at all: it declares one of the introspection externs. When it
 // cannot, the machine skips all registrations (they would be dead weight on
-// the hot allocation path).
+// the hot allocation path). The function index is authoritative: modules
+// only grow through AddFunc, and the optimizer never removes functions.
 func moduleWantsIntrospection(mod *ir.Module) bool {
-	for _, f := range mod.Funcs {
-		if !f.IsDecl {
-			continue
-		}
-		switch f.Name {
-		case "_size_of_object", "_type_of", "_bounds_of":
+	for _, name := range [...]string{"_size_of_object", "_type_of", "_bounds_of"} {
+		if f := mod.Func(name); f != nil && f.IsDecl {
 			return true
 		}
 	}

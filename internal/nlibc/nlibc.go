@@ -14,45 +14,35 @@ import (
 	"repro/internal/nativevm"
 )
 
-// Table returns the full native libc binding.
-// checked selects Valgrind-style operation: ordinary libc accesses go
-// through the tool's checker (binary instrumentation sees everything),
-// except the word-wise strlen/strcmp fast paths, which Valgrind famously
-// whitelists (paper §2.3, P4). With checked=false (plain native and ASan),
-// no libc access is ever checked.
+// Table returns the full native libc binding. Ordinary libc accesses go
+// through the machine's libc checker (Machine.LibcChecker): the attached
+// tool when it instruments libc, as Valgrind's binary translation does,
+// and nobody for plain native and ASan. The word-wise strlen/strcmp fast
+// paths are never checked: Valgrind famously whitelists them (paper §2.3,
+// P4).
 //
-// The table is built once per checked value and shared by every machine in
-// the process, concurrently: callers must treat it as immutable (copy it to
-// wrap entries, as asan.Interceptors does). A LibFunc therefore keeps no
-// state of its own; per-run libc state (strtok's save pointer, the rand
-// seed, ungetc's pushback) lives on the nativevm.Machine it is passed.
-func Table(checked bool) map[string]nativevm.LibFunc {
-	if checked {
-		return checkedTable()
-	}
-	return uncheckedTable()
-}
+// The table is built once per process and shared by every machine,
+// concurrently: callers must treat it as immutable (build a new map to
+// wrap entries, as ASan's interceptor overlay does). A LibFunc therefore
+// keeps no state of its own; per-run libc state (strtok's save pointer,
+// the rand seed, ungetc's pushback) lives on the nativevm.Machine it is
+// passed.
+func Table() map[string]nativevm.LibFunc { return table() }
 
-var (
-	checkedTable   = sync.OnceValue(func() map[string]nativevm.LibFunc { return build(true) })
-	uncheckedTable = sync.OnceValue(func() map[string]nativevm.LibFunc { return build(false) })
-)
-
-func build(checked bool) map[string]nativevm.LibFunc {
+var table = sync.OnceValue(func() map[string]nativevm.LibFunc {
 	t := map[string]nativevm.LibFunc{}
-	addStdio(t, checked)
-	addString(t, checked)
-	addStdlib(t, checked)
+	addStdio(t)
+	addString(t)
+	addStdlib(t)
 	addCtype(t)
 	addMath(t)
 	addTypeIdent(t)
 	return t
-}
+})
 
-// mem is a small access helper carrying the checking policy.
+// mem is a small access helper: libc's checked loads and stores.
 type mem struct {
-	m       *nativevm.Machine
-	checked bool
+	m *nativevm.Machine
 }
 
 func (a mem) load(addr uint64, size int64) (int64, error) {
@@ -62,8 +52,8 @@ func (a mem) load(addr uint64, size int64) (int64, error) {
 	if err := a.m.ChargeSteps(1); err != nil {
 		return 0, err
 	}
-	if a.checked && a.m.Checker() != nil {
-		if rep := a.m.Checker().Load(addr, size); rep != nil {
+	if c := a.m.LibcChecker(); c != nil {
+		if rep := c.Load(addr, size); rep != nil {
 			return 0, rep
 		}
 	}
@@ -78,8 +68,8 @@ func (a mem) store(addr uint64, size int64, v int64) error {
 	if err := a.m.ChargeSteps(1); err != nil {
 		return err
 	}
-	if a.checked && a.m.Checker() != nil {
-		if rep := a.m.Checker().Store(addr, size); rep != nil {
+	if c := a.m.LibcChecker(); c != nil {
+		if rep := c.Store(addr, size); rep != nil {
 			return rep
 		}
 	}

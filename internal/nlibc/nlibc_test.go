@@ -18,7 +18,7 @@ func newMachine(t *testing.T, src string, stdin string) *nativevm.Machine {
 		t.Fatal(err)
 	}
 	m, err := nativevm.New(mod, nativevm.Config{
-		Libc:  Table(false),
+		Libc:  Table(),
 		Stdin: strings.NewReader(stdin),
 	})
 	if err != nil {
@@ -53,7 +53,7 @@ func @main fn() i32 regs 1 { entry: ret i32 0 }
 }
 
 func TestTableCompleteness(t *testing.T) {
-	tab := Table(false)
+	tab := Table()
 	must := []string{
 		"printf", "sprintf", "snprintf", "fprintf", "scanf", "fscanf",
 		"puts", "gets", "fgets", "putchar", "getchar", "fwrite", "fread",

@@ -7,7 +7,7 @@ import (
 	"repro/internal/nativevm"
 )
 
-func addStdio(t map[string]nativevm.LibFunc, checked bool) {
+func addStdio(t map[string]nativevm.LibFunc) {
 	getchar := func(m *nativevm.Machine) int64 {
 		if m.Ungot != -2 {
 			c := m.Ungot
@@ -76,7 +76,7 @@ func addStdio(t map[string]nativevm.LibFunc, checked bool) {
 		return nativevm.IntVal(0), nil
 	}
 	t["gets"] = func(m *nativevm.Machine, c *nativevm.CallCtx) (nativevm.Value, error) {
-		a := mem{m, checked}
+		a := mem{m}
 		s := uint64(c.Args[0].I)
 		i := uint64(0)
 		for {
@@ -98,7 +98,7 @@ func addStdio(t map[string]nativevm.LibFunc, checked bool) {
 		return c.Args[0], nil
 	}
 	t["fgets"] = func(m *nativevm.Machine, c *nativevm.CallCtx) (nativevm.Value, error) {
-		a := mem{m, checked}
+		a := mem{m}
 		s, size := uint64(c.Args[0].I), c.Args[1].I
 		if size <= 0 {
 			return nativevm.IntVal(0), nil
@@ -144,7 +144,7 @@ func addStdio(t map[string]nativevm.LibFunc, checked bool) {
 		return nativevm.IntVal(n), nil
 	}
 	t["fread"] = func(m *nativevm.Machine, c *nativevm.CallCtx) (nativevm.Value, error) {
-		a := mem{m, checked}
+		a := mem{m}
 		p, size, nmemb := uint64(c.Args[0].I), c.Args[1].I, c.Args[2].I
 		total := size * nmemb
 		for i := int64(0); i < total; i++ {
@@ -190,7 +190,7 @@ func addStdio(t map[string]nativevm.LibFunc, checked bool) {
 	}
 
 	scanfImpl := func(m *nativevm.Machine, fmtAddr uint64, va *vaReader) (nativevm.Value, error) {
-		a := mem{m, checked}
+		a := mem{m}
 		assigned := int64(0)
 		fmtStr, f := m.Mem.CString(fmtAddr, 4096)
 		if f != nil {

@@ -12,7 +12,7 @@ import (
 func f32bitsOf(f float64) uint32 { return math.Float32bits(float32(f)) }
 func f64bitsOf(f float64) uint64 { return math.Float64bits(f) }
 
-func addStdlib(t map[string]nativevm.LibFunc, checked bool) {
+func addStdlib(t map[string]nativevm.LibFunc) {
 	t["malloc"] = func(m *nativevm.Machine, c *nativevm.CallCtx) (nativevm.Value, error) {
 		return nativevm.IntVal(int64(m.Alloc.Malloc(c.Args[0].I))), nil
 	}
@@ -315,7 +315,6 @@ func addStdlib(t map[string]nativevm.LibFunc, checked bool) {
 		}
 		return nativevm.IntVal(int64(len(s))), nil
 	}
-	_ = checked
 }
 
 var processStart = time.Now()

@@ -18,14 +18,14 @@ func hardRoom(m *nativevm.Machine, dst uint64) int64 {
 	return -1
 }
 
-func addString(t map[string]nativevm.LibFunc, checked bool) {
+func addString(t map[string]nativevm.LibFunc) {
 	t["strlen"] = func(m *nativevm.Machine, c *nativevm.CallCtx) (nativevm.Value, error) {
 		// Word-wise, unchecked: the glibc fast path (P4).
 		n, err := wordStrlen(m, uint64(c.Args[0].I))
 		return nativevm.IntVal(n), err
 	}
 	t["strcpy"] = func(m *nativevm.Machine, c *nativevm.CallCtx) (nativevm.Value, error) {
-		a := mem{m, checked}
+		a := mem{m}
 		dst, src := uint64(c.Args[0].I), uint64(c.Args[1].I)
 		room := hardRoom(m, dst)
 		for i := uint64(0); ; i++ {
@@ -51,7 +51,7 @@ func addString(t map[string]nativevm.LibFunc, checked bool) {
 		return c.Args[0], nil
 	}
 	t["strncpy"] = func(m *nativevm.Machine, c *nativevm.CallCtx) (nativevm.Value, error) {
-		a := mem{m, checked}
+		a := mem{m}
 		dst, src, n := uint64(c.Args[0].I), uint64(c.Args[1].I), c.Args[2].I
 		var i int64
 		for i = 0; i < n; i++ {
@@ -74,7 +74,7 @@ func addString(t map[string]nativevm.LibFunc, checked bool) {
 		return c.Args[0], nil
 	}
 	t["strcat"] = func(m *nativevm.Machine, c *nativevm.CallCtx) (nativevm.Value, error) {
-		a := mem{m, checked}
+		a := mem{m}
 		dst, src := uint64(c.Args[0].I), uint64(c.Args[1].I)
 		n, err := wordStrlen(m, dst)
 		if err != nil {
@@ -102,7 +102,7 @@ func addString(t map[string]nativevm.LibFunc, checked bool) {
 		return c.Args[0], nil
 	}
 	t["strncat"] = func(m *nativevm.Machine, c *nativevm.CallCtx) (nativevm.Value, error) {
-		a := mem{m, checked}
+		a := mem{m}
 		dst, src, n := uint64(c.Args[0].I), uint64(c.Args[1].I), c.Args[2].I
 		base, err := wordStrlen(m, dst)
 		if err != nil {
@@ -158,7 +158,7 @@ func addString(t map[string]nativevm.LibFunc, checked bool) {
 		return nativevm.IntVal(r), err
 	}
 	t["strchr"] = func(m *nativevm.Machine, c *nativevm.CallCtx) (nativevm.Value, error) {
-		a := mem{m, checked}
+		a := mem{m}
 		s, ch := uint64(c.Args[0].I), byte(c.Args[1].I)
 		for i := uint64(0); ; i++ {
 			b, err := a.loadByte(s + i)
@@ -174,7 +174,7 @@ func addString(t map[string]nativevm.LibFunc, checked bool) {
 		}
 	}
 	t["strrchr"] = func(m *nativevm.Machine, c *nativevm.CallCtx) (nativevm.Value, error) {
-		a := mem{m, checked}
+		a := mem{m}
 		s, ch := uint64(c.Args[0].I), byte(c.Args[1].I)
 		found := int64(0)
 		for i := uint64(0); ; i++ {
@@ -345,7 +345,7 @@ func addString(t map[string]nativevm.LibFunc, checked bool) {
 	}
 
 	memcpyImpl := func(m *nativevm.Machine, c *nativevm.CallCtx) (nativevm.Value, error) {
-		a := mem{m, checked}
+		a := mem{m}
 		dst, src, n := uint64(c.Args[0].I), uint64(c.Args[1].I), c.Args[2].I
 		n = m.WriteCap(dst, n)
 		if dst < src {
@@ -375,7 +375,7 @@ func addString(t map[string]nativevm.LibFunc, checked bool) {
 	t["memmove"] = memcpyImpl
 	t["__builtin_memcpy"] = memcpyImpl
 	memsetImpl := func(m *nativevm.Machine, c *nativevm.CallCtx) (nativevm.Value, error) {
-		a := mem{m, checked}
+		a := mem{m}
 		dst, ch, n := uint64(c.Args[0].I), byte(c.Args[1].I), c.Args[2].I
 		n = m.WriteCap(dst, n)
 		for i := int64(0); i < n; i++ {
@@ -388,7 +388,7 @@ func addString(t map[string]nativevm.LibFunc, checked bool) {
 	t["memset"] = memsetImpl
 	t["__builtin_memset"] = memsetImpl
 	t["memcmp"] = func(m *nativevm.Machine, c *nativevm.CallCtx) (nativevm.Value, error) {
-		a := mem{m, checked}
+		a := mem{m}
 		pa, pb, n := uint64(c.Args[0].I), uint64(c.Args[1].I), c.Args[2].I
 		for i := int64(0); i < n; i++ {
 			ba, err := a.loadByte(pa + uint64(i))
@@ -406,7 +406,7 @@ func addString(t map[string]nativevm.LibFunc, checked bool) {
 		return nativevm.IntVal(0), nil
 	}
 	t["memchr"] = func(m *nativevm.Machine, c *nativevm.CallCtx) (nativevm.Value, error) {
-		a := mem{m, checked}
+		a := mem{m}
 		s, ch, n := uint64(c.Args[0].I), byte(c.Args[1].I), c.Args[2].I
 		for i := int64(0); i < n; i++ {
 			b, err := a.loadByte(s + uint64(i))
