@@ -204,12 +204,13 @@ func main() {
 	}
 
 	rep.Caches = harness.Caches()
-	pc, cc, ep := rep.Caches.Pipeline, rep.Caches.CodeCache, rep.Caches.EnginePool
+	pc, cc, ep, mp := rep.Caches.Pipeline, rep.Caches.CodeCache, rep.Caches.EnginePool, rep.Caches.MachinePool
 	fmt.Printf("\nmodule cache: %d hits / %d misses (%.0f%% hit rate), %d entries\n",
 		pc.Hits, pc.Misses, 100*pc.HitRate, pc.Entries)
 	fmt.Printf("code cache:   %d hits / %d misses, %d evictions, %d units (%d funcs)\n",
 		cc.Hits, cc.Misses, cc.Evictions, cc.Units, cc.Funcs)
 	fmt.Printf("engine pool:  %d hits / %d misses, %d idle\n", ep.Hits, ep.Misses, ep.Idle)
+	fmt.Printf("machine pool: %d hits / %d misses, %d idle\n", mp.Hits, mp.Misses, mp.Idle)
 
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")

@@ -45,25 +45,60 @@ func NativeConfig(eng Engine) (nativevm.Config, error) {
 	return nativevm.Config{}, fmt.Errorf("sulong: engine %v is not native", eng)
 }
 
+// maxParkedBytes bounds the page and shadow buffers a parked machine may
+// hold: a run that grew more is not parked, so one large run does not pin
+// its memory in the pool.
+const maxParkedBytes = 1 << 20
+
+// bufferBytes is the size of the page and shadow buffers m keeps across a
+// Reset, its tool's included.
+func bufferBytes(m *nativevm.Machine) int64 {
+	n := m.Mem.BufferBytes()
+	switch t := m.Tool().(type) {
+	case *asan.Tool:
+		n += t.BufferBytes()
+	case *memcheck.Tool:
+		n += t.BufferBytes()
+	}
+	return n
+}
+
+// acquireMachine returns a machine for mod under cfg.Engine, configured by
+// ncfg's per-run fields: a parked machine of (mod, engine) reset with its
+// own tool, or, on a miss or with cfg.NoCache, a new one with a fresh tool.
+func acquireMachine(mod *ir.Module, cfg Config, ncfg nativevm.Config) (*nativevm.Machine, error) {
+	build := func() (*nativevm.Machine, error) {
+		base, err := NativeConfig(cfg.Engine)
+		if err != nil {
+			return nil, err
+		}
+		ncfg.Tool, ncfg.Libc = base.Tool, base.Libc
+		return nativevm.New(mod, ncfg)
+	}
+	if cfg.NoCache {
+		return build()
+	}
+	return machinePool.Get(mod, cfg.Engine, func(m *nativevm.Machine) error {
+		ncfg.Tool, ncfg.Libc = m.Tool(), m.Libc()
+		return m.Reset(ncfg)
+	}, build)
+}
+
 // runNativeFamily executes a module on the simulated native machine,
 // optionally under ASan or memcheck instrumentation.
 func runNativeFamily(mod *ir.Module, cfg Config, gov *core.Governor) (Result, error) {
-	ncfg, err := NativeConfig(cfg.Engine)
-	if err != nil {
-		return Result{}, err
-	}
-	ncfg.Args = cfg.Args
-	ncfg.Env = cfg.Env
-	ncfg.Stdin = cfg.Stdin
-	ncfg.Stdout = cfg.Stdout
-	ncfg.MaxSteps = cfg.MaxSteps
-	ncfg.MaxHeapBytes = cfg.MaxHeapBytes
-	ncfg.MaxAllocBytes = cfg.MaxAllocBytes
-	ncfg.FaultPlan = cfg.FaultPlan
-	ncfg.Governor = gov
-	ncfg.Hardened = cfg.HardenedLibc
-
-	m, err := nativevm.New(mod, ncfg)
+	m, err := acquireMachine(mod, cfg, nativevm.Config{
+		Args:          cfg.Args,
+		Env:           cfg.Env,
+		Stdin:         cfg.Stdin,
+		Stdout:        cfg.Stdout,
+		MaxSteps:      cfg.MaxSteps,
+		MaxHeapBytes:  cfg.MaxHeapBytes,
+		MaxAllocBytes: cfg.MaxAllocBytes,
+		FaultPlan:     cfg.FaultPlan,
+		Governor:      gov,
+		Hardened:      cfg.HardenedLibc,
+	})
 	if err != nil {
 		return Result{}, err
 	}
@@ -76,8 +111,13 @@ func runNativeFamily(mod *ir.Module, cfg Config, gov *core.Governor) (Result, er
 	res.Stats.HeapPeakBytes = ms.HeapPeakBytes
 	res.Stats.InjectedFaults = ms.InjectedFaults
 	res.Stats.DeniedAllocs = ms.DeniedAllocs
-	if mc, ok := ncfg.Tool.(*memcheck.Tool); ok {
+	if mc, ok := m.Tool().(*memcheck.Tool); ok {
 		res.Leaks = mc.Leaks()
+	}
+	// Everything the result needs has been read out of the machine. A run
+	// that panicked never gets here, so it is never parked.
+	if !cfg.NoCache && bufferBytes(m) <= maxParkedBytes {
+		machinePool.Put(mod, cfg.Engine, m)
 	}
 	if runErr != nil {
 		switch e := runErr.(type) {

@@ -32,10 +32,10 @@ func TestMakefileGateTermsMatch(t *testing.T) {
 }
 
 // TestParityTestsHaveAGate is the converse for the tier-parity table, the
-// tier-2 fault programs, the code cache's and the engine pool's suites, the
-// tiering suite and the campaign's suite: every top-level Test in their files matches a `-run`
-// term of a gate that tests the file's package, so none of them runs only
-// outside the race detector.
+// tier-2 fault programs, the code cache's, the engine pool's and the
+// machine pool's suites, the tiering suite and the campaign's suite: every
+// top-level Test in their files matches a `-run` term of a gate that tests
+// the file's package, so none of them runs only outside the race detector.
 func TestParityTestsHaveAGate(t *testing.T) {
 	gates := makefileGateTerms(t)
 	fset := token.NewFileSet()
@@ -44,6 +44,7 @@ func TestParityTestsHaveAGate(t *testing.T) {
 		"tier2fault_test.go",
 		"irroundtrip_test.go",
 		"libcshare_test.go",
+		"machinepool_test.go",
 		"internal/jit/codecache_test.go",
 		"internal/core/tierup_test.go",
 		"internal/core/enginepool_test.go",

@@ -63,7 +63,7 @@ type Tool struct {
 	freedSize  map[uint64]int64 // addr -> size while in quarantine
 	quarantine []uint64
 	quarBytes  int64
-	inner      nativevm.Allocator
+	inner      nativevm.FreeListAlloc
 
 	// one-entry shadow page cache: most accesses hit the same page.
 	cachePage uint64
@@ -258,11 +258,28 @@ func (t *Tool) GlobalAlloc(addr uint64, size int64) {
 }
 
 // Attach implements nativevm.Tool: the heap gets redzones and a quarantine.
+// A tool attached before starts over in place: its heap tables and
+// quarantine empty, its allocator reset, and its shadow pages zeroed and
+// kept (a zero byte is shadowValid, so a zeroed page reads exactly like a
+// missing one).
 func (t *Tool) Attach(m *nativevm.Machine) nativevm.Allocator {
 	t.m = m
-	t.inner = nativevm.NewFreeListAlloc(m.Mem)
+	t.inner.Reset(m.Mem)
+	for _, pg := range t.shadow {
+		clear(pg)
+	}
+	clear(t.live)
+	clear(t.freedSize)
+	clear(t.allocStacks)
+	clear(t.freeStacks)
+	t.quarantine = t.quarantine[:0]
+	t.quarBytes = 0
+	t.cachePage, t.cacheBuf = 0, nil
 	return (*asanAlloc)(t)
 }
+
+// BufferBytes is the size of the shadow pages the tool keeps across Attach.
+func (t *Tool) BufferBytes() int64 { return int64(len(t.shadow)) * nativemem.PageSize }
 
 // Redzones implements nativevm.Tool: ASan pads stack objects and globals.
 func (t *Tool) Redzones() (stack, global int64) {

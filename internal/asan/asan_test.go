@@ -211,3 +211,61 @@ func @main fn() i32 regs 1 { entry: ret i32 0 }
 		t.Errorf("bare machine: strlen = %d, %v", n.I, err)
 	}
 }
+
+// TestAttachResetsInPlace pins what a machine Reset does to its ASan tool:
+// the live and freed tables, the quarantine and the poison are gone, the
+// heap starts over at the same addresses, and the shadow pages stay
+// allocated, zeroed.
+func TestAttachResetsInPlace(t *testing.T) {
+	mod, err := ir.Parse(`module "t"
+func @main fn() i32 regs 1 { entry: ret i32 0 }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tool := New(DefaultOptions())
+	m, err := nativevm.New(mod, nativevm.Config{Tool: tool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := (*asanAlloc)(tool)
+	live := alloc.Malloc(32)
+	freed := alloc.Malloc(64)
+	if err := alloc.Free(freed); err != nil {
+		t.Fatal(err)
+	}
+	if be := tool.Load(freed, 1); be == nil || be.Kind != core.UseAfterFree {
+		t.Fatalf("setup: freed block not poisoned: %v", be)
+	}
+	kept := tool.BufferBytes()
+
+	if err := m.Reset(nativevm.Config{Tool: tool}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tool.BufferBytes(); got != kept {
+		t.Errorf("Attach kept %d bytes of shadow, want %d", got, kept)
+	}
+	for idx, pg := range tool.shadow {
+		for off, b := range pg {
+			if b != shadowValid {
+				t.Fatalf("shadow byte %#x is %d after Attach", idx*nativemem.PageSize+uint64(off), b)
+			}
+		}
+	}
+	if len(tool.live) != 0 || len(tool.freedSize) != 0 || len(tool.quarantine) != 0 || tool.quarBytes != 0 ||
+		len(tool.allocStacks) != 0 || len(tool.freeStacks) != 0 {
+		t.Errorf("Attach left heap state: %d live, %d freed, %d quarantined (%d bytes), %d/%d stacks",
+			len(tool.live), len(tool.freedSize), len(tool.quarantine), tool.quarBytes, len(tool.allocStacks), len(tool.freeStacks))
+	}
+	if be := tool.Load(freed, 1); be != nil {
+		t.Errorf("freed poison survived Attach: %v", be)
+	}
+	if err := m.Alloc.Free(freed); err == nil {
+		t.Error("free of a block from before Attach succeeded")
+	} else if be, ok := err.(*core.BugError); !ok || be.Kind != core.InvalidFree {
+		t.Errorf("free of a block from before Attach: %v, want an invalid free", err)
+	}
+	if again := m.Alloc.Malloc(32); again != live {
+		t.Errorf("first malloc after Attach at %#x, want %#x as on a fresh tool", again, live)
+	}
+}

@@ -297,10 +297,10 @@ func TestCampaignWorkerPanicStorm(t *testing.T) {
 // cross-tool blind spots) must finish with zero hard findings, zero
 // quarantines, and every finding minimized to a committed-corpus-sized
 // program that re-verified against its oracle. The campaign keeps nothing
-// it has judged: afterwards the pipeline cache and the engine pool are
-// back to their sizes before it. FUZZCHECK_PROGRAMS scales the campaign
-// (the Makefile gate runs 200; the default keeps plain `go test ./...`
-// brisk).
+// it has judged: afterwards the pipeline cache and the engine and machine
+// pools are back to their sizes before it. FUZZCHECK_PROGRAMS scales the
+// campaign (the Makefile gate runs 200; the default keeps plain `go test
+// ./...` brisk).
 func TestCampaignFuzzCheck(t *testing.T) {
 	programs := 60
 	if v := os.Getenv("FUZZCHECK_PROGRAMS"); v != "" {
@@ -312,7 +312,7 @@ func TestCampaignFuzzCheck(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	out := filepath.Join(t.TempDir(), "finds")
-	entries, idle := sulong.CacheStats().Entries, sulong.EnginePoolStats().Idle
+	entries, idle, parked := sulong.CacheStats().Entries, sulong.EnginePoolStats().Idle, sulong.MachinePoolStats().Idle
 	res, err := Run(Options{
 		Seed: 0xC0FFEE, Programs: programs, MaxNth: 2,
 		Journal: path, OutDir: out,
@@ -320,8 +320,9 @@ func TestCampaignFuzzCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, i := sulong.CacheStats().Entries, sulong.EnginePoolStats().Idle; e != entries || i != idle {
-		t.Errorf("after the campaign: %d cache entries and %d idle engines, want %d and %d as before it", e, i, entries, idle)
+	if e, i, p := sulong.CacheStats().Entries, sulong.EnginePoolStats().Idle, sulong.MachinePoolStats().Idle; e != entries || i != idle || p != parked {
+		t.Errorf("after the campaign: %d cache entries, %d idle engines and %d idle machines, want %d, %d and %d as before it",
+			e, i, p, entries, idle, parked)
 	}
 	if hard := res.Hard(); len(hard) > 0 {
 		t.Fatalf("campaign found %d hard engine defects:\n%s", len(hard), res.Summary())

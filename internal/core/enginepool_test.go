@@ -103,8 +103,8 @@ func TestEnginePoolIdleLimit(t *testing.T) {
 }
 
 // TestEnginePoolRelease pins the retire path: releasing a module drops its
-// idle engines (and their park-order slots) while other modules' engines
-// stay parked, and a post-release Get simply constructs cold.
+// idle engines and unregisters it while other modules' engines stay
+// parked, and a post-release Get simply constructs cold.
 func TestEnginePoolRelease(t *testing.T) {
 	m1 := buildModule(t, poolModSrc)
 	m2 := buildModule(t, poolModSrc)
@@ -125,11 +125,11 @@ func TestEnginePoolRelease(t *testing.T) {
 	if st := p.Stats(); st.Idle != 1 {
 		t.Fatalf("release left %d idle engines, want 1 (m2's)", st.Idle)
 	}
-	p.mu.Lock()
-	orderLen, m1Idle := len(p.order), len(p.idle[m1])
-	p.mu.Unlock()
-	if orderLen != 1 || m1Idle != 0 {
-		t.Fatalf("release left order=%d idle[m1]=%d, want 1 and 0", orderLen, m1Idle)
+	p.pool.mu.Lock()
+	_, m1Registered := p.pool.idle[m1]
+	p.pool.mu.Unlock()
+	if m1Registered {
+		t.Fatal("release left m1 registered")
 	}
 
 	// Releasing an unknown module is a no-op.
@@ -149,5 +149,51 @@ func TestEnginePoolRelease(t *testing.T) {
 	p.Put(e)
 	if st := p.Stats(); st.Misses != 3 || st.Hits != 0 {
 		t.Fatalf("post-release stats %+v, want 3 misses (2 setup + 1 cold)", st)
+	}
+}
+
+// TestEnginePoolDropsPutAfterRelease pins module ownership: an engine
+// checked out when its module is released is dropped at Put, not parked
+// again, and so is one Put after the pool was Reset.
+func TestEnginePoolDropsPutAfterRelease(t *testing.T) {
+	m := buildModule(t, poolModSrc)
+	p := NewEnginePool(0)
+	for _, retire := range []func(){func() { p.Release(m) }, p.Reset} {
+		e, err := p.Get(m, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		retire()
+		p.Put(e)
+		if st := p.Stats(); st.Idle != 0 {
+			t.Fatalf("an engine of a retired module was parked: %+v", st)
+		}
+	}
+}
+
+// TestEnginePoolHasNoGlobalBound pins that many modules each keep their
+// parked engine: the pool is bounded per module, and by module ownership,
+// not by a total count.
+func TestEnginePoolHasNoGlobalBound(t *testing.T) {
+	p := NewEnginePool(1)
+	var mods []*ir.Module
+	for range 40 {
+		m := buildModule(t, poolModSrc)
+		mods = append(mods, m)
+		e, err := p.Get(m, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Put(e)
+	}
+	for _, m := range mods {
+		e, err := p.Get(m, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Put(e)
+	}
+	if st := p.Stats(); st.Hits != 40 || st.Misses != 40 || st.Idle != 40 {
+		t.Fatalf("stats %+v, want 40 hits, 40 misses, 40 idle", st)
 	}
 }

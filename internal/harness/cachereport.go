@@ -13,17 +13,19 @@ import (
 // emitted JSON keys are sorted at every level and reports from different
 // runs diff stably against each other.
 type CacheReport struct {
-	CodeCache  jit.CodeCacheStats   `json:"codeCache"`
-	EnginePool core.EnginePoolStats `json:"enginePool"`
-	Pipeline   pipeline.CacheStats  `json:"pipeline"`
+	CodeCache   jit.CodeCacheStats   `json:"codeCache"`
+	EnginePool  core.EnginePoolStats `json:"enginePool"`
+	MachinePool core.PoolStats       `json:"machinePool"`
+	Pipeline    pipeline.CacheStats  `json:"pipeline"`
 }
 
 // Caches snapshots the pipeline module cache, the executable-code cache,
-// and the engine reuse pool in one report.
+// and the engine and native machine reuse pools in one report.
 func Caches() CacheReport {
 	return CacheReport{
-		CodeCache:  sulong.CodeCacheStats(),
-		EnginePool: sulong.EnginePoolStats(),
-		Pipeline:   sulong.CacheStats(),
+		CodeCache:   sulong.CodeCacheStats(),
+		EnginePool:  sulong.EnginePoolStats(),
+		MachinePool: sulong.MachinePoolStats(),
+		Pipeline:    sulong.CacheStats(),
 	}
 }

@@ -25,6 +25,7 @@ func TestCachesJSONKeys(t *testing.T) {
 	got := regexp.MustCompile(`-?[0-9][0-9.eE+-]*`).ReplaceAllString(string(data), "0")
 	const want = `{"codeCache":{"evictions":0,"funcs":0,"hits":0,"misses":0,"units":0},` +
 		`"enginePool":{"hits":0,"idle":0,"misses":0},` +
+		`"machinePool":{"hits":0,"idle":0,"misses":0},` +
 		`"pipeline":{"entries":0,"hitRate":0,"hits":0,"misses":0}}`
 	if got != want {
 		t.Errorf("Caches() marshals as\n%s\nwant (numbers zeroed)\n%s", got, want)

@@ -32,7 +32,7 @@ type Tool struct {
 	vbits map[uint64][]byte // page -> definedness, maintained everywhere
 	live  map[uint64]int64
 	freed map[uint64]int64
-	inner nativevm.Allocator
+	inner nativevm.FreeListAlloc
 
 	heapLo, heapHi uint64
 
@@ -85,8 +85,6 @@ func New() *Tool {
 		freed:       map[uint64]int64{},
 		allocStacks: map[uint64]diag.Stack{},
 		freeStacks:  map[uint64]diag.Stack{},
-		heapLo:      nativevm.HeapBase,
-		heapHi:      nativevm.HeapBase,
 	}
 }
 
@@ -213,12 +211,34 @@ func (t *Tool) StackFree(lo, hi uint64) {}
 func (t *Tool) GlobalAlloc(addr uint64, size int64) {}
 
 // Attach implements nativevm.Tool: the default heap gets redzones and A-bit
-// bookkeeping, and every interpreted instruction pays PerInstr.
+// bookkeeping, and every interpreted instruction pays PerInstr. A tool
+// attached before starts over in place: its block tables empty, its
+// allocator and register shadow reset, and its A/V-bit pages zeroed and
+// kept (a zero byte means "absent", so a zeroed page reads exactly like a
+// missing one).
 func (t *Tool) Attach(m *nativevm.Machine) nativevm.Allocator {
 	t.m = m
-	t.inner = nativevm.NewFreeListAlloc(m.Mem)
+	t.inner.Reset(m.Mem)
+	for _, pg := range t.abits {
+		clear(pg)
+	}
+	for _, pg := range t.vbits {
+		clear(pg)
+	}
+	clear(t.live)
+	clear(t.freed)
+	clear(t.allocStacks)
+	clear(t.freeStacks)
+	t.heapLo, t.heapHi = nativevm.HeapBase, nativevm.HeapBase
+	t.regShadow, t.shadowIdx = [64]uint64{}, 0
 	m.SetPerInstr(t.PerInstr)
 	return (*mcAlloc)(t)
+}
+
+// BufferBytes is the size of the A- and V-bit pages the tool keeps across
+// Attach.
+func (t *Tool) BufferBytes() int64 {
+	return int64(len(t.abits)+len(t.vbits)) * nativemem.PageSize
 }
 
 // Redzones implements nativevm.Tool: memcheck pads only heap blocks, in its

@@ -130,3 +130,50 @@ func TestPerInstrIsCheap(t *testing.T) {
 		t.Error("register shadow never changed")
 	}
 }
+
+// TestAttachResetsInPlace pins what a machine Reset does to its memcheck
+// tool: no block, leak or register shadow survives, the heap starts over at
+// the same addresses, and the A/V-bit pages stay allocated, zeroed.
+func TestAttachResetsInPlace(t *testing.T) {
+	tool, m := attach(t)
+	live := m.Alloc.Malloc(24)
+	freed := m.Alloc.Malloc(40)
+	if err := m.Alloc.Free(freed); err != nil {
+		t.Fatal(err)
+	}
+	tool.Store(nativevm.StackTop-8, 8) // V-bits off the heap
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	kept := tool.BufferBytes()
+
+	if err := m.Reset(nativevm.Config{Tool: tool}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tool.BufferBytes(); got != kept {
+		t.Errorf("Attach kept %d bytes of A/V bits, want %d", got, kept)
+	}
+	for _, bits := range []map[uint64][]byte{tool.abits, tool.vbits} {
+		for _, pg := range bits {
+			for _, b := range pg {
+				if b != 0 {
+					t.Fatal("A/V bits survived Attach")
+				}
+			}
+		}
+	}
+	if leaks := tool.Leaks(); len(leaks) != 0 {
+		t.Errorf("Attach left %d leaks", len(leaks))
+	}
+	if len(tool.freed) != 0 || tool.shadowIdx != 0 || tool.regShadow != [64]uint64{} || tool.heapHi != nativevm.HeapBase {
+		t.Errorf("Attach left %d freed blocks, shadow index %d, heapHi %#x", len(tool.freed), tool.shadowIdx, tool.heapHi)
+	}
+	if err := m.Alloc.Free(freed); err == nil {
+		t.Error("free of a block from before Attach succeeded")
+	} else if be, ok := err.(*core.BugError); !ok || be.Kind != core.InvalidFree {
+		t.Errorf("free of a block from before Attach: %v, want an invalid free", err)
+	}
+	if again := m.Alloc.Malloc(24); again != live {
+		t.Errorf("first malloc after Attach at %#x, want %#x as on a fresh tool", again, live)
+	}
+}

@@ -36,9 +36,11 @@ func (f *Fault) Error() string {
 // shared zero page until a write faults. Reads of an untouched mapped page
 // come from one immutable zero page, so the observable bytes are identical
 // to eager zero-filling while mapping an 8 MiB stack appends one span.
+// Reset unmaps everything but keeps the backing buffers for reuse.
 type Memory struct {
 	pages map[uint64][]byte // backing of written pages only
 	spans []span            // mapped pages: sorted, disjoint, never adjacent
+	spare [][]byte          // backing of pages written before Reset, dirty
 }
 
 type span struct{ first, last uint64 } // inclusive page numbers
@@ -50,6 +52,24 @@ var zeroPage [PageSize]byte
 // New returns an empty address space (everything unmapped; address 0 traps).
 func New() *Memory {
 	return &Memory{pages: make(map[uint64][]byte, 64)}
+}
+
+// Reset unmaps the whole address space, as New leaves it. Written pages
+// move to a spare list (they must leave pages: rdPage consults it before
+// the spans, so a kept page would make an unmapped address readable), and
+// wrPage clears one before handing it out again.
+func (m *Memory) Reset() {
+	for _, pg := range m.pages {
+		m.spare = append(m.spare, pg)
+	}
+	clear(m.pages)
+	m.spans = m.spans[:0]
+}
+
+// BufferBytes is the size of the page backing the memory holds, written and
+// spare.
+func (m *Memory) BufferBytes() int64 {
+	return int64(len(m.pages)+len(m.spare)) * PageSize
 }
 
 // Map makes [addr, addr+size) accessible, zero-filled. Partial pages round
@@ -109,7 +129,13 @@ func (m *Memory) wrPage(addr uint64) []byte {
 	if m.spanOf(p) < 0 {
 		return nil
 	}
-	pg := make([]byte, PageSize)
+	var pg []byte
+	if n := len(m.spare); n > 0 {
+		pg, m.spare = m.spare[n-1], m.spare[:n-1]
+		clear(pg)
+	} else {
+		pg = make([]byte, PageSize)
+	}
 	m.pages[p] = pg
 	return pg
 }

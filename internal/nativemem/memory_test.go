@@ -147,11 +147,52 @@ func TestStackMapIsLazy(t *testing.T) {
 	}
 }
 
+// TestResetUnmapsWrittenPages pins Reset against the page map: a page
+// written before Reset and not mapped again after it faults on read and on
+// write, and a page mapped again reads zero though its old backing is
+// reused.
+func TestResetUnmapsWrittenPages(t *testing.T) {
+	m := New()
+	m.Map(0x1000, 2*PageSize)
+	for _, a := range []uint64{0x1000, 0x2000} {
+		if f := m.Store(a+8, 8, 0xdeadbeef); f != nil {
+			t.Fatal(f)
+		}
+	}
+	m.Reset()
+	if got := m.BufferBytes(); got != 2*PageSize {
+		t.Errorf("Reset keeps %d bytes of backing, want %d", got, 2*PageSize)
+	}
+	if _, f := m.Load(0x1008, 8); f == nil {
+		t.Error("read of a page written before Reset and not re-mapped must fault")
+	}
+	if f := m.Store(0x1008, 8, 1); f == nil || !f.Write {
+		t.Errorf("write to a page written before Reset and not re-mapped: %v", f)
+	}
+	m.Map(0x2000, PageSize)
+	if v, f := m.Load(0x2008, 8); f != nil || v != 0 {
+		t.Errorf("re-mapped page reads %#x, %v; want 0", v, f)
+	}
+	if f := m.Store(0x2000, 1, 7); f != nil {
+		t.Fatal(f)
+	}
+	if v, f := m.Load(0x2008, 8); f != nil || v != 0 {
+		t.Errorf("re-mapped page after its first write reads %#x, %v; want 0", v, f)
+	}
+	if got := m.BufferBytes(); got != 2*PageSize {
+		t.Errorf("a write after Reset allocated: %d bytes of backing, want %d", got, 2*PageSize)
+	}
+}
+
 // refMemory is the reference model the span representation is checked
 // against: a set of mapped pages plus a byte map, every access byte by byte.
 type refMemory struct {
 	mapped map[uint64]bool
 	bytes  map[uint64]byte
+}
+
+func (r *refMemory) Reset() {
+	r.mapped, r.bytes = map[uint64]bool{}, map[uint64]byte{}
 }
 
 func (r *refMemory) Map(addr, size uint64) {
@@ -214,7 +255,8 @@ var opWindows = []uint64{0, 0x10000, stackLo - 4*PageSize, stackTop - 4*PageSize
 func TestMemoryMatchesReference(t *testing.T) {
 	check := func(stackFirst bool, ops []memOp) bool {
 		m := New()
-		r := &refMemory{mapped: map[uint64]bool{}, bytes: map[uint64]byte{}}
+		r := &refMemory{}
+		r.Reset()
 		// bump models FreeListAlloc: consecutive blocks from below the stack,
 		// allowed (by its 2 GiB limit) to grow into it.
 		bump := uint64(stackLo - 3*PageSize)
@@ -231,7 +273,7 @@ func TestMemoryMatchesReference(t *testing.T) {
 			addr := opWindows[int(op.Region)%len(opWindows)] + off
 			size := []int64{1, 2, 4, 8}[op.Size%4]
 			var got, want string
-			switch op.Kind % 8 {
+			switch op.Kind % 9 {
 			case 0, 1:
 				n := uint64(op.Len) % (3 * PageSize)
 				m.Map(addr, n)
@@ -278,6 +320,10 @@ func TestMemoryMatchesReference(t *testing.T) {
 				got = fmt.Sprint(s, f)
 				s, f = r.cstring(addr, int64(op.Len%64))
 				want = fmt.Sprint(s, f)
+			case 8:
+				m.Reset()
+				r.Reset()
+				bump = stackLo - 3*PageSize
 			}
 			if got != want {
 				t.Logf("op %d %+v at %#x: got %s, want %s", i, op, addr, got, want)

@@ -21,13 +21,22 @@ type FreeListAlloc struct {
 
 // NewFreeListAlloc builds the default allocator over the heap segment.
 func NewFreeListAlloc(mem *nativemem.Memory) *FreeListAlloc {
-	return &FreeListAlloc{
-		mem:   mem,
-		next:  HeapBase,
-		limit: HeapBase + (1 << 31),
-		free:  map[int64][]uint64{},
-		sizes: map[uint64]int64{},
+	a := &FreeListAlloc{}
+	a.Reset(mem)
+	return a
+}
+
+// Reset empties the heap over mem, as NewFreeListAlloc(mem) builds it,
+// keeping the allocator's maps. It readies a zero FreeListAlloc too.
+func (a *FreeListAlloc) Reset(mem *nativemem.Memory) {
+	a.mem = mem
+	a.next = HeapBase
+	a.limit = HeapBase + (1 << 31)
+	if a.free == nil {
+		a.free, a.sizes = map[int64][]uint64{}, map[uint64]int64{}
 	}
+	clear(a.free)
+	clear(a.sizes)
 }
 
 func roundClass(size int64) int64 {

@@ -186,6 +186,10 @@ type Machine struct {
 	sp         uint64
 	stackLow   uint64
 	inj        *fault.Injector // heap budget + fault schedule (nil-safe)
+	// own is the bare-native heap (unused under a tool); gate is the
+	// budget gate Alloc points at. Both are kept across Reset.
+	own  FreeListAlloc
+	gate gatedAlloc
 	// loopSlots holds the live frames' re-executable alloca slots. Calls
 	// nest LIFO, so the running frame owns loopSlots[fr.slotBase:] and the
 	// call epilogue truncates back to it.
@@ -215,10 +219,13 @@ type Machine struct {
 	// (the mirror is pure observation — native execution never checks it).
 	Types      memdesc.Table
 	trackTypes bool
-	hardened   bool
-	descs      memdesc.Memo
-	typeStrs   map[string]uint64
-	typeStrCur uint64
+	// introspects is moduleWantsIntrospection(Mod), a fact of the module,
+	// worked out once in New.
+	introspects bool
+	hardened    bool
+	descs       memdesc.Memo
+	typeStrs    map[string]uint64
+	typeStrCur  uint64
 
 	// Shadow call stack: the machine analogue of a debugger unwinding the
 	// real stack. callStack holds one frame per live call edge (caller
@@ -236,51 +243,87 @@ type Machine struct {
 // (0 before Run builds the argument block).
 func (m *Machine) EnvpAddr() uint64 { return m.envpAddr }
 
-// New builds a machine and lays out globals, stack, and the argv block.
+// New builds a machine and lays out globals, stack, and the argv block:
+// empty buffers, then Reset.
 func New(mod *ir.Module, cfg Config) (*Machine, error) {
 	m := &Machine{
-		Mem:        nativemem.New(),
-		Mod:        mod,
-		cfg:        cfg,
-		tool:       cfg.Tool,
-		libc:       cfg.Libc,
-		globalAddr: map[string]uint64{},
-		maxSteps:   cfg.MaxSteps,
-		gov:        cfg.Governor,
-		RandState:  1,
-		Ungot:      -2,
+		Mem:         nativemem.New(),
+		Mod:         mod,
+		globalAddr:  map[string]uint64{},
+		Stdout:      bufio.NewWriter(nil),
+		Stdin:       bufio.NewReader(nil),
+		introspects: moduleWantsIntrospection(mod),
 	}
+	m.gate.charged = map[uint64]int64{}
+	if err := m.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Reset returns m to the state New(m.Mod, cfg) builds, for another run. It
+// keeps the machine's buffers — memory pages, the stdio buffers, the
+// allocator maps and the loop-slot stack — and rebuilds everything else:
+// the fault injector, the stack span, the globals, the type mirror and
+// libc's private state. cfg.Tool is attached afresh; a tool resets its own
+// per-run state in Attach, so passing the machine's previous tool reuses
+// its shadow buffers too. A failed Reset leaves m unusable.
+func (m *Machine) Reset(cfg Config) error {
+	m.Mem.Reset()
+	m.cfg = cfg
+	m.tool = cfg.Tool
+	m.libc = cfg.Libc
+	m.libcChecker = nil
+	m.stackRedzone, m.globalRedzone = 0, 0
+	clear(m.globalAddr)
+	m.perInstr = nil
+	m.loopSlots = m.loopSlots[:0]
+	m.steps, m.depth = 0, 0
+	m.maxSteps = cfg.MaxSteps
 	if m.maxSteps == 0 {
 		m.maxSteps = 2_000_000_000
 	}
+	m.gov = cfg.Governor
+	m.StrtokSave, m.RandState, m.Ungot = 0, 1, -2
+	m.envpAddr = 0
+	m.Types = memdesc.Table{}
+	m.descs = memdesc.Memo{}
+	m.typeStrs, m.typeStrCur = nil, 0
+	m.callStack, m.curFn, m.curLine, m.inLib = diag.Stack{}, "", 0, false
+
+	m.sink.Reset()
 	out := cfg.Stdout
 	if out == nil {
 		out = &m.sink
 	}
-	m.Stdout = bufio.NewWriter(out)
+	m.Stdout.Reset(out)
 	in := cfg.Stdin
 	if in == nil {
 		in = strings.NewReader("")
 	}
-	m.Stdin = bufio.NewReader(in)
+	m.Stdin.Reset(in)
 
 	m.inj = fault.NewInjector(cfg.FaultPlan, fault.Budget{
 		MaxHeapBytes:  cfg.MaxHeapBytes,
 		MaxAllocBytes: cfg.MaxAllocBytes,
 	})
+	var inner Allocator
 	if m.tool != nil {
-		m.Alloc = m.tool.Attach(m)
+		inner = m.tool.Attach(m)
 		m.stackRedzone, m.globalRedzone = m.tool.Redzones()
 		if m.tool.SeesLibc() {
 			m.libcChecker = m.tool
 		}
 	} else {
-		m.Alloc = NewFreeListAlloc(m.Mem)
+		m.own.Reset(m.Mem)
+		inner = &m.own
 	}
 	// One gate in front of whichever allocator the tool installed: budgets
 	// and fault schedules apply before redzones/quarantine ever see the
 	// request, so all four engines observe identical allocation outcomes.
-	m.Alloc = &gatedAlloc{inner: m.Alloc, inj: m.inj, charged: map[uint64]int64{}}
+	m.gate.inner, m.gate.inj = inner, m.inj
+	clear(m.gate.charged)
+	m.Alloc = &m.gate
 
 	// Stack.
 	m.Mem.Map(StackTop-StackSize, StackSize)
@@ -288,17 +331,17 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 	m.stackLow = StackTop - StackSize
 
 	m.hardened = cfg.Hardened
-	m.trackTypes = cfg.Hardened || moduleWantsIntrospection(mod)
+	m.trackTypes = cfg.Hardened || m.introspects
 
-	if err := m.layoutGlobals(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return m.layoutGlobals()
 }
 
 // Tool returns the attached tool (nil for raw native). Code shared by every
 // machine, such as ASan's libc interceptors, finds its run's tool here.
 func (m *Machine) Tool() Tool { return m.tool }
+
+// Libc returns the machine's libc binding (Config.Libc).
+func (m *Machine) Libc() map[string]LibFunc { return m.libc }
 
 // LibcChecker returns the checker libc's own accesses go through: the tool
 // when it sees libc (Tool.SeesLibc), else nil.

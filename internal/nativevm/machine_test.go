@@ -1,6 +1,7 @@
 package nativevm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -260,5 +261,63 @@ entry:
 `, Config{})
 	if err != nil || code != 1 {
 		t.Errorf("got (%d, %v)", code, err)
+	}
+}
+
+// TestResetMatchesNew pins Machine.Reset against New: a run that mutated a
+// global, the heap and libc's private state, then a Reset with other
+// arguments, gives the run a fresh machine gives, and keeps the page
+// buffers.
+func TestResetMatchesNew(t *testing.T) {
+	mod := build(t, `module "t"
+global @g i64 = int 7
+func @main fn() i32 regs 3 {
+entry:
+  %r0 = load i64, @g
+  %r1 = add i64 %r0, 1
+  store i64 %r1, @g
+  %r2 = trunc i64 %r1 to i32
+  ret i32 %r2
+}
+`)
+	m, err := New(mod, Config{Args: []string{"a", "b"}, MaxSteps: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, err := m.Run(); err != nil || code != 8 {
+		t.Fatalf("run 1: (%d, %v), want 8", code, err)
+	}
+	heap := m.Alloc.Malloc(64)
+	if m.Mem.Store(heap, 8, 1) != nil {
+		t.Fatal("heap store faulted")
+	}
+	m.StrtokSave, m.RandState, m.Ungot = heap, 99, 'x'
+	fmt.Fprint(m.Stdout, "dirty")
+	kept := m.Mem.BufferBytes()
+
+	if err := m.Reset(Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Mem.BufferBytes(); got != kept {
+		t.Errorf("Reset kept %d bytes of pages, want %d", got, kept)
+	}
+	if m.Mem.Mapped(heap, 1) {
+		t.Error("a heap block from before Reset is still mapped")
+	}
+	if m.StrtokSave != 0 || m.RandState != 1 || m.Ungot != -2 {
+		t.Errorf("libc state after Reset: strtok %#x, rand %d, ungot %d", m.StrtokSave, m.RandState, m.Ungot)
+	}
+	code, err := m.Run()
+	fresh, ferr := New(mod, Config{})
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	wantCode, wantErr := fresh.Run()
+	if code != wantCode || err != wantErr || m.Steps() != fresh.Steps() || m.Output() != fresh.Output() {
+		t.Errorf("reset run (%d, %v, %d steps, %q) != fresh run (%d, %v, %d steps, %q)",
+			code, err, m.Steps(), m.Output(), wantCode, wantErr, fresh.Steps(), fresh.Output())
+	}
+	if got := m.Alloc.Malloc(64); got != heap {
+		t.Errorf("first malloc after Reset at %#x, want %#x", got, heap)
 	}
 }

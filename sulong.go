@@ -32,6 +32,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ir"
 	"repro/internal/jit"
+	"repro/internal/nativevm"
 	"repro/internal/pipeline"
 )
 
@@ -109,12 +110,12 @@ type Config struct {
 	// NoCache bypasses every process-wide reuse layer. A compile runs every
 	// pipeline stage from scratch, the managed libc's included, and the
 	// caller owns the resulting module exclusively (it may be mutated
-	// freely). A run constructs a fresh engine instead of taking one from
-	// the reset/reuse pool, and tier-1 compiles its closures instead of
-	// sharing them through the executable-code cache — the cold baseline
-	// the warm-vs-cold parity suite compares against. The layers are on by
-	// default; modules the module cache returns are shared and must not be
-	// mutated.
+	// freely). A run constructs a fresh engine or native machine instead
+	// of resetting one from the reuse pools, and tier-1 compiles its
+	// closures instead of sharing them through the executable-code cache —
+	// the cold baseline the warm-vs-cold parity suite compares against. The
+	// layers are on by default; modules the module cache returns are shared
+	// and must not be mutated.
 	NoCache bool
 
 	// MaxSteps bounds execution (0 = engine default). The budget is
@@ -226,15 +227,23 @@ func CompileOnly(src string) (*ir.Module, error) {
 // CacheStats snapshots the process-wide module cache counters.
 func CacheStats() pipeline.CacheStats { return pipeline.Default.Stats() }
 
-// ResetCache drops every cached module (cold-start measurements and tests).
-func ResetCache() { pipeline.Default.Reset() }
+// ResetCache drops every cached module, and the engines and machines parked
+// for them, zeroing the pools' counters (cold-start measurements and tests).
+func ResetCache() {
+	pipeline.Default.Reset()
+	resetPools()
+}
 
-// The back-end reuse layer: one executable-code cache and one engine pool
-// for the whole process, mirroring pipeline.Default on the front end.
-// Config.NoCache opts a run out of both.
+// The back-end reuse layer: one executable-code cache, one engine pool and
+// one machine pool for the whole process, mirroring pipeline.Default on the
+// front end. Config.NoCache opts a run out of all three.
 var (
 	codeCache  = jit.NewCodeCache(0)
 	enginePool = core.NewEnginePool(0)
+	// machinePool parks native-family machines by (module, engine): ASan,
+	// memcheck and bare native at -O0 run one module, each on its own
+	// machines.
+	machinePool = core.NewPool[Engine, *nativevm.Machine](0)
 )
 
 // CodeCacheStats snapshots the process-wide executable-code cache counters.
@@ -243,21 +252,30 @@ func CodeCacheStats() jit.CodeCacheStats { return codeCache.Stats() }
 // EnginePoolStats snapshots the engine reuse pool counters.
 func EnginePoolStats() core.EnginePoolStats { return enginePool.Stats() }
 
-// ResetCodeCache drops every cached compiled unit and pooled engine and
-// zeroes their counters (cold-start measurements and tests).
+// MachinePoolStats snapshots the native machine reuse pool counters.
+func MachinePoolStats() core.PoolStats { return machinePool.Stats() }
+
+// ResetCodeCache drops every cached compiled unit, pooled engine and pooled
+// machine and zeroes their counters (cold-start measurements and tests).
 func ResetCodeCache() {
 	codeCache.Reset()
+	resetPools()
+}
+
+func resetPools() {
 	enginePool.Reset()
+	machinePool.Reset()
 }
 
 // ReleaseModule retires mod from every process-wide reuse layer: the module
-// cache, the executable-code cache, and the engine pool. Callers that know a
-// module will never run again — harness.RunOnce, after the last run of a
-// program that runs only once — use it to implement "compile once, run
-// many, then release": the caches carry the module across its own
-// runs but never accumulate one-shot programs. Releasing is always safe,
-// merely a cache eviction — a later run of the same source recompiles — and
-// concurrent runs of mod are unaffected.
+// cache, the executable-code cache, and the engine and machine pools.
+// Callers that know a module will never run again — harness.RunOnce, after
+// the last run of a program that runs only once — use it to implement
+// "compile once, run many, then release": the caches carry the module
+// across its own runs but never accumulate one-shot programs. Releasing is
+// always safe, merely a cache eviction — a later run of the same source
+// recompiles — and concurrent runs of mod are unaffected; the engines and
+// machines they finish with are dropped, not parked.
 func ReleaseModule(mod *ir.Module) {
 	if mod == nil {
 		return
@@ -265,6 +283,7 @@ func ReleaseModule(mod *ir.Module) {
 	pipeline.Default.Release(mod)
 	codeCache.ReleaseModule(mod)
 	enginePool.Release(mod)
+	machinePool.Release(mod)
 }
 
 // Run compiles and executes a C program under the configured engine.
