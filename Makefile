@@ -67,10 +67,14 @@ faultcheck:
 # configuration (native anchors, sanitized engines, each managed tiering
 # mode) with zero tolerated bail-outs, the tier-parity table's benchmark
 # rows and its tier-2 legality rows (hoisted check, coalesced run,
-# use-after-free under coalescing) in every tier, plan and cache state, and
-# frame-pool reuse after a fault — all under the race detector.
+# use-after-free under coalescing) in every tier, plan and cache state,
+# frame-pool reuse after a fault, and the native machine's golden digest
+# (every corpus case under every native column and plan, the benchmark
+# programs at their peak sizes, and step-limit windows: stdout, exit,
+# Steps, reports, leaks and heap counters byte-identical) — all under the
+# race detector.
 perfcheck:
-	$(GO) test -race -timeout 120s -run 'PerfCheck|TierParityBenchmarks|HoistedCheck|CoalescedRun|UnderCoalescing|FramePoolFaultReuse' ./...
+	$(GO) test -race -timeout 120s -run 'PerfCheck|TierParityBenchmarks|HoistedCheck|CoalescedRun|UnderCoalescing|FramePoolFaultReuse|NativeGolden' ./...
 
 # Tiering gate: the asynchronous pipeline under the race detector — the
 # tier-parity table's async+OSR slices (corpus rows with background compile

@@ -33,9 +33,10 @@ func TestMakefileGateTermsMatch(t *testing.T) {
 
 // TestParityTestsHaveAGate is the converse for the tier-parity table, the
 // tier-2 fault programs, the code cache's, the engine pool's and the
-// machine pool's suites, the tiering suite and the campaign's suite: every
-// top-level Test in their files matches a `-run` term of a gate that tests
-// the file's package, so none of them runs only outside the race detector.
+// machine pool's suites, the native golden digest, the tiering suite and
+// the campaign's suite: every top-level Test in their files matches a
+// `-run` term of a gate that tests the file's package, so none of them runs
+// only outside the race detector.
 func TestParityTestsHaveAGate(t *testing.T) {
 	gates := makefileGateTerms(t)
 	fset := token.NewFileSet()
@@ -45,6 +46,7 @@ func TestParityTestsHaveAGate(t *testing.T) {
 		"irroundtrip_test.go",
 		"libcshare_test.go",
 		"machinepool_test.go",
+		"nativegolden_test.go",
 		"internal/jit/codecache_test.go",
 		"internal/core/tierup_test.go",
 		"internal/core/enginepool_test.go",

@@ -105,16 +105,25 @@ func (t *Tool) state(addr uint64) byte {
 	return pg[addr%nativemem.PageSize]
 }
 
+// setState sets the shadow of [addr, addr+size) to s, one page lookup per
+// page the range touches. Every page it touches gets a shadow page, even
+// for shadowValid.
 func (t *Tool) setState(addr uint64, size int64, s byte) {
 	t.m.AddSteps(size / 8)
-	for i := int64(0); i < size; i++ {
-		a := addr + uint64(i)
-		pg, ok := t.shadow[a/nativemem.PageSize]
+	for size > 0 {
+		idx, off := addr/nativemem.PageSize, addr%nativemem.PageSize
+		pg, ok := t.shadow[idx]
 		if !ok {
 			pg = make([]byte, nativemem.PageSize)
-			t.shadow[a/nativemem.PageSize] = pg
+			t.shadow[idx] = pg
 		}
-		pg[a%nativemem.PageSize] = s
+		n := min(uint64(size), nativemem.PageSize-off)
+		seg := pg[off : off+n]
+		for i := range seg {
+			seg[i] = s
+		}
+		addr += n
+		size -= int64(n)
 	}
 }
 

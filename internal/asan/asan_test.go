@@ -269,3 +269,55 @@ func @main fn() i32 regs 1 { entry: ret i32 0 }
 		t.Errorf("first malloc after Attach at %#x, want %#x as on a fresh tool", again, live)
 	}
 }
+
+// TestSetStateMatchesPerByte poisons and unpoisons page-straddling ranges
+// and checks the shadow against a per-byte reference: every byte's state,
+// the set of shadow pages (a touched page gets one even when the range is
+// valid), and the steps charged (size/8 per range).
+func TestSetStateMatchesPerByte(t *testing.T) {
+	tool := newTool(t)
+	const base = uint64(0x5000_0000)
+	ref := map[uint64]byte{}
+	refPages := map[uint64]bool{}
+	for k := range tool.shadow {
+		refPages[k] = true
+	}
+	ranges := []struct {
+		off  uint64
+		size int64
+		s    byte
+	}{
+		{nativemem.PageSize - 5, 10, shadowHeapRedzone},
+		{0, 3*nativemem.PageSize + 7, shadowFreed},
+		{nativemem.PageSize - 1, 2, shadowValid},
+		{2*nativemem.PageSize + 100, nativemem.PageSize, shadowStackRedzone},
+		{5 * nativemem.PageSize, 0, shadowFreed},
+		{6*nativemem.PageSize - 3, 3, shadowGlobalRedzone},
+		{7*nativemem.PageSize + 10, 20, shadowValid},
+	}
+	for _, r := range ranges {
+		steps := tool.m.Steps()
+		tool.setState(base+r.off, r.size, r.s)
+		if got, want := tool.m.Steps()-steps, r.size/8; got != want {
+			t.Errorf("setState(+%d, %d) charged %d steps, want %d", r.off, r.size, got, want)
+		}
+		for i := int64(0); i < r.size; i++ {
+			a := base + r.off + uint64(i)
+			ref[a] = r.s
+			refPages[a/nativemem.PageSize] = true
+		}
+	}
+	for a := base; a < base+8*nativemem.PageSize; a++ {
+		if got, want := tool.state(a), ref[a]; got != want {
+			t.Fatalf("shadow at +%d = %d, want %d", a-base, got, want)
+		}
+	}
+	if len(tool.shadow) != len(refPages) {
+		t.Errorf("%d shadow pages, want %d", len(tool.shadow), len(refPages))
+	}
+	for p := range refPages {
+		if _, ok := tool.shadow[p]; !ok {
+			t.Errorf("no shadow page %#x", p)
+		}
+	}
+}

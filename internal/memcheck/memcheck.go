@@ -96,16 +96,24 @@ func (t *Tool) aState(addr uint64) byte {
 	return pg[addr%nativemem.PageSize]
 }
 
+// setA sets the A-bits of [addr, addr+size) to v, one page lookup per page
+// the range touches.
 func (t *Tool) setA(addr uint64, size int64, v byte) {
 	t.m.AddSteps(size / 8)
-	for i := int64(0); i < size; i++ {
-		a := addr + uint64(i)
-		pg, ok := t.abits[a/nativemem.PageSize]
+	for size > 0 {
+		idx, off := addr/nativemem.PageSize, addr%nativemem.PageSize
+		pg, ok := t.abits[idx]
 		if !ok {
 			pg = make([]byte, nativemem.PageSize)
-			t.abits[a/nativemem.PageSize] = pg
+			t.abits[idx] = pg
 		}
-		pg[a%nativemem.PageSize] = v
+		n := min(uint64(size), nativemem.PageSize-off)
+		seg := pg[off : off+n]
+		for i := range seg {
+			seg[i] = v
+		}
+		addr += n
+		size -= int64(n)
 	}
 }
 
@@ -211,7 +219,7 @@ func (t *Tool) StackFree(lo, hi uint64) {}
 func (t *Tool) GlobalAlloc(addr uint64, size int64) {}
 
 // Attach implements nativevm.Tool: the default heap gets redzones and A-bit
-// bookkeeping, and every interpreted instruction pays PerInstr. A tool
+// bookkeeping, and every executed instruction pays PerInstr. A tool
 // attached before starts over in place: its block tables empty, its
 // allocator and register shadow reset, and its A/V-bit pages zeroed and
 // kept (a zero byte means "absent", so a zeroed page reads exactly like a

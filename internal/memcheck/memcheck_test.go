@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/nativemem"
 	"repro/internal/nativevm"
 )
 
@@ -32,7 +33,7 @@ func @main fn() i32 regs 1 { entry: ret i32 0 }
 }
 
 // TestAttachInstallsPerInstr pins the hook Attach installs: every
-// interpreted instruction pays memcheck's register-shadow work once.
+// executed instruction pays memcheck's register-shadow work once.
 func TestAttachInstallsPerInstr(t *testing.T) {
 	tool, m := attach(t)
 	if _, err := m.Run(); err != nil {
@@ -175,5 +176,56 @@ func TestAttachResetsInPlace(t *testing.T) {
 	}
 	if again := m.Alloc.Malloc(24); again != live {
 		t.Errorf("first malloc after Attach at %#x, want %#x as on a fresh tool", again, live)
+	}
+}
+
+// TestSetAMatchesPerByte sets A-bits over page-straddling ranges and checks
+// them against a per-byte reference: every byte's bit, the set of A-bit
+// pages, and the steps charged (size/8 per range).
+func TestSetAMatchesPerByte(t *testing.T) {
+	tool, m := attach(t)
+	const base = uint64(0x5000_0000)
+	ref := map[uint64]byte{}
+	refPages := map[uint64]bool{}
+	for k := range tool.abits {
+		refPages[k] = true
+	}
+	ranges := []struct {
+		off  uint64
+		size int64
+		v    byte
+	}{
+		{nativemem.PageSize - 5, 10, 1},
+		{0, 3*nativemem.PageSize + 7, 1},
+		{nativemem.PageSize - 1, 2, 0},
+		{2*nativemem.PageSize + 100, nativemem.PageSize, 0},
+		{5 * nativemem.PageSize, 0, 1},
+		{6*nativemem.PageSize - 3, 3, 1},
+		{7*nativemem.PageSize + 10, 20, 0},
+	}
+	for _, r := range ranges {
+		steps := m.Steps()
+		tool.setA(base+r.off, r.size, r.v)
+		if got, want := m.Steps()-steps, r.size/8; got != want {
+			t.Errorf("setA(+%d, %d) charged %d steps, want %d", r.off, r.size, got, want)
+		}
+		for i := int64(0); i < r.size; i++ {
+			a := base + r.off + uint64(i)
+			ref[a] = r.v
+			refPages[a/nativemem.PageSize] = true
+		}
+	}
+	for a := base; a < base+8*nativemem.PageSize; a++ {
+		if got, want := tool.aState(a), ref[a]; got != want {
+			t.Fatalf("A-bit at +%d = %d, want %d", a-base, got, want)
+		}
+	}
+	if len(tool.abits) != len(refPages) {
+		t.Errorf("%d A-bit pages, want %d", len(tool.abits), len(refPages))
+	}
+	for p := range refPages {
+		if _, ok := tool.abits[p]; !ok {
+			t.Errorf("no A-bit page %#x", p)
+		}
 	}
 }

@@ -7,6 +7,7 @@
 package nativemem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -41,6 +42,18 @@ type Memory struct {
 	pages map[uint64][]byte // backing of written pages only
 	spans []span            // mapped pages: sorted, disjoint, never adjacent
 	spare [][]byte          // backing of pages written before Reset, dirty
+	// recent is a direct-mapped cache in front of pages, indexed by page
+	// number modulo its size. It holds written pages only, never the
+	// shared zero page, so a write can never find a stale entry.
+	recent [recentPages]recentPage
+}
+
+// recentPages is the size of Memory's written-page cache.
+const recentPages = 64
+
+type recentPage struct {
+	p  uint64
+	pg []byte // nil: empty
 }
 
 type span struct{ first, last uint64 } // inclusive page numbers
@@ -64,6 +77,7 @@ func (m *Memory) Reset() {
 	}
 	clear(m.pages)
 	m.spans = m.spans[:0]
+	m.recent = [recentPages]recentPage{}
 }
 
 // BufferBytes is the size of the page backing the memory holds, written and
@@ -110,7 +124,7 @@ func (m *Memory) spanOf(p uint64) int {
 // untouched, nil when unmapped.
 func (m *Memory) rdPage(addr uint64) []byte {
 	p := addr / PageSize
-	if pg, ok := m.pages[p]; ok {
+	if pg := m.written(p); pg != nil {
 		return pg
 	}
 	if m.spanOf(p) < 0 {
@@ -123,7 +137,7 @@ func (m *Memory) rdPage(addr uint64) []byte {
 // on first write; nil when unmapped.
 func (m *Memory) wrPage(addr uint64) []byte {
 	p := addr / PageSize
-	if pg, ok := m.pages[p]; ok {
+	if pg := m.written(p); pg != nil {
 		return pg
 	}
 	if m.spanOf(p) < 0 {
@@ -137,6 +151,20 @@ func (m *Memory) wrPage(addr uint64) []byte {
 		pg = make([]byte, PageSize)
 	}
 	m.pages[p] = pg
+	m.recent[p%recentPages] = recentPage{p, pg}
+	return pg
+}
+
+// written returns the backing of page p if it has been written, else nil.
+func (m *Memory) written(p uint64) []byte {
+	e := &m.recent[p%recentPages]
+	if e.pg != nil && e.p == p {
+		return e.pg
+	}
+	pg := m.pages[p]
+	if pg != nil {
+		*e = recentPage{p, pg}
+	}
 	return pg
 }
 
@@ -149,6 +177,15 @@ func (m *Memory) Load(addr uint64, size int64) (uint64, *Fault) {
 	}
 	off := addr % PageSize
 	if off+uint64(size) <= PageSize {
+		b := pg[off:]
+		switch size {
+		case 8:
+			return binary.LittleEndian.Uint64(b), nil
+		case 4:
+			return uint64(binary.LittleEndian.Uint32(b)), nil
+		case 1:
+			return uint64(b[0]), nil
+		}
 		var v uint64
 		for i := int64(0); i < size; i++ {
 			v |= uint64(pg[off+uint64(i)]) << (8 * uint(i))
@@ -175,6 +212,18 @@ func (m *Memory) Store(addr uint64, size int64, v uint64) *Fault {
 	}
 	off := addr % PageSize
 	if off+uint64(size) <= PageSize {
+		b := pg[off:]
+		switch size {
+		case 8:
+			binary.LittleEndian.PutUint64(b, v)
+			return nil
+		case 4:
+			binary.LittleEndian.PutUint32(b, uint32(v))
+			return nil
+		case 1:
+			b[0] = byte(v)
+			return nil
+		}
 		for i := int64(0); i < size; i++ {
 			pg[off+uint64(i)] = byte(v >> (8 * uint(i)))
 		}

@@ -336,3 +336,52 @@ func TestMemoryMatchesReference(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRecentPageAfterFirstWrite reads an unwritten page (served by the
+// shared zero page, which the written-page cache never holds), writes it,
+// and reads the written bytes back, on the same page and on one that
+// shares its cache entry.
+func TestRecentPageAfterFirstWrite(t *testing.T) {
+	m := New()
+	const a, b = uint64(0x40_0000), uint64(0x40_0000 + recentPages*PageSize)
+	m.Map(a, PageSize)
+	m.Map(b, PageSize)
+	for _, addr := range []uint64{a, b, a} {
+		if v, f := m.Load(addr+8, 8); v != 0 || f != nil {
+			t.Fatalf("unwritten %#x: (%d, %v), want (0, nil)", addr, v, f)
+		}
+		if f := m.Store(addr+8, 8, addr); f != nil {
+			t.Fatal(f)
+		}
+		if v, f := m.Load(addr+8, 8); v != addr || f != nil {
+			t.Fatalf("written %#x: (%#x, %v), want (%#x, nil)", addr, v, f, addr)
+		}
+		m.Reset()
+		m.Map(a, PageSize)
+		m.Map(b, PageSize)
+	}
+	if zeroPage != [PageSize]byte{} {
+		t.Fatal("a write reached the shared zero page")
+	}
+}
+
+// TestRecentPageUnmappedAfterReset writes a page, which the written-page
+// cache then holds, resets, and checks that the address faults again.
+func TestRecentPageUnmappedAfterReset(t *testing.T) {
+	m := New()
+	const addr = uint64(0x40_0000)
+	m.Map(addr, PageSize)
+	if f := m.Store(addr, 4, 7); f != nil {
+		t.Fatal(f)
+	}
+	if v, _ := m.Load(addr, 4); v != 7 {
+		t.Fatalf("load = %d, want 7", v)
+	}
+	m.Reset()
+	if _, f := m.Load(addr, 4); f == nil {
+		t.Error("read of an unmapped address after Reset did not fault")
+	}
+	if f := m.Store(addr, 4, 7); f == nil {
+		t.Error("write to an unmapped address after Reset did not fault")
+	}
+}

@@ -21,6 +21,9 @@ import (
 	"repro/internal/nativemem"
 )
 
+// maxKeptRegs bounds the register stack a machine keeps across Reset.
+const maxKeptRegs = 1 << 16
+
 // Address-space layout (lower 47 bits, AMD64-style).
 const (
 	GlobalBase = uint64(0x0000_0000_0001_0000)
@@ -63,12 +66,19 @@ type Frame struct {
 	VaBase  uint64 // start of this call's variadic area (0 if none)
 	VaCount int
 	savedSP uint64
-	frameLo uint64 // lowest sp reached by this frame's allocas
 	// stackBytes is the charged size of this frame's allocas; returned to
 	// the fault injector's budget in the call epilogue (sp restore).
 	stackBytes int64
 	// slotBase is where this frame's entries start in Machine.loopSlots.
 	slotBase int
+	// regBase is where Regs starts on the machine's register stack.
+	regBase int
+	// ctx is the CallCtx of the library call this frame is making.
+	ctx CallCtx
+	// next is the block the running block's terminator chose, or -1 when
+	// it returned ret.
+	next int
+	ret  Value
 }
 
 // loopSlot is the address a constant-size alloca outside its function's
@@ -181,11 +191,24 @@ type Machine struct {
 	stackRedzone  int64
 	globalRedzone int64
 
-	globalAddr map[string]uint64
-	perInstr   func(op int)
-	sp         uint64
-	stackLow   uint64
-	inj        *fault.Injector // heap budget + fault schedule (nil-safe)
+	// globals holds each module global's address, by global number.
+	globals []uint64
+	// libcFuncs binds each declared function, by function index, to its
+	// Config.Libc implementation (nil: unresolved).
+	libcFuncs []LibFunc
+	// funcs holds each function's closures, by function index, lowered
+	// block by block as blocks are first entered (compile.go). They depend
+	// only on Mod, so they are kept across Reset.
+	funcs []*funcCode
+	// frames and regs are the live frames' records and register windows,
+	// reused from call to call; regTop is the first free register.
+	frames   []*Frame
+	regs     []Value
+	regTop   int
+	perInstr func(op int)
+	sp       uint64
+	stackLow uint64
+	inj      *fault.Injector // heap budget + fault schedule (nil-safe)
 	// own is the bare-native heap (unused under a tool); gate is the
 	// budget gate Alloc points at. Both are kept across Reset.
 	own  FreeListAlloc
@@ -228,15 +251,25 @@ type Machine struct {
 	typeStrCur  uint64
 
 	// Shadow call stack: the machine analogue of a debugger unwinding the
-	// real stack. callStack holds one frame per live call edge (caller
+	// real stack. edges holds one entry per live call edge (caller
 	// function + call-site line); curFn/curLine track the instruction being
 	// executed; inLib marks execution inside a precompiled library function,
 	// where the call edge already names the faulting site. Tools (ASan,
 	// memcheck) read it through CaptureStack to put backtraces on reports.
-	callStack diag.Stack
-	curFn     string
-	curLine   int
-	inLib     bool
+	edges   []callEdge
+	curFn   string
+	curLine int
+	inLib   bool
+}
+
+// callEdge is one live call edge. stack is the persistent diag.Stack ending
+// in this edge, built the first time a backtrace needs it: a call pushes
+// no node until some report or allocation site captures the stack.
+type callEdge struct {
+	fn    string
+	line  int
+	stack diag.Stack
+	built bool
 }
 
 // EnvpAddr returns the address of the kernel-initialized envp array
@@ -249,7 +282,9 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 	m := &Machine{
 		Mem:         nativemem.New(),
 		Mod:         mod,
-		globalAddr:  map[string]uint64{},
+		funcs:       make([]*funcCode, len(mod.Funcs)),
+		globals:     make([]uint64, len(mod.Globals)),
+		libcFuncs:   make([]LibFunc, len(mod.Funcs)),
 		Stdout:      bufio.NewWriter(nil),
 		Stdin:       bufio.NewReader(nil),
 		introspects: moduleWantsIntrospection(mod),
@@ -263,21 +298,32 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 
 // Reset returns m to the state New(m.Mod, cfg) builds, for another run. It
 // keeps the machine's buffers — memory pages, the stdio buffers, the
-// allocator maps and the loop-slot stack — and rebuilds everything else:
-// the fault injector, the stack span, the globals, the type mirror and
-// libc's private state. cfg.Tool is attached afresh; a tool resets its own
-// per-run state in Attach, so passing the machine's previous tool reuses
-// its shadow buffers too. A failed Reset leaves m unusable.
+// allocator maps, the loop-slot, frame and register stacks — and the
+// functions it has lowered, and rebuilds everything else: the fault
+// injector, the stack span, the globals, the libc binding, the type mirror
+// and libc's private state. cfg.Tool is attached afresh; a tool resets its
+// own per-run state in Attach, so passing the machine's previous tool
+// reuses its shadow buffers too. A failed Reset leaves m unusable.
 func (m *Machine) Reset(cfg Config) error {
 	m.Mem.Reset()
 	m.cfg = cfg
 	m.tool = cfg.Tool
 	m.libc = cfg.Libc
+	for i, f := range m.Mod.Funcs {
+		m.libcFuncs[i] = nil
+		if f.IsDecl {
+			m.libcFuncs[i] = cfg.Libc[f.Name]
+		}
+	}
 	m.libcChecker = nil
 	m.stackRedzone, m.globalRedzone = 0, 0
-	clear(m.globalAddr)
+	clear(m.globals)
 	m.perInstr = nil
 	m.loopSlots = m.loopSlots[:0]
+	if len(m.regs) > maxKeptRegs {
+		m.regs, m.frames = nil, nil // a deep recursion's stacks are not kept
+	}
+	m.regTop = 0
 	m.steps, m.depth = 0, 0
 	m.maxSteps = cfg.MaxSteps
 	if m.maxSteps == 0 {
@@ -289,7 +335,7 @@ func (m *Machine) Reset(cfg Config) error {
 	m.Types = memdesc.Table{}
 	m.descs = memdesc.Memo{}
 	m.typeStrs, m.typeStrCur = nil, 0
-	m.callStack, m.curFn, m.curLine, m.inLib = diag.Stack{}, "", 0, false
+	m.edges, m.curFn, m.curLine, m.inLib = m.edges[:0], "", 0, false
 
 	m.sink.Reset()
 	out := cfg.Stdout
@@ -347,20 +393,40 @@ func (m *Machine) Libc() map[string]LibFunc { return m.libc }
 // when it sees libc (Tool.SeesLibc), else nil.
 func (m *Machine) LibcChecker() Checker { return m.libcChecker }
 
-// SetPerInstr installs a hook that runs before every interpreted
+// SetPerInstr installs a hook that runs before every executed
 // instruction. Binary-translation tools (memcheck) install one in Attach to
 // charge the shadow bookkeeping they perform on all operations, not only
 // memory ones.
 func (m *Machine) SetPerInstr(f func(op int)) { m.perInstr = f }
 
 // PushCall records a call edge (caller function + call-site line) on the
-// shadow call stack. O(1): one persistent-stack node.
+// shadow call stack. O(1), and it allocates nothing once the edge stack has
+// grown to the program's call depth.
 func (m *Machine) PushCall(fn string, line int) {
-	m.callStack = m.callStack.Push(diag.Frame{Func: fn, Line: line})
+	m.edges = append(m.edges, callEdge{fn: fn, line: line})
 }
 
 // PopCall removes the innermost call edge.
-func (m *Machine) PopCall() { m.callStack = m.callStack.Pop() }
+func (m *Machine) PopCall() { m.edges = m.edges[:len(m.edges)-1] }
+
+// callStack returns the shadow call stack as a persistent diag.Stack,
+// pushing nodes only for the edges no earlier capture has built.
+func (m *Machine) callStack() diag.Stack {
+	k := len(m.edges)
+	for k > 0 && !m.edges[k-1].built {
+		k--
+	}
+	var s diag.Stack
+	if k > 0 {
+		s = m.edges[k-1].stack
+	}
+	for ; k < len(m.edges); k++ {
+		e := &m.edges[k]
+		s = s.Push(diag.Frame{Func: e.fn, Line: e.line})
+		e.stack, e.built = s, true
+	}
+	return s
+}
 
 // CaptureStack returns the guest backtrace at the current instruction:
 // the shadow call stack plus a synthesized leaf frame for the instruction
@@ -369,9 +435,9 @@ func (m *Machine) PopCall() { m.callStack = m.callStack.Pop() }
 // libc interceptors blame the guest call, exactly like real ASan output.
 func (m *Machine) CaptureStack() diag.Stack {
 	if m.inLib || m.curFn == "" {
-		return m.callStack
+		return m.callStack()
 	}
-	return m.callStack.Push(diag.Frame{Func: m.curFn, Line: m.curLine})
+	return m.callStack().Push(diag.Frame{Func: m.curFn, Line: m.curLine})
 }
 
 // Output returns captured stdout when no writer was configured.
@@ -417,7 +483,7 @@ func (m *Machine) ChargeSteps(n int64) error {
 // the configured redzone when a tool asks for one.
 func (m *Machine) layoutGlobals() error {
 	addr := GlobalBase
-	for _, g := range m.Mod.Globals {
+	for gi, g := range m.Mod.Globals {
 		align := uint64(g.Ty.Align())
 		if align < 1 {
 			align = 1
@@ -434,7 +500,7 @@ func (m *Machine) layoutGlobals() error {
 			return &core.ResourceError{Resource: "global", Requested: size, Limit: m.inj.Limit()}
 		}
 		m.Mem.Map(addr, uint64(size))
-		m.globalAddr[g.Name] = addr
+		m.globals[gi] = addr
 		if m.tool != nil {
 			m.tool.GlobalAlloc(addr, size)
 		}
@@ -485,8 +551,8 @@ func (m *Machine) fillConst(addr uint64, c ir.Const, ty ir.Type) error {
 			}
 		}
 	case ir.ConstGlobalRef:
-		target, ok := m.globalAddr[v.Sym]
-		if !ok {
+		target := m.GlobalAddr(v.Sym) // 0 until laid out
+		if target == 0 {
 			return fmt.Errorf("forward global ref %q not yet laid out", v.Sym)
 		}
 		m.Mem.Store(addr, 8, target+uint64(v.Off))
@@ -513,8 +579,14 @@ func FuncIndexOf(addr uint64) int {
 	return int((addr - FuncBase) / 16)
 }
 
-// GlobalAddr returns the data-segment address of a named global.
-func (m *Machine) GlobalAddr(name string) uint64 { return m.globalAddr[name] }
+// GlobalAddr returns the data-segment address of a named global (0 for
+// none).
+func (m *Machine) GlobalAddr(name string) uint64 {
+	if i := m.Mod.GlobalIndex(name); i >= 0 {
+		return m.globals[i]
+	}
+	return 0
+}
 
 // buildArgvBlock lays out the kernel argument block exactly as execve does:
 // argv pointer array, NULL, envp pointer array, NULL, then the strings.

@@ -9,7 +9,7 @@ import (
 	"repro/internal/nativemem"
 )
 
-func build(t *testing.T, src string) *ir.Module {
+func build(t testing.TB, src string) *ir.Module {
 	t.Helper()
 	m, err := ir.Parse(src)
 	if err != nil {
