@@ -68,13 +68,13 @@ faultcheck:
 # mode) with zero tolerated bail-outs, the tier-parity table's benchmark
 # rows and its tier-2 legality rows (hoisted check, coalesced run,
 # use-after-free under coalescing) in every tier, plan and cache state,
-# frame-pool reuse after a fault, and the native machine's golden digest
+# frame-pool reuse after a fault, the native machine's golden digest
 # (every corpus case under every native column and plan, the benchmark
 # programs at their peak sizes, and step-limit windows: stdout, exit,
-# Steps, reports, leaks and heap counters byte-identical) — all under the
-# race detector.
+# Steps, reports, leaks and heap counters byte-identical), and a managed
+# guest call allocating nothing in any tier — all under the race detector.
 perfcheck:
-	$(GO) test -race -timeout 120s -run 'PerfCheck|TierParityBenchmarks|HoistedCheck|CoalescedRun|UnderCoalescing|FramePoolFaultReuse|NativeGolden' ./...
+	$(GO) test -race -timeout 120s -run 'PerfCheck|TierParityBenchmarks|HoistedCheck|CoalescedRun|UnderCoalescing|FramePoolFaultReuse|NativeGolden|ManagedCall' ./...
 
 # Tiering gate: the asynchronous pipeline under the race detector — the
 # tier-parity table's async+OSR slices (corpus rows with background compile

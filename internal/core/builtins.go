@@ -85,13 +85,14 @@ const maxHeapAlloc = 1 << 31
 // DESIGN.md §10). The engine call stack at the allocation becomes the
 // object's allocation-site backtrace: the malloc call edge is pushed before
 // builtin dispatch, so the stack's top frame is the caller at the malloc
-// call line — recording it is one pointer copy.
+// call line. Capturing it builds only the nodes no earlier capture in the
+// live call chain has built.
 func (e *Engine) AllocHeap(size int64, name string) Pointer {
 	if e.mem.ChargeHeap(size) != fault.OK {
 		return Pointer{}
 	}
 	obj := NewObject(size, HeapMem, name, e.id())
-	obj.AllocStack = e.callStack
+	obj.AllocStack = e.calls.Stack()
 	e.stats.Allocs++
 	e.heap = append(e.heap, obj)
 	return Pointer{Obj: obj}
@@ -126,7 +127,7 @@ func biRealloc(e *Engine, fr *Frame, args []Value) (Value, error) {
 	old := p.Obj
 	if size == 0 {
 		e.mem.Release(old.Size())
-		old.FreeWith(e.callStack)
+		old.FreeWith(e.calls.Stack())
 		e.stats.Frees++
 		return Value{P: Pointer{}}, nil
 	}
@@ -144,7 +145,7 @@ func biRealloc(e *Engine, fr *Frame, args []Value) (Value, error) {
 		}
 	}
 	e.mem.Release(old.Size())
-	old.FreeWith(e.callStack)
+	old.FreeWith(e.calls.Stack())
 	e.stats.Frees++
 	return Value{P: np}, nil
 }
@@ -181,7 +182,7 @@ func biFree(e *Engine, fr *Frame, args []Value) (Value, error) {
 		return Value{}, e.frameErr(fr, be)
 	}
 	e.mem.Release(p.Obj.Size())
-	p.Obj.FreeWith(e.callStack)
+	p.Obj.FreeWith(e.calls.Stack())
 	e.stats.Frees++
 	return Value{}, nil
 }
@@ -273,13 +274,13 @@ func biMemsetIntrinsic(e *Engine, fr *Frame, args []Value) (Value, error) {
 // is recorded as-is, with no synthesized leaf frame (both tiers share this
 // path, so their builtin diagnostics match byte for byte).
 func (e *Engine) frameErr(fr *Frame, be *BugError) *BugError {
-	if f, ok := e.callStack.Top(); ok {
+	if f, ok := e.calls.Top(); ok {
 		if be.Func == "" {
 			be.Func = f.Func
 			be.Line = f.Line
 		}
 		if be.AccessStack.IsEmpty() {
-			be.AccessStack = e.callStack
+			be.AccessStack = e.calls.Stack()
 		}
 		return be
 	}
@@ -335,7 +336,7 @@ func biGetVararg(e *Engine, fr *Frame, args []Value) (Value, error) {
 	if fr == nil || i < 0 || i >= int64(len(fr.VarArgs)) {
 		return Value{}, e.frameErr(fr, &BugError{Kind: VarargMisuse, Access: Read, Off: i})
 	}
-	return PtrValue(fr.VarArgs[i]), nil
+	return fr.VarArgs[i], nil
 }
 
 func biExit(e *Engine, fr *Frame, args []Value) (Value, error) {

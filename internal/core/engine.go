@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 
@@ -35,8 +36,10 @@ type Frame struct {
 	FnIdx int
 	Regs  []Value
 	// VarArgs holds the boxed variadic arguments for this call: one managed
-	// cell per extra argument (paper §3.4, "Variadic argument errors").
-	VarArgs []Pointer
+	// cell pointer per extra argument (paper §3.4, "Variadic argument
+	// errors"). The slice is a window of the caller's argument vector on
+	// the engine's argument stack, which owns and clears it.
+	VarArgs []Value
 	// Autos tracks this frame's stack objects when use-after-return
 	// detection is on; they are invalidated when the frame pops.
 	Autos []*Object
@@ -168,10 +171,10 @@ type Engine struct {
 	compiled   []CompiledFunc
 	counts     []int64
 	// sites is the dense per-engine call-site state table behind shared
-	// tier-1 closures: argument buffers and inline caches, addressed by the
-	// site IDs the compiler assigned at lowering time (see Site). prefixSites
-	// is the same for the negative IDs of code shared by every module
-	// extending one libc prefix.
+	// tier-1 closures: the inline caches, addressed by the site IDs the
+	// compiler assigned at lowering time (see Site). prefixSites is the
+	// same for the negative IDs of code shared by every module extending
+	// one libc prefix.
 	sites       []CallSite
 	prefixSites []CallSite
 
@@ -214,16 +217,24 @@ type Engine struct {
 	// zeroed, auto/vararg references dropped) so no pointer, diagnostic
 	// stack, or fault-plane state can leak from one call — or one run — into
 	// the next. Bounded by the live call depth, since release is LIFO.
+	// A pooled frame keeps its register file's capacity, so once the pool
+	// has seen the program's call depth a call allocates no registers.
 	framePool []*Frame
 
-	// callStack is the live guest call stack: one frame per active call,
-	// holding the *caller's* function and the call-site line. It is a
-	// persistent diag.Stack, so maintaining it is one node allocation per
-	// call and capturing it (at a fault, malloc, alloca, or free) is one
-	// pointer copy — cheap enough to stay on in peak-performance runs.
-	// Both tiers push and pop at exactly the same points, which is what
-	// makes tier-0 and tier-1 diagnostics byte-identical.
-	callStack diag.Stack
+	// vals is the argument stack: every call site, in every tier, takes
+	// its argument vector (fixed arguments, then boxed vararg cells) from
+	// it before the call and gives it back after the callee returns, in
+	// LIFO order. Slots past len(vals) are always zero.
+	vals []Value
+
+	// calls is the live guest call stack: one edge per active call,
+	// holding the *caller's* function and the call-site line. A push or
+	// pop allocates nothing; diag.Stack nodes are built only when a stack
+	// is captured (a fault, malloc, alloca, free or vararg cell), and
+	// memoized per depth. Both tiers push and pop at exactly the same
+	// points, which is what makes tier-0 and tier-1 diagnostics
+	// byte-identical.
+	calls diag.Edges
 
 	// Writer for captured output when none is configured.
 	sink strings.Builder
@@ -314,10 +325,10 @@ func (e *Engine) layoutGlobals() error {
 // so FailNth schedules land on the same allocations), tier-1 dispatch
 // tables and call counts (so tier-up events, OnCompile callbacks and OSR
 // behavior replay a cold run even when the compiles themselves are
-// code-cache hits), per-site inline-cache and argument-buffer state, the
+// code-cache hits), per-site inline-cache state, the
 // lazily-interned type-name and environment objects (they consume runtime
 // IDs, so they must be re-created in the same order), the diagnostic call
-// stack, and the stdio plumbing. A reset engine
+// stack, the argument stack, and the stdio plumbing. A reset engine
 // is observationally indistinguishable from a new one — the warm-vs-cold
 // parity suite pins that byte-for-byte.
 //
@@ -331,7 +342,9 @@ func (e *Engine) Reset(cfg Config) error {
 
 	e.steps, e.depth = 0, 0
 	e.stats = Stats{}
-	e.callStack = diag.Stack{}
+	e.calls.Reset()
+	clear(e.vals)
+	e.vals = e.vals[:0]
 	for i := range e.compiled {
 		e.compiled[i] = nil
 	}
@@ -385,8 +398,7 @@ func (e *Engine) replayGlobals() error {
 func (e *Engine) Module() *ir.Module { return e.mod }
 
 // IsBuiltin reports whether the function at idx is dispatched to a native
-// builtin (the tier-1 compiler must not inline or arg-buffer-optimize those:
-// builtins may re-enter guest code while still reading their argument slice).
+// builtin (the tier-1 compiler must not inline those).
 func (e *Engine) IsBuiltin(idx int) bool {
 	return idx >= 0 && idx < len(e.builtins) && e.builtins[idx] != nil
 }
@@ -418,22 +430,36 @@ func (e *Engine) RefundSteps(n int64) { e.steps -= n }
 // PushCall records a call edge: the caller's function and the call-site
 // line. Every executor (tier-0 interpreter, tier-1 compiled closures) pushes
 // before transferring control — including to builtins — and pops after, so
-// the stack is identical whichever tier executes the caller. O(1).
-func (e *Engine) PushCall(fn string, line int) {
-	e.callStack = e.callStack.Push(diag.Frame{Func: fn, Line: line})
-}
+// the stack is identical whichever tier executes the caller. It allocates
+// nothing once the edge stack has grown to the program's call depth.
+func (e *Engine) PushCall(fn string, line int) { e.calls.Push(fn, line) }
 
 // PopCall removes the innermost call edge.
-func (e *Engine) PopCall() { e.callStack = e.callStack.Pop() }
-
-// CallStack returns the live guest call stack (innermost caller first).
-// The returned value is immutable and safe to retain.
-func (e *Engine) CallStack() diag.Stack { return e.callStack }
+func (e *Engine) PopCall() { e.calls.Pop() }
 
 // CaptureStack returns the guest call stack with a synthesized leaf frame
-// for the current location — frame #0 of a backtrace. One node allocation.
+// for the current location — frame #0 of a backtrace.
 func (e *Engine) CaptureStack(fn string, line int) diag.Stack {
-	return e.callStack.Push(diag.Frame{Func: fn, Line: line})
+	return e.calls.StackAt(diag.Frame{Func: fn, Line: line})
+}
+
+// PushArgs takes an argument vector of n zeroed slots from the engine's
+// argument stack. The caller fills it, makes the call and returns it with
+// PopArgs(n) once the callee has returned. A builtin may re-enter guest
+// code while it still reads its arguments; the nested calls push above
+// them, so no call site's vector is ever reused while live.
+func (e *Engine) PushArgs(n int) []Value {
+	base := len(e.vals)
+	e.vals = slices.Grow(e.vals, n)[:base+n]
+	return e.vals[base : base+n : base+n]
+}
+
+// PopArgs zeroes the innermost n argument slots and returns them to the
+// argument stack.
+func (e *Engine) PopArgs(n int) {
+	top := len(e.vals)
+	clear(e.vals[top-n : top])
+	e.vals = e.vals[:top-n]
 }
 
 // Located fills a BugError's location (function, line, access stack) if it
@@ -615,14 +641,13 @@ type ICEntry struct {
 }
 
 // CallSite is the per-engine mutable state behind one tier-1 call site: the
-// persistent argument buffer for direct calls and the polymorphic inline
-// cache for indirect ones. Compiled closures are immutable and shared
-// across engines (the executable-code cache); every per-run mutation lands
-// here instead, addressed by the dense site ID the compiler assigned at
-// lowering time. Inline-cache state therefore starts empty on every run,
-// exactly as it did when closures were compiled per engine.
+// polymorphic inline cache of an indirect call. Compiled closures are
+// immutable and shared across engines (the executable-code cache); every
+// per-run mutation lands here instead, addressed by the dense site ID the
+// compiler assigned at lowering time. Inline-cache state therefore starts
+// empty on every run, exactly as it did when closures were compiled per
+// engine.
 type CallSite struct {
-	Args []Value
 	IC   []ICEntry
 	Mega bool
 }
@@ -633,8 +658,7 @@ type CallSite struct {
 // extending the same libc prefix, so one engine running both never hands
 // two sites one cell. The engine is single-threaded, so growth between
 // guest instructions is safe; closures must not retain the returned pointer
-// across a call that can execute guest code (take the Args slice instead —
-// its backing array survives table growth).
+// across a call that can execute guest code.
 func (e *Engine) Site(id int) *CallSite {
 	if id < 0 {
 		return siteCell(&e.prefixSites, -id-1)
@@ -656,16 +680,6 @@ func siteCell(tab *[]CallSite, i int) *CallSite {
 func clearSites(tab []CallSite) []CallSite {
 	clear(tab)
 	return tab[:0]
-}
-
-// ArgBuf returns the site's persistent argument buffer, sized to n. The
-// engine copies arguments into the callee frame before any guest code runs,
-// so one buffer per site is safe even under recursion through the site.
-func (s *CallSite) ArgBuf(n int) []Value {
-	if cap(s.Args) < n {
-		s.Args = make([]Value, n)
-	}
-	return s.Args[:n]
 }
 
 // Run executes main() with the configured arguments and returns the exit
@@ -813,14 +827,14 @@ func (e *Engine) AllocAuto(fr *Frame, size int64, name string, ty ir.Type, ctype
 	return Pointer{Obj: obj}, nil
 }
 
-// Invoke dispatches a call from tier-1 compiled code: builtins receive the
-// caller's frame (for variadic introspection), IR functions get the boxed
-// variadic cells.
-func (e *Engine) Invoke(idx int, args []Value, varargs []Pointer, caller *Frame) (Value, error) {
+// Invoke dispatches a call from either tier: builtins receive the caller's
+// frame (for variadic introspection), IR functions get the boxed variadic
+// cells.
+func (e *Engine) Invoke(idx int, args, varargs []Value, caller *Frame) (Value, error) {
 	if idx < 0 || idx >= len(e.mod.Funcs) {
 		return Value{}, &InternalError{
 			Msg:   fmt.Sprintf("call to unknown function index %d", idx),
-			Guest: e.callStack,
+			Guest: e.calls.Stack(),
 		}
 	}
 	if b := e.builtins[idx]; b != nil {
@@ -832,7 +846,7 @@ func (e *Engine) Invoke(idx int, args []Value, varargs []Pointer, caller *Frame)
 
 // invoke runs a function with pre-boxed variadic cells (built by the caller,
 // which knows the argument types from the call instruction).
-func (e *Engine) invoke(idx int, args []Value, varargs []Pointer) (Value, error) {
+func (e *Engine) invoke(idx int, args, varargs []Value) (Value, error) {
 	f := e.mod.Funcs[idx]
 	e.stats.Calls++
 	if b := e.builtins[idx]; b != nil {
@@ -892,7 +906,9 @@ func (e *Engine) invoke(idx int, args []Value, varargs []Pointer) (Value, error)
 // getFrame takes an activation record from the free-list (or allocates one)
 // and sizes its register file for f. Pooled frames were scrubbed on release,
 // so the registers a fresh activation observes are zero Values exactly as if
-// newly allocated — tier-0 "fresh frame" semantics are preserved.
+// newly allocated — tier-0 "fresh frame" semantics are preserved. Compiled
+// code that needs more registers than f declares grows the file with
+// Reserve.
 func (e *Engine) getFrame(f *ir.Func) *Frame {
 	need := f.NumRegs
 	if n := len(e.framePool); n > 0 {
@@ -910,20 +926,35 @@ func (e *Engine) getFrame(f *ir.Func) *Frame {
 	return &Frame{Fn: f, Regs: make([]Value, need)}
 }
 
+// Reserve sizes the register file for code that uses n registers: compiled
+// code adds promoted scalars, hoisted temporaries and inline windows past
+// the function's own. It reslices within the pooled file's capacity, so a
+// frame grows once and every later activation it serves reuses the space.
+// The registers past len(fr.Regs) are zero (see putFrame), so the added
+// ones start zero like the rest of a fresh frame.
+func (fr *Frame) Reserve(n int) {
+	if n <= len(fr.Regs) {
+		return
+	}
+	if n <= cap(fr.Regs) {
+		fr.Regs = fr.Regs[:n]
+		return
+	}
+	regs := make([]Value, n)
+	copy(regs, fr.Regs)
+	fr.Regs = regs
+}
+
 // putFrame scrubs a dead activation record and returns it to the free-list.
 // The reset is total: register Values are zeroed (dropping any managed
 // pointers, so pooled frames cannot keep dead objects — or the diagnostic
 // stacks recorded on them — alive), boxed vararg cells and tracked autos are
 // released, and the fault-plane byte account is cleared. A reused frame is
-// observationally identical to a fresh one.
+// observationally identical to a fresh one. Only len(fr.Regs) needs
+// zeroing: a register file never shrinks while in use, so the registers
+// past it were zero when the frame left the pool and still are.
 func (e *Engine) putFrame(fr *Frame) {
-	regs := fr.Regs[:cap(fr.Regs)]
-	for i := range regs {
-		regs[i] = Value{}
-	}
-	for i := range fr.VarArgs {
-		fr.VarArgs[i] = Pointer{}
-	}
+	clear(fr.Regs)
 	fr.VarArgs = nil
 	for i := range fr.Autos {
 		fr.Autos[i] = nil
@@ -990,8 +1021,7 @@ func (e *Engine) TrackAuto(fr *Frame, p Pointer) {
 // reading it with a wider type is an out-of-bounds read — exactly how the
 // paper detects printf("%ld", int) (Fig. 12).
 func (e *Engine) BoxVarArg(ty ir.Type, v Value, idx int) Pointer {
-	name := fmt.Sprintf("vararg %d", idx+1)
-	cell := NewObject(ty.Size(), VarargMem, name, e.id())
+	cell := NewObject(ty.Size(), VarargMem, varargName(idx), e.id())
 	cell.Ty = ty
 	// The cell's descriptor records the promoted argument's scalar class so
 	// that reading the other class back (printf("%d", 3.5)) is reportable.
@@ -1000,7 +1030,7 @@ func (e *Engine) BoxVarArg(ty ir.Type, v Value, idx int) Pointer {
 	cell.Strict = true
 	// The caller has already pushed its call edge, so the live stack names
 	// the call site that supplied this argument.
-	cell.AllocStack = e.callStack
+	cell.AllocStack = e.calls.Stack()
 	switch t := ty.(type) {
 	case *ir.FloatType:
 		cell.StoreFloat(0, t.Bits, v.F, Write)
@@ -1010,4 +1040,21 @@ func (e *Engine) BoxVarArg(ty ir.Type, v Value, idx int) Pointer {
 		cell.StoreInt(0, ty.Size(), v.I, Write)
 	}
 	return Pointer{Obj: cell}
+}
+
+// varargNames holds the cell names of the first variadic arguments, so
+// boxing a typical printf argument formats nothing.
+var varargNames = func() (names [16]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("vararg %d", i+1)
+	}
+	return names
+}()
+
+// varargName names the cell of the idx'th (0-based) variadic argument.
+func varargName(idx int) string {
+	if idx < len(varargNames) {
+		return varargNames[idx]
+	}
+	return fmt.Sprintf("vararg %d", idx+1)
 }

@@ -196,42 +196,24 @@ func (e *Engine) execCall(fr *Frame, in *ir.Instr) (Value, error) {
 			Guest: e.CaptureStack(fr.Fn.Name, int(in.Line)),
 		}
 	}
-	callee := e.mod.Funcs[idx]
 
-	nFixed := x.FixedArgs
-	if nFixed > len(x.Args) {
-		nFixed = len(x.Args)
-	}
-	args := make([]Value, 0, nFixed)
+	nFixed := min(x.FixedArgs, len(x.Args))
+	v := e.PushArgs(len(x.Args))
 	for i := 0; i < nFixed; i++ {
-		args = append(args, e.operand(fr, x.Args[i]))
+		v[i] = e.operand(fr, x.Args[i])
 	}
 	// The call edge is pushed before variadic boxing so the cells' recorded
 	// allocation stacks name this call site, and before builtin dispatch so
 	// faults inside malloc/free/memcpy capture the caller. The tier-1
 	// compiled call sequence mirrors this ordering exactly.
 	e.PushCall(fr.Fn.Name, int(in.Line))
-	defer e.PopCall()
-	var cells []Pointer
-	if len(x.Args) > nFixed {
-		cells = make([]Pointer, 0, len(x.Args)-nFixed)
-		for i := nFixed; i < len(x.Args); i++ {
-			v := e.operand(fr, x.Args[i])
-			cells = append(cells, e.BoxVarArg(x.Args[i].Ty, v, i-nFixed))
-		}
+	for i := nFixed; i < len(x.Args); i++ {
+		v[i] = PtrValue(e.BoxVarArg(x.Args[i].Ty, e.operand(fr, x.Args[i]), i-nFixed))
 	}
-	// Builtins that need the caller's frame (count_varargs/get_vararg) are
-	// handled by invoke via the frame we thread through builtins.
-	if b := e.builtins[idx]; b != nil {
-		e.stats.Calls++
-		return b(e, fr, args)
-	}
-	ret, err := e.invoke(idx, args, cells)
-	if err != nil {
-		return Value{}, err
-	}
-	_ = callee
-	return ret, nil
+	ret, err := e.Invoke(idx, v[:nFixed:nFixed], v[nFixed:], fr)
+	e.PopCall()
+	e.PopArgs(len(v))
+	return ret, err
 }
 
 // LoadTyped performs a checked, typed load through a managed pointer.

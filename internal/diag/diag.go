@@ -7,13 +7,15 @@
 // all engines one vocabulary for that:
 //
 //   - Frame is a single (function, source line) location.
-//   - Stack is an immutable, persistent stack of frames. Engines thread one
-//     through their call sequence; pushing a frame allocates a single node
-//     and shares the entire tail with the parent (copy-on-write by
-//     construction), so maintaining it costs O(1) per call and capturing it
-//     at a fault, allocation or free site costs one pointer copy. No slices
-//     are copied on the hot path, which is what keeps peak-performance
-//     benchmarks unaffected.
+//   - Stack is an immutable, persistent stack of frames. A node shares its
+//     entire tail with its parent, so a captured Stack is one pointer and
+//     can never observe later pushes or pops.
+//   - Edges is an engine's live call stack: a reusable slice of call edges
+//     that a call pushes and pops without allocating. Stack nodes are built
+//     only when a stack is captured (a fault, an allocation or a free site),
+//     and each built prefix is memoized per depth, so repeated captures in
+//     one activation share their nodes and a call that captures nothing
+//     costs no node at all. Every engine (managed and native) keeps one.
 //   - Diagnostic bundles the classified error with the access stack, the
 //     involved object's allocation-site stack and (for use-after-free /
 //     double-free) its free-site stack, plus engine/tier provenance.
@@ -161,6 +163,100 @@ func (s *Stack) UnmarshalJSON(data []byte) error {
 	}
 	*s = FromFrames(frames)
 	return nil
+}
+
+// Edges is a live call stack of edges (caller function, call-site line),
+// innermost last. The zero value is empty. Push and Pop allocate nothing
+// once the slice has grown to the program's call depth. Stack and StackAt
+// build the persistent Stack lazily and memoize each node per depth: a
+// capture reuses the node an earlier capture built at the same depth when
+// it holds the same frame on the same parent, so captures repeated in one
+// activation, or in activations made again and again from one call site,
+// share their nodes instead of building new ones.
+type Edges struct {
+	e []edge
+	// leaf is the last StackAt leaf captured with no edge live.
+	leaf Stack
+}
+
+// edge is one live call edge. stack is the persistent Stack ending in it
+// (valid while built; after a push into the slot, the previous one is kept
+// as a candidate for reuse), and leaf the last StackAt leaf captured on it.
+type edge struct {
+	f     Frame
+	stack Stack
+	leaf  Stack
+	built bool
+}
+
+// Push records a call edge: the caller's function and the call-site line.
+func (s *Edges) Push(fn string, line int) {
+	n := len(s.e)
+	if n == cap(s.e) {
+		s.e = append(s.e, edge{})
+	}
+	s.e = s.e[:n+1]
+	e := &s.e[n]
+	e.f, e.built = Frame{Func: fn, Line: line}, false
+}
+
+// Pop removes the innermost call edge.
+func (s *Edges) Pop() { s.e = s.e[:len(s.e)-1] }
+
+// Top returns the innermost edge's frame, if any.
+func (s *Edges) Top() (Frame, bool) {
+	if len(s.e) == 0 {
+		return Frame{}, false
+	}
+	return s.e[len(s.e)-1].f, true
+}
+
+// Reset empties the stack for a new run, keeping its capacity and
+// dropping every memoized node.
+func (s *Edges) Reset() {
+	clear(s.e[:cap(s.e)])
+	s.e = s.e[:0]
+	s.leaf = Stack{}
+}
+
+// Stack captures the live edges as a persistent Stack, building nodes
+// only for the edges no earlier capture has built.
+func (s *Edges) Stack() Stack {
+	k := len(s.e)
+	for k > 0 && !s.e[k-1].built {
+		k--
+	}
+	var st Stack
+	if k > 0 {
+		st = s.e[k-1].stack
+	}
+	for ; k < len(s.e); k++ {
+		e := &s.e[k]
+		st = st.pushOr(e.f, e.stack)
+		e.stack, e.built = st, true
+	}
+	return st
+}
+
+// StackAt captures the live edges with f as the innermost frame: the
+// backtrace of the instruction at f.
+func (s *Edges) StackAt(f Frame) Stack {
+	st := s.Stack()
+	memo := &s.leaf
+	if n := len(s.e); n > 0 {
+		memo = &s.e[n-1].leaf
+	}
+	*memo = st.pushOr(f, *memo)
+	return *memo
+}
+
+// pushOr returns prev when it is already the stack s.Push(f) would build
+// (f on top of s's very nodes), and s.Push(f) otherwise.
+func (s Stack) pushOr(f Frame, prev Stack) Stack {
+	if prev.top != nil && prev.top.parent == s.top && prev.top.f == f {
+		return prev
+	}
+	return s.Push(f)
 }
 
 // Diagnostic is one classified error report with full provenance.

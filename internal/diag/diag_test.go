@@ -73,3 +73,58 @@ func TestDiagnosticRenderExcludesTier(t *testing.T) {
 		t.Fatalf("render:\n%s\nwant:\n%s", a, want)
 	}
 }
+
+// TestEdgesCaptureLazily pins the edge stack's captures against the
+// persistent Stack built eagerly, and its node sharing: a capture repeated
+// with the same live edges reuses every node, and a push into a slot never
+// lets a stale memo through.
+func TestEdgesCaptureLazily(t *testing.T) {
+	var s Edges
+	if !s.Stack().IsEmpty() {
+		t.Fatal("zero Edges should capture the empty stack")
+	}
+	leaf := Frame{Func: "main", Line: 1}
+	if got := s.StackAt(leaf); !got.Equal(FromFrames([]Frame{leaf})) {
+		t.Fatalf("StackAt with no edges = %v", got.Frames())
+	}
+	s.Push("main", 3)
+	s.Push("f", 7)
+	want := FromFrames([]Frame{{Func: "f", Line: 7}, {Func: "main", Line: 3}})
+	a := s.Stack()
+	if !a.Equal(want) {
+		t.Fatalf("Stack = %v, want %v", a.Frames(), want.Frames())
+	}
+	if b := s.Stack(); b.top != a.top {
+		t.Fatal("a second capture with the same edges built new nodes")
+	}
+	g := Frame{Func: "g", Line: 9}
+	if l1, l2 := s.StackAt(g), s.StackAt(g); l1.top != l2.top || !l1.Pop().Equal(want) {
+		t.Fatalf("StackAt = %v, not memoized on the live edges", l1.Frames())
+	}
+
+	// Popping and pushing the same edge again reuses its node; pushing a
+	// different edge into the slot builds a new one, and the earlier
+	// capture is unchanged.
+	s.Pop()
+	s.Push("f", 7)
+	if b := s.Stack(); b.top != a.top {
+		t.Fatal("the same edge on the same parent was not reused")
+	}
+	s.Pop()
+	s.Push("h", 8)
+	c := s.Stack()
+	if !c.Equal(FromFrames([]Frame{{Func: "h", Line: 8}, {Func: "main", Line: 3}})) || c.Pop().top != a.Pop().top {
+		t.Fatalf("Stack after re-push = %v", c.Frames())
+	}
+	if !a.Equal(want) {
+		t.Fatal("a captured stack changed after a later push")
+	}
+	if f, ok := s.Top(); !ok || f != (Frame{Func: "h", Line: 8}) {
+		t.Fatalf("Top = %v, %v", f, ok)
+	}
+
+	s.Reset()
+	if _, ok := s.Top(); ok || !s.Stack().IsEmpty() {
+		t.Fatal("Reset left edges behind")
+	}
+}

@@ -54,16 +54,38 @@ func (t *IntType) Align() int64 {
 	return 8
 }
 
-func (t *IntType) String() string { return fmt.Sprintf("i%d", t.Bits) }
+func (t *IntType) String() string {
+	switch t.Bits {
+	case 1:
+		return "i1"
+	case 8:
+		return "i8"
+	case 16:
+		return "i16"
+	case 32:
+		return "i32"
+	case 64:
+		return "i64"
+	}
+	return fmt.Sprintf("i%d", t.Bits)
+}
 
 // FloatType is a binary floating-point type (32 or 64 bits).
 type FloatType struct {
 	Bits int
 }
 
-func (t *FloatType) Size() int64    { return int64(t.Bits / 8) }
-func (t *FloatType) Align() int64   { return t.Size() }
-func (t *FloatType) String() string { return map[int]string{32: "f32", 64: "f64"}[t.Bits] }
+func (t *FloatType) Size() int64  { return int64(t.Bits / 8) }
+func (t *FloatType) Align() int64 { return t.Size() }
+func (t *FloatType) String() string {
+	switch t.Bits {
+	case 32:
+		return "f32"
+	case 64:
+		return "f64"
+	}
+	return ""
+}
 
 // PtrType is a pointer. Elem records the pointee type for diagnostics and for
 // typed loads through the pointer; it does not affect size or layout.

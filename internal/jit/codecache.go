@@ -11,8 +11,9 @@
 // What makes sharing sound is that tier-1 closures are pure functions of
 // (module, JIT configuration): operands resolve to module indices at compile
 // time and to engine objects at run time (GlobalAt), and all per-run
-// mutable state — argument buffers, inline-cache entries — lives in the
-// engine's call-site table, addressed by compile-time site IDs (Engine.Site).
+// mutable state lives in the engine: argument vectors on its argument
+// stack, inline-cache entries in its call-site table, addressed by
+// compile-time site IDs (Engine.Site).
 // A cached closure therefore executes identically on any engine running the
 // same module.
 //

@@ -1,5 +1,5 @@
-// Call lowering for tier-1: pre-resolved direct calls with argument-buffer
-// reuse, safety-preserving leaf-function inlining, and monomorphic →
+// Call lowering for tier-1: pre-resolved direct calls, safety-preserving
+// leaf-function inlining, and monomorphic →
 // polymorphic inline caches for function-pointer calls (paper §3.2: "we use
 // inline caches to make function pointer calls efficient").
 //
@@ -26,13 +26,9 @@ import (
 const icCapacity = 4
 
 // compileCall lowers a call instruction. Direct calls to small leaf
-// functions are inlined; other direct calls pre-resolve the callee and —
-// when the target is an IR function taking no varargs — reuse a persistent
-// argument buffer (the engine copies arguments into the callee frame before
-// any guest code runs, so the buffer is dead by the time anything could
-// re-enter this site; builtins are excluded because they hold their args
-// slice while calling back into guest code). Indirect calls go through an
-// inline cache.
+// functions are inlined; other direct calls pre-resolve the callee.
+// Indirect calls go through an inline cache. Every call takes its argument
+// vector from the engine's argument stack, as tier-0 does.
 func (c *Compiler) compileCall(e *core.Engine, in *ir.Instr, fname string) (step, error) {
 	x := in.Ext
 	if x.Callee.Kind == ir.OperFunc {
@@ -49,35 +45,31 @@ func (c *Compiler) compileCall(e *core.Engine, in *ir.Instr, fname string) (step
 		}
 		getters[i] = g
 	}
-	nFixed := x.FixedArgs
-	if nFixed > len(x.Args) {
-		nFixed = len(x.Args)
-	}
-	varTypes := make([]ir.Type, 0, len(x.Args)-nFixed)
-	for i := nFixed; i < len(x.Args); i++ {
+	nArgs := len(x.Args)
+	nFixed := min(x.FixedArgs, nArgs)
+	varTypes := make([]ir.Type, 0, nArgs-nFixed)
+	for i := nFixed; i < nArgs; i++ {
 		varTypes = append(varTypes, x.Args[i].Ty)
 	}
 	dst := in.Dst
 	line := int(in.Line)
 
-	invoke := func(e *core.Engine, fr *core.Frame, idx int, args []core.Value) error {
+	invoke := func(e *core.Engine, fr *core.Frame, idx int) error {
+		v := e.PushArgs(nArgs)
 		for i := 0; i < nFixed; i++ {
-			args[i] = getters[i](e, fr)
+			v[i] = getters[i](e, fr)
 		}
 		// The call edge is pushed before variadic boxing and before builtin
 		// dispatch, mirroring the tier-0 interpreter's execCall ordering
 		// exactly: boxed cells record this call site as their allocation
 		// stack, and faults inside builtins capture the caller.
 		e.PushCall(fname, line)
-		defer e.PopCall()
-		var cells []core.Pointer
-		if len(varTypes) > 0 {
-			cells = make([]core.Pointer, len(varTypes))
-			for i := range varTypes {
-				cells[i] = e.BoxVarArg(varTypes[i], getters[nFixed+i](e, fr), i)
-			}
+		for i, ty := range varTypes {
+			v[nFixed+i] = core.PtrValue(e.BoxVarArg(ty, getters[nFixed+i](e, fr), i))
 		}
-		ret, err := e.Invoke(idx, args, cells, fr)
+		ret, err := e.Invoke(idx, v[:nFixed:nFixed], v[nFixed:], fr)
+		e.PopCall()
+		e.PopArgs(nArgs)
 		if err != nil {
 			return err
 		}
@@ -92,21 +84,8 @@ func (c *Compiler) compileCall(e *core.Engine, in *ir.Instr, fname string) (step
 		if idx < 0 {
 			return nil, fmt.Errorf("jit: unknown callee %s", x.Callee.Sym)
 		}
-		callee := e.Module().Funcs[idx]
-		if len(varTypes) == 0 && !callee.IsDecl && !e.IsBuiltin(idx) {
-			// Persistent argument buffer, held in the *engine's* call-site
-			// table rather than captured here: the closure may be shared by
-			// the code cache across many engines, so its only state is the
-			// compile-time site ID. Engines are single-threaded and consume
-			// args before transferring control, so one buffer per site per
-			// engine is safe even under recursion through this site.
-			site := c.siteID()
-			return func(e *core.Engine, fr *core.Frame) error {
-				return invoke(e, fr, idx, e.Site(site).ArgBuf(nFixed))
-			}, nil
-		}
 		return func(e *core.Engine, fr *core.Frame) error {
-			return invoke(e, fr, idx, make([]core.Value, nFixed))
+			return invoke(e, fr, idx)
 		}, nil
 	}
 
@@ -137,7 +116,7 @@ func (c *Compiler) compileCall(e *core.Engine, in *ir.Instr, fname string) (step
 							// the first compare.
 							s.IC[0], s.IC[i] = s.IC[i], s.IC[0]
 						}
-						return invoke(e, fr, s.IC[0].Idx, make([]core.Value, nFixed))
+						return invoke(e, fr, s.IC[0].Idx)
 					}
 				}
 			}
@@ -159,7 +138,7 @@ func (c *Compiler) compileCall(e *core.Engine, in *ir.Instr, fname string) (step
 					s.IC = nil
 				}
 			}
-			return invoke(e, fr, idx, make([]core.Value, nFixed))
+			return invoke(e, fr, idx)
 		}
 		if p.Obj == nil { // IsNull
 			return e.Located(&core.BugError{Kind: core.NullDeref, Access: core.CallAccess}, fname, line)

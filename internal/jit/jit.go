@@ -58,7 +58,7 @@ type Compiler struct {
 	stats Stats
 
 	// sites allocates per-call-site IDs for the engine-resident state behind
-	// compiled closures (argument buffers, inline caches). When compiling
+	// compiled closures (inline caches). When compiling
 	// into a cache unit this is the unit's allocator, so every engine running
 	// the shared code addresses the same dense ID space; uncached compilers
 	// get a private one lazily.
@@ -215,11 +215,7 @@ func (c *Compiler) compileFn(e *core.Engine, fidx int) (core.CompiledFunc, unitM
 	return func(e *core.Engine, fr *core.Frame) (core.Value, error) {
 		// The clone may have added registers (promoted scalars, hoisted
 		// temporaries, inline windows).
-		if len(fr.Regs) < numRegs {
-			regs := make([]core.Value, numRegs)
-			copy(regs, fr.Regs)
-			fr.Regs = regs
-		}
+		fr.Reserve(numRegs)
 		return runBlocks(e, fr, blocks, 0)
 	}, meta
 }

@@ -252,24 +252,16 @@ type Machine struct {
 
 	// Shadow call stack: the machine analogue of a debugger unwinding the
 	// real stack. edges holds one entry per live call edge (caller
-	// function + call-site line); curFn/curLine track the instruction being
-	// executed; inLib marks execution inside a precompiled library function,
-	// where the call edge already names the faulting site. Tools (ASan,
-	// memcheck) read it through CaptureStack to put backtraces on reports.
-	edges   []callEdge
+	// function + call-site line) and builds diag.Stack nodes only when a
+	// report or allocation site captures it; curFn/curLine track the
+	// instruction being executed; inLib marks execution inside a
+	// precompiled library function, where the call edge already names the
+	// faulting site. Tools (ASan, memcheck) read it through CaptureStack to
+	// put backtraces on reports.
+	edges   diag.Edges
 	curFn   string
 	curLine int
 	inLib   bool
-}
-
-// callEdge is one live call edge. stack is the persistent diag.Stack ending
-// in this edge, built the first time a backtrace needs it: a call pushes
-// no node until some report or allocation site captures the stack.
-type callEdge struct {
-	fn    string
-	line  int
-	stack diag.Stack
-	built bool
 }
 
 // EnvpAddr returns the address of the kernel-initialized envp array
@@ -335,7 +327,8 @@ func (m *Machine) Reset(cfg Config) error {
 	m.Types = memdesc.Table{}
 	m.descs = memdesc.Memo{}
 	m.typeStrs, m.typeStrCur = nil, 0
-	m.edges, m.curFn, m.curLine, m.inLib = m.edges[:0], "", 0, false
+	m.edges.Reset()
+	m.curFn, m.curLine, m.inLib = "", 0, false
 
 	m.sink.Reset()
 	out := cfg.Stdout
@@ -402,31 +395,10 @@ func (m *Machine) SetPerInstr(f func(op int)) { m.perInstr = f }
 // PushCall records a call edge (caller function + call-site line) on the
 // shadow call stack. O(1), and it allocates nothing once the edge stack has
 // grown to the program's call depth.
-func (m *Machine) PushCall(fn string, line int) {
-	m.edges = append(m.edges, callEdge{fn: fn, line: line})
-}
+func (m *Machine) PushCall(fn string, line int) { m.edges.Push(fn, line) }
 
 // PopCall removes the innermost call edge.
-func (m *Machine) PopCall() { m.edges = m.edges[:len(m.edges)-1] }
-
-// callStack returns the shadow call stack as a persistent diag.Stack,
-// pushing nodes only for the edges no earlier capture has built.
-func (m *Machine) callStack() diag.Stack {
-	k := len(m.edges)
-	for k > 0 && !m.edges[k-1].built {
-		k--
-	}
-	var s diag.Stack
-	if k > 0 {
-		s = m.edges[k-1].stack
-	}
-	for ; k < len(m.edges); k++ {
-		e := &m.edges[k]
-		s = s.Push(diag.Frame{Func: e.fn, Line: e.line})
-		e.stack, e.built = s, true
-	}
-	return s
-}
+func (m *Machine) PopCall() { m.edges.Pop() }
 
 // CaptureStack returns the guest backtrace at the current instruction:
 // the shadow call stack plus a synthesized leaf frame for the instruction
@@ -435,9 +407,9 @@ func (m *Machine) callStack() diag.Stack {
 // libc interceptors blame the guest call, exactly like real ASan output.
 func (m *Machine) CaptureStack() diag.Stack {
 	if m.inLib || m.curFn == "" {
-		return m.callStack()
+		return m.edges.Stack()
 	}
-	return m.callStack().Push(diag.Frame{Func: m.curFn, Line: m.curLine})
+	return m.edges.StackAt(diag.Frame{Func: m.curFn, Line: m.curLine})
 }
 
 // Output returns captured stdout when no writer was configured.
