@@ -46,7 +46,7 @@ func main() {
 	optLevel := flag.Int("O", 0, "optimization level for the native pipeline (0 or 3)")
 	emitIR := flag.Bool("emit-ir", false, "print the compiled SIR module and exit")
 	useJIT := flag.Bool("jit", true, "enable the tier-1 dynamic compiler (safe engine)")
-	jitThreshold := flag.Int64("jitthreshold", 0, "call count that triggers tier-up (0 = library default)")
+	jitThreshold := flag.Int64("jitthreshold", 0, "calls plus interpreted loop back edges that trigger a function's tier-up at its next call (0 = library default)")
 	jitAsync := flag.Bool("jitasync", false, "compile hot functions on a background pool (safe engine)")
 	osrThreshold := flag.Int64("osrthreshold", 0, "back-edge count that triggers on-stack replacement (0 = OSR off; safe engine)")
 	leaks := flag.Bool("leaks", false, "report unfreed heap objects at exit (safe engine)")

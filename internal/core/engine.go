@@ -32,7 +32,7 @@ func PtrValue(p Pointer) Value   { return Value{P: p} }
 type Frame struct {
 	Fn *ir.Func
 	// FnIdx is Fn's module index (set by invoke); the back-edge profiler
-	// keys OSR requests on it without a name lookup.
+	// counts hotness and keys OSR requests on it without a name lookup.
 	FnIdx int
 	Regs  []Value
 	// VarArgs holds the boxed variadic arguments for this call: one managed
@@ -104,9 +104,13 @@ type Config struct {
 	Governor *Governor
 	// Tier1 enables dynamic compilation of hot functions.
 	Tier1 Tier1Compiler
-	// Tier1Threshold is the call count that triggers compilation (0 =
-	// default of 50). A function compiles on the call whose count reaches
-	// the threshold, so any negative value acts as 1: compile on first call.
+	// Tier1Threshold is the hotness that triggers compilation (0 =
+	// default of 50). A function's hotness is its calls plus the loop back
+	// edges its tier-0 activations take. It is tested at call entry, so a
+	// function compiles on the call whose count reaches the threshold, and
+	// a hot loop promotes its function at the function's next call; a
+	// function called once never compiles this way. Any negative value
+	// acts as 1: compile on first call.
 	Tier1Threshold int64
 	// AsyncJIT moves tier-1 compilation off the execution thread onto a
 	// bounded background pool owned by the engine: tier-0 keeps running
@@ -169,7 +173,10 @@ type Engine struct {
 	globalList []*Object
 	builtins   []Builtin // indexed by function index; nil for IR-defined funcs
 	compiled   []CompiledFunc
-	counts     []int64
+	// counts is each function's hotness: its calls plus the back edges
+	// its tier-0 activations take. invoke compares it with
+	// Tier1Threshold at call entry.
+	counts []int64
 	// sites is the dense per-engine call-site state table behind shared
 	// tier-1 closures: the inline caches, addressed by the site IDs the
 	// compiler assigned at lowering time (see Site). prefixSites is the
@@ -202,12 +209,14 @@ type Engine struct {
 	typeObjs map[string]*Object
 
 	// Tiering state (tierup.go). pool is the background compile pool (nil
-	// in synchronous mode and after Close); queued dedups requests; the osr*
-	// maps hold per-(function, header) back-edge counts and installed OSR
-	// entries.
+	// in synchronous mode and after Close); queued dedups requests; tierOn
+	// and osrOn cache, per run, whether a tier-1 compiler and OSR are
+	// configured; the osr* maps hold per-(function, header) back-edge
+	// counts and installed OSR entries.
 	pool       *tierPool
 	closeOnce  sync.Once
 	queued     map[tierKey]bool
+	tierOn     bool
 	osrOn      bool
 	osrEntries map[int64]CompiledFunc
 	osrCounts  map[int64]int64
@@ -291,7 +300,8 @@ func (e *Engine) configure(cfg Config, layout func() error) error {
 		return err
 	}
 
-	e.osrOn = cfg.Tier1 != nil && cfg.OSRThreshold > 0
+	e.tierOn = cfg.Tier1 != nil
+	e.osrOn = e.tierOn && cfg.OSRThreshold > 0
 	e.osrEntries, e.osrCounts = nil, nil
 	if e.osrOn {
 		e.osrEntries = make(map[int64]CompiledFunc)
@@ -323,7 +333,7 @@ func (e *Engine) layoutGlobals() error {
 // exactly as NewEngine would build it: step/depth ledgers, stats, the fault
 // injector (the global charge sequence is replayed against the new budget,
 // so FailNth schedules land on the same allocations), tier-1 dispatch
-// tables and call counts (so tier-up events, OnCompile callbacks and OSR
+// tables and hotness counts (so tier-up events, OnCompile callbacks and OSR
 // behavior replay a cold run even when the compiles themselves are
 // code-cache hits), per-site inline-cache state, the
 // lazily-interned type-name and environment objects (they consume runtime
@@ -475,6 +485,9 @@ func (e *Engine) Located(be *BugError, fn string, line int) *BugError {
 	}
 	return be
 }
+
+// Compiled reports whether function idx has tier-1 entry code installed.
+func (e *Engine) Compiled(idx int) bool { return e.compiled[idx] != nil }
 
 // Stats returns a snapshot of execution counters, merging in the fault
 // plane's exact heap accounting.
@@ -885,12 +898,14 @@ func (e *Engine) invoke(idx int, args, varargs []Value) (Value, error) {
 		e.installReady()
 	}
 	// Tier-1 dispatch: compiled functions bypass the interpreter. The call
-	// that reaches the threshold requests the compile; in synchronous mode
-	// the compile installs inline, so that very call already runs compiled.
+	// at which the function's hotness (its calls plus the back edges its
+	// earlier activations took) reaches the threshold requests the
+	// compile; in synchronous mode the compile installs inline, so that
+	// very call already runs compiled.
 	cf := e.compiled[idx]
 	if cf == nil {
 		e.counts[idx]++
-		if e.cfg.Tier1 != nil && e.counts[idx] >= e.cfg.Tier1Threshold {
+		if e.tierOn && e.counts[idx] >= e.cfg.Tier1Threshold {
 			e.requestCompile(tierKey{fidx: idx, header: -1})
 			cf = e.compiled[idx]
 		}

@@ -132,14 +132,20 @@ func (e *Engine) interpret(fr *Frame) (Value, error) {
 					}
 				}
 			}
-			// Backward branches are the OSR profile points: a hot back edge
-			// transfers this live frame into compiled code at the loop
-			// header, which finishes the activation. The probe runs only
-			// with OSR configured, so tier-0 pays one boolean test.
-			if e.osrOn && t <= blk {
-				if cf := e.tryOSR(fr, t); cf != nil {
-					e.stats.OSREntries++
-					return cf(e, fr)
+			// Backward branches are profile points. Each one taken counts
+			// toward the function's tier-up threshold, which invoke tests
+			// at the next call, so a hot loop promotes its function even
+			// when the function is called only a few times. With OSR on, a
+			// hot back edge also transfers this live frame into compiled
+			// code at the loop header, which finishes the activation.
+			// Without a tier-1 compiler, tier-0 pays one boolean test.
+			if e.tierOn && t <= blk {
+				e.counts[fr.FnIdx]++
+				if e.osrOn {
+					if cf := e.tryOSR(fr, t); cf != nil {
+						e.stats.OSREntries++
+						return cf(e, fr)
+					}
 				}
 			}
 			blk, ii = t, 0

@@ -6,8 +6,14 @@
 //
 //		profile → enqueue → compile → install → OSR
 //
-//	  - Profiling: per-function call counts in invoke, plus per-(function,
-//	    loop header) back-edge counts in the interpreter.
+//	  - Profiling: one hotness count per function, its calls (counted in
+//	    invoke) plus the loop back edges its tier-0 activations take
+//	    (counted in the interpreter), as Truffle's loops report their
+//	    iterations to the enclosing call target. Invoke tests it against
+//	    Tier1Threshold at call entry, so a hot loop promotes its function
+//	    at the function's next call, and a function called once is never
+//	    entry-compiled. With OSR on, per-(function, loop header) back-edge
+//	    counts also promote a loop inside the running activation.
 //	  - Enqueue hands a (function, header) key to the compile queue. A
 //	    synchronous engine is the queue with no worker: the request compiles
 //	    on the engine thread and installs at once, so the compile pause is on
@@ -236,9 +242,9 @@ func (e *Engine) tryOSR(fr *Frame, header int) CompiledFunc {
 		e.requestCompile(tierKey{fidx: fr.FnIdx, header: header})
 		// A hot back edge is evidence for the whole function, not just
 		// the loop: promote it for an optimized entry compilation too,
-		// instead of waiting for the call counter to cross the entry
-		// threshold. The OSR entry bridges the current activation; this
-		// covers the next call.
+		// instead of waiting for the next call to test its hotness
+		// against the entry threshold. The OSR entry bridges the current
+		// activation; this covers the next call.
 		if e.compiled[fr.FnIdx] == nil {
 			e.requestCompile(tierKey{fidx: fr.FnIdx, header: -1})
 		}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -361,6 +363,137 @@ func TestTier1NegativeThresholdActsAsOne(t *testing.T) {
 		e.Close()
 		if n := cc.calls.Load(); n != 2 {
 			t.Errorf("async=%v: %d compiles, want 2 (main and hot at their first call)", async, n)
+		}
+	}
+}
+
+// interpCompiler "compiles" every function to a closure that interprets
+// it, and counts Compile calls. Which calls ran compiled then shows in
+// Stats' Tier1Calls, and every run computes what the interpreter does.
+type interpCompiler struct{ calls atomic.Int32 }
+
+func (c *interpCompiler) Compile(e *Engine, fidx int) CompiledFunc {
+	c.calls.Add(1)
+	return func(e *Engine, fr *Frame) (Value, error) { return e.interpret(fr) }
+}
+
+func (c *interpCompiler) CompileOSR(e *Engine, fidx, header int) CompiledFunc { return nil }
+
+// TestTierCheckLoopIterationsCountTowardEntryCompile pins the hotness
+// policy: a function's count is its calls plus the back edges its tier-0
+// activations take, and it is tested only at call entry. A loop-free
+// function compiles on exactly its threshold-th call; a hot loop promotes
+// its function at the next call; a function called once never compiles,
+// however long its loop runs. In async mode the request is what the policy
+// decides (which call then runs compiled depends on the worker), so there
+// the test counts Compile calls after Close has joined the worker.
+func TestTierCheckLoopIterationsCountTowardEntryCompile(t *testing.T) {
+	const threshold = 5
+	// spin(n) runs its loop body n times: n-1 back edges.
+	const spin = `func @spin fn(i32) i32 regs 3 {
+entry:
+  br loop
+loop:
+  %r1 = add i32 %r1, 1
+  %r2 = cmp slt i32 %r1, %r0
+  condbr %r2, loop, done
+done:
+  ret i32 %r1
+}
+`
+	leafCalls := func(n int) string {
+		return `module "t"
+func @leaf fn() i32 regs 1 {
+entry:
+  ret i32 7
+}
+func @main fn() i32 regs 1 {
+entry:
+` + strings.Repeat("  %r0 = call i32 &leaf() fixed 0\n", n) + `  ret i32 0
+}
+`
+	}
+	spinTwice := func(n int) string {
+		return `module "t"
+` + spin + fmt.Sprintf(`func @main fn() i32 regs 2 {
+entry:
+  %%r0 = call i32 &spin(i32 %d) fixed 1
+  %%r1 = call i32 &spin(i32 %d) fixed 1
+  ret i32 %%r1
+}
+`, n, n)
+	}
+	cases := []struct {
+		name string
+		src  string
+		// compiled is the one function whose compile the policy requests,
+		// or "" for none.
+		compiled string
+		// syncTier1Calls is how many calls run compiled in sync mode.
+		syncTier1Calls int64
+	}{
+		{"loop-free/one-call-short", leafCalls(threshold - 1), "", 0},
+		{"loop-free/threshold-th-call", leafCalls(threshold), "leaf", 1},
+		// First call: 1 call + n-1 back edges; the second call adds 1.
+		{"loop/second-call-one-short", spinTwice(threshold - 2), "", 0},
+		{"loop/second-call-reaches", spinTwice(threshold - 1), "spin", 1},
+		{"loop/second-call-compiled", spinTwice(threshold + 1), "spin", 1},
+		{"loop/once-called-main", `module "t"
+func @main fn() i32 regs 3 {
+entry:
+  br loop
+loop:
+  %r1 = add i32 %r1, 1
+  %r2 = cmp slt i32 %r1, 100000
+  condbr %r2, loop, done
+done:
+  ret i32 0
+}
+`, "", 0},
+	}
+	for _, c := range cases {
+		for _, async := range []bool{false, true} {
+			name := c.name + "/sync"
+			if async {
+				name = c.name + "/async"
+			}
+			t.Run(name, func(t *testing.T) {
+				ic := &interpCompiler{}
+				var names []string
+				e, err := NewEngine(buildModule(t, c.src), Config{
+					Tier1:          ic,
+					Tier1Threshold: threshold,
+					AsyncJIT:       async,
+					OnCompile:      func(name string) { names = append(names, name) },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+				e.Close()
+				wantCompiles := int32(0)
+				if c.compiled != "" {
+					wantCompiles = 1
+				}
+				if n := ic.calls.Load(); n != wantCompiles {
+					t.Errorf("%d compiles requested, want %d", n, wantCompiles)
+				}
+				st := e.Stats()
+				if c.compiled == "" && (st.Tier1Funcs != 0 || len(names) != 0) {
+					t.Errorf("Tier1Funcs=%d, OnCompile fired for %v; want no compile", st.Tier1Funcs, names)
+				}
+				if async {
+					return
+				}
+				if c.compiled != "" && (len(names) != 1 || names[0] != c.compiled) {
+					t.Errorf("OnCompile fired for %v, want [%s]", names, c.compiled)
+				}
+				if st.Tier1Calls != c.syncTier1Calls {
+					t.Errorf("Tier1Calls=%d, want %d", st.Tier1Calls, c.syncTier1Calls)
+				}
+			})
 		}
 	}
 }

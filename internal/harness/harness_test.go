@@ -64,23 +64,31 @@ func TestRunnersProduceIterations(t *testing.T) {
 		defer r.Close()
 		iters := 1
 		if cfg == SafeSulongPerf {
-			iters = 30 // past DefaultTier1Threshold
+			// The bench peak workload's two set-up iterations. mandelbrot's
+			// loops live in main, whose back edges in the first iteration
+			// carry it past DefaultTier1Threshold, so the second call of
+			// main runs compiled.
+			iters = 2
 		}
 		for i := 0; i < iters; i++ {
 			if err := r.RunIteration(); err != nil {
 				t.Fatalf("%v: %v", cfg, err)
 			}
 		}
-		if es, _ := r.Stats(); cfg == SafeSulongPerf && es.Tier1Funcs == 0 {
-			t.Errorf("%v compiled no function in %d iterations", cfg, iters)
+		if cfg == SafeSulongPerf {
+			eng := r.(*managedRunner).eng
+			if !eng.Compiled(eng.Module().FuncIndex("main")) {
+				t.Errorf("%v did not compile main in %d iterations", cfg, iters)
+			}
 		}
 	}
 }
 
 // TestMeasurePeakDefaultWarmupCompilesMain: with the default warm-up,
 // Fig. 16's Safe Sulong column reaches the loops that live in main, which
-// is called once per iteration. The replay names the compiles that the
-// same iteration count produces; MeasurePeak must report exactly as many.
+// is called once per iteration and compiles at its second call. The replay
+// names the compiles that the same iteration count produces; MeasurePeak
+// must report exactly as many.
 func TestMeasurePeakDefaultWarmupCompilesMain(t *testing.T) {
 	b, err := benchprog.Get("mandelbrot")
 	if err != nil {

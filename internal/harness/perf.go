@@ -49,8 +49,8 @@ func PerfConfigs() []PerfConfig {
 	return []PerfConfig{ClangO0, ClangO3, ASanPerf, ValgrindPerf, SafeSulongPerf}
 }
 
-// DefaultTier1Threshold is the call count at which the harness's managed
-// runners tier up.
+// DefaultTier1Threshold is the hotness (calls plus tier-0 loop back
+// edges) at which the harness's managed runners tier a function up.
 const DefaultTier1Threshold = 25
 
 // Runner executes one program repeatedly in-process (the paper's warm-up
@@ -297,9 +297,11 @@ func (p PeakResult) Relative(cfg PerfConfig) float64 {
 }
 
 // DefaultPeakWarmups and DefaultPeakSamples are MeasurePeak's iteration
-// counts when the caller passes 0. The paper warms up for 50 iterations,
-// which also carries every function main calls once per iteration — main
-// itself included — past DefaultTier1Threshold.
+// counts when the caller passes 0. The warm-up is the paper's 50
+// iterations. Tier-up itself needs far fewer: loop back edges count toward
+// DefaultTier1Threshold, so a main whose loops are hot compiles at its
+// second call, and a function main calls once per iteration compiles by
+// the 25th.
 const (
 	DefaultPeakWarmups = 50
 	DefaultPeakSamples = 10

@@ -288,8 +288,9 @@ func TestTierParityBenchmarks(t *testing.T) {
 }
 
 // singleCallLoop is hot inside its first and only activation, where
-// call-count tier-up never reaches: only OSR runs it compiled, and the hot
-// back edge promotes main first.
+// entry tier-up never reaches (its back edges count toward main's entry
+// threshold, but that is tested only at a next call): only OSR runs it
+// compiled, and the hot back edge promotes main first.
 var singleCallLoop = &parityRow{name: "single-call-loop", src: `
 #include <stdio.h>
 int main(void) {

@@ -89,9 +89,12 @@ type Config struct {
 
 	// JIT enables Safe Sulong's tier-1 dynamic compiler.
 	JIT bool
-	// JITThreshold overrides the default compile-after-N-calls policy (0 =
-	// engine default). A function compiles on the call whose count reaches
-	// it, so any negative value acts as 1: compile on first call.
+	// JITThreshold overrides the default tier-up threshold (0 = engine
+	// default). It counts a function's calls plus the loop back edges its
+	// interpreted activations take, tested at call entry: a function
+	// compiles on the call whose count reaches it, so a hot loop promotes
+	// its function at the next call, and any negative value acts as 1:
+	// compile on first call.
 	JITThreshold int64
 	// JITAsync compiles hot functions on a background pool owned by the
 	// engine while tier-0 keeps executing; compiled code is installed at
