@@ -29,10 +29,11 @@ test:
 	$(GO) test -timeout $(TEST_TIMEOUT) ./...
 
 # The concurrency suite (shared-module audit, parallel matrix, cache
-# coalescing, the shared libc prefix's immutability and lifecycle) must
-# stay race-clean.
+# coalescing, the shared libc prefix's immutability and lifecycle, the
+# front-end golden's two goroutines continuing one prefix) must stay
+# race-clean.
 race:
-	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'Concurrent|Parallel|Matrix|Cache|ForEach|LibcPrefix' ./...
+	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'Concurrent|Parallel|Matrix|Cache|ForEach|LibcPrefix|FrontEndGolden' ./...
 
 # Hang-regression gate: the governor suite (step limits, wall-clock
 # deadlines, context cancellation, tier-1 fuel accounting, timeout matrix

@@ -5,6 +5,7 @@ import (
 	"maps"
 
 	"repro/internal/ir"
+	"repro/internal/overlay"
 )
 
 // Options configures compilation.
@@ -62,10 +63,11 @@ func Compile(mainFile string, files map[string]string, opts Options) (*ir.Module
 // codegen lowers a Program to an ir.Module.
 type codegen struct {
 	m       *ir.Module
-	globals map[string]*CType // global variables
-	funcs   map[string]*CFuncInfo
+	globals *overlay.Map[string, *CType] // global variables
+	funcs   *overlay.Map[string, *CFuncInfo]
 	strIdx  int
 	file    string
+	scratch *blockScratch // the block storage functions lower into (scratchPool)
 
 	// preRefs (the prefix's, shared) and refs (this unit's) hold the names
 	// that code declared so far mentions.
@@ -103,11 +105,11 @@ func (cg *codegen) program(prog *Program) error {
 				}
 				continue
 			}
-			if _, isFunc := cg.funcs[decl.Name]; isFunc && cg.mentioned(decl.Name) {
+			if _, isFunc := cg.funcs.Get(decl.Name); isFunc && cg.mentioned(decl.Name) {
 				return cg.errAt(decl.Pos, "%q redeclared as a different kind of symbol", decl.Name)
 			}
-			if _, exists := cg.globals[decl.Name]; !exists {
-				cg.globals[decl.Name] = decl.Ty
+			if _, exists := cg.globals.Get(decl.Name); !exists {
+				cg.globals.Set(decl.Name, decl.Ty)
 			}
 			mentions(cg.refs, decl.Init)
 		}
@@ -138,9 +140,9 @@ func (cg *codegen) program(prog *Program) error {
 // declaration without a prototype adds nothing to an earlier one, and one
 // with a prototype replaces an earlier unprototyped one.
 func (cg *codegen) declareFunc(name string, sig *CFuncInfo, pos Pos) error {
-	prev, declared := cg.funcs[name]
+	prev, declared := cg.funcs.Get(name)
 	if cg.mentioned(name) {
-		if _, isGlobal := cg.globals[name]; isGlobal {
+		if _, isGlobal := cg.globals.Get(name); isGlobal {
 			return cg.errAt(pos, "%q redeclared as a different kind of symbol", name)
 		}
 		if declared && !prev.Unprototyped && !sig.Unprototyped && !sameSig(prev, sig) {
@@ -148,7 +150,7 @@ func (cg *codegen) declareFunc(name string, sig *CFuncInfo, pos Pos) error {
 		}
 	}
 	if !declared || !sig.Unprototyped {
-		cg.funcs[name] = sig
+		cg.funcs.Set(name, sig)
 	}
 	return nil
 }
@@ -237,7 +239,7 @@ func (cg *codegen) globalVar(vd *VarDecl) error {
 	if cg.m.Global(vd.Name) != nil {
 		return nil // tentative redefinition
 	}
-	cg.globals[vd.Name] = vd.Ty
+	cg.globals.Set(vd.Name, vd.Ty)
 	g := &ir.Global{Name: vd.Name, Ty: vd.Ty.IR(), IsConst: vd.Const, CType: vd.Ty.String()}
 	if vd.Init != nil {
 		c, err := cg.constInit(vd.Init, vd.Ty)
@@ -400,10 +402,10 @@ func (cg *codegen) evalConstExpr(e Expr) (constVal, error) {
 		}
 		return constVal{}, cg.errAt(v.Pos, "sizeof(expr) not supported in global initializers")
 	case *Ident:
-		if ty, ok := cg.globals[v.Name]; ok && ty.Kind == CArray {
+		if ty, ok := cg.globals.Get(v.Name); ok && ty.Kind == CArray {
 			return constVal{sym: v.Name}, nil // array decays to its address
 		}
-		if _, ok := cg.funcs[v.Name]; ok {
+		if _, ok := cg.funcs.Get(v.Name); ok {
 			return constVal{sym: v.Name, isFunc: true}, nil
 		}
 		return constVal{}, cg.errAt(v.Pos, "initializer element %q is not constant", v.Name)
@@ -411,10 +413,10 @@ func (cg *codegen) evalConstExpr(e Expr) (constVal, error) {
 		if v.Op == "&" {
 			switch x := v.X.(type) {
 			case *Ident:
-				if _, ok := cg.globals[x.Name]; ok {
+				if _, ok := cg.globals.Get(x.Name); ok {
 					return constVal{sym: x.Name}, nil
 				}
-				if _, ok := cg.funcs[x.Name]; ok {
+				if _, ok := cg.funcs.Get(x.Name); ok {
 					return constVal{sym: x.Name, isFunc: true}, nil
 				}
 			case *Index:
@@ -426,7 +428,7 @@ func (cg *codegen) evalConstExpr(e Expr) (constVal, error) {
 				if err != nil {
 					return constVal{}, err
 				}
-				if ty, ok := cg.globals[base.sym]; ok && ty.Kind == CArray {
+				if ty, ok := cg.globals.Get(base.sym); ok && ty.Kind == CArray {
 					base.i += idx.i * ty.Elem.Size()
 					return base, nil
 				}
@@ -479,7 +481,7 @@ func (cg *codegen) evalConstExpr(e Expr) (constVal, error) {
 			}
 			return constVal{}, cg.errAt(v.Pos, "bad constant float op %q", v.Op)
 		}
-		p := &Parser{enums: map[string]int64{}}
+		p := &Parser{}
 		r, err := p.evalConst(&Binary{Op: v.Op, X: &IntLit{V: x.i}, Y: &IntLit{V: y.i}})
 		if err != nil {
 			return constVal{}, err

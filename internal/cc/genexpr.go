@@ -80,10 +80,10 @@ func (g *fnGen) identValue(v *Ident) (value, error) {
 	if l := g.lookup(v.Name); l != nil {
 		return g.loadOrDecay(ir.Reg(l.addr, ir.BytePtr), l.ty)
 	}
-	if ty, ok := g.cg.globals[v.Name]; ok {
+	if ty, ok := g.cg.globals.Get(v.Name); ok {
 		return g.loadOrDecay(ir.GlobalRef(v.Name), ty)
 	}
-	if sig, ok := g.cg.funcs[v.Name]; ok {
+	if sig, ok := g.cg.funcs.Get(v.Name); ok {
 		return value{op: ir.FuncRef(v.Name), ty: ptrTo(&CType{Kind: CFunc, Fn: sig})}, nil
 	}
 	return value{}, g.cg.errAt(v.Pos, "use of undeclared identifier %q", v.Name)
@@ -114,11 +114,11 @@ func (g *fnGen) addr(e Expr) (ir.Operand, *CType, error) {
 		if l := g.lookup(v.Name); l != nil {
 			return ir.Reg(l.addr, ir.BytePtr), l.ty, nil
 		}
-		if ty, ok := g.cg.globals[v.Name]; ok {
+		if ty, ok := g.cg.globals.Get(v.Name); ok {
 			return ir.GlobalRef(v.Name), ty, nil
 		}
-		if _, ok := g.cg.funcs[v.Name]; ok {
-			return ir.FuncRef(v.Name), &CType{Kind: CFunc, Fn: g.cg.funcs[v.Name]}, nil
+		if sig, ok := g.cg.funcs.Get(v.Name); ok {
+			return ir.FuncRef(v.Name), &CType{Kind: CFunc, Fn: sig}, nil
 		}
 		return ir.Operand{}, nil, g.cg.errAt(v.Pos, "use of undeclared identifier %q", v.Name)
 	case *Unary:
@@ -807,7 +807,7 @@ func (g *fnGen) call(v *Call) (value, error) {
 	var sig *CFuncInfo
 
 	if id, ok := v.Fn.(*Ident); ok && g.lookup(id.Name) == nil {
-		if s, found := g.cg.funcs[id.Name]; found {
+		if s, found := g.cg.funcs.Get(id.Name); found {
 			sig = s
 			callee = ir.FuncRef(id.Name)
 		}
@@ -889,10 +889,10 @@ func (g *fnGen) typeOf(e Expr) (*CType, error) {
 		if l := g.lookup(v.Name); l != nil {
 			return l.ty, nil
 		}
-		if ty, ok := g.cg.globals[v.Name]; ok {
+		if ty, ok := g.cg.globals.Get(v.Name); ok {
 			return ty, nil
 		}
-		if sig, ok := g.cg.funcs[v.Name]; ok {
+		if sig, ok := g.cg.funcs.Get(v.Name); ok {
 			return &CType{Kind: CFunc, Fn: sig}, nil
 		}
 		return nil, g.cg.errAt(v.Pos, "use of undeclared identifier %q", v.Name)
@@ -958,7 +958,7 @@ func (g *fnGen) typeOf(e Expr) (*CType, error) {
 		return g.typeOf(v.T)
 	case *Call:
 		if id, ok := v.Fn.(*Ident); ok {
-			if sig, found := g.cg.funcs[id.Name]; found {
+			if sig, found := g.cg.funcs.Get(id.Name); found {
 				return sig.Ret, nil
 			}
 		}

@@ -2,6 +2,8 @@ package cc
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
 
 	"repro/internal/ir"
 )
@@ -29,11 +31,70 @@ type pendingGoto struct {
 	pos   Pos
 }
 
+// blockScratch is the storage a function's blocks are lowered into: block
+// i is named names[i] and holds code[i]. The front end lowers blocks
+// interleaved, so a slice per block would grow 1, 2, 4, 8 in every
+// function; these buffers grow once and are reused across functions and
+// compiles (scratchPool), and seal copies each function into one
+// exact-size slice. Nothing the module keeps points into them.
+type blockScratch struct {
+	code  [][]ir.Instr
+	names []string
+	name  []byte // newBlock's name buffer
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
+
+// addBlock appends an empty block named name and returns its index.
+func (sc *blockScratch) addBlock(name string) int32 {
+	n := len(sc.code)
+	if n < cap(sc.code) {
+		sc.code = sc.code[:n+1] // its buffer is empty (reset)
+	} else {
+		sc.code = append(sc.code, nil)
+	}
+	sc.names = append(sc.names, name)
+	return int32(n)
+}
+
+// seal moves the blocks into f: one exact-size instruction slice, each
+// block a window of it whose capacity ends where the block does, so a
+// later append to one block (an optimizer pass, the JIT) reallocates it
+// instead of overwriting the next.
+func (sc *blockScratch) seal(f *ir.Func) {
+	total := 0
+	for _, c := range sc.code {
+		total += len(c)
+	}
+	all := make([]ir.Instr, total)
+	blocks := make([]ir.Block, len(sc.code))
+	f.Blocks = make([]*ir.Block, len(sc.code))
+	s := 0
+	for i, c := range sc.code {
+		e := s + copy(all[s:], c)
+		blocks[i] = ir.Block{Name: sc.names[i], Instrs: all[s:e:e]}
+		f.Blocks[i] = &blocks[i]
+		s = e
+	}
+	sc.reset()
+}
+
+// reset empties the buffers, dropping what they point to.
+func (sc *blockScratch) reset() {
+	for i, c := range sc.code {
+		clear(c)
+		sc.code[i] = c[:0]
+	}
+	clear(sc.names)
+	sc.code, sc.names = sc.code[:0], sc.names[:0]
+}
+
 // fnGen generates IR for one function body.
 type fnGen struct {
 	cg     *codegen
 	f      *ir.Func
 	sig    *CFuncInfo
+	sc     *blockScratch // the function's blocks until sealFunction
 	curIdx int32
 
 	scopes    []map[string]*local
@@ -95,8 +156,8 @@ func stmtPos(s Stmt) Pos {
 
 func (cg *codegen) function(fd *FuncDecl) error {
 	f := &ir.Func{Name: fd.Name, Sig: sigIR(fd.Sig), SourceFile: cg.file}
-	f.Blocks = []*ir.Block{{Name: "entry"}}
-	g := &fnGen{cg: cg, f: f, sig: fd.Sig, labels: map[string]int32{}}
+	g := &fnGen{cg: cg, f: f, sig: fd.Sig, sc: cg.scratch, labels: map[string]int32{}}
+	g.sc.addBlock("entry")
 	g.at(fd.Pos) // parameter spills carry the function's own line
 	g.pushScope()
 	// Parameters arrive in registers 0..n-1; spill each into an alloca so
@@ -145,11 +206,12 @@ func (g *fnGen) lookup(name string) *local {
 	return nil
 }
 
-func (g *fnGen) cur() *ir.Block { return g.f.Blocks[g.curIdx] }
+// code returns the instructions of block i so far.
+func (g *fnGen) code(i int32) *[]ir.Instr { return &g.sc.code[i] }
 
 func (g *fnGen) terminated() bool {
-	b := g.cur()
-	return len(b.Instrs) > 0 && ir.IsTerminator(b.Instrs[len(b.Instrs)-1].Op)
+	c := *g.code(g.curIdx)
+	return len(c) > 0 && ir.IsTerminator(c[len(c)-1].Op)
 }
 
 func (g *fnGen) emit(in ir.Instr) {
@@ -161,19 +223,22 @@ func (g *fnGen) emit(in ir.Instr) {
 		// the IR stays well formed.
 		g.curIdx = g.newBlock("dead")
 	}
-	g.cur().Instrs = append(g.cur().Instrs, in)
+	c := g.code(g.curIdx)
+	*c = append(*c, in)
 }
 
+// newBlock appends a block named prefix.N, N its index.
 func (g *fnGen) newBlock(prefix string) int32 {
-	idx := int32(len(g.f.Blocks))
-	g.f.Blocks = append(g.f.Blocks, &ir.Block{Name: fmt.Sprintf("%s.%d", prefix, idx)})
-	return idx
+	sc := g.sc
+	sc.name = strconv.AppendInt(append(append(sc.name[:0], prefix...), '.'), int64(len(sc.code)), 10)
+	return sc.addBlock(string(sc.name))
 }
 
 // br terminates the current block with a jump if it is not already terminated.
 func (g *fnGen) br(target int32) {
 	if !g.terminated() {
-		g.cur().Instrs = append(g.cur().Instrs, ir.Instr{Op: ir.OpBr, Blk0: target, Line: g.line})
+		c := g.code(g.curIdx)
+		*c = append(*c, ir.Instr{Op: ir.OpBr, Blk0: target, Line: g.line})
 	}
 }
 
@@ -190,26 +255,29 @@ func (g *fnGen) alloca(ty *CType, name string) int32 {
 	return dst
 }
 
-// sealFunction gives every unterminated block a terminator. C permits
-// falling off the end of a function; the result is the zero value (and
-// main() returns 0 per C99).
+// sealFunction gives every unterminated block a terminator and moves the
+// blocks into the function (blockScratch.seal). C permits falling off the
+// end of a function; the result is the zero value (and main() returns 0
+// per C99).
 func (g *fnGen) sealFunction() {
-	for i, b := range g.f.Blocks {
-		if len(b.Instrs) > 0 && ir.IsTerminator(b.Instrs[len(b.Instrs)-1].Op) {
+	for i := range g.sc.code {
+		g.curIdx = int32(i)
+		if g.terminated() {
 			continue
 		}
-		g.curIdx = int32(i)
+		c := g.code(g.curIdx)
 		switch rt := g.sig.Ret; {
 		case rt.Kind == CVoid:
-			b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpRet, Line: g.line})
+			*c = append(*c, ir.Instr{Op: ir.OpRet, Line: g.line})
 		case rt.Kind == CFloat:
-			b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpRet, Ty: rt.IR(), A: ir.ConstFloat(0, rt.IR()), Line: g.line})
+			*c = append(*c, ir.Instr{Op: ir.OpRet, Ty: rt.IR(), A: ir.ConstFloat(0, rt.IR()), Line: g.line})
 		case rt.Kind == CPtr:
-			b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpRet, Ty: rt.IR(), A: ir.Null(), Line: g.line})
+			*c = append(*c, ir.Instr{Op: ir.OpRet, Ty: rt.IR(), A: ir.Null(), Line: g.line})
 		default:
-			b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpRet, Ty: rt.IR(), A: ir.ConstInt(0, rt.IR()), Line: g.line})
+			*c = append(*c, ir.Instr{Op: ir.OpRet, Ty: rt.IR(), A: ir.ConstInt(0, rt.IR()), Line: g.line})
 		}
 	}
+	g.sc.seal(g.f)
 }
 
 func (g *fnGen) stmts(list []Stmt) error {
@@ -385,7 +453,7 @@ func (g *fnGen) stmt(s Stmt) error {
 		}
 		// Forward goto: patch after the body is generated.
 		g.emit(ir.Instr{Op: ir.OpBr, Blk0: 0})
-		g.gotos = append(g.gotos, pendingGoto{blk: g.curIdx, instr: len(g.cur().Instrs) - 1, name: st.Name, pos: st.Pos})
+		g.gotos = append(g.gotos, pendingGoto{blk: g.curIdx, instr: len(*g.code(g.curIdx)) - 1, name: st.Name, pos: st.Pos})
 		return nil
 	}
 	return fmt.Errorf("cc: unhandled statement %T", s)
@@ -437,14 +505,15 @@ func (g *fnGen) switchStmt(st *Switch) error {
 		defaultB = endB
 	}
 	// Seal any dangling pre-case block.
-	g.f.Blocks[dispatch].Instrs = append(g.f.Blocks[dispatch].Instrs,
+	c := g.code(dispatch)
+	*c = append(*c,
 		ir.Instr{Op: ir.OpSwitch, Ty: ir.I64, A: scrut.op, Blk0: defaultB, Ext: &ir.Ext{Cases: cases}, Line: int32(st.Pos.Line)})
 	g.setBlock(endB)
 	return nil
 }
 
 func (g *fnGen) constInt(e Expr) (int64, error) {
-	p := &Parser{enums: map[string]int64{}}
+	p := &Parser{}
 	return p.evalConst(e)
 }
 
@@ -465,7 +534,7 @@ func (g *fnGen) localVar(vd *VarDecl) error {
 		if err := g.cg.m.AddGlobal(gv); err != nil {
 			return err
 		}
-		g.cg.globals[mangled] = vd.Ty
+		g.cg.globals.Set(mangled, vd.Ty)
 		g.scopes[len(g.scopes)-1][vd.Name] = &local{addr: g.emitGlobalAddr(mangled), ty: vd.Ty}
 		return nil
 	}

@@ -13,11 +13,12 @@ package cc
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
 // TokKind classifies a token.
-type TokKind int
+type TokKind uint8
 
 const (
 	TokEOF TokKind = iota
@@ -31,25 +32,66 @@ const (
 	TokNewline // only visible to the preprocessor
 )
 
-// Token is a lexical token with its source position.
+// Token is a lexical token with its source position. It is 40 bytes: a
+// generated program lexes to about 700 of them, so every field is as
+// small as the front end allows.
 type Token struct {
-	Kind TokKind
-	Text string // identifier, keyword, punctuator, or raw literal text
+	// Text is an identifier, keyword or punctuator, a decimal or octal
+	// integer or a float literal's digits (suffix excluded), or a string
+	// literal's source spelling, quotes included (Str decodes it). It is
+	// empty for hex integers, characters, newlines and EOF.
+	Text string
+	// Int is an integer or character literal's value; a float literal
+	// keeps its IEEE-754 bits here (Flt).
 	Int  int64
-	Flt  float64
-	Str  string // decoded string-literal contents (without quotes)
-	File string
-	Line int
-	// Adj is true when this token starts immediately after the previous
-	// token, with no intervening whitespace (the preprocessor needs this to
-	// distinguish function-like from object-like macro definitions).
-	Adj bool
+	Line int32
+	// File indexes the unit's file table (the preprocessor's names, which
+	// the parser reads); 0 is the empty name.
+	File  uint32
+	Kind  TokKind
+	flags tokFlags
+	// hide names the macros this token came out of, which it must not
+	// expand again: a hide set in the preprocessor's table, 0 when empty.
+	hide hideID
+}
 
-	// Unsigned/long suffix info for integer literals ("u", "l", "ul", ...).
-	Unsigned bool
-	Long     bool
+// tokFlags are a token's one-bit facts.
+type tokFlags uint8
 
-	noExpand map[string]bool // macros not to re-expand (recursion guard)
+const (
+	// tokAdj: the token starts immediately after the previous one, with
+	// no whitespace between (the preprocessor tells function-like from
+	// object-like macro definitions by it).
+	tokAdj tokFlags = 1 << iota
+	tokUnsigned
+	tokLong
+)
+
+// Adj reports whether t starts immediately after the previous token.
+func (t *Token) Adj() bool { return t.flags&tokAdj != 0 }
+
+// Unsigned and Long report an integer literal's "u" and "l" suffixes.
+func (t *Token) Unsigned() bool { return t.flags&tokUnsigned != 0 }
+func (t *Token) Long() bool     { return t.flags&tokLong != 0 }
+
+// Flt returns a float literal's value.
+func (t *Token) Flt() float64 { return math.Float64frombits(uint64(t.Int)) }
+
+// Str returns a string literal's contents, its escapes decoded (without
+// the quotes). The lexer checked every escape, so decoding cannot fail; a
+// literal without escapes is a window of its spelling.
+func (t *Token) Str() string {
+	raw := t.Text[1 : len(t.Text)-1]
+	if strings.IndexByte(raw, '\\') < 0 {
+		return raw
+	}
+	b := make([]byte, 0, len(raw))
+	for i := 0; i < len(raw); {
+		ch, ni, _ := lexEscape(raw, i)
+		b = append(b, ch)
+		i = ni
+	}
+	return string(b)
 }
 
 var keywords = map[string]bool{
@@ -64,8 +106,14 @@ var keywords = map[string]bool{
 }
 
 // Lex tokenizes one source file. Newlines are preserved as TokNewline tokens
-// because the preprocessor is line-oriented; it does not emit them.
-func Lex(file, src string) ([]Token, error) {
+// because the preprocessor is line-oriented; it does not emit them. Its
+// tokens' File is 0: the preprocessor lexes each file with its index in the
+// unit's file table (lexFile).
+func Lex(file, src string) ([]Token, error) { return lexFile(file, 0, src) }
+
+// lexFile tokenizes the source of the file named file, whose index in the
+// unit's file table is id.
+func lexFile(file string, id uint32, src string) ([]Token, error) {
 	// Generated programs average about 2.5 bytes a token, newlines
 	// included, so half the source's length holds every token without
 	// growing the slice.
@@ -75,9 +123,11 @@ func Lex(file, src string) ([]Token, error) {
 	n := len(src)
 	adjacent := false
 	emit := func(t Token) {
-		t.File = file
-		t.Line = line
-		t.Adj = adjacent
+		t.File = id
+		t.Line = int32(line)
+		if adjacent {
+			t.flags |= tokAdj
+		}
 		toks = append(toks, t)
 		adjacent = true
 	}
@@ -134,21 +184,20 @@ func Lex(file, src string) ([]Token, error) {
 			i = ni
 			emit(t)
 		case c == '"':
-			var sb strings.Builder
+			start := i
 			i++
 			for i < n && src[i] != '"' {
-				ch, ni, err := lexEscape(src, i)
+				_, ni, err := lexEscape(src, i)
 				if err != nil {
 					return nil, fmt.Errorf("%s:%d: %v", file, line, err)
 				}
-				sb.WriteByte(ch)
 				i = ni
 			}
 			if i >= n {
 				return nil, fmt.Errorf("%s:%d: unterminated string literal", file, line)
 			}
 			i++
-			emit(Token{Kind: TokStrLit, Str: sb.String()})
+			emit(Token{Kind: TokStrLit, Text: src[start:i]})
 		case c == '\'':
 			i++
 			if i >= n {
@@ -268,7 +317,7 @@ func lexNumber(src string, i int) (Token, int, error) {
 		if i < n && (src[i] == 'f' || src[i] == 'F' || src[i] == 'l' || src[i] == 'L') {
 			i++
 		}
-		return Token{Kind: TokFloatLit, Flt: v, Text: text}, i, nil
+		return Token{Kind: TokFloatLit, Int: int64(math.Float64bits(v)), Text: text}, i, nil
 	}
 	var v uint64
 	if strings.HasPrefix(text, "0") && len(text) > 1 {
@@ -289,10 +338,10 @@ func lexIntSuffix(src string, i int, t *Token) int {
 	for i < len(src) {
 		switch src[i] {
 		case 'u', 'U':
-			t.Unsigned = true
+			t.flags |= tokUnsigned
 			i++
 		case 'l', 'L':
-			t.Long = true
+			t.flags |= tokLong
 			i++
 		default:
 			return i

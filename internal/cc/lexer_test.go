@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func lexKinds(t *testing.T, src string) []Token {
@@ -65,12 +66,12 @@ func TestLexNumbers(t *testing.T) {
 		}
 		tok := toks[0]
 		if c.isFloat {
-			if tok.Kind != TokFloatLit || tok.Flt != c.fltVal {
-				t.Errorf("%q: got (%v, %g)", c.src, tok.Kind, tok.Flt)
+			if tok.Kind != TokFloatLit || tok.Flt() != c.fltVal {
+				t.Errorf("%q: got (%v, %g)", c.src, tok.Kind, tok.Flt())
 			}
 		} else {
-			if tok.Kind != TokIntLit || tok.Int != c.intVal || tok.Unsigned != c.unsigned || tok.Long != c.long {
-				t.Errorf("%q: got (%v, %d, u=%v l=%v)", c.src, tok.Kind, tok.Int, tok.Unsigned, tok.Long)
+			if tok.Kind != TokIntLit || tok.Int != c.intVal || tok.Unsigned() != c.unsigned || tok.Long() != c.long {
+				t.Errorf("%q: got (%v, %d, u=%v l=%v)", c.src, tok.Kind, tok.Int, tok.Unsigned(), tok.Long())
 			}
 		}
 	}
@@ -78,8 +79,8 @@ func TestLexNumbers(t *testing.T) {
 
 func TestLexStringsAndChars(t *testing.T) {
 	toks := lexKinds(t, `"hi\n" "a\tb" '\0' 'x' '\x41' '\n'`)
-	if toks[0].Str != "hi\n" || toks[1].Str != "a\tb" {
-		t.Errorf("string escapes wrong: %q %q", toks[0].Str, toks[1].Str)
+	if toks[0].Str() != "hi\n" || toks[1].Str() != "a\tb" {
+		t.Errorf("string escapes wrong: %q %q", toks[0].Str(), toks[1].Str())
 	}
 	wantChars := []int64{0, 'x', 0x41, '\n'}
 	for i, w := range wantChars {
@@ -119,13 +120,25 @@ func TestLexPunctuatorsLongestMatch(t *testing.T) {
 	}
 }
 
+// TestTokenLayout pins the token's size budget. A generated program lexes
+// to about 700 tokens and the preprocessor's output is a window of the
+// lexed slice, so each byte shows up in every cold compile: the 96-byte
+// token of a string per file name, a map per expanded token and separate
+// int, float and string-literal fields cost 84 KB of lexing and 69 KB of
+// output per program.
+func TestTokenLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Token{}); n > 40 {
+		t.Errorf("unsafe.Sizeof(Token{}) = %d, budget 40", n)
+	}
+}
+
 func TestLexAdjacency(t *testing.T) {
 	toks := lexKinds(t, "f(x) g (y)")
 	// f '(' adjacent; g '(' not adjacent.
-	if !toks[1].Adj {
+	if !toks[1].Adj() {
 		t.Error("f( should be adjacent")
 	}
-	if toks[5].Adj {
+	if toks[5].Adj() {
 		t.Error("g ( should not be adjacent")
 	}
 }
@@ -138,7 +151,7 @@ func TestLexLineNumbers(t *testing.T) {
 	var lines []int
 	for _, tok := range toks {
 		if tok.Kind == TokIdent {
-			lines = append(lines, tok.Line)
+			lines = append(lines, int(tok.Line))
 		}
 	}
 	want := []int{1, 2, 4}

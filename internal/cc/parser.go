@@ -2,19 +2,22 @@ package cc
 
 import (
 	"fmt"
+
+	"repro/internal/overlay"
 )
 
 // Parser turns a preprocessed token stream into an AST. It tracks typedefs,
 // struct/union tags, and enum constants, which C needs to disambiguate
-// declarations from expressions.
+// declarations from expressions. The tables overlay a prefix's (Unit.Parse).
 type Parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	files []string // the file table toks' File indexes
 
-	typedefs map[string]*CType
-	structs  map[string]*CStructInfo
-	unions   map[string]*CStructInfo
-	enums    map[string]int64
+	typedefs *overlay.Map[string, *CType]
+	structs  *overlay.Map[string, *CStructInfo]
+	unions   *overlay.Map[string, *CStructInfo]
+	enums    *overlay.Map[string, int64]
 }
 
 // program parses declarations up to the end of the token stream.
@@ -40,11 +43,11 @@ func (p *Parser) pdesc() string {
 	case TokEOF:
 		return "<eof>"
 	case TokStrLit:
-		return fmt.Sprintf("%q", t.Str)
+		return fmt.Sprintf("%q", t.Str())
 	case TokIntLit:
 		return fmt.Sprintf("%d", t.Int)
 	case TokFloatLit:
-		return fmt.Sprintf("%g", t.Flt)
+		return fmt.Sprintf("%g", t.Flt())
 	case TokCharLit:
 		return fmt.Sprintf("'%c'", rune(t.Int))
 	}
@@ -53,10 +56,10 @@ func (p *Parser) pdesc() string {
 
 func (p *Parser) errf(format string, args ...any) error {
 	t := p.tok()
-	return fmt.Errorf("%s:%d: %s", t.File, t.Line, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%s:%d: %s", p.files[t.File], t.Line, fmt.Sprintf(format, args...))
 }
 
-func (p *Parser) here() Pos { return Pos{File: p.tok().File, Line: p.tok().Line} }
+func (p *Parser) here() Pos { return Pos{File: p.files[p.tok().File], Line: int(p.tok().Line)} }
 
 func (p *Parser) isPunct(s string) bool {
 	t := p.tok()
@@ -108,7 +111,7 @@ func (p *Parser) startsDecl() bool {
 		return true
 	}
 	if t.Kind == TokIdent {
-		_, ok := p.typedefs[t.Text]
+		_, ok := p.typedefs.Get(t.Text)
 		return ok
 	}
 	return false
@@ -133,7 +136,7 @@ func (p *Parser) declSpecs() (*CType, storage, error) {
 	for {
 		t := p.tok()
 		if t.Kind == TokIdent {
-			if td, ok := p.typedefs[t.Text]; ok && base == nil && !seenInt && longCount == 0 && !short && !signed && !unsigned {
+			if td, ok := p.typedefs.Get(t.Text); ok && base == nil && !seenInt && longCount == 0 && !short && !signed && !unsigned {
 				p.pos++
 				base = td
 				continue
@@ -231,11 +234,11 @@ func (p *Parser) structSpec(isUnion bool) (*CType, error) {
 	}
 	var info *CStructInfo
 	if name != "" {
-		if existing, ok := tags[name]; ok {
+		if existing, ok := tags.Get(name); ok {
 			info = existing
 		} else {
 			info = &CStructInfo{Name: name, IsUnion: isUnion}
-			tags[name] = info
+			tags.Set(name, info)
 		}
 	} else {
 		info = &CStructInfo{IsUnion: isUnion}
@@ -247,7 +250,7 @@ func (p *Parser) structSpec(isUnion bool) (*CType, error) {
 			// struct (a shared Prefix's) is never written.
 			info = &CStructInfo{Name: name, IsUnion: isUnion}
 			if name != "" {
-				tags[name] = info
+				tags.Set(name, info)
 			}
 		}
 		for !p.isPunct("}") {
@@ -306,7 +309,7 @@ func (p *Parser) enumSpec() error {
 			}
 			next = v
 		}
-		p.enums[name] = next
+		p.enums.Set(name, next)
 		next++
 		if !p.accept(",") {
 			break
@@ -339,7 +342,7 @@ func (p *Parser) declarator(base *CType) (string, *CType, error) {
 		save := p.pos
 		p.pos++
 		t := p.tok()
-		if t.Kind == TokIdent && p.typedefs[t.Text] == nil || t.Kind == TokPunct && (t.Text == "*" || t.Text == "(") {
+		if t.Kind == TokIdent && !p.isTypedef(t.Text) || t.Kind == TokPunct && (t.Text == "*" || t.Text == "(") {
 			innerToks := p.pos
 			// Parse the inner declarator later against the completed suffix type.
 			depth := 1
@@ -357,7 +360,7 @@ func (p *Parser) declarator(base *CType) (string, *CType, error) {
 			}
 			endInner := p.pos - 1
 			inner = func(t *CType) (*CType, error) {
-				sub := &Parser{toks: append(append([]Token{}, p.toks[innerToks:endInner]...), Token{Kind: TokEOF}),
+				sub := &Parser{toks: append(append([]Token{}, p.toks[innerToks:endInner]...), Token{Kind: TokEOF}), files: p.files,
 					typedefs: p.typedefs, structs: p.structs, unions: p.unions, enums: p.enums}
 				n, ty, err := sub.declarator(t)
 				if err != nil {
@@ -467,7 +470,7 @@ func (p *Parser) externalDecl() ([]any, error) {
 			return nil, p.errf("expected declarator name")
 		}
 		if st.typedef {
-			p.typedefs[name] = ty
+			p.typedefs.Set(name, ty)
 			if !p.accept(",") {
 				break
 			}
@@ -751,7 +754,7 @@ func (p *Parser) stmt() (Stmt, error) {
 			return nil, err
 		}
 		return &Goto{Name: name, Pos: pos}, p.expect(";")
-	case t.Kind == TokIdent && p.toks[p.pos+1].Kind == TokPunct && p.toks[p.pos+1].Text == ":" && p.typedefs[t.Text] == nil:
+	case t.Kind == TokIdent && p.toks[p.pos+1].Kind == TokPunct && p.toks[p.pos+1].Text == ":" && !p.isTypedef(t.Text):
 		p.pos += 2
 		return &Label{Name: t.Text, Pos: pos}, nil
 	case p.startsDecl():
@@ -783,7 +786,7 @@ func (p *Parser) localDecl() (Stmt, error) {
 			return nil, err
 		}
 		if st.typedef {
-			p.typedefs[name] = ty
+			p.typedefs.Set(name, ty)
 		} else {
 			vd := &VarDecl{Name: name, Ty: ty, Static: st.static, Extern: st.extern, Const: st.isConst, Pos: dpos}
 			if p.accept("=") {
@@ -914,7 +917,7 @@ func (p *Parser) typeStartAt(d int) bool {
 		}
 		return false
 	}
-	return t.Kind == TokIdent && p.typedefs[t.Text] != nil
+	return t.Kind == TokIdent && p.isTypedef(t.Text)
 }
 
 func (p *Parser) castExpr() (Expr, error) {
@@ -1051,25 +1054,25 @@ func (p *Parser) primaryExpr() (Expr, error) {
 	switch t.Kind {
 	case TokIntLit:
 		p.pos++
-		return &IntLit{V: t.Int, Unsigned: t.Unsigned, Long: t.Long, Pos: pos}, nil
+		return &IntLit{V: t.Int, Unsigned: t.Unsigned(), Long: t.Long(), Pos: pos}, nil
 	case TokCharLit:
 		p.pos++
 		return &IntLit{V: t.Int, Pos: pos}, nil
 	case TokFloatLit:
 		p.pos++
 		single := len(t.Text) > 0 && (t.Text[len(t.Text)-1] == 'f' || t.Text[len(t.Text)-1] == 'F')
-		return &FloatLit{V: t.Flt, Single: single, Pos: pos}, nil
+		return &FloatLit{V: t.Flt(), Single: single, Pos: pos}, nil
 	case TokStrLit:
-		s := t.Str
+		s := t.Str()
 		p.pos++
 		for p.tok().Kind == TokStrLit { // adjacent literal concatenation
-			s += p.tok().Str
+			s += p.tok().Str()
 			p.pos++
 		}
 		return &StrLit{S: s, Pos: pos}, nil
 	case TokIdent:
 		p.pos++
-		if v, ok := p.enums[t.Text]; ok {
+		if v, ok := p.enums.Get(t.Text); ok {
 			return &IntLit{V: v, Pos: pos}, nil
 		}
 		return &Ident{Name: t.Text, Pos: pos}, nil
@@ -1084,6 +1087,12 @@ func (p *Parser) primaryExpr() (Expr, error) {
 		}
 	}
 	return nil, p.errf("unexpected token %s in expression", p.pdesc())
+}
+
+// isTypedef reports whether name is a typedef name.
+func (p *Parser) isTypedef(name string) bool {
+	ty, _ := p.typedefs.Get(name)
+	return ty != nil
 }
 
 // evalConst evaluates an integer constant expression at parse time

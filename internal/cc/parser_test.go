@@ -262,7 +262,7 @@ func TestParseVariadicSignature(t *testing.T) {
 }
 
 func TestEvalConstExpressions(t *testing.T) {
-	p := &Parser{enums: map[string]int64{}}
+	p := &Parser{}
 	cases := []struct {
 		e    Expr
 		want int64

@@ -5,6 +5,7 @@ import (
 	"maps"
 
 	"repro/internal/ir"
+	"repro/internal/overlay"
 )
 
 // Prefix is the front end's state part-way through a translation unit: after
@@ -17,9 +18,11 @@ import (
 // error.
 //
 // A built Prefix is immutable and shared by concurrent compilations:
-//   - Continue clones its tables, maps only: the macros with the remaining
-//     expansion budget; the typedef, struct, union and enum tables; and
-//     codegen's function and global tables with the string-literal counter.
+//   - A continuing unit overlays its tables (overlay.Map): the macros, with
+//     the remaining expansion budget; the typedef, struct, union and enum
+//     tables; and codegen's function and global tables, with the
+//     string-literal counter. It reads the prefix's maps and writes, and
+//     deletes by tombstone, only its own; Freeze flattens them once.
 //     The names the prefix's code mentions are read, never cloned: the unit
 //     may not redeclare them as anything else (see codegen.program).
 //   - A continuing unit lowers into a new module that starts with Module's
@@ -105,10 +108,11 @@ type Unit struct {
 	pre   *Prefix
 	files func(name string) (string, bool)
 
-	macros map[string]*macro
+	macros *overlay.Map[string, *macro]
 	budget int
 	guards map[string]string // the include guards this unit found
 	toks   []Token
+	names  []string // the file table toks' File indexes
 	parser *Parser
 	prog   *Program
 	cg     *codegen
@@ -127,7 +131,7 @@ func (pre *Prefix) Continue(files func(name string) (string, bool)) *Unit {
 func (u *Unit) Preprocess(file string) error {
 	p := &preprocessor{
 		files:        u.files,
-		macros:       maps.Clone(u.pre.macros),
+		macros:       overlay.New(u.pre.macros),
 		maxWork:      u.pre.budget,
 		sharedGuards: u.pre.guards,
 		guards:       map[string]string{},
@@ -142,8 +146,8 @@ func (u *Unit) Preprocess(file string) error {
 	} else if err := p.processFile(file); err != nil {
 		return err
 	}
-	p.out = append(p.out, Token{Kind: TokEOF, File: u.pre.unit})
-	u.toks, u.macros, u.budget, u.guards = p.out, p.macros, p.maxWork, p.guards
+	p.emit(Token{Kind: TokEOF, File: p.fileID(u.pre.unit)})
+	u.toks, u.names, u.macros, u.budget, u.guards = p.out, p.names, p.macros, p.maxWork, p.guards
 	return nil
 }
 
@@ -151,10 +155,11 @@ func (u *Unit) Preprocess(file string) error {
 func (u *Unit) Parse() error {
 	u.parser = &Parser{
 		toks:     u.toks,
-		typedefs: maps.Clone(u.pre.typedefs),
-		structs:  maps.Clone(u.pre.structs),
-		unions:   maps.Clone(u.pre.unions),
-		enums:    maps.Clone(u.pre.enums),
+		files:    u.names,
+		typedefs: overlay.New(u.pre.typedefs),
+		structs:  overlay.New(u.pre.structs),
+		unions:   overlay.New(u.pre.unions),
+		enums:    overlay.New(u.pre.enums),
 	}
 	prog, err := u.parser.program()
 	u.prog = prog
@@ -168,14 +173,19 @@ func (u *Unit) Parse() error {
 func (u *Unit) Lower() (*ir.Module, error) {
 	u.cg = &codegen{
 		m:       u.pre.Module.Extend(),
-		globals: maps.Clone(u.pre.globals),
-		funcs:   maps.Clone(u.pre.funcs),
+		globals: overlay.New(u.pre.globals),
+		funcs:   overlay.New(u.pre.funcs),
 		strIdx:  u.pre.strIdx,
 		file:    u.pre.unit,
 		preRefs: u.pre.refs,
 		refs:    map[string]bool{},
+		scratch: scratchPool.Get().(*blockScratch),
 	}
-	if err := u.cg.program(u.prog); err != nil {
+	err := u.cg.program(u.prog)
+	u.cg.scratch.reset() // a failed function leaves its blocks behind
+	scratchPool.Put(u.cg.scratch)
+	u.cg.scratch = nil
+	if err != nil {
 		return nil, err
 	}
 	u.distinctStructs = collectStructs(u.cg.m, u.pre.Module, u.pre.distinctStructs)
@@ -183,26 +193,28 @@ func (u *Unit) Lower() (*ir.Module, error) {
 }
 
 // Freeze publishes the lowered unit as a prefix whose continuation the main
-// file includes from line. It verifies the unit's module in full and lays
-// out and freezes every struct the prefix can reach. The unit must not be
-// used afterwards.
+// file includes from line. It verifies the unit's module in full, flattens
+// the unit's overlaid tables and its module's symbol index, and lays out
+// and freezes every struct the prefix can reach. The unit must not be used
+// afterwards.
 func (u *Unit) Freeze(line int) (*Prefix, error) {
 	if err := ir.Verify(u.cg.m); err != nil {
 		return nil, fmt.Errorf("cc: internal error: generated invalid IR: %w", err)
 	}
+	u.cg.m.FreezeIndex()
 	pre := &Prefix{
 		Module:   u.cg.m,
 		unit:     u.pre.unit,
 		line:     line,
-		macros:   u.macros,
+		macros:   u.macros.Flat(),
 		budget:   u.budget,
 		guards:   u.guards,
-		typedefs: u.parser.typedefs,
-		structs:  u.parser.structs,
-		unions:   u.parser.unions,
-		enums:    u.parser.enums,
-		funcs:    u.cg.funcs,
-		globals:  u.cg.globals,
+		typedefs: u.parser.typedefs.Flat(),
+		structs:  u.parser.structs.Flat(),
+		unions:   u.parser.unions.Flat(),
+		enums:    u.parser.enums.Flat(),
+		funcs:    u.cg.funcs.Flat(),
+		globals:  u.cg.globals.Flat(),
 		strIdx:   u.cg.strIdx,
 		refs:     u.cg.refs,
 

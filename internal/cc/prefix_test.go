@@ -1,7 +1,10 @@
 package cc
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -231,7 +234,7 @@ func FuzzLibcPrefixPreprocess(f *testing.F) {
 		}
 		for i := range twice {
 			a, b := twice[i], alias[i]
-			a.File, b.File, a.noExpand, b.noExpand = "", "", nil, nil
+			a.File, b.File, a.hide, b.hide = 0, 0, 0, 0
 			if fmt.Sprint(a) != fmt.Sprint(b) {
 				t.Fatalf("token %d: including the header twice emits %+v, its copy %+v", i, a, b)
 			}
@@ -313,5 +316,125 @@ func TestContinuedStructTable(t *testing.T) {
 		if ir.Print(got) != ir.Print(want) {
 			t.Errorf("%s: the continued unit prints\n%s\nthe one-pass compile\n%s", c.name, ir.Print(got), ir.Print(want))
 		}
+	}
+}
+
+// overlaySrc writes to every table a unit overlays on the libc prefix: it
+// undefines and redefines libc macros, shadows a libc typedef in block
+// scope, and declares its own struct tag, enum constant, global and
+// functions.
+const overlaySrc = `#include <stdio.h>
+#include <stdlib.h>
+#undef EOF
+#ifdef EOF
+#error EOF is still defined
+#endif
+#define EOF (-7)
+#undef NULL
+#define NULL ((void *)1)
+struct pair { int a; long b; };
+enum { OVERLAY_K = 41 };
+int counter;
+static int bump(struct pair *p) { return p->a + (int)p->b; }
+int main(void) {
+	struct pair q = { OVERLAY_K, 1 };
+	{
+		typedef short size_t;
+		size_t n = 3;
+		counter = n + (int)sizeof(size_t);
+	}
+	printf("%d %d %d\n", bump(&q), EOF, counter);
+	return NULL == 0;
+}
+`
+
+// TestLibcPrefixOverlay pins what a unit continuing the libc prefix sees
+// through its overlaid tables: overlaySrc prints the module a one-pass
+// compile of libc and the program prints, alone and with eight units
+// continuing the prefix at once (run it under -race), and the prefix's
+// tables hold afterwards what they held before.
+func TestLibcPrefixOverlay(t *testing.T) {
+	files := libc.Files()
+	files["user.c"] = overlaySrc
+	files[libc.UnitFile] = libc.WrapProgram("user.c", false)
+	ref, err := Compile(libc.UnitFile, files, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ir.Print(ref)
+	pre := libcPrefix(t, false)
+	sizes, digest := prefixTables(pre)
+	compile := func() (string, error) {
+		u := continueLibc(t, overlaySrc, nil)
+		if err := u.Preprocess("user.c"); err != nil {
+			return "", err
+		}
+		if err := u.Parse(); err != nil {
+			return "", err
+		}
+		m, err := u.Lower()
+		if err != nil {
+			return "", err
+		}
+		return ir.Print(m), nil
+	}
+	if got, err := compile(); err != nil || got != want {
+		t.Fatalf("the continued unit prints (err %v)\n%s\nthe one-pass compile\n%s", err, got, want)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := compile()
+			if err == nil && got != want {
+				err = fmt.Errorf("a concurrent unit prints another module")
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("unit %d: %v", i, err)
+		}
+	}
+	if s, d := prefixTables(pre); s != sizes || d != digest {
+		t.Errorf("the prefix's tables changed: %s, digest %s; before %s, digest %s", s, d, sizes, digest)
+	}
+}
+
+// prefixTables returns the sizes of a prefix's macro, tag, typedef, enum,
+// global and function tables, and a digest of their entries: each name
+// with the identity and contents of what it maps to.
+func prefixTables(pre *Prefix) (sizes, digest string) {
+	var lines []string
+	tableLines(&lines, "macro", pre.macros, func(m *macro) string {
+		return fmt.Sprintf("%p %v %v %s", m, m.funcLike, m.params, tokensText(m.body))
+	})
+	for table, tags := range map[string]map[string]*CStructInfo{"struct": pre.structs, "union": pre.unions} {
+		tableLines(&lines, table, tags, func(s *CStructInfo) string {
+			return fmt.Sprintf("%p %d %v %v", s, len(s.Fields), s.Complete, s.frozen)
+		})
+	}
+	tableLines(&lines, "typedef", pre.typedefs, func(t *CType) string { return fmt.Sprintf("%p %s", t, t) })
+	tableLines(&lines, "enum", pre.enums, func(v int64) string { return fmt.Sprint(v) })
+	tableLines(&lines, "global", pre.globals, func(t *CType) string { return fmt.Sprintf("%p %s", t, t) })
+	tableLines(&lines, "func", pre.funcs, func(f *CFuncInfo) string {
+		return fmt.Sprintf("%p %s %v %v", f, f.Ret, f.Params, f.Variadic)
+	})
+	slices.Sort(lines)
+	sum := sha256.Sum256([]byte(strings.Join(lines, "\n")))
+	sizes = fmt.Sprintf("%d macros, %d structs, %d unions, %d typedefs, %d enums, %d globals, %d funcs",
+		len(pre.macros), len(pre.structs), len(pre.unions), len(pre.typedefs), len(pre.enums), len(pre.globals), len(pre.funcs))
+	return sizes, hex.EncodeToString(sum[:])
+}
+
+// tableLines adds a line per entry of the table m: the table, the name and
+// what show makes of the value.
+func tableLines[V any](lines *[]string, table string, m map[string]V, show func(V) string) {
+	for name, v := range m {
+		*lines = append(*lines, table+" "+name+" "+show(v))
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+
+	"repro/internal/overlay"
 )
 
 // macro is a preprocessor macro definition.
@@ -21,10 +23,21 @@ type macro struct {
 // #if/#ifdef/#ifndef/#else/#endif, #undef, and defined().
 type preprocessor struct {
 	files   func(name string) (string, bool) // include name -> contents
-	macros  map[string]*macro
+	macros  *overlay.Map[string, *macro]
 	out     []Token
 	depth   int
 	maxWork int // expansion budget; guards against runaway recursion
+
+	// The unit's first file is preprocessed in place: out starts as an
+	// empty window of its lexed tokens, in, and overwrites what was read.
+	// next is the index of in's first token not read yet; a write that
+	// would reach it moves out to an array of its own (emit), and in is
+	// nil from then on.
+	in   []Token
+	next int
+
+	names []string  // the unit's file table, which Token.File indexes
+	hides []hideSet // hide sets; hideID k is hides[k-1]
 
 	// The include guard of each file whose whole contents one #ifndef group
 	// holds (see includeGuard): sharedGuards is the prefix's, read-only, and
@@ -52,7 +65,7 @@ func (p *preprocessor) processFile(name string) error {
 	}
 	defer func() { p.depth-- }()
 	if guard, ok := p.guard(name); ok {
-		if _, defined := p.macros[guard]; defined {
+		if _, defined := p.macros.Get(guard); defined {
 			// Every token of the file is in a group its guard turns off:
 			// processing it would emit only newlines, define nothing and
 			// spend no expansion budget. (The multiple-include optimization
@@ -60,16 +73,104 @@ func (p *preprocessor) processFile(name string) error {
 			return nil
 		}
 	}
-	toks, err := Lex(name, src)
+	toks, err := lexFile(name, p.fileID(name), src)
 	if err != nil {
 		return err
 	}
 	if guard, ok := includeGuard(toks); ok {
 		p.guards[name] = guard
 	}
-	// The file's tokens come out at most once each, bar macro expansions.
-	p.out = slices.Grow(p.out, len(toks))
-	return p.processTokens(toks)
+	if p.out != nil {
+		return p.processTokens(toks, false)
+	}
+	// The file's tokens come out at most once each, bar macro expansions,
+	// and newlines do not come out at all.
+	p.out, p.in = toks[:0], toks
+	if err := p.processTokens(toks, true); err != nil {
+		return err
+	}
+	p.next = len(toks)
+	return nil
+}
+
+// isMacro reports whether name is a defined macro.
+func (p *preprocessor) isMacro(name string) bool {
+	m, _ := p.macros.Get(name)
+	return m != nil
+}
+
+// fileID returns name's index in the unit's file table, adding it if it
+// is new. Index 0 is the empty name: a token made with no position
+// reports ":0:", as it always has.
+func (p *preprocessor) fileID(name string) uint32 {
+	if p.names == nil {
+		p.names = []string{""}
+	}
+	for i, n := range p.names {
+		if n == name {
+			return uint32(i)
+		}
+	}
+	p.names = append(p.names, name)
+	return uint32(len(p.names) - 1)
+}
+
+// at renders t's position for an error message.
+func (p *preprocessor) at(t *Token) string {
+	return fmt.Sprintf("%s:%d", p.names[t.File], t.Line)
+}
+
+// emit appends ts to the output. While the output overwrites the first
+// file's tokens (processFile), a write that would reach the first token
+// not read yet first moves the output to an array of its own.
+func (p *preprocessor) emit(ts ...Token) {
+	if p.in != nil && len(p.out)+len(ts) > p.next {
+		out := make([]Token, len(p.out), len(p.out)+len(ts)+len(p.in)-p.next)
+		copy(out, p.out)
+		p.out, p.in = out, nil
+	}
+	p.out = append(p.out, ts...)
+}
+
+// hideID names a hide set: the macros a token came out of, which it must
+// not expand again. 0 is the empty set.
+type hideID uint32
+
+// hideSet is the set rest plus the macro name.
+type hideSet struct {
+	name string
+	rest hideID
+}
+
+// hidden reports whether name is in the hide set h.
+func (p *preprocessor) hidden(h hideID, name string) bool {
+	for h != 0 {
+		s := &p.hides[h-1]
+		if s.name == name {
+			return true
+		}
+		h = s.rest
+	}
+	return false
+}
+
+// hideAdd returns the hide set h plus name.
+func (p *preprocessor) hideAdd(h hideID, name string) hideID {
+	if p.hidden(h, name) {
+		return h
+	}
+	p.hides = append(p.hides, hideSet{name: name, rest: h})
+	return hideID(len(p.hides))
+}
+
+// hideUnion returns the union of the hide sets a and b.
+func (p *preprocessor) hideUnion(a, b hideID) hideID {
+	for b != 0 {
+		s := p.hides[b-1]
+		a = p.hideAdd(a, s.name)
+		b = s.rest
+	}
+	return a
 }
 
 // guard returns the include guard recorded for the named file. A name
@@ -153,7 +254,9 @@ type condState struct {
 // errBudget reports that a unit's macro expansion ran out of work.
 var errBudget = errors.New("cc: macro expansion budget exceeded (recursive macro?)")
 
-func (p *preprocessor) processTokens(toks []Token) error {
+// processTokens preprocesses one file's tokens. inPlace says the output
+// overwrites them (processFile).
+func (p *preprocessor) processTokens(toks []Token, inPlace bool) error {
 	var conds []condState
 	i := 0
 	atLineStart := true
@@ -183,8 +286,11 @@ func (p *preprocessor) processTokens(toks []Token) error {
 			for j < len(toks) && toks[j].Kind != TokNewline && toks[j].Kind != TokEOF {
 				j++
 			}
+			if inPlace {
+				p.next = i // an #include's output must not overwrite the line
+			}
 			if err := p.directive(toks[i+1:j], &conds, emitting()); err != nil {
-				return fmt.Errorf("%s:%d: %w", t.File, t.Line, err)
+				return fmt.Errorf("%s: %w", p.at(t), err)
 			}
 			i = j
 			continue
@@ -194,22 +300,28 @@ func (p *preprocessor) processTokens(toks []Token) error {
 			i++
 			continue
 		}
-		if t.Kind != TokIdent || p.macros[t.Text] == nil {
+		if t.Kind != TokIdent || !p.isMacro(t.Text) {
 			// Not a macro invocation: fullExpand's identity case, for the
 			// same one unit of work.
 			if p.maxWork--; p.maxWork < 0 {
-				return fmt.Errorf("%s:%d: %w", t.File, t.Line, errBudget)
+				return fmt.Errorf("%s: %w", p.at(t), errBudget)
 			}
-			p.out = append(p.out, *t)
 			i++
+			if inPlace {
+				p.next = i
+			}
+			p.emit(*t)
 			continue
 		}
 		end := p.invocationEnd(toks, i)
 		exp, err := p.fullExpand(toks[i:end])
 		if err != nil {
-			return fmt.Errorf("%s:%d: %w", t.File, t.Line, err)
+			return fmt.Errorf("%s: %w", p.at(t), err)
 		}
-		p.out = append(p.out, exp...)
+		if inPlace {
+			p.next = end
+		}
+		p.emit(exp...)
 		i = end
 	}
 	if len(conds) != 0 {
@@ -226,7 +338,7 @@ func (p *preprocessor) invocationEnd(toks []Token, i int) int {
 	if t.Kind != TokIdent {
 		return i + 1
 	}
-	m, ok := p.macros[t.Text]
+	m, ok := p.macros.Get(t.Text)
 	if !ok || !m.funcLike {
 		return i + 1
 	}
@@ -260,8 +372,8 @@ func (p *preprocessor) fullExpand(inv []Token) ([]Token, error) {
 			idx++
 			continue
 		}
-		m, ok := p.macros[t.Text]
-		if !ok || t.noExpand[t.Text] {
+		m, ok := p.macros.Get(t.Text)
+		if !ok || p.hidden(t.hide, t.Text) {
 			out = append(out, t)
 			idx++
 			continue
@@ -307,18 +419,14 @@ func splice(toks []Token, from, to int, repl []Token) []Token {
 // substitute replaces parameters in the macro body and marks the result
 // against re-expansion of the same macro.
 func (p *preprocessor) substitute(m *macro, args [][]Token, site Token) []Token {
-	paramIdx := map[string]int{}
-	for k, name := range m.params {
-		paramIdx[name] = k
-	}
 	var out []Token
 	for bi := 0; bi < len(m.body); bi++ {
 		bt := m.body[bi]
 		// ## token pasting for identifiers/numbers
 		if bi+2 < len(m.body) && m.body[bi+1].Kind == TokPunct && m.body[bi+1].Text == "##" {
-			left := resolveSingle(bt, args, paramIdx)
-			right := resolveSingle(m.body[bi+2], args, paramIdx)
-			pasted := left.Text + right.Text
+			left := resolveSingle(bt, args, m.params)
+			right := resolveSingle(m.body[bi+2], args, m.params)
+			pasted := word(&left) + word(&right)
 			nt := Token{Kind: TokIdent, Text: pasted, File: site.File, Line: site.Line}
 			if keywords[pasted] {
 				nt.Kind = TokKeyword
@@ -328,7 +436,7 @@ func (p *preprocessor) substitute(m *macro, args [][]Token, site Token) []Token 
 			continue
 		}
 		if bt.Kind == TokIdent {
-			if k, ok := paramIdx[bt.Text]; ok {
+			if k := slices.Index(m.params, bt.Text); k >= 0 {
 				for _, at := range args[k] {
 					at.File, at.Line = site.File, site.Line
 					out = append(out, at)
@@ -339,26 +447,41 @@ func (p *preprocessor) substitute(m *macro, args [][]Token, site Token) []Token 
 		bt.File, bt.Line = site.File, site.Line
 		out = append(out, bt)
 	}
+	// Each token's hide set becomes its own plus the site's plus m. A body
+	// token's own is empty; an argument's may not be.
+	base := p.hideAdd(site.hide, m.name)
+	var from, to hideID
 	for k := range out {
-		ne := map[string]bool{m.name: true}
-		for key := range out[k].noExpand {
-			ne[key] = true
+		switch h := out[k].hide; {
+		case h == 0:
+			out[k].hide = base
+		case h != from:
+			from, to = h, p.hideUnion(base, h)
+			fallthrough
+		default:
+			out[k].hide = to
 		}
-		for key := range site.noExpand {
-			ne[key] = true
-		}
-		out[k].noExpand = ne
 	}
 	return out
 }
 
-func resolveSingle(t Token, args [][]Token, paramIdx map[string]int) Token {
+func resolveSingle(t Token, args [][]Token, params []string) Token {
 	if t.Kind == TokIdent {
-		if k, ok := paramIdx[t.Text]; ok && len(args[k]) == 1 {
+		if k := slices.Index(params, t.Text); k >= 0 && len(args[k]) == 1 {
 			return args[k][0]
 		}
 	}
 	return t
+}
+
+// word is t's text where the preprocessor reads a token as a word (a
+// directive's name, a pasted operand, an #include <...> part, a message):
+// a string literal, whose Text is its quoted spelling, has none.
+func word(t *Token) string {
+	if t.Kind == TokStrLit {
+		return ""
+	}
+	return t.Text
 }
 
 // collectMacroArgs reads "( a, b, ... )" starting at the open paren and
@@ -405,16 +528,13 @@ func (p *preprocessor) directive(line []Token, conds *[]condState, emitting bool
 	if len(line) == 0 {
 		return nil // null directive
 	}
-	name := line[0].Text
-	if line[0].Kind == TokKeyword && name == "if" {
-		name = "if"
-	}
+	name := word(&line[0])
 	switch name {
 	case "ifdef", "ifndef":
 		if len(line) < 2 {
 			return fmt.Errorf("#%s requires a name", name)
 		}
-		_, defined := p.macros[line[1].Text]
+		_, defined := p.macros.Get(word(&line[1]))
 		active := defined == (name == "ifdef")
 		*conds = append(*conds, condState{active: active && emitting, taken: active, parentOff: !emitting})
 	case "if":
@@ -472,7 +592,7 @@ func (p *preprocessor) directive(line []Token, conds *[]condState, emitting bool
 		if len(line) < 2 {
 			return fmt.Errorf("#undef requires a name")
 		}
-		delete(p.macros, line[1].Text)
+		p.macros.Delete(word(&line[1]))
 	case "include":
 		if !emitting {
 			return nil
@@ -497,7 +617,7 @@ func (p *preprocessor) define(line []Token) error {
 	// Function-like only when '(' immediately follows the name; the lexer
 	// dropped whitespace, so approximate with: next token is '(' and the
 	// body otherwise starts with it. This matches all bundled headers.
-	if len(rest) > 0 && rest[0].Kind == TokPunct && rest[0].Text == "(" && rest[0].Adj {
+	if len(rest) > 0 && rest[0].Kind == TokPunct && rest[0].Text == "(" && rest[0].Adj() {
 		m.funcLike = true
 		i := 1
 		for i < len(rest) && !(rest[i].Kind == TokPunct && rest[i].Text == ")") {
@@ -506,7 +626,7 @@ func (p *preprocessor) define(line []Token) error {
 				continue
 			}
 			if rest[i].Kind != TokIdent {
-				return fmt.Errorf("bad macro parameter %q", rest[i].Text)
+				return fmt.Errorf("bad macro parameter %q", word(&rest[i]))
 			}
 			m.params = append(m.params, rest[i].Text)
 			i++
@@ -518,7 +638,7 @@ func (p *preprocessor) define(line []Token) error {
 	} else {
 		m.body = append([]Token(nil), rest...)
 	}
-	p.macros[m.name] = m
+	p.macros.Set(m.name, m)
 	return nil
 }
 
@@ -527,18 +647,19 @@ func (p *preprocessor) include(line []Token) error {
 		return fmt.Errorf("#include requires a file")
 	}
 	if line[0].Kind == TokStrLit {
-		return p.processFile(line[0].Str)
+		return p.processFile(line[0].Str())
 	}
 	// <name.h>: tokens are < name . h >
 	var sb strings.Builder
 	if !(line[0].Kind == TokPunct && line[0].Text == "<") {
 		return fmt.Errorf("bad #include syntax")
 	}
-	for _, t := range line[1:] {
+	for i := range line[1:] {
+		t := &line[1+i]
 		if t.Kind == TokPunct && t.Text == ">" {
 			return p.processFile(sb.String())
 		}
-		sb.WriteString(t.Text)
+		sb.WriteString(word(t))
 	}
 	return fmt.Errorf("unterminated #include <...>")
 }
@@ -556,17 +677,17 @@ func (p *preprocessor) evalCond(toks []Token) (int64, error) {
 			name := ""
 			if j < len(toks) && toks[j].Kind == TokPunct && toks[j].Text == "(" {
 				if j+2 < len(toks) && toks[j+2].Kind == TokPunct && toks[j+2].Text == ")" {
-					name = toks[j+1].Text
+					name = word(&toks[j+1])
 					i = j + 2
 				} else {
 					return 0, fmt.Errorf("bad defined()")
 				}
 			} else if j < len(toks) {
-				name = toks[j].Text
+				name = word(&toks[j])
 				i = j
 			}
 			v := int64(0)
-			if _, ok := p.macros[name]; ok {
+			if _, ok := p.macros.Get(name); ok {
 				v = 1
 			}
 			resolved = append(resolved, Token{Kind: TokIntLit, Int: v})
@@ -758,7 +879,7 @@ func (e *condEval) unary() (int64, error) {
 		e.pos++
 		return t.Int, nil
 	}
-	return 0, fmt.Errorf("bad #if expression near %q", t.Text)
+	return 0, fmt.Errorf("bad #if expression near %q", word(&t))
 }
 
 func tokensText(toks []Token) string {
@@ -769,7 +890,7 @@ func tokensText(toks []Token) string {
 		}
 		switch t.Kind {
 		case TokStrLit:
-			sb.WriteString(t.Str)
+			sb.WriteString(t.Str())
 		case TokIntLit:
 			fmt.Fprintf(&sb, "%d", t.Int)
 		default:

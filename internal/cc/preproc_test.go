@@ -48,7 +48,7 @@ func renderTokens(toks []Token) string {
 		switch tok.Kind {
 		case TokEOF:
 		case TokStrLit:
-			parts = append(parts, `"`+tok.Str+`"`)
+			parts = append(parts, `"`+tok.Str()+`"`)
 		case TokIntLit:
 			parts = append(parts, fmtInt(tok.Int))
 		default:

@@ -2,7 +2,8 @@ package ir
 
 import (
 	"fmt"
-	"maps"
+
+	"repro/internal/overlay"
 )
 
 // Func is an SIR function: a register machine with basic blocks.
@@ -124,8 +125,11 @@ type Module struct {
 	Funcs   []*Func
 	Structs map[string]*StructType
 
-	funcIdx   map[string]int
-	globalIdx map[string]int
+	// funcIdx and globalIdx map names to slots. A module made by Extend
+	// overlays its base's index: a name keeps its slot when a definition
+	// replaces the base's, so only names the module adds are written.
+	funcIdx   *overlay.Map[string, int]
+	globalIdx *overlay.Map[string, int]
 	base      *Module // the module Extend copied this one from, or nil
 }
 
@@ -134,37 +138,37 @@ func NewModule(name string) *Module {
 	return &Module{
 		Name:      name,
 		Structs:   map[string]*StructType{},
-		funcIdx:   map[string]int{},
-		globalIdx: map[string]int{},
+		funcIdx:   overlay.New[string, int](nil),
+		globalIdx: overlay.New[string, int](nil),
 	}
 }
 
 // AddFunc appends f, replacing any previous declaration with the same name.
 func (m *Module) AddFunc(f *Func) {
-	if i, ok := m.funcIdx[f.Name]; ok {
+	if i, ok := m.funcIdx.Get(f.Name); ok {
 		// A definition replaces a declaration (and vice versa is ignored).
 		if m.Funcs[i].IsDecl || !f.IsDecl {
 			m.Funcs[i] = f
 		}
 		return
 	}
-	m.funcIdx[f.Name] = len(m.Funcs)
+	m.funcIdx.Set(f.Name, len(m.Funcs))
 	m.Funcs = append(m.Funcs, f)
 }
 
 // AddGlobal appends g to the module.
 func (m *Module) AddGlobal(g *Global) error {
-	if _, ok := m.globalIdx[g.Name]; ok {
+	if _, ok := m.globalIdx.Get(g.Name); ok {
 		return fmt.Errorf("ir: duplicate global %q", g.Name)
 	}
-	m.globalIdx[g.Name] = len(m.Globals)
+	m.globalIdx.Set(g.Name, len(m.Globals))
 	m.Globals = append(m.Globals, g)
 	return nil
 }
 
 // Func returns the named function, or nil.
 func (m *Module) Func(name string) *Func {
-	if i, ok := m.funcIdx[name]; ok {
+	if i, ok := m.funcIdx.Get(name); ok {
 		return m.Funcs[i]
 	}
 	return nil
@@ -172,7 +176,7 @@ func (m *Module) Func(name string) *Func {
 
 // Global returns the named global, or nil.
 func (m *Module) Global(name string) *Global {
-	if i, ok := m.globalIdx[name]; ok {
+	if i, ok := m.globalIdx.Get(name); ok {
 		return m.Globals[i]
 	}
 	return nil
@@ -180,7 +184,7 @@ func (m *Module) Global(name string) *Global {
 
 // FuncIndex returns the index of the named function, or -1.
 func (m *Module) FuncIndex(name string) int {
-	if i, ok := m.funcIdx[name]; ok {
+	if i, ok := m.funcIdx.Get(name); ok {
 		return i
 	}
 	return -1
@@ -191,7 +195,7 @@ func (m *Module) FuncIndex(name string) int {
 // per-engine objects at run time, so compiled code depends only on the
 // module — never on one engine's global layout.
 func (m *Module) GlobalIndex(name string) int {
-	if i, ok := m.globalIdx[name]; ok {
+	if i, ok := m.globalIdx.Get(name); ok {
 		return i
 	}
 	return -1
@@ -200,14 +204,24 @@ func (m *Module) GlobalIndex(name string) int {
 // Reindex rebuilds the symbol maps after direct slice manipulation
 // (used by the optimizer when it removes dead functions).
 func (m *Module) Reindex() {
-	m.funcIdx = make(map[string]int, len(m.Funcs))
-	m.globalIdx = make(map[string]int, len(m.Globals))
+	funcIdx := make(map[string]int, len(m.Funcs))
+	globalIdx := make(map[string]int, len(m.Globals))
 	for i, f := range m.Funcs {
-		m.funcIdx[f.Name] = i
+		funcIdx[f.Name] = i
 	}
 	for i, g := range m.Globals {
-		m.globalIdx[g.Name] = i
+		globalIdx[g.Name] = i
 	}
+	m.funcIdx = overlay.New(funcIdx)
+	m.globalIdx = overlay.New(globalIdx)
+}
+
+// FreezeIndex flattens m's symbol index into one map per kind, so that a
+// module extending m finds m's names in one lookup, not one per module in
+// m's Extend chain. m must be immutable from here on (see Extend).
+func (m *Module) FreezeIndex() {
+	m.funcIdx = overlay.New(m.funcIdx.Flat())
+	m.globalIdx = overlay.New(m.globalIdx.Flat())
 }
 
 // Extend returns a new module that starts with m's functions and globals —
@@ -215,16 +229,18 @@ func (m *Module) Reindex() {
 // add to: its declarations resolve to m's definitions, and AddFunc replaces
 // a slot of the new module, never m's. It is how a user program links
 // against a libc compiled once. Nothing reachable from m is copied, so m
-// must be immutable from here on. The new module's Base is m.
+// must be immutable from here on. The new module's Base is m. Its symbol
+// index overlays m's, which FreezeIndex makes one map; its Structs starts
+// empty, for the front end fills it once the unit is lowered.
 func (m *Module) Extend() *Module {
 	return &Module{
 		base:      m,
 		Name:      m.Name,
 		Globals:   append([]*Global(nil), m.Globals...),
 		Funcs:     append([]*Func(nil), m.Funcs...),
-		Structs:   maps.Clone(m.Structs),
-		funcIdx:   maps.Clone(m.funcIdx),
-		globalIdx: maps.Clone(m.globalIdx),
+		Structs:   map[string]*StructType{},
+		funcIdx:   overlay.New(m.funcIdx.Flat()),
+		globalIdx: overlay.New(m.globalIdx.Flat()),
 	}
 }
 
@@ -249,7 +265,7 @@ func (m *Module) Clone() *Module {
 	}
 	for _, g := range m.Globals {
 		ng := &Global{Name: g.Name, Ty: g.Ty, Init: CloneConst(g.Init), IsConst: g.IsConst, CType: g.CType}
-		out.globalIdx[ng.Name] = len(out.Globals)
+		out.globalIdx.Set(ng.Name, len(out.Globals))
 		out.Globals = append(out.Globals, ng)
 	}
 	for _, f := range m.Funcs {
