@@ -45,10 +45,10 @@ hangcheck:
 # Diagnostics gate: the tier-parity table's tier-1 slices (corpus rows in
 # tier-1, clean and under FailNth 1 and 2, every cache state, each cell's
 # Outcome equal to tier-0's: Steps, Calls, heap counters, stdout and every
-# rendered diagnostic) and its benchmark and heap-schedule rows in every
-# tier, plus the cross-tool heap-blame check, under the race detector — the
-# persistent stacks are shared across captured diagnostics and worker
-# goroutines, so this must stay race-clean.
+# rendered diagnostic) and its benchmark, heap-schedule and indirect-call
+# rows in every tier, plus the cross-tool heap-blame check, under the race
+# detector — the persistent stacks are shared across captured diagnostics
+# and worker goroutines, so this must stay race-clean.
 diagcheck:
 	$(GO) test -race -timeout 120s -run 'TierParity|HeapBlame|Diag' ./...
 
@@ -56,7 +56,8 @@ diagcheck:
 # fault schedules, calloc overflow, glibc realloc semantics, oom-cell
 # determinism, quarantine) under the race detector, with the
 # tier-parity table's fault rows (the heap-schedule row under its six
-# plans, the hoisted-check and coalesced-run rows, the corpus's async+OSR
+# plans, the hoisted-check and coalesced-run rows — a fault at the exact
+# loop iteration and at the exact field — and the corpus's async+OSR
 # FailNth slices),
 # plus the corpus-wide FailNth sweep asserting no engine ever panics on an
 # injected allocation failure and every tier's Outcome equals tier-0's.
@@ -67,8 +68,9 @@ faultcheck:
 # Peak-performance gate: one benchgame program under every performance
 # configuration (native anchors, sanitized engines, each managed tiering
 # mode) with zero tolerated bail-outs, the tier-parity table's benchmark
-# rows and its tier-2 legality rows (hoisted check, coalesced run,
-# use-after-free under coalescing) in every tier, plan and cache state,
+# rows and its tier-2 legality rows (a fault at the exact iteration and at
+# the exact field, use-after-free blame among gep+access pairs) in every
+# tier, plan and cache state,
 # frame-pool reuse after a fault, the native machine's golden digest
 # (every corpus case under every native column and plan, the benchmark
 # programs at their peak sizes, and step-limit windows: stdout, exit,

@@ -113,15 +113,6 @@ func (t *CType) Size() int64 {
 	return 0
 }
 
-// IsScalar reports whether t is an arithmetic or pointer type.
-func (t *CType) IsScalar() bool {
-	switch t.Kind {
-	case CInt, CFloat, CPtr:
-		return true
-	}
-	return false
-}
-
 // IsInteger reports whether t is an integer type.
 func (t *CType) IsInteger() bool { return t.Kind == CInt }
 

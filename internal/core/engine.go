@@ -177,13 +177,6 @@ type Engine struct {
 	// its tier-0 activations take. invoke compares it with
 	// Tier1Threshold at call entry.
 	counts []int64
-	// sites is the dense per-engine call-site state table behind shared
-	// tier-1 closures: the inline caches, addressed by the site IDs the
-	// compiler assigned at lowering time (see Site). prefixSites is the
-	// same for the negative IDs of code shared by every module extending
-	// one libc prefix.
-	sites       []CallSite
-	prefixSites []CallSite
 
 	stdout *bufio.Writer
 	stdin  *bufio.Reader
@@ -335,12 +328,11 @@ func (e *Engine) layoutGlobals() error {
 // so FailNth schedules land on the same allocations), tier-1 dispatch
 // tables and hotness counts (so tier-up events, OnCompile callbacks and OSR
 // behavior replay a cold run even when the compiles themselves are
-// code-cache hits), per-site inline-cache state, the
-// lazily-interned type-name and environment objects (they consume runtime
-// IDs, so they must be re-created in the same order), the diagnostic call
-// stack, the argument stack, and the stdio plumbing. A reset engine
-// is observationally indistinguishable from a new one — the warm-vs-cold
-// parity suite pins that byte-for-byte.
+// code-cache hits), the lazily-interned type-name and environment objects
+// (they consume runtime IDs, so they must be re-created in the same order),
+// the diagnostic call stack, the argument stack, and the stdio plumbing. A
+// reset engine is observationally indistinguishable from a new one — the
+// warm-vs-cold parity suite pins that byte-for-byte.
 //
 // On error (a global layout exceeding cfg's budget, exactly as NewEngine
 // would fail) the engine is left half-reset and must be discarded.
@@ -367,8 +359,6 @@ func (e *Engine) Reset(cfg Config) error {
 	e.heap = e.heap[:0]
 	e.envObjs = nil
 	e.typeObjs = nil
-	e.sites = clearSites(e.sites)
-	e.prefixSites = clearSites(e.prefixSites)
 	clear(e.queued)
 	return e.configure(cfg, e.replayGlobals)
 }
@@ -645,56 +635,6 @@ func (e *Engine) Global(name string) *Object { return e.globals[name] }
 // shared compiled code never captures one engine's global layout.
 func (e *Engine) GlobalAt(i int) *Object { return e.globalList[i] }
 
-// ICEntry is one inline-cache way for an indirect tier-1 call site: the
-// observed function-pointer key (Pointer.Fn, never 0) and its validated
-// module function index.
-type ICEntry struct {
-	Key int
-	Idx int
-}
-
-// CallSite is the per-engine mutable state behind one tier-1 call site: the
-// polymorphic inline cache of an indirect call. Compiled closures are
-// immutable and shared across engines (the executable-code cache); every
-// per-run mutation lands here instead, addressed by the dense site ID the
-// compiler assigned at lowering time. Inline-cache state therefore starts
-// empty on every run, exactly as it did when closures were compiled per
-// engine.
-type CallSite struct {
-	IC   []ICEntry
-	Mega bool
-}
-
-// Site returns the engine's state cell for call site id, growing the dense
-// site table on demand. IDs are two disjoint domains: id >= 0 for code
-// compiled for this engine's module, id < 0 for code shared by every module
-// extending the same libc prefix, so one engine running both never hands
-// two sites one cell. The engine is single-threaded, so growth between
-// guest instructions is safe; closures must not retain the returned pointer
-// across a call that can execute guest code.
-func (e *Engine) Site(id int) *CallSite {
-	if id < 0 {
-		return siteCell(&e.prefixSites, -id-1)
-	}
-	return siteCell(&e.sites, id)
-}
-
-// siteCell returns cell i of a site table, growing it on demand.
-func siteCell(tab *[]CallSite, i int) *CallSite {
-	if i >= len(*tab) {
-		ns := make([]CallSite, i+1, 2*(i+1))
-		copy(ns, *tab)
-		*tab = ns
-	}
-	return &(*tab)[i]
-}
-
-// clearSites empties a site table for a new run, keeping its capacity.
-func clearSites(tab []CallSite) []CallSite {
-	clear(tab)
-	return tab[:0]
-}
-
 // Run executes main() with the configured arguments and returns the exit
 // code. Detected bugs come back as *BugError; normal termination (including
 // exit()) reports the code with a nil error.
@@ -942,9 +882,9 @@ func (e *Engine) getFrame(f *ir.Func) *Frame {
 }
 
 // Reserve sizes the register file for code that uses n registers: compiled
-// code adds promoted scalars, hoisted temporaries and inline windows past
-// the function's own. It reslices within the pooled file's capacity, so a
-// frame grows once and every later activation it serves reuses the space.
+// code adds promoted scalars and inline windows past the function's own. It
+// reslices within the pooled file's capacity, so a frame grows once and
+// every later activation it serves reuses the space.
 // The registers past len(fr.Regs) are zero (see putFrame), so the added
 // ones start zero like the rest of a fresh frame.
 func (fr *Frame) Reserve(n int) {

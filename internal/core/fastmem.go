@@ -124,17 +124,3 @@ func (o *Object) DirectPutF32(off int64, v float64) bool {
 	binary.LittleEndian.PutUint32(o.Data[off:], math.Float32bits(float32(v)))
 	return true
 }
-
-// InRange reports whether the half-open byte range [lo, hi) lies inside a
-// live, pointer-free object — the coalesced range check used when tier-2
-// fuses a run of same-object accesses. ok=false sends the caller down the
-// per-access generic path, which faults (or succeeds) access by access with
-// exact tier-0 diagnostics.
-func (o *Object) InRange(lo, hi int64) bool {
-	// lo <= hi guards against offset arithmetic that wrapped between the two
-	// endpoint computations; a wrapped window must take the checked path.
-	// Strict objects (vararg cells, union carriers) always take the checked
-	// path so the type-identity checks run — the same wholesale exclusion
-	// pointer-carrying objects get.
-	return o != nil && !o.Freed && !o.Strict && len(o.Ptrs) == 0 && lo >= 0 && lo <= hi && hi <= int64(len(o.Data))
-}

@@ -339,12 +339,6 @@ func TypesEqual(a, b Type) bool {
 	return false
 }
 
-// IsInt reports whether t is an integer type.
-func IsInt(t Type) bool { _, ok := t.(*IntType); return ok }
-
-// IsFloat reports whether t is a floating-point type.
-func IsFloat(t Type) bool { _, ok := t.(*FloatType); return ok }
-
 // IsPtr reports whether t is a pointer type.
 func IsPtr(t Type) bool { _, ok := t.(*PtrType); return ok }
 

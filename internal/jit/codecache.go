@@ -11,11 +11,9 @@
 // What makes sharing sound is that tier-1 closures are pure functions of
 // (module, JIT configuration): operands resolve to module indices at compile
 // time and to engine objects at run time (GlobalAt), and all per-run
-// mutable state lives in the engine: argument vectors on its argument
-// stack, inline-cache entries in its call-site table, addressed by
-// compile-time site IDs (Engine.Site).
-// A cached closure therefore executes identically on any engine running the
-// same module.
+// mutable state lives in the engine: frames in its frame pool, argument
+// vectors on its argument stack. A cached closure therefore executes
+// identically on any engine running the same module.
 //
 // OSR entries are cached too, one plain lowering per function, shared by
 // every engine: the lowering does not depend on the loop header (CompileOSR
@@ -41,10 +39,6 @@
 // stay in its own unit. ReleaseModule of a program leaves the prefix unit
 // alone; Reset drops it.
 //
-// Site-ID domains: a program unit hands out site IDs 0, 1, 2, ... and a
-// prefix unit -1, -2, -3, ...; Engine.Site keeps one table per domain, so
-// one engine running both kinds of code never gives two sites one cell.
-//
 // Counter parity: each compilation records its counter delta (unitMeta)
 // next to the closure, and a cache hit replays the delta into the running
 // compiler — so JITReport (Compiled, InstrsTotal, Inlined, Bailed) is
@@ -65,27 +59,6 @@ import (
 	"repro/internal/ir"
 )
 
-// siteAlloc hands out dense call-site IDs for one compilation domain (one
-// cache unit, or one uncached compiler): 0, 1, 2, ... or, for a prefix
-// unit, -1, -2, -3, ... It has its own lock because a unit's allocator is
-// shared by every compiler filling that unit.
-type siteAlloc struct {
-	mu   sync.Mutex
-	next int
-	neg  bool
-}
-
-func (a *siteAlloc) alloc() int {
-	a.mu.Lock()
-	id := a.next
-	a.next++
-	a.mu.Unlock()
-	if a.neg {
-		return -id - 1
-	}
-	return id
-}
-
 // Fingerprint identifies a JIT configuration whose compilations are
 // interchangeable. Two compilers with equal fingerprints produce the same
 // closures for the same module, so they may share a cache unit.
@@ -99,9 +72,9 @@ func (c *Compiler) fingerprint() Fingerprint {
 
 // cacheKey addresses one unit: the module's identity plus the config
 // fingerprint, and whether the unit serves the module as a prefix of others
-// (its site IDs are then negative). A unit pins its module until it is
-// evicted or released, so the LRU bound also caps how many modules the
-// cache keeps alive.
+// (it then compiles libc for every program sharing it). A unit pins its
+// module until it is evicted or released, so the LRU bound also caps how
+// many modules the cache keeps alive.
 type cacheKey struct {
 	mod    *ir.Module
 	fp     Fingerprint
@@ -129,13 +102,11 @@ type osrEntry struct {
 	bailMsg string
 }
 
-// unit is every compiled function of one (module, fingerprint) pair, plus
-// the site-ID allocator those functions' closures were compiled against.
+// unit is every compiled function of one (module, fingerprint) pair.
 // Units are immutable-once-published: entries are only ever added, and a
 // published closure is never replaced — a cache hit cannot observe mutation.
 type unit struct {
-	key   cacheKey
-	sites *siteAlloc
+	key cacheKey
 	// shared is the prefix module whose functions this program unit leaves
 	// to the prefix's unit (sharedPrefix), or nil.
 	shared *ir.Module
@@ -198,8 +169,7 @@ func (cc *CodeCache) lookup(key cacheKey) *unit {
 		cc.lru.MoveToFront(u.elem)
 		return u
 	}
-	u := &unit{key: key, sites: &siteAlloc{neg: key.prefix},
-		funcs: make(map[int]*funcEntry), osr: make(map[int]*osrEntry)}
+	u := &unit{key: key, funcs: make(map[int]*funcEntry), osr: make(map[int]*osrEntry)}
 	if !key.prefix {
 		u.shared = sharedPrefix(key.mod)
 	}
@@ -231,8 +201,8 @@ func sharedPrefix(m *ir.Module) *ir.Module {
 }
 
 // compile serves one Compile request through the cache: a hit replays the
-// recorded counter delta and returns the shared closure; a miss compiles
-// under the unit's site allocator, publishes, and wakes coalesced waiters.
+// recorded counter delta and returns the shared closure; a miss compiles,
+// publishes, and wakes coalesced waiters.
 func (cc *CodeCache) compile(c *Compiler, e *core.Engine, fidx int) core.CompiledFunc {
 	u := cc.unitFor(e.Module(), c.fingerprint(), fidx)
 	u.mu.Lock()
@@ -263,7 +233,6 @@ func (cc *CodeCache) compile(c *Compiler, e *core.Engine, fidx int) core.Compile
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sites = u.sites
 	fn, meta := c.compileFn(e, fidx)
 	c.apply(meta)
 
@@ -309,7 +278,6 @@ func (cc *CodeCache) lowerOSREntry(c *Compiler, e *core.Engine, u *unit, f *ir.F
 	defer close(oe.ready)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sites = u.sites
 	blocks, err := c.lowerOSR(e, f)
 	if err != nil {
 		oe.bailMsg = fmt.Sprintf("%s: %v", f.Name, err)

@@ -177,7 +177,6 @@ func TestCodeCacheHitNotMutated(t *testing.T) {
 	fe1 := u.funcs[fidx]
 	u.mu.Unlock()
 	meta1 := fe1.meta
-	sites1 := u.sites.next
 
 	if fn := c2.Compile(e2, fidx); fn == nil {
 		t.Fatal("hit returned nil closure")
@@ -194,9 +193,6 @@ func TestCodeCacheHitNotMutated(t *testing.T) {
 	}
 	if nfuncs != 1 {
 		t.Fatalf("hit grew the unit to %d entries", nfuncs)
-	}
-	if u.sites.next != sites1 {
-		t.Fatalf("hit allocated call sites: %d -> %d", sites1, u.sites.next)
 	}
 	if st := cc.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats %+v, want exactly 1 hit and 1 miss", st)

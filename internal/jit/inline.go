@@ -1,7 +1,8 @@
 // Call lowering for tier-1: pre-resolved direct calls, safety-preserving
-// leaf-function inlining, and monomorphic →
-// polymorphic inline caches for function-pointer calls (paper §3.2: "we use
-// inline caches to make function pointer calls efficient").
+// leaf-function inlining, and function-pointer calls that decode the
+// callee's index from the pointer. The paper's inline caches (§3.2) let
+// Graal inline an indirect call's target; closures cannot be inlined, and a
+// function pointer already names its callee, so there is no cache here.
 //
 // Inlining contract: an inlined callee executes against the caller's frame
 // in a private register window, but remains a *call* for every observable
@@ -19,16 +20,10 @@ import (
 	"repro/internal/ir"
 )
 
-// icCapacity bounds the polymorphic inline cache before a call site goes
-// megamorphic and falls back to generic dispatch. Entries are core.ICEntry
-// values in the engine's per-site table: key is Pointer.Fn (function index
-// + 1, never 0), idx the validated module function index.
-const icCapacity = 4
-
 // compileCall lowers a call instruction. Direct calls to small leaf
 // functions are inlined; other direct calls pre-resolve the callee.
-// Indirect calls go through an inline cache. Every call takes its argument
-// vector from the engine's argument stack, as tier-0 does.
+// Indirect calls resolve the callee from the pointer. Every call takes its
+// argument vector from the engine's argument stack, as tier-0 does.
 func (c *Compiler) compileCall(e *core.Engine, in *ir.Instr, fname string) (step, error) {
 	x := in.Ext
 	if x.Callee.Kind == ir.OperFunc {
@@ -94,58 +89,29 @@ func (c *Compiler) compileCall(e *core.Engine, in *ir.Instr, fname string) (step
 		return nil, err
 	}
 
-	// Inline cache. The guards run in the interpreter's order: a non-function
-	// pointer reports exactly the tier-0 diagnostic (NULL call, call through
-	// data pointer, unknown index) before any cache logic touches it. Cache
-	// state lives in the *engine's* per-site table, keyed by a compile-time
-	// site ID: the closure itself is immutable, so the code cache can share
-	// it across engines, and a pooled engine restarts with a cold cache. An
-	// engine is single-threaded; the site pointer is re-fetched on every
-	// execution and never held across invoke (the table may grow while guest
-	// code runs, invalidating old pointers).
-	site := c.siteID()
+	// The guards run in the interpreter's order — NULL, data pointer,
+	// unknown index — each reporting exactly the tier-0 diagnostic.
 	return func(e *core.Engine, fr *core.Frame) error {
 		p := getCallee(e, fr).P
-		if p.Fn != 0 { // IsFunc
-			s := e.Site(site)
-			if !s.Mega {
-				for i := range s.IC {
-					if s.IC[i].Key == p.Fn {
-						if i != 0 {
-							// Move-to-front: a mostly-monomorphic site hits on
-							// the first compare.
-							s.IC[0], s.IC[i] = s.IC[i], s.IC[0]
-						}
-						return invoke(e, fr, s.IC[0].Idx)
-					}
-				}
-			}
-			// The bound is the running module's, read at run time: code
-			// shared across the modules extending one libc prefix calls
-			// back into each program's own functions (qsort, bsearch).
-			idx := p.FuncIndex()
-			if idx < 0 || idx >= len(e.Module().Funcs) {
-				return &core.InternalError{
-					Msg:   fmt.Sprintf("call to unknown function in %s", fname),
-					Guest: e.CaptureStack(fname, line),
-				}
-			}
-			if !s.Mega {
-				if len(s.IC) < icCapacity {
-					s.IC = append(s.IC, core.ICEntry{Key: p.Fn, Idx: idx})
-				} else {
-					s.Mega = true // give up: generic dispatch from here on
-					s.IC = nil
-				}
-			}
-			return invoke(e, fr, idx)
-		}
-		if p.Obj == nil { // IsNull
+		if p.IsNull() {
 			return e.Located(&core.BugError{Kind: core.NullDeref, Access: core.CallAccess}, fname, line)
 		}
-		return e.Located(&core.BugError{
-			Kind: core.TypeViolation, Access: core.CallAccess, Mem: p.Obj.Mem, Obj: p.Obj.Name,
-		}, fname, line)
+		if !p.IsFunc() {
+			return e.Located(&core.BugError{
+				Kind: core.TypeViolation, Access: core.CallAccess, Mem: p.Obj.Mem, Obj: p.Obj.Name,
+			}, fname, line)
+		}
+		// The bound is the running module's, read at run time: code shared
+		// across the modules extending one libc prefix calls back into each
+		// program's own functions (qsort, bsearch).
+		idx := p.FuncIndex()
+		if idx < 0 || idx >= len(e.Module().Funcs) {
+			return &core.InternalError{
+				Msg:   fmt.Sprintf("call to unknown function in %s", fname),
+				Guest: e.CaptureStack(fname, line),
+			}
+		}
+		return invoke(e, fr, idx)
 	}, nil
 }
 

@@ -1,16 +1,16 @@
 // Package jit is Safe Sulong's tier-1 dynamic compiler — the Graal analogue.
 // When the engine reports a function hot, the compiler clones its IR,
 // applies *safety-preserving* optimizations (scalar promotion of
-// non-escaping locals, constant folding, copy propagation, loop-invariant
-// hoisting of pure computations — never dead-store or dead-load
-// elimination, which would erase bugs), and lowers each basic block to a
-// flat slice of specialized Go closures with pre-resolved operands. The
-// tier-2 peak-performance layer adds leaf-function inlining, gep+access
-// superinstructions with coalesced range checks, and inline caches for
-// indirect calls. The result keeps every bounds/NULL/free check observable
-// — this is the paper's "optimizes based on safe semantics [and] cannot
-// optimize away invalid accesses" property (§4.2) — while eliminating the
-// tier-0 interpreter's dispatch and operand-decoding overhead.
+// non-escaping locals, constant folding, copy propagation, address CSE —
+// never dead-store or dead-load elimination, which would erase bugs), and
+// lowers each basic block to a flat slice of specialized Go closures with
+// pre-resolved operands. The tier-2 peak-performance layer adds
+// leaf-function inlining, gep+access superinstructions and cmp+condbr
+// terminator fusion. The result checks every access at its own site and
+// keeps every bounds/NULL/free check observable — this is the paper's
+// "optimizes based on safe semantics [and] cannot optimize away invalid
+// accesses" property (§4.2) — while eliminating the tier-0 interpreter's
+// dispatch and operand-decoding overhead.
 //
 // Fuel contract: every basic block charges its weight-accounted cost on
 // entry and refunds the unexecuted remainder when an instruction faults, so
@@ -56,13 +56,6 @@ type Compiler struct {
 	// workers) and guards stats against concurrent Snapshot reads.
 	mu    sync.Mutex
 	stats Stats
-
-	// sites allocates per-call-site IDs for the engine-resident state behind
-	// compiled closures (inline caches). When compiling
-	// into a cache unit this is the unit's allocator, so every engine running
-	// the shared code addresses the same dense ID space; uncached compilers
-	// get a private one lazily.
-	sites *siteAlloc
 
 	// per-Compile state
 	nextReg      int // first free register (inline windows grow this)
@@ -161,14 +154,6 @@ func (c *Compiler) apply(m unitMeta) {
 	c.stats.InstrsTotal += m.instrs
 }
 
-// siteID allocates the next per-call-site state ID for the current compile.
-func (c *Compiler) siteID() int {
-	if c.sites == nil {
-		c.sites = &siteAlloc{}
-	}
-	return c.sites.alloc()
-}
-
 // Compile lowers the function at fidx to closures. A nil result means the
 // function stays in the interpreter (and is counted in Bailed). With a
 // Cache attached, the compile is served from (or populates) the shared
@@ -213,8 +198,8 @@ func (c *Compiler) compileFn(e *core.Engine, fidx int) (core.CompiledFunc, unitM
 	numRegs := c.nextReg
 	meta := unitMeta{instrs: instrs, inlined: c.inlinedSites}
 	return func(e *core.Engine, fr *core.Frame) (core.Value, error) {
-		// The clone may have added registers (promoted scalars, hoisted
-		// temporaries, inline windows).
+		// The clone may have added registers (promoted scalars, inline
+		// windows).
 		fr.Reserve(numRegs)
 		return runBlocks(e, fr, blocks, 0)
 	}, meta
@@ -230,7 +215,6 @@ func optimize(f *ir.Func) opt.Weights {
 	opt.CopyPropagate(f)
 	opt.CSEAddresses(f)
 	opt.CopyPropagate(f)
-	w = opt.HoistLoopInvariants(f, w)
 	opt.SweepDeadMoves(f, w)
 	return w
 }
@@ -287,7 +271,7 @@ func (c *Compiler) lowerFunc(e *core.Engine, f *ir.Func, w opt.Weights) ([]block
 }
 
 // lowerBlock lowers one basic block: instruction closures with per-step
-// weights (for fault refunds), tier-2 superinstruction fusion, and the
+// weights (for fault refunds), tier-2 gep+access superinstructions, and the
 // cmp+condbr terminator fusion.
 func (c *Compiler) lowerBlock(e *core.Engine, f *ir.Func, b *ir.Block, bw []int64, uses []int) (block, error) {
 	n := len(b.Instrs)
@@ -316,26 +300,15 @@ func (c *Compiler) lowerBlock(e *core.Engine, f *ir.Func, b *ir.Block, bw []int6
 	wts := make([]int64, 0, last)
 
 	for i < last {
-		if tier2 {
-			// Coalesced same-object access runs (≥2 gep+access pairs).
-			if st, consumed, wt, err := c.tryRun(e, f, b.Instrs[i:last], bw[i:]); err != nil {
-				return block{}, err
-			} else if consumed > 0 {
-				body = append(body, st)
-				wts = append(wts, wt)
-				i += consumed
-				continue
-			}
+		if tier2 && i+1 < last {
 			// gep+load / gep+store superinstruction.
-			if i+1 < last {
-				if st, ok, err := c.tryFusePair(e, f, &b.Instrs[i], &b.Instrs[i+1]); err != nil {
-					return block{}, err
-				} else if ok {
-					body = append(body, st)
-					wts = append(wts, bw[i]+bw[i+1])
-					i += 2
-					continue
-				}
+			if st, ok, err := c.tryFusePair(e, f, &b.Instrs[i], &b.Instrs[i+1]); err != nil {
+				return block{}, err
+			} else if ok {
+				body = append(body, st)
+				wts = append(wts, bw[i]+bw[i+1])
+				i += 2
+				continue
 			}
 		}
 		st, err := c.compileStep(e, f, &b.Instrs[i])

@@ -602,20 +602,6 @@ func directKind(ty ir.Type) int {
 	return dkNone
 }
 
-func directSize(kind int) int64 {
-	switch kind {
-	case dkI8:
-		return 1
-	case dkI16:
-		return 2
-	case dkI32, dkF32:
-		return 4
-	case dkI64, dkF64:
-		return 8
-	}
-	return 0
-}
-
 // compileLoad lowers a typed load. For scalar int/float widths addressed
 // through a register, the closure inlines the complete safety check (the
 // core.Direct* accessors: liveness, pointer purity, exact bounds) and falls

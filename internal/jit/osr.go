@@ -3,14 +3,14 @@
 // An OSR entry is requested by the interpreter mid-activation, so the
 // compiled code must execute against the *live* interpreter frame. That
 // rules out every pass that reshapes the register file or the instruction
-// stream (mem2reg, copy propagation, hoisting, fusion, inlining): an OSR
+// stream (mem2reg, copy propagation, CSE, fusion, inlining): an OSR
 // entry is the plain lowering a DisableMem2Reg entry compile gets, of the
 // shared module function itself. Lowered step i of block b executes IR
 // instruction i of block b against the same registers the interpreter was
 // using, and every weight is 1. What remains is still the tier-1 win:
 // dispatch and operand decoding disappear, scalar memory traffic takes the
-// core.Direct* fast paths in front of the generic checked access, and calls
-// keep their inline caches. The blocks run in the entry compiler's block
+// core.Direct* fast paths in front of the generic checked access, and direct
+// calls are pre-resolved. The blocks run in the entry compiler's block
 // runner, entered at the loop header instead of block 0.
 package jit
 
@@ -21,10 +21,10 @@ import (
 )
 
 // CompileOSR returns a frame-compatible compiled entry into the function at
-// fidx at the given loop header. The header is validated against the same
-// loop analysis the tier-2 hoisting pass uses (opt.Loops): a dynamically
-// observed backward branch that is not a single-header loop edge is refused
-// silently — the profiler counts raw backward branches, so irregular targets
+// fidx at the given loop header. The header is validated against the
+// single-header loop analysis (opt.Loops): a dynamically observed backward
+// branch that is not a single-header loop edge is refused silently — the
+// profiler counts raw backward branches, so irregular targets
 // (a `continue` edge, front-end-shaped control flow) are an expected
 // negative answer, not a compiler failure worth a bail-out entry. A nil
 // result means the interpreter keeps the loop and the engine never re-asks.

@@ -15,8 +15,7 @@ import (
 // function is exactly opt.Loops' headers, and CompileOSR through the cache
 // answers with an entry for those blocks and no others, for every function
 // of every corpus and benchmark program. Every program extends the one libc
-// prefix, so its libc functions are answered from the shared prefix unit,
-// whose call-site IDs are negative.
+// prefix, so its libc functions are answered from the shared prefix unit.
 func TestOSRHeaderSetMatchesLoops(t *testing.T) {
 	srcs := map[string]string{}
 	for _, c := range corpus.All() {
@@ -63,8 +62,8 @@ func TestOSRHeaderSetMatchesLoops(t *testing.T) {
 				if oe.blocks != nil && (fn != nil) != want[bi] {
 					t.Errorf("%s: %s: CompileOSR at block %d gave an entry: %v, want %v", name, f.Name, bi, fn != nil, want[bi])
 				}
-				if u.key.prefix != (fidx < len(m.Base().Funcs)) || u.key.prefix != u.sites.neg {
-					t.Fatalf("%s: %s: served by unit %+v (negative site IDs %v)", name, f.Name, u.key, u.sites.neg)
+				if u.key.prefix != (fidx < len(m.Base().Funcs)) {
+					t.Fatalf("%s: %s: served by unit %+v", name, f.Name, u.key)
 				}
 			}
 		}

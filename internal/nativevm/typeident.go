@@ -25,9 +25,6 @@ func moduleWantsIntrospection(mod *ir.Module) bool {
 	return false
 }
 
-// TrackingTypes reports whether the type mirror is active for this run.
-func (m *Machine) TrackingTypes() bool { return m.trackTypes }
-
 // HardenedLibc reports whether nlibc's bulk-write family should clamp
 // writes to the destination object's known extent (Config.Hardened).
 func (m *Machine) HardenedLibc() bool { return m.hardened }

@@ -1,22 +1,17 @@
-// Loop discovery shared by the tier-2 hoisting pass and the tier-1 OSR
-// compiler. Both consumers need the same answer to the same question — "which
-// blocks form a loop, and which single block is its header?" — and keeping
-// one SCC-based implementation means an on-stack-replacement entry point is
-// requested for exactly the headers the optimizer reasons about.
+// Loop discovery for the tier-1 OSR compiler: "which blocks form a loop, and
+// which single block is its header?" The header of a single-header loop is
+// the only sound on-stack-replacement entry point.
 package opt
 
 import (
 	"repro/internal/ir"
 )
 
-// Loop is one single-header natural loop: the header block plus every block
-// of the strongly connected component it dominates the entry of.
+// Loop is one single-header natural loop of a strongly connected component.
 type Loop struct {
 	// Header is the unique block inside the loop with predecessors outside
 	// it — the block a back edge targets, and the only sound OSR entry point.
 	Header int
-	// Blocks lists the member blocks (including Header), in block order.
-	Blocks []int
 }
 
 // Successors returns the CFG successor lists of f's blocks.
@@ -42,8 +37,7 @@ func Successors(f *ir.Func) [][]int {
 // Loops returns f's single-header loops: every non-trivial strongly
 // connected component (or self-looping block) that is entered through
 // exactly one block. Multi-entry components — only constructible with goto —
-// are skipped: neither hoisting (no unique preheader position) nor OSR (no
-// unique replacement point) can handle them. The implicit function-entry
+// are skipped: OSR has no unique replacement point in them. The implicit function-entry
 // edge counts as an outside predecessor of block 0, so a component
 // containing the entry block is single-header only if no other member has
 // outside predecessors.
@@ -96,7 +90,7 @@ func Loops(f *ir.Func) []Loop {
 		if header < 0 || multi {
 			continue
 		}
-		loops = append(loops, Loop{Header: header, Blocks: comp})
+		loops = append(loops, Loop{Header: header})
 	}
 	return loops
 }

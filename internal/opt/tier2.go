@@ -2,13 +2,14 @@
 //
 // These passes are *safety-preserving* in the paper's sense (§4.2: the JIT
 // "optimizes based on safe semantics [and] cannot optimize away invalid
-// accesses"): they may rewrite how a value is computed, move a pure
-// computation earlier, or merge adjacent checks — but a check can never
-// disappear, and a faulting access must still fault at the same instruction
-// with the same diagnostic. The legality rule, enforced by the full-corpus
-// tier-parity suite, is:
+// accesses"): they may rewrite how a value is computed — a register read
+// for a copy, a constant for a folded expression, one address computation
+// for a redundant one — but every check stays at its own site, and a
+// faulting access must still fault at the same instruction with the same
+// diagnostic. The legality rule, enforced by the full-corpus tier-parity
+// suite, is:
 //
-//	checks may move earlier or merge, never disappear.
+//	every access is checked at its own site; no check moves or disappears.
 //
 // Because the execution governor charges fuel per instruction in tier 0, the
 // passes also maintain a weight account (Weights): every tier-0 instruction
@@ -25,8 +26,8 @@ import (
 
 // Weights carries, per block and per instruction, the number of tier-0
 // interpreter steps the instruction accounts for. A freshly built function
-// has weight 1 everywhere. Synthesized instructions (loop preheaders) carry
-// weight 0: the interpreter never executes them.
+// has weight 1 everywhere; only SweepDeadMoves changes it, and it only
+// moves weight onto a later instruction of the same block.
 //
 // Folding direction: tier 0 charges a step *before* executing an
 // instruction, so when an instruction is deleted its weight must attach to
@@ -47,16 +48,6 @@ func NewWeights(f *ir.Func) Weights {
 		w[i] = bw
 	}
 	return w
-}
-
-// BlockCost returns the total weight of block bi — the fuel a tier-1
-// execution of the block must charge.
-func (w Weights) BlockCost(bi int) int64 {
-	var n int64
-	for _, x := range w[bi] {
-		n += x
-	}
-	return n
 }
 
 // isMoveCast reports whether an instruction is a pure register/constant move
@@ -166,9 +157,9 @@ func CopyPropagate(f *ir.Func) {
 // the same pointer, so the second becomes a move of the first. Address
 // *computation* is pure in the managed model — pointer arithmetic never
 // traps, only dereferencing does (paper Fig. 6) — so merging it cannot move
-// or mask a check; it just lets consecutive accesses share one base
-// register, which is what makes the lowering's coalesced range checks
-// (internal/jit) match more often.
+// or mask a check; it just turns the second into a move, which copy
+// propagation forwards and the sweep retires, so the access it fed reads
+// the first address register directly and is still checked in place.
 func CSEAddresses(f *ir.Func) {
 	type gepKey struct {
 		addrKind ir.OperandKind
@@ -249,149 +240,4 @@ func SweepDeadMoves(f *ir.Func, w Weights) {
 		b.Instrs = dst
 		w[bi] = dw
 	}
-}
-
-// HoistLoopInvariants moves loop-invariant *computations* — never checks,
-// never memory accesses — into a synthesized preheader. Only pure,
-// non-trapping operations qualify: address computation (GEP), non-dividing
-// arithmetic, comparisons, casts, and selects whose operands are constants
-// or registers never defined inside the loop.
-//
-// The hoisted instruction computes into a fresh register in the preheader
-// (weight 0 — tier 0 never executes that block), and the original
-// instruction becomes a move from that register carrying its original
-// weight, so the loop charges the same fuel on every iteration and every
-// check that *consumes* the hoisted value still runs, in place, on the same
-// values. This is the "hoist the computation feeding a check, never the
-// check" half of the tier-2 legality rule: a faulting access still faults
-// on its own iteration, at its own line, with its own diagnostic.
-//
-// It returns the weight account re-synchronized with the (possibly grown)
-// block list.
-func HoistLoopInvariants(f *ir.Func, w Weights) Weights {
-	// Loop discovery is shared with the tier-1 OSR compiler (Loops): both
-	// must agree on what a single-header loop is and which block heads it.
-	for _, loop := range Loops(f) {
-		comp := loop.Blocks
-		// Never the entry block: its implicit incoming edge cannot be
-		// retargeted to a preheader.
-		header := loop.Header
-		if header <= 0 {
-			continue
-		}
-		inLoop := map[int]bool{}
-		for _, b := range comp {
-			inLoop[b] = true
-		}
-
-		// Registers defined anywhere inside the loop are not invariant.
-		defined := map[int32]bool{}
-		for _, bi := range comp {
-			for i := range f.Blocks[bi].Instrs {
-				if d := f.Blocks[bi].Instrs[i].Dst; d >= 0 {
-					defined[d] = true
-				}
-			}
-		}
-		invariant := func(o ir.Operand) bool {
-			if o.Kind == ir.OperReg {
-				return !defined[o.Reg]
-			}
-			return true
-		}
-
-		var hoisted []ir.Instr
-		const maxHoist = 32
-		for _, bi := range comp {
-			b := f.Blocks[bi]
-			for i := 0; i < len(b.Instrs)-1 && len(hoisted) < maxHoist; i++ {
-				in := &b.Instrs[i]
-				if in.Dst < 0 {
-					continue
-				}
-				ok := false
-				switch in.Op {
-				case ir.OpGEP:
-					ok = invariant(in.Addr) && invariant(in.A)
-				case ir.OpBin:
-					switch in.Bin {
-					case ir.SDiv, ir.UDiv, ir.SRem, ir.URem:
-						// Trapping: a divide-by-zero must fire inside the
-						// loop, on the iteration that executes it.
-					default:
-						ok = invariant(in.A) && invariant(in.B)
-					}
-				case ir.OpCmp:
-					ok = invariant(in.A) && invariant(in.B)
-				case ir.OpCast:
-					// Checked casts are checks, not computations: they must
-					// fire on their own iteration for the exact diagnostic.
-					ok = in.CType() == "" && invariant(in.A)
-				case ir.OpSelect:
-					ok = invariant(in.A) && invariant(in.B) && invariant(in.Ext.C)
-				}
-				if !ok {
-					continue
-				}
-				vr := f.NewReg()
-				hi := *in
-				hi.Dst = vr
-				hoisted = append(hoisted, hi)
-				var mvTy ir.Type = ir.I64
-				switch {
-				case in.Op == ir.OpGEP:
-					mvTy = ir.BytePtr
-				case in.Op == ir.OpCmp:
-					mvTy = ir.I1
-				case in.Op == ir.OpCast && in.Ty2 != nil:
-					mvTy = in.Ty2
-				case in.Ty != nil:
-					mvTy = in.Ty
-				}
-				makeMove(in, ir.Reg(vr, mvTy), mvTy)
-			}
-		}
-		if len(hoisted) == 0 {
-			continue
-		}
-
-		// Synthesize the preheader: hoisted computations then a jump to the
-		// header, all weight 0 (tier 0 never executes this block).
-		ph := &ir.Block{Name: "preheader." + f.Blocks[header].Name}
-		ph.Instrs = append(ph.Instrs, hoisted...)
-		ph.Instrs = append(ph.Instrs, ir.Instr{Op: ir.OpBr, Dst: -1, Blk0: int32(header)})
-		phIdx := len(f.Blocks)
-		f.Blocks = append(f.Blocks, ph)
-		retarget := func(blk *int32) {
-			if int(*blk) == header {
-				*blk = int32(phIdx)
-			}
-		}
-
-		// Retarget every loop entry edge (from outside the SCC) to the
-		// preheader. Back edges keep jumping straight to the header.
-		for bi := 0; bi < phIdx; bi++ {
-			if inLoop[bi] {
-				continue
-			}
-			t := f.Blocks[bi].Terminator()
-			switch t.Op {
-			case ir.OpBr:
-				retarget(&t.Blk0)
-			case ir.OpCondBr:
-				retarget(&t.Blk0)
-				retarget(&t.Blk1)
-			case ir.OpSwitch:
-				retarget(&t.Blk0)
-				for ci := range t.Ext.Cases {
-					retarget(&t.Ext.Cases[ci].Blk)
-				}
-			}
-		}
-	}
-	// Extend the weight account to cover the synthesized blocks.
-	for len(w) < len(f.Blocks) {
-		w = append(w, make([]int64, len(f.Blocks[len(w)].Instrs)))
-	}
-	return w
 }

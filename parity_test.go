@@ -379,8 +379,8 @@ int main(void) {
 
 func TestNullPlusOffsetRoundtrip(t *testing.T) { nullPlusOffset.sweepAll(t) }
 
-// hoistedCheck: tier-2 may hoist the loop's invariant check operands and
-// fuse gep+access pairs, but the write at i == 10 faults on exactly that
+// hoistedCheck: fill's loop writes through gep+access pairs, each checked
+// at its own site, and the write at i == 10 faults on exactly that
 // iteration. The first call warms fill into tier-2; the second faults in it.
 var hoistedCheck = &parityRow{name: "hoisted-check", check: reports(core.OutOfBounds), src: `
 int buf[10];
@@ -400,10 +400,9 @@ int main(void) {
 
 func TestHoistedCheckFaultsAtExactIteration(t *testing.T) { hoistedCheck.sweepAll(t) }
 
-// coalescedRun: sum's four constant-index loads coalesce into one range
-// check over [0,32). On the 16-byte object that check fails, compiled code
-// falls back to per-access checks, and the fault blames exactly q[2], with
-// q[0] and q[1] charged and q[2] and q[3] not.
+// coalescedRun: sum's four constant-index loads are gep+access pairs, each
+// checked at its own site. On the 16-byte object the fault blames exactly
+// q[2], with q[0], q[1] and q[2] charged and q[3] not.
 var coalescedRun = &parityRow{name: "coalesced-run", check: reports(core.OutOfBounds), src: `
 #include <stdlib.h>
 long sum(long *q) { return q[0] + q[1] + q[2] + q[3]; }
@@ -419,8 +418,8 @@ int main(void) {
 
 func TestCoalescedRunFaultsAtExactField(t *testing.T) { coalescedRun.sweepAll(t) }
 
-// uafUnderCoalescing: a freed object accessed inside a coalesced run is
-// still a use-after-free, not a range failure, with both its stacks.
+// uafUnderCoalescing: a freed object read through gep+access pairs is still
+// a use-after-free, not a range failure, with both its stacks.
 var uafUnderCoalescing = &parityRow{name: "uaf-under-coalescing", check: reports(core.UseAfterFree), src: `
 #include <stdlib.h>
 struct pair { long x; long y; };
@@ -430,8 +429,67 @@ int main(void) {
     p->x = 1; p->y = 2;
     long s = both(p);      /* clean: warm-up + compile */
     free(p);
-    s += both(p);          /* use after free inside the coalesced run */
+    s += both(p);          /* use after free at the first pair */
     return (int)s;
 }`}
 
 func TestUseAfterFreeUnderCoalescing(t *testing.T) { uafUnderCoalescing.sweepAll(t) }
+
+// indirectCallSrc is a hot loop calling through a table of six function
+// pointers, then through the seventh slot, set to bad, at iteration 500 of
+// spin's second call. The first call warms spin into compiled code.
+func indirectCallSrc(bad string) string {
+	return `
+#include <stdio.h>
+long buf[4];
+long f0(long x) { return x + 1; }
+long f1(long x) { return x * 2; }
+long f2(long x) { return x - 3; }
+long f3(long x) { return x ^ 5; }
+long f4(long x) { return x / 2; }
+long f5(long x) { return x % 7; }
+long (*ops[7])(long) = {f0, f1, f2, f3, f4, f5, 0};
+long spin(int n) {
+    long s = 0;
+    for (int i = 0; i < n; i++) {
+        int k = i < 500 ? i % 6 : 6;
+        s += ops[k](s + i);
+    }
+    return s;
+}
+int main(void) {
+    long s = spin(100);
+    printf("%ld\n", s);
+    ops[6] = ` + bad + `;
+    s += spin(600);
+    return (int)s;
+}`
+}
+
+// reportsCall checks that a pinned program's clean run detects exactly kind
+// at spin's indirect call (line 15 of indirectCallSrc).
+func reportsCall(kind core.BugKind) func(fault.Plan, sulong.Result) string {
+	base := reports(kind)
+	return func(plan fault.Plan, res sulong.Result) string {
+		if p := base(plan, res); p != "" || plan.Enabled() {
+			return p
+		}
+		if b := res.Bug; b.Access != core.CallAccess || b.Func != "spin" || b.Line != 15 {
+			return fmt.Sprintf("reported %v access in %s at line %d, want call in spin at line 15", b.Access, b.Func, b.Line)
+		}
+		return ""
+	}
+}
+
+// indirectCallNull and indirectCallData call through a NULL and a data
+// pointer after the call site has seen six targets.
+var (
+	indirectCallNull = &parityRow{name: "indirect-call-null", check: reportsCall(core.NullDeref),
+		src: indirectCallSrc("0")}
+	indirectCallData = &parityRow{name: "indirect-call-data", check: reportsCall(core.TypeViolation),
+		src: indirectCallSrc("(long (*)(long))buf")}
+)
+
+func TestTierParityIndirectCallNull(t *testing.T) { indirectCallNull.sweepAll(t) }
+
+func TestTierParityIndirectCallData(t *testing.T) { indirectCallData.sweepAll(t) }
