@@ -76,8 +76,11 @@ faultcheck:
 # programs at their peak sizes, and step-limit windows: stdout, exit,
 # Steps, reports, leaks and heap counters byte-identical), and a managed
 # guest call allocating nothing in any tier — all under the race detector.
+# The warm-cell allocation pin (every matrix column, a clean and a
+# detecting case) is built without the race detector only, whose own
+# allocations would swamp it; `make test` runs it.
 perfcheck:
-	$(GO) test -race -timeout 120s -run 'PerfCheck|TierParityBenchmarks|HoistedCheck|CoalescedRun|UnderCoalescing|FramePoolFaultReuse|NativeGolden|ManagedCall' ./...
+	$(GO) test -race -timeout 120s -run 'PerfCheck|TierParityBenchmarks|HoistedCheck|CoalescedRun|UnderCoalescing|FramePoolFaultReuse|NativeGolden|ManagedCall|WarmCellAllocs' ./...
 
 # Tiering gate: the asynchronous pipeline under the race detector — the
 # tier-parity table's async+OSR slices (corpus rows with background compile

@@ -21,8 +21,8 @@ func TestAsBugUnwrapsWrappedErrors(t *testing.T) {
 		"joined":        errors.Join(errors.New("unrelated"), fmt.Errorf("run: %w", bug)),
 	}
 	for name, err := range cases {
-		var got *core.BugError
-		if !asBug(err, &got) {
+		got, ok := asBug(err)
+		if !ok {
 			t.Errorf("%s: asBug failed to find the bug", name)
 			continue
 		}
@@ -31,11 +31,10 @@ func TestAsBugUnwrapsWrappedErrors(t *testing.T) {
 		}
 	}
 
-	var got *core.BugError
-	if asBug(errors.New("no bug here"), &got) {
+	if _, ok := asBug(errors.New("no bug here")); ok {
 		t.Error("asBug reported a bug in a plain error")
 	}
-	if asBug(nil, &got) {
+	if _, ok := asBug(nil); ok {
 		t.Error("asBug reported a bug in nil")
 	}
 }

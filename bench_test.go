@@ -137,10 +137,10 @@ func BenchmarkTable2OOBDistribution(b *testing.B) {
 func BenchmarkDetectionMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := harness.RunDetectionMatrix()
-		if m.Totals[harness.SafeSulong] != 68 ||
+		if m.Totals[harness.SafeSulong] != 76 ||
 			m.Totals[harness.ASanO0] != 60 ||
 			m.Totals[harness.ASanO3] != 56 ||
-			len(m.MissedByBoth()) != 8 {
+			len(m.MissedByBoth()) != 16 {
 			b.Fatalf("matrix shape broken: %+v missed=%d", m.Totals, len(m.MissedByBoth()))
 		}
 		if i == 0 {

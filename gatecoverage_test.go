@@ -34,10 +34,10 @@ func TestMakefileGateTermsMatch(t *testing.T) {
 // TestParityTestsHaveAGate is the converse for the tier-parity table, the
 // tier-2 fault programs, the code cache's, the engine pool's and the
 // machine pool's suites, the native and front-end golden digests, the
-// managed-call allocation pin, the tiering suite and the campaign's suite:
-// every top-level Test in their files matches a
-// `-run` term of a gate that tests the file's package, so none of them runs
-// only outside the race detector.
+// managed-call and warm-cell allocation pins, the tiering suite and the
+// campaign's suite: every top-level Test in their files matches a `-run`
+// term of a gate that tests the file's package, so none of them runs only
+// outside the race detector (the warm-cell pin is built only outside it).
 func TestParityTestsHaveAGate(t *testing.T) {
 	gates := makefileGateTerms(t)
 	fset := token.NewFileSet()
@@ -48,6 +48,7 @@ func TestParityTestsHaveAGate(t *testing.T) {
 		"libcshare_test.go",
 		"machinepool_test.go",
 		"nativegolden_test.go",
+		"warmcellallocs_test.go",
 		"internal/pipeline/frontendgolden_test.go",
 		"internal/jit/codecache_test.go",
 		"internal/jit/managedcall_test.go",

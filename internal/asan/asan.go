@@ -57,7 +57,7 @@ func DefaultOptions() Options {
 // libc interceptors consult (nativevm.Tool).
 type Tool struct {
 	opts   Options
-	shadow map[uint64][]byte // page index -> per-byte state
+	shadow nativemem.Pages // page index -> per-byte state
 	// Heap bookkeeping.
 	live       map[uint64]int64 // addr -> user size
 	freedSize  map[uint64]int64 // addr -> size while in quarantine
@@ -84,7 +84,6 @@ type Tool struct {
 func New(opts Options) *Tool {
 	return &Tool{
 		opts:        opts,
-		shadow:      map[uint64][]byte{},
 		live:        map[uint64]int64{},
 		freedSize:   map[uint64]int64{},
 		allocStacks: map[uint64]diag.Stack{},
@@ -97,8 +96,8 @@ func (t *Tool) state(addr uint64) byte {
 	if idx == t.cachePage && t.cacheBuf != nil {
 		return t.cacheBuf[addr%nativemem.PageSize]
 	}
-	pg, ok := t.shadow[idx]
-	if !ok {
+	pg := t.shadow.Get(idx)
+	if pg == nil {
 		return shadowValid // unshadowed memory (argv block, libc internals) is never flagged
 	}
 	t.cachePage, t.cacheBuf = idx, pg
@@ -112,11 +111,7 @@ func (t *Tool) setState(addr uint64, size int64, s byte) {
 	t.m.AddSteps(size / 8)
 	for size > 0 {
 		idx, off := addr/nativemem.PageSize, addr%nativemem.PageSize
-		pg, ok := t.shadow[idx]
-		if !ok {
-			pg = make([]byte, nativemem.PageSize)
-			t.shadow[idx] = pg
-		}
+		pg := t.shadow.Make(idx)
 		n := min(uint64(size), nativemem.PageSize-off)
 		seg := pg[off : off+n]
 		for i := range seg {
@@ -193,9 +188,8 @@ func (t *Tool) check(addr uint64, size int64, acc core.AccessKind) *core.BugErro
 		if idx == t.cachePage && t.cacheBuf != nil {
 			pg = t.cacheBuf
 		} else {
-			var ok bool
-			pg, ok = t.shadow[idx]
-			if !ok {
+			pg = t.shadow.Get(idx)
+			if pg == nil {
 				return nil
 			}
 			t.cachePage, t.cacheBuf = idx, pg
@@ -268,15 +262,13 @@ func (t *Tool) GlobalAlloc(addr uint64, size int64) {
 
 // Attach implements nativevm.Tool: the heap gets redzones and a quarantine.
 // A tool attached before starts over in place: its heap tables and
-// quarantine empty, its allocator reset, and its shadow pages zeroed and
-// kept (a zero byte is shadowValid, so a zeroed page reads exactly like a
-// missing one).
+// quarantine empty, its allocator reset, and its shadow emptied in
+// constant time, keeping the page buffers for reuse (nativemem.Pages; a
+// missing page reads shadowValid).
 func (t *Tool) Attach(m *nativevm.Machine) nativevm.Allocator {
 	t.m = m
 	t.inner.Reset(m.Mem)
-	for _, pg := range t.shadow {
-		clear(pg)
-	}
+	t.shadow.Reset()
 	clear(t.live)
 	clear(t.freedSize)
 	clear(t.allocStacks)
@@ -288,7 +280,7 @@ func (t *Tool) Attach(m *nativevm.Machine) nativevm.Allocator {
 }
 
 // BufferBytes is the size of the shadow pages the tool keeps across Attach.
-func (t *Tool) BufferBytes() int64 { return int64(len(t.shadow)) * nativemem.PageSize }
+func (t *Tool) BufferBytes() int64 { return t.shadow.BufferBytes() }
 
 // Redzones implements nativevm.Tool: ASan pads stack objects and globals.
 func (t *Tool) Redzones() (stack, global int64) {

@@ -238,6 +238,7 @@ func @main fn() i32 regs 1 { entry: ret i32 0 }
 		t.Fatalf("setup: freed block not poisoned: %v", be)
 	}
 	kept := tool.BufferBytes()
+	shadowed := append([]uint64(nil), tool.shadow.Made()...)
 
 	if err := m.Reset(nativevm.Config{Tool: tool}); err != nil {
 		t.Fatal(err)
@@ -245,10 +246,13 @@ func @main fn() i32 regs 1 { entry: ret i32 0 }
 	if got := tool.BufferBytes(); got != kept {
 		t.Errorf("Attach kept %d bytes of shadow, want %d", got, kept)
 	}
-	for idx, pg := range tool.shadow {
-		for off, b := range pg {
-			if b != shadowValid {
-				t.Fatalf("shadow byte %#x is %d after Attach", idx*nativemem.PageSize+uint64(off), b)
+	// Every page the last run shadowed reads valid, made again from a kept
+	// buffer.
+	for _, idx := range shadowed {
+		tool.shadow.Make(idx)
+		for off := uint64(0); off < nativemem.PageSize; off++ {
+			if b := tool.state(idx*nativemem.PageSize + off); b != shadowValid {
+				t.Fatalf("shadow byte %#x is %d after Attach", idx*nativemem.PageSize+off, b)
 			}
 		}
 	}
@@ -279,7 +283,7 @@ func TestSetStateMatchesPerByte(t *testing.T) {
 	const base = uint64(0x5000_0000)
 	ref := map[uint64]byte{}
 	refPages := map[uint64]bool{}
-	for k := range tool.shadow {
+	for _, k := range tool.shadow.Made() {
 		refPages[k] = true
 	}
 	ranges := []struct {
@@ -312,11 +316,11 @@ func TestSetStateMatchesPerByte(t *testing.T) {
 			t.Fatalf("shadow at +%d = %d, want %d", a-base, got, want)
 		}
 	}
-	if len(tool.shadow) != len(refPages) {
-		t.Errorf("%d shadow pages, want %d", len(tool.shadow), len(refPages))
+	if len(tool.shadow.Made()) != len(refPages) {
+		t.Errorf("%d shadow pages, want %d", len(tool.shadow.Made()), len(refPages))
 	}
 	for p := range refPages {
-		if _, ok := tool.shadow[p]; !ok {
+		if tool.shadow.Get(p) == nil {
 			t.Errorf("no shadow page %#x", p)
 		}
 	}

@@ -43,7 +43,39 @@ type blockScratch struct {
 	name  []byte // newBlock's name buffer
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
+// scratchPool is the front end's free list of block scratch, shared by
+// every compile whichever P it runs on (a sync.Pool's per-P slots made a
+// compile on another P build its scratch again). It keeps at most
+// maxIdleScratch, enough for the compiles that run at once on a small
+// machine.
+var scratchPool struct {
+	mu   sync.Mutex
+	idle []*blockScratch
+}
+
+const maxIdleScratch = 8
+
+// getScratch takes block scratch from the free list, or makes it.
+func getScratch() *blockScratch {
+	scratchPool.mu.Lock()
+	defer scratchPool.mu.Unlock()
+	if n := len(scratchPool.idle); n > 0 {
+		sc := scratchPool.idle[n-1]
+		scratchPool.idle = scratchPool.idle[:n-1]
+		return sc
+	}
+	return new(blockScratch)
+}
+
+// putScratch returns reset block scratch to the free list, or drops it
+// when the list is full.
+func putScratch(sc *blockScratch) {
+	scratchPool.mu.Lock()
+	defer scratchPool.mu.Unlock()
+	if len(scratchPool.idle) < maxIdleScratch {
+		scratchPool.idle = append(scratchPool.idle, sc)
+	}
+}
 
 // addBlock appends an empty block named name and returns its index.
 func (sc *blockScratch) addBlock(name string) int32 {

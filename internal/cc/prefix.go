@@ -179,11 +179,11 @@ func (u *Unit) Lower() (*ir.Module, error) {
 		file:    u.pre.unit,
 		preRefs: u.pre.refs,
 		refs:    map[string]bool{},
-		scratch: scratchPool.Get().(*blockScratch),
+		scratch: getScratch(),
 	}
 	err := u.cg.program(u.prog)
 	u.cg.scratch.reset() // a failed function leaves its blocks behind
-	scratchPool.Put(u.cg.scratch)
+	putScratch(u.cg.scratch)
 	u.cg.scratch = nil
 	if err != nil {
 		return nil, err

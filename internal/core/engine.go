@@ -127,6 +127,12 @@ type Config struct {
 	OnCompile func(name string)
 }
 
+// EmptyInput is the stdin of a run configured without one: every read
+// reports end of input.
+type EmptyInput struct{}
+
+func (EmptyInput) Read([]byte) (int, error) { return 0, io.EOF }
+
 // Stats captures execution counters. The Heap* and fault fields mirror the
 // fault injector's accounting and are tier-invariant: a tier-0 and a tier-1
 // run of the same program report identical heap numbers (paper §5's
@@ -190,7 +196,7 @@ type Engine struct {
 	heap    []*Object // live heap objects, for leak detection
 	envObjs map[string]*Object
 	stats   Stats
-	mem     *fault.Injector // heap budget + fault schedule (nil-safe)
+	mem     fault.Injector // heap budget + fault schedule, reset per run
 
 	// Type-identity plane caches. descs memoizes allocation and checked-cast
 	// descriptors (one *Desc per distinct C type, shared by every object of
@@ -245,7 +251,7 @@ type Engine struct {
 // NewEngine prepares a managed engine for the module. The module is not
 // mutated; globals are instantiated as managed objects.
 func NewEngine(mod *ir.Module, cfg Config) (*Engine, error) {
-	e := &Engine{mod: mod}
+	e := &Engine{mod: mod, stdout: bufio.NewWriter(nil), stdin: bufio.NewReader(nil)}
 	e.compiled = make([]CompiledFunc, len(mod.Funcs))
 	e.counts = make([]int64, len(mod.Funcs))
 	if err := e.configure(cfg, e.layoutGlobals); err != nil {
@@ -255,10 +261,11 @@ func NewEngine(mod *ir.Module, cfg Config) (*Engine, error) {
 }
 
 // configure is the per-run setup NewEngine and Reset share: it adopts cfg
-// with its MaxSteps and Tier1Threshold defaults, plumbs stdio,
-// builds the fault injector for cfg's budget, lets layout charge and
-// initialize the globals against it, and finally arms OSR and the background
-// compile pool (last, so a failed layout leaves no workers behind).
+// with its MaxSteps and Tier1Threshold defaults, points the engine's stdio
+// buffers at cfg's streams, resets the fault injector to cfg's budget, lets
+// layout charge and initialize the globals against it, and finally arms OSR
+// and the background compile pool (last, so a failed layout leaves no
+// workers behind).
 func (e *Engine) configure(cfg Config, layout func() error) error {
 	e.cfg = cfg
 	e.gov = cfg.Governor
@@ -274,18 +281,18 @@ func (e *Engine) configure(cfg Config, layout func() error) error {
 	if out == nil {
 		out = &e.sink
 	}
-	e.stdout = bufio.NewWriter(out)
+	e.stdout.Reset(out)
 	in := cfg.Stdin
 	if in == nil {
-		in = strings.NewReader("")
+		in = EmptyInput{}
 	}
-	e.stdin = bufio.NewReader(in)
+	e.stdin.Reset(in)
 
 	mab := cfg.MaxAllocBytes
 	if mab == 0 {
 		mab = maxHeapAlloc
 	}
-	e.mem = fault.NewInjector(cfg.FaultPlan, fault.Budget{
+	e.mem.Reset(cfg.FaultPlan, fault.Budget{
 		MaxHeapBytes:  cfg.MaxHeapBytes,
 		MaxAllocBytes: mab,
 	})
@@ -324,14 +331,15 @@ func (e *Engine) layoutGlobals() error {
 // and the memoized type descriptors (pure functions of C type spellings,
 // which consume no IDs). Everything observable is per-run and is rebuilt
 // exactly as NewEngine would build it: step/depth ledgers, stats, the fault
-// injector (the global charge sequence is replayed against the new budget,
-// so FailNth schedules land on the same allocations), tier-1 dispatch
-// tables and hotness counts (so tier-up events, OnCompile callbacks and OSR
-// behavior replay a cold run even when the compiles themselves are
-// code-cache hits), the lazily-interned type-name and environment objects
-// (they consume runtime IDs, so they must be re-created in the same order),
-// the diagnostic call stack, the argument stack, and the stdio plumbing. A
-// reset engine is observationally indistinguishable from a new one — the
+// injector (reset in place; the global charge sequence is replayed against
+// the new budget, so FailNth schedules land on the same allocations),
+// tier-1 dispatch tables and hotness counts (so tier-up events, OnCompile
+// callbacks and OSR behavior replay a cold run even when the compiles
+// themselves are code-cache hits), the lazily-interned type-name and
+// environment objects (they consume runtime IDs, so they must be re-created
+// in the same order), the diagnostic call stack, the argument stack, and
+// the stdio buffers (kept, and pointed at the new run's streams). A reset
+// engine is observationally indistinguishable from a new one — the
 // warm-vs-cold parity suite pins that byte-for-byte.
 //
 // On error (a global layout exceeding cfg's budget, exactly as NewEngine

@@ -152,7 +152,15 @@ type Injector struct {
 // above Budget.MaxAllocBytes fail softly; pass 0 to leave single requests
 // uncapped (engines substitute their historical default before calling).
 func NewInjector(plan Plan, b Budget) *Injector {
-	return &Injector{
+	j := new(Injector)
+	j.Reset(plan, b)
+	return j
+}
+
+// Reset makes j, in place, the injector NewInjector(plan, b) builds: an
+// engine keeps one injector and resets it for each run.
+func (j *Injector) Reset(plan Plan, b Budget) {
+	*j = Injector{
 		plan:     plan,
 		maxHeap:  b.MaxHeapBytes,
 		maxAlloc: b.MaxAllocBytes,

@@ -13,7 +13,7 @@
 package memcheck
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/diag"
@@ -28,8 +28,8 @@ const heapRedzone = 16
 // maintains); only heap A-bits can actually fire, but the bookkeeping cost
 // is universal — that cost is Valgrind's signature slowdown.
 type Tool struct {
-	abits map[uint64][]byte // page -> 1 = addressable (heap region only)
-	vbits map[uint64][]byte // page -> definedness, maintained everywhere
+	abits nativemem.Pages // page -> 1 = addressable (heap region only)
+	vbits nativemem.Pages // page -> definedness, maintained everywhere
 	live  map[uint64]int64
 	freed map[uint64]int64
 	inner nativevm.FreeListAlloc
@@ -41,6 +41,9 @@ type Tool struct {
 	// combines and rewrites register definedness state.
 	regShadow [64]uint64
 	shadowIdx int
+	// perInstr is t.PerInstr, made once: Attach installs it on every
+	// machine reset.
+	perInstr func(op int)
 
 	// m is the machine the tool is attached to: it charges data-
 	// proportional shadow bookkeeping (A/V-bit range updates) against the
@@ -78,19 +81,19 @@ func (t *Tool) PerInstr(op int) {
 
 // New builds a memcheck tool.
 func New() *Tool {
-	return &Tool{
-		abits:       map[uint64][]byte{},
-		vbits:       map[uint64][]byte{},
+	t := &Tool{
 		live:        map[uint64]int64{},
 		freed:       map[uint64]int64{},
 		allocStacks: map[uint64]diag.Stack{},
 		freeStacks:  map[uint64]diag.Stack{},
 	}
+	t.perInstr = t.PerInstr
+	return t
 }
 
 func (t *Tool) aState(addr uint64) byte {
-	pg, ok := t.abits[addr/nativemem.PageSize]
-	if !ok {
+	pg := t.abits.Get(addr / nativemem.PageSize)
+	if pg == nil {
 		return 0
 	}
 	return pg[addr%nativemem.PageSize]
@@ -102,11 +105,7 @@ func (t *Tool) setA(addr uint64, size int64, v byte) {
 	t.m.AddSteps(size / 8)
 	for size > 0 {
 		idx, off := addr/nativemem.PageSize, addr%nativemem.PageSize
-		pg, ok := t.abits[idx]
-		if !ok {
-			pg = make([]byte, nativemem.PageSize)
-			t.abits[idx] = pg
-		}
+		pg := t.abits.Make(idx)
 		n := min(uint64(size), nativemem.PageSize-off)
 		seg := pg[off : off+n]
 		for i := range seg {
@@ -124,12 +123,7 @@ func (t *Tool) setA(addr uint64, size int64, v byte) {
 // that signal unreliable — but the shadow traffic is real).
 func (t *Tool) touchV(addr uint64, size int64, write bool) {
 	t.m.AddSteps(size / 8)
-	pgIdx := addr / nativemem.PageSize
-	pg, ok := t.vbits[pgIdx]
-	if !ok {
-		pg = make([]byte, nativemem.PageSize)
-		t.vbits[pgIdx] = pg
-	}
+	pg := t.vbits.Make(addr / nativemem.PageSize)
 	off := addr % nativemem.PageSize
 	if off+uint64(size) <= nativemem.PageSize {
 		if write {
@@ -147,11 +141,7 @@ func (t *Tool) touchV(addr uint64, size int64, write bool) {
 	}
 	for i := int64(0); i < size; i++ {
 		a := addr + uint64(i)
-		pg2, ok := t.vbits[a/nativemem.PageSize]
-		if !ok {
-			pg2 = make([]byte, nativemem.PageSize)
-			t.vbits[a/nativemem.PageSize] = pg2
-		}
+		pg2 := t.vbits.Make(a / nativemem.PageSize)
 		if write {
 			pg2[a%nativemem.PageSize] = 1
 		}
@@ -221,32 +211,28 @@ func (t *Tool) GlobalAlloc(addr uint64, size int64) {}
 // Attach implements nativevm.Tool: the default heap gets redzones and A-bit
 // bookkeeping, and every executed instruction pays PerInstr. A tool
 // attached before starts over in place: its block tables empty, its
-// allocator and register shadow reset, and its A/V-bit pages zeroed and
-// kept (a zero byte means "absent", so a zeroed page reads exactly like a
-// missing one).
+// allocator and register shadow reset, and its A/V bits emptied in
+// constant time, keeping the page buffers for reuse (nativemem.Pages; a
+// missing page reads "absent").
 func (t *Tool) Attach(m *nativevm.Machine) nativevm.Allocator {
 	t.m = m
 	t.inner.Reset(m.Mem)
-	for _, pg := range t.abits {
-		clear(pg)
-	}
-	for _, pg := range t.vbits {
-		clear(pg)
-	}
+	t.abits.Reset()
+	t.vbits.Reset()
 	clear(t.live)
 	clear(t.freed)
 	clear(t.allocStacks)
 	clear(t.freeStacks)
 	t.heapLo, t.heapHi = nativevm.HeapBase, nativevm.HeapBase
 	t.regShadow, t.shadowIdx = [64]uint64{}, 0
-	m.SetPerInstr(t.PerInstr)
+	m.SetPerInstr(t.perInstr)
 	return (*mcAlloc)(t)
 }
 
 // BufferBytes is the size of the A- and V-bit pages the tool keeps across
 // Attach.
 func (t *Tool) BufferBytes() int64 {
-	return int64(len(t.abits)+len(t.vbits)) * nativemem.PageSize
+	return t.abits.BufferBytes() + t.vbits.BufferBytes()
 }
 
 // Redzones implements nativevm.Tool: memcheck pads only heap blocks, in its
@@ -309,7 +295,7 @@ func (t *Tool) Leaks() []*core.BugError {
 	for addr := range t.live {
 		addrs = append(addrs, addr)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	var out []*core.BugError
 	for _, addr := range addrs {
 		out = append(out, &core.BugError{Kind: core.MemoryLeak, ObjSize: t.live[addr], Mem: core.HeapMem,

@@ -134,7 +134,8 @@ func TestPerInstrIsCheap(t *testing.T) {
 
 // TestAttachResetsInPlace pins what a machine Reset does to its memcheck
 // tool: no block, leak or register shadow survives, the heap starts over at
-// the same addresses, and the A/V-bit pages stay allocated, zeroed.
+// the same addresses, and the A/V-bit pages are kept, coming back zeroed
+// when made again.
 func TestAttachResetsInPlace(t *testing.T) {
 	tool, m := attach(t)
 	live := m.Alloc.Malloc(24)
@@ -147,6 +148,11 @@ func TestAttachResetsInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	kept := tool.BufferBytes()
+	bits := []*nativemem.Pages{&tool.abits, &tool.vbits}
+	var touched [][]uint64
+	for _, ps := range bits {
+		touched = append(touched, append([]uint64(nil), ps.Made()...))
+	}
 
 	if err := m.Reset(nativevm.Config{Tool: tool}); err != nil {
 		t.Fatal(err)
@@ -154,9 +160,12 @@ func TestAttachResetsInPlace(t *testing.T) {
 	if got := tool.BufferBytes(); got != kept {
 		t.Errorf("Attach kept %d bytes of A/V bits, want %d", got, kept)
 	}
-	for _, bits := range []map[uint64][]byte{tool.abits, tool.vbits} {
-		for _, pg := range bits {
-			for _, b := range pg {
+	for i, ps := range bits {
+		if n := len(ps.Made()); n != 0 {
+			t.Errorf("%d A/V-bit pages survived Attach", n)
+		}
+		for _, idx := range touched[i] {
+			for _, b := range ps.Make(idx) {
 				if b != 0 {
 					t.Fatal("A/V bits survived Attach")
 				}
@@ -187,7 +196,7 @@ func TestSetAMatchesPerByte(t *testing.T) {
 	const base = uint64(0x5000_0000)
 	ref := map[uint64]byte{}
 	refPages := map[uint64]bool{}
-	for k := range tool.abits {
+	for _, k := range tool.abits.Made() {
 		refPages[k] = true
 	}
 	ranges := []struct {
@@ -220,11 +229,11 @@ func TestSetAMatchesPerByte(t *testing.T) {
 			t.Fatalf("A-bit at +%d = %d, want %d", a-base, got, want)
 		}
 	}
-	if len(tool.abits) != len(refPages) {
-		t.Errorf("%d A-bit pages, want %d", len(tool.abits), len(refPages))
+	if len(tool.abits.Made()) != len(refPages) {
+		t.Errorf("%d A-bit pages, want %d", len(tool.abits.Made()), len(refPages))
 	}
 	for p := range refPages {
-		if _, ok := tool.abits[p]; !ok {
+		if tool.abits.Get(p) == nil {
 			t.Errorf("no A-bit page %#x", p)
 		}
 	}

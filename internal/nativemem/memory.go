@@ -39,9 +39,8 @@ func (f *Fault) Error() string {
 // to eager zero-filling while mapping an 8 MiB stack appends one span.
 // Reset unmaps everything but keeps the backing buffers for reuse.
 type Memory struct {
-	pages map[uint64][]byte // backing of written pages only
-	spans []span            // mapped pages: sorted, disjoint, never adjacent
-	spare [][]byte          // backing of pages written before Reset, dirty
+	pages Pages  // backing of written pages only
+	spans []span // mapped pages: sorted, disjoint, never adjacent
 	// recent is a direct-mapped cache in front of pages, indexed by page
 	// number modulo its size. It holds written pages only, never the
 	// shared zero page, so a write can never find a stale entry.
@@ -64,27 +63,25 @@ var zeroPage [PageSize]byte
 
 // New returns an empty address space (everything unmapped; address 0 traps).
 func New() *Memory {
-	return &Memory{pages: make(map[uint64][]byte, 64)}
+	return &Memory{}
 }
 
 // Reset unmaps the whole address space, as New leaves it. Written pages
-// move to a spare list (they must leave pages: rdPage consults it before
-// the spans, so a kept page would make an unmapped address readable), and
-// wrPage clears one before handing it out again.
+// leave pages, which keeps their buffers for the next run's writes (they
+// must leave it: rdPage consults it before the spans, so a kept page would
+// make an unmapped address readable), and so do their recent entries: work
+// proportional to the pages written since the last Reset.
 func (m *Memory) Reset() {
-	for _, pg := range m.pages {
-		m.spare = append(m.spare, pg)
+	for _, p := range m.pages.Made() {
+		m.recent[p%recentPages] = recentPage{}
 	}
-	clear(m.pages)
+	m.pages.Reset()
 	m.spans = m.spans[:0]
-	m.recent = [recentPages]recentPage{}
 }
 
-// BufferBytes is the size of the page backing the memory holds, written and
-// spare.
-func (m *Memory) BufferBytes() int64 {
-	return int64(len(m.pages)+len(m.spare)) * PageSize
-}
+// BufferBytes is the size of the page backing the memory holds: a buffer
+// for every page written since New.
+func (m *Memory) BufferBytes() int64 { return m.pages.BufferBytes() }
 
 // Map makes [addr, addr+size) accessible, zero-filled. Partial pages round
 // out to full pages, as mmap would. Backing is allocated lazily on first
@@ -143,14 +140,7 @@ func (m *Memory) wrPage(addr uint64) []byte {
 	if m.spanOf(p) < 0 {
 		return nil
 	}
-	var pg []byte
-	if n := len(m.spare); n > 0 {
-		pg, m.spare = m.spare[n-1], m.spare[:n-1]
-		clear(pg)
-	} else {
-		pg = make([]byte, PageSize)
-	}
-	m.pages[p] = pg
+	pg := m.pages.Make(p)
 	m.recent[p%recentPages] = recentPage{p, pg}
 	return pg
 }
@@ -161,7 +151,7 @@ func (m *Memory) written(p uint64) []byte {
 	if e.pg != nil && e.p == p {
 		return e.pg
 	}
-	pg := m.pages[p]
+	pg := m.pages.Get(p)
 	if pg != nil {
 		*e = recentPage{p, pg}
 	}
@@ -269,12 +259,17 @@ func (m *Memory) ReadBytes(addr uint64, n int64) ([]byte, *Fault) {
 	return out, nil
 }
 
-// WriteBytes copies a byte slice into memory.
+// WriteBytes copies a byte slice into memory, a page at a time. At an
+// unmapped page it stops with a fault, having written the bytes before it.
 func (m *Memory) WriteBytes(addr uint64, data []byte) *Fault {
-	for i, b := range data {
-		if f := m.StoreByte(addr+uint64(i), b); f != nil {
-			return f
+	for len(data) > 0 {
+		pg := m.wrPage(addr)
+		if pg == nil {
+			return &Fault{Addr: addr, Write: true}
 		}
+		n := copy(pg[addr%PageSize:], data)
+		addr += uint64(n)
+		data = data[n:]
 	}
 	return nil
 }

@@ -133,14 +133,14 @@ const (
 func TestStackMapIsLazy(t *testing.T) {
 	m := New()
 	m.Map(stackLo, stackSize)
-	if len(m.pages) != 0 || len(m.spans) != 1 {
-		t.Fatalf("mapping the stack: %d pages, %d spans; want 0, 1", len(m.pages), len(m.spans))
+	if len(m.pages.Made()) != 0 || len(m.spans) != 1 {
+		t.Fatalf("mapping the stack: %d pages, %d spans; want 0, 1", len(m.pages.Made()), len(m.spans))
 	}
 	if f := m.Store(stackTop-8, 8, 42); f != nil {
 		t.Fatal(f)
 	}
-	if len(m.pages) != 1 {
-		t.Fatalf("one store materialized %d pages, want 1", len(m.pages))
+	if len(m.pages.Made()) != 1 {
+		t.Fatalf("one store materialized %d pages, want 1", len(m.pages.Made()))
 	}
 	if _, f := m.Load(stackTop, 1); f == nil {
 		t.Error("the page above the stack must stay unmapped")

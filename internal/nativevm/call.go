@@ -64,9 +64,11 @@ func (m *Machine) callLib(caller *Frame, idx int, args []Value, vaBase uint64, v
 	if lf == nil {
 		return Value{}, fmt.Errorf("nativevm: call to unresolved external %q", m.Mod.Funcs[idx].Name)
 	}
-	ctx := new(CallCtx)
+	var ctx *CallCtx
 	if caller != nil {
 		ctx = &caller.ctx // a frame makes one library call at a time
+	} else {
+		ctx = new(CallCtx)
 	}
 	*ctx = CallCtx{Args: args, VaBase: vaBase, VaCount: vaCount, Frame: caller}
 	// Library code runs with inLib set: tool reports raised inside it

@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 
 	"repro/internal/core"
@@ -148,7 +149,10 @@ type Config struct {
 	// Tool is the analysis the machine runs under; nil runs bare native.
 	Tool Tool
 	// Libc binds external function names to native implementations. The
-	// machine only reads it, so one map may serve many machines at once.
+	// machine only reads it, so one map may serve many machines at once. A
+	// machine binds its module's declarations to a table once, and a Reset
+	// with the same table keeps the binding: a table must not change after
+	// a machine first used it.
 	Libc map[string]LibFunc
 
 	Args     []string
@@ -194,7 +198,7 @@ type Machine struct {
 	// globals holds each module global's address, by global number.
 	globals []uint64
 	// libcFuncs binds each declared function, by function index, to its
-	// Config.Libc implementation (nil: unresolved).
+	// implementation in libc (nil: unresolved).
 	libcFuncs []LibFunc
 	// funcs holds each function's closures, by function index, lowered
 	// block by block as blocks are first entered (compile.go). They depend
@@ -208,7 +212,7 @@ type Machine struct {
 	perInstr func(op int)
 	sp       uint64
 	stackLow uint64
-	inj      *fault.Injector // heap budget + fault schedule (nil-safe)
+	inj      fault.Injector // heap budget + fault schedule, reset per run
 	// own is the bare-native heap (unused under a tool); gate is the
 	// budget gate Alloc points at. Both are kept across Reset.
 	own  FreeListAlloc
@@ -289,23 +293,22 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 }
 
 // Reset returns m to the state New(m.Mod, cfg) builds, for another run. It
-// keeps the machine's buffers — memory pages, the stdio buffers, the
-// allocator maps, the loop-slot, frame and register stacks — and the
-// functions it has lowered, and rebuilds everything else: the fault
-// injector, the stack span, the globals, the libc binding, the type mirror
-// and libc's private state. cfg.Tool is attached afresh; a tool resets its
-// own per-run state in Attach, so passing the machine's previous tool
-// reuses its shadow buffers too. A failed Reset leaves m unusable.
+// keeps the machine's buffers — memory pages, the stdio buffers, the fault
+// injector, the allocator maps, the loop-slot, frame and register stacks —
+// the functions it has lowered and, when cfg.Libc is the table it is bound
+// to, its libc binding. It rebuilds everything else: the injector's budget
+// and schedule, the stack span, the globals, the type mirror and libc's
+// private state. What it clears costs what the last run touched: the
+// memory pages and shadow pages that run wrote, not every page the machine
+// holds. cfg.Tool is attached afresh; a tool resets its own per-run state
+// in Attach, so passing the machine's previous tool reuses its shadow
+// buffers too. A failed Reset leaves m unusable.
 func (m *Machine) Reset(cfg Config) error {
 	m.Mem.Reset()
 	m.cfg = cfg
 	m.tool = cfg.Tool
-	m.libc = cfg.Libc
-	for i, f := range m.Mod.Funcs {
-		m.libcFuncs[i] = nil
-		if f.IsDecl {
-			m.libcFuncs[i] = cfg.Libc[f.Name]
-		}
+	if reflect.ValueOf(cfg.Libc).UnsafePointer() != reflect.ValueOf(m.libc).UnsafePointer() {
+		m.bindLibc(cfg.Libc)
 	}
 	m.libcChecker = nil
 	m.stackRedzone, m.globalRedzone = 0, 0
@@ -338,11 +341,11 @@ func (m *Machine) Reset(cfg Config) error {
 	m.Stdout.Reset(out)
 	in := cfg.Stdin
 	if in == nil {
-		in = strings.NewReader("")
+		in = core.EmptyInput{}
 	}
 	m.Stdin.Reset(in)
 
-	m.inj = fault.NewInjector(cfg.FaultPlan, fault.Budget{
+	m.inj.Reset(cfg.FaultPlan, fault.Budget{
 		MaxHeapBytes:  cfg.MaxHeapBytes,
 		MaxAllocBytes: cfg.MaxAllocBytes,
 	})
@@ -360,7 +363,7 @@ func (m *Machine) Reset(cfg Config) error {
 	// One gate in front of whichever allocator the tool installed: budgets
 	// and fault schedules apply before redzones/quarantine ever see the
 	// request, so all four engines observe identical allocation outcomes.
-	m.gate.inner, m.gate.inj = inner, m.inj
+	m.gate.inner, m.gate.inj = inner, &m.inj
 	clear(m.gate.charged)
 	m.Alloc = &m.gate
 
@@ -373,6 +376,17 @@ func (m *Machine) Reset(cfg Config) error {
 	m.trackTypes = cfg.Hardened || m.introspects
 
 	return m.layoutGlobals()
+}
+
+// bindLibc binds each declared function of the module to its entry in libc.
+func (m *Machine) bindLibc(libc map[string]LibFunc) {
+	m.libc = libc
+	for i, f := range m.Mod.Funcs {
+		m.libcFuncs[i] = nil
+		if f.IsDecl {
+			m.libcFuncs[i] = libc[f.Name]
+		}
+	}
 }
 
 // Tool returns the attached tool (nil for raw native). Code shared by every

@@ -6,7 +6,8 @@ import "testing"
 
 // coldCompileBudget bounds the bytes a cold managed compile allocates, on
 // average over seed-1 programs 0-199: 163 kB measured on a 2-vCPU VM, plus
-// a fifth. With a 96-byte token, a slice per block grown by doubling and
+// a fifth. That was at GOMAXPROCS 2 while the block scratch sat in a
+// sync.Pool; with one free list for every P it reads 153 kB at 1 and 2. With a 96-byte token, a slice per block grown by doubling and
 // the prefix's tables cloned per program, the same compile allocated
 // 376 kB.
 const coldCompileBudget = 163_000 * 6 / 5

@@ -29,11 +29,13 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/cc"
 	"repro/internal/core"
@@ -147,36 +149,63 @@ func (s *stages) run(stage string, f func() error) error {
 const userFile = "user.c"
 
 // userFiles is the assemble stage: the user's file set, the program as
-// user.c plus its ExtraFiles. Everything else a unit includes is the bundled
-// libc, which an ExtraFiles entry may not shadow: libc is compiled once, not
-// per program. Nor may one replace the program.
+// user.c plus its ExtraFiles.
 func userFiles(req Request) (map[string]string, error) {
+	if err := checkExtraFiles(req); err != nil {
+		return nil, err
+	}
 	files := make(map[string]string, len(req.ExtraFiles)+1)
 	for name, src := range req.ExtraFiles {
-		if _, bundled := libc.File(name); bundled {
-			return nil, fmt.Errorf("pipeline: ExtraFiles[%q] would shadow the bundled libc file %s", name, name)
-		}
-		if name == userFile {
-			return nil, fmt.Errorf("pipeline: ExtraFiles[%q] would replace the program, which is compiled as %s", name, name)
-		}
 		files[name] = src
 	}
 	files[userFile] = req.Source
 	return files, nil
 }
 
-// address content-addresses req's unit: the user's file set framed behind
-// the unit it compiles in — its main file, the bundled libc's digest and,
-// for the managed flavor, the hardening.
-func address(req Request, files map[string]string) string {
+// checkExtraFiles refuses an ExtraFiles entry that would shadow a bundled
+// libc file (libc is compiled once, not per program) or replace the program.
+func checkExtraFiles(req Request) error {
+	for name := range req.ExtraFiles {
+		if _, bundled := libc.File(name); bundled {
+			return fmt.Errorf("pipeline: ExtraFiles[%q] would shadow the bundled libc file %s", name, name)
+		}
+		if name == userFile {
+			return fmt.Errorf("pipeline: ExtraFiles[%q] would replace the program, which is compiled as %s", name, name)
+		}
+	}
+	return nil
+}
+
+// digest is a content address: the SHA-256 sum Fingerprint prints in hex.
+type digest [sha256.Size]byte
+
+// address content-addresses req's unit, whose ExtraFiles checkExtraFiles
+// accepted: Fingerprint of the user's file set (userFiles) with the unit it
+// compiles in — its main file, the bundled libc's digest and, for the
+// managed flavor, the hardening — as the main file name. It builds neither
+// the file map nor that name, so a cache hit allocates nothing here.
+func address(req Request) digest {
 	unit := userFile
 	if req.Flavor == FlavorManaged {
 		unit = libc.UnitFile
 		if req.Hardened {
-			unit += "+hardened"
+			unit = libc.UnitFile + "+hardened"
 		}
 	}
-	return Fingerprint(unit+"\x00"+libcDigest(), files)
+	// At most this many ExtraFiles are sorted without allocating.
+	const stackNames = 8
+	var buf [stackNames + 1]string
+	names := append(buf[:0], userFile)
+	for name := range req.ExtraFiles {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return unitDigest([]string{unit, "\x00", libcDigest()}, names, func(name string) string {
+		if name == userFile {
+			return req.Source
+		}
+		return req.ExtraFiles[name]
+	})
 }
 
 // libcDigest content-addresses the bundled libc, once per process.
@@ -191,20 +220,43 @@ func Fingerprint(mainFile string, files map[string]string) string {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	d := unitDigest([]string{mainFile}, names, func(name string) string { return files[name] })
+	return hex.EncodeToString(d[:])
+}
+
+// unitDigest is Fingerprint's SHA-256: the main file name, given as the
+// concatenation of mainParts, then each of the sorted names and its
+// contents, every string framed by its length. It copies none of them.
+func unitDigest(mainParts, names []string, contents func(name string) string) digest {
 	h := sha256.New()
 	var lenBuf [8]byte
-	writeFramed := func(s string) {
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(s)))
+	writeLen := func(n int) {
+		binary.LittleEndian.PutUint64(lenBuf[:], uint64(n))
 		h.Write(lenBuf[:])
-		h.Write([]byte(s))
 	}
-	writeFramed(mainFile)
+	n := 0
+	for _, part := range mainParts {
+		n += len(part)
+	}
+	writeLen(n)
+	for _, part := range mainParts {
+		h.Write(bytesOf(part))
+	}
 	for _, name := range names {
-		writeFramed(name)
-		writeFramed(files[name])
+		src := contents(name)
+		writeLen(len(name))
+		h.Write(bytesOf(name))
+		writeLen(len(src))
+		h.Write(bytesOf(src))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	var d digest
+	h.Sum(d[:0])
+	return d
 }
+
+// bytesOf views s as bytes without copying it. Only for a hash's Write,
+// which reads its argument and keeps none of it.
+func bytesOf(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // NativeOpt is the native-side optimization stage. It mutates mod in place,
 // so the cache only ever runs it on a private clone. Level 0 still applies
@@ -350,8 +402,24 @@ type cell[T any] struct {
 	stages []StageTiming
 }
 
-// entry is a cached module.
-type entry = cell[*ir.Module]
+// entry is a cached module under its key.
+type entry struct {
+	cell[*ir.Module]
+	key Key
+}
+
+// slot is a cache map's key: a Key with its hash as the digest, which a
+// lookup computes without printing it.
+type slot struct {
+	sum      digest
+	flavor   Flavor
+	optLevel int
+}
+
+// key is s as a Key.
+func (s slot) key() Key {
+	return Key{Hash: hex.EncodeToString(s.sum[:]), Flavor: s.flavor, OptLevel: s.optLevel}
+}
 
 // Cache is a concurrency-safe, content-addressed module cache. Concurrent
 // requests for the same Key are coalesced: one goroutine compiles, the rest
@@ -368,8 +436,8 @@ type entry = cell[*ir.Module]
 // Release keeps them, and Reset drops them.
 type Cache struct {
 	mu       sync.Mutex
-	frontend map[Key]*entry // OptLevel field fixed to frontendLevel
-	modules  map[Key]*entry
+	frontend map[slot]*entry // optLevel fixed to frontendLevel
+	modules  map[slot]*entry
 	prefixes [2]*cell[*cc.Prefix] // indexed by Request.Hardened
 	// buildPrefix builds a libc prefix: the package's buildPrefix, which
 	// tests replace.
@@ -384,7 +452,7 @@ const frontendLevel = -1
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{frontend: map[Key]*entry{}, modules: map[Key]*entry{}, buildPrefix: buildPrefix}
+	return &Cache{frontend: map[slot]*entry{}, modules: map[slot]*entry{}, buildPrefix: buildPrefix}
 }
 
 // Default is the process-wide cache the sulong facade compiles through.
@@ -392,27 +460,27 @@ var Default = NewCache()
 
 // normalizeKey canonicalizes a request's cache coordinates so equivalent
 // requests land on the same entry.
-func normalizeKey(req Request, hash string) Key {
-	k := Key{Hash: hash, Flavor: req.Flavor, OptLevel: req.OptLevel}
+func normalizeKey(req Request, sum digest) slot {
+	k := slot{sum: sum, flavor: req.Flavor, optLevel: req.OptLevel}
 	if req.Flavor == FlavorManaged {
-		k.OptLevel = 0 // Safe Sulong always runs unoptimized IR
-	} else if k.OptLevel >= 2 {
-		k.OptLevel = 3
+		k.optLevel = 0 // Safe Sulong always runs unoptimized IR
+	} else if k.optLevel >= 2 {
+		k.optLevel = 3
 	} else {
-		k.OptLevel = 0
+		k.optLevel = 0
 	}
 	return k
 }
 
 // lookup finds or creates an entry in m. It reports whether the caller must
 // fill the entry.
-func (c *Cache) lookup(m map[Key]*entry, k Key) (*entry, bool) {
+func (c *Cache) lookup(m map[slot]*entry, k slot) (*entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := m[k]; ok {
 		return e, false
 	}
-	e := &entry{ready: make(chan struct{})}
+	e := &entry{cell: cell[*ir.Module]{ready: make(chan struct{})}, key: k.key()}
 	m[k] = e
 	return e, true
 }
@@ -464,11 +532,11 @@ func (c *Cache) prefix(hardened bool) (*cc.Prefix, []StageTiming, error) {
 
 // frontendModule returns the shared post-lower (pre-opt) module for req,
 // compiling it at most once per (hash, flavor).
-func (c *Cache) frontendModule(req Request, hash string) (*entry, error) {
-	fk := Key{Hash: hash, Flavor: req.Flavor, OptLevel: frontendLevel}
+func (c *Cache) frontendModule(req Request, sum digest) (*entry, error) {
+	fk := slot{sum: sum, flavor: req.Flavor, optLevel: frontendLevel}
 	e, fillIt := c.lookup(c.frontend, fk)
 	if fillIt {
-		fill(c, e, func() { delete(c.frontend, fk) }, func() (*ir.Module, []StageTiming, error) { return compile(req, c.prefix, false) })
+		fill(c, &e.cell, func() { delete(c.frontend, fk) }, func() (*ir.Module, []StageTiming, error) { return compile(req, c.prefix, false) })
 	}
 	<-e.ready
 	return e, e.err
@@ -479,35 +547,44 @@ func (c *Cache) frontendModule(req Request, hash string) (*entry, error) {
 // goroutine runs the missing stages while concurrent requests for the same
 // key wait and then count as hits of the freshly published entry.
 func (c *Cache) Compile(req Request) (*Result, error) {
-	files, err := userFiles(req)
+	// Small enough to inline, so a caller that keeps only the module does
+	// not allocate the Result.
+	res, err := c.resolve(req)
 	if err != nil {
 		return nil, err
 	}
-	hash := address(req, files)
-	key := normalizeKey(req, hash)
+	return &res, nil
+}
 
-	e, fillIt := c.lookup(c.modules, key)
+// resolve is Compile's lookup and build.
+func (c *Cache) resolve(req Request) (Result, error) {
+	if err := checkExtraFiles(req); err != nil {
+		return Result{}, err
+	}
+	k := normalizeKey(req, address(req))
+
+	e, fillIt := c.lookup(c.modules, k)
 	if !fillIt {
 		<-e.ready
 		if e.err != nil {
-			return nil, e.err
+			return Result{}, e.err
 		}
 		c.hits.Add(1)
-		return &Result{Module: e.val, Key: key, CacheHit: true}, nil
+		return Result{Module: e.val, Key: e.key, CacheHit: true}, nil
 	}
 
 	c.misses.Add(1)
-	fill(c, e, func() { c.drop(key) }, func() (*ir.Module, []StageTiming, error) { return c.build(req, hash, key) })
+	fill(c, &e.cell, func() { c.drop(k) }, func() (*ir.Module, []StageTiming, error) { return c.build(req, k) })
 	if e.err != nil {
-		return nil, e.err
+		return Result{}, e.err
 	}
-	return &Result{Module: e.val, Key: key, Stages: e.stages}, nil
+	return Result{Module: e.val, Key: e.key, Stages: e.stages}, nil
 }
 
 // build runs the stages a miss needs: the (possibly cached) front end,
 // then — for optimized native flavors — a clone + native-opt + verify.
-func (c *Cache) build(req Request, hash string, key Key) (*ir.Module, []StageTiming, error) {
-	fe, err := c.frontendModule(req, hash)
+func (c *Cache) build(req Request, k slot) (*ir.Module, []StageTiming, error) {
+	fe, err := c.frontendModule(req, k.sum)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -520,7 +597,7 @@ func (c *Cache) build(req Request, hash string, key Key) (*ir.Module, []StageTim
 	// shared front-end module stays pristine.
 	t0 := time.Now()
 	mod := fe.val.Clone()
-	NativeOpt(mod, key.OptLevel)
+	NativeOpt(mod, k.optLevel)
 	stages = append(stages, StageTiming{Stage: StageNativeOpt, Duration: time.Since(t0)})
 	t0 = time.Now()
 	if verr := ir.Verify(mod); verr != nil {
@@ -569,9 +646,9 @@ func (c *Cache) Release(mod *ir.Module) {
 // once that is filled: a native-flavor module is built from a clone of the
 // front end's, so the front-end entry is found by key, not by module.
 // Callers hold c.mu.
-func (c *Cache) drop(k Key) {
+func (c *Cache) drop(k slot) {
 	delete(c.modules, k)
-	fk := Key{Hash: k.Hash, Flavor: k.Flavor, OptLevel: frontendLevel}
+	fk := slot{sum: k.sum, flavor: k.flavor, optLevel: frontendLevel}
 	if fe, ok := c.frontend[fk]; ok {
 		select {
 		case <-fe.ready:
@@ -586,8 +663,8 @@ func (c *Cache) drop(k Key) {
 // again, as the first one of a process does.
 func (c *Cache) Reset() {
 	c.mu.Lock()
-	c.frontend = map[Key]*entry{}
-	c.modules = map[Key]*entry{}
+	c.frontend = map[slot]*entry{}
+	c.modules = map[slot]*entry{}
 	c.prefixes = [2]*cell[*cc.Prefix]{}
 	c.mu.Unlock()
 	c.hits.Store(0)
@@ -595,4 +672,10 @@ func (c *Cache) Reset() {
 }
 
 // Compile resolves req through the process-wide Default cache.
-func Compile(req Request) (*Result, error) { return Default.Compile(req) }
+func Compile(req Request) (*Result, error) {
+	res, err := Default.resolve(req)
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
+}

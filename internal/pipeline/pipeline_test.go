@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/ir"
+	"repro/internal/libc"
 )
 
 const testSrc = `#include <stdio.h>
@@ -249,6 +251,63 @@ func TestFingerprintFraming(t *testing.T) {
 	if Fingerprint("a.c", map[string]string{"a.c": "x", "b.c": "x"}) ==
 		Fingerprint("b.c", map[string]string{"a.c": "x", "b.c": "x"}) {
 		t.Error("main file must be part of the address")
+	}
+}
+
+// TestCacheKeysStable pins the content addresses of a fixed file set to
+// golden digests: Fingerprint's, and the cache key address gives each
+// flavor and hardening with and without ExtraFiles (native keys ignore the
+// hardening), so a rewrite of how keys are hashed cannot move one. The
+// keys frame the bundled libc's digest, pinned too: an edit to libc moves
+// libcDigest and every key with it.
+func TestCacheKeysStable(t *testing.T) {
+	if got, want := Fingerprint("m.c", map[string]string{"m.c": "int main;", "x.h": "#define X 1\n"}),
+		"fd90bb456dfe7fc1f84bf79a9252be64dfbee25105c01f74ca802b3d2a50f443"; got != want {
+		t.Errorf("Fingerprint = %s, want %s", got, want)
+	}
+	if got, want := libcDigest(), "6eb0bf20045220f0a12ada427e07821f359a9d7d4d8feb04ad8be7713f20c6cc"; got != want {
+		t.Fatalf("libcDigest = %s, want %s: the bundled libc changed, so every key below moved", got, want)
+	}
+	const src = "#include \"cfg.h\"\n#include <stdio.h>\nint main(void) { printf(\"%d\\n\", LIMIT); return 0; }\n"
+	extra := map[string]string{"cfg.h": "#define LIMIT 7\n", "util/a.h": "int a;\n"}
+	for _, tc := range []struct {
+		flavor   Flavor
+		hardened bool
+		extra    map[string]string
+		want     string
+	}{
+		{FlavorManaged, false, nil, "574a1d7b14f81d94d85c279448fa232d5acf168a76db35c4ea0f58632b6fd9c7"},
+		{FlavorManaged, false, extra, "4204d73ca77313634bd143ee0787ca01eebddcf1004f62f2367c83091f1a4a82"},
+		{FlavorManaged, true, nil, "19bb3a17a73806149213cf95d2932a38d625623d55e5bcc5aba94e2797fe0c9d"},
+		{FlavorManaged, true, extra, "795a02404aa92d02fbfbb4ea67f570aba7927d7af590518fa2be36ce8f74f378"},
+		{FlavorNative, false, nil, "c2bec90411eeaaad90f204968dc134495b4592a2c93c6eb5288b96ab10dee398"},
+		{FlavorNative, false, extra, "a7b9fb8dfd37cd379fbea24ed5446f8ad3e597d7507260994b8515fd34bc698b"},
+		{FlavorNative, true, nil, "c2bec90411eeaaad90f204968dc134495b4592a2c93c6eb5288b96ab10dee398"},
+		{FlavorNative, true, extra, "a7b9fb8dfd37cd379fbea24ed5446f8ad3e597d7507260994b8515fd34bc698b"},
+	} {
+		req := Request{Source: src, ExtraFiles: tc.extra, Flavor: tc.flavor, Hardened: tc.hardened}
+		where := fmt.Sprintf("%v hardened=%v extra=%v", tc.flavor, tc.hardened, tc.extra != nil)
+		sum := address(req)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s: address = %s, want %s", where, got, tc.want)
+		}
+		files, err := userFiles(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit := userFile
+		if tc.flavor == FlavorManaged {
+			unit = libc.UnitFile
+			if tc.hardened {
+				unit += "+hardened"
+			}
+		}
+		if got := Fingerprint(unit+"\x00"+libcDigest(), files); got != tc.want {
+			t.Errorf("%s: Fingerprint of the unit's files = %s, want %s", where, got, tc.want)
+		}
+		if n := testing.AllocsPerRun(10, func() { address(req) }); n != 0 {
+			t.Errorf("%s: address allocates %.0f times, want 0", where, n)
+		}
 	}
 }
 

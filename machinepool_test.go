@@ -51,24 +51,69 @@ int main(int argc, char **argv) {
 }
 `
 
-// TestNativeReuseCacheParity runs every corpus case, and staleToolState,
-// under every native column and plan twice through the pool. Run 1 dirties
-// the machine with another plan, other arguments and other stdin; run 2
-// takes that machine back from the pool and must equal a NoCache run on a
-// fresh machine in every observable Outcome.Diff compares, memcheck's leaks
-// included.
+// stalePages is a program whose clean run reads memory and shadow a run
+// with arguments left behind. That run fills a global, a stack buffer and
+// a heap block (a page each at least), prints one byte of each to show the
+// writes landed, and keeps a 2000-byte block live: its A-bits addressable
+// under memcheck, its redzones poisoned under ASan. Without arguments, the
+// program writes the byte after each of the three, so its page is backed
+// again, and reads the byte itself uninitialized, which reads zero on a
+// fresh machine. Then it reads past a small block allocated where the
+// large one was: at q[100], which only the large block's stale A-bits make
+// addressable to memcheck, and at q[2005], in the large block's right
+// redzone, which a fresh ASan never shadowed (Fig. 14's blind spot).
+const stalePages = `#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+char table[6000];
+int main(int argc, char **argv) {
+	char buf[4096];
+	char *h = malloc(4096), *q;
+	int sum;
+	if (!h)
+		return 2;
+	if (argc > 1) {
+		memset(table, 'G', sizeof table);
+		memset(buf, 'S', sizeof buf);
+		memset(h, 'H', 4096);
+		if ((q = malloc(2000)))
+			memset(q, 'K', 2000);
+		printf("dirtied %c%c%c\n", table[5000], buf[100], h[100]);
+		return 0;
+	}
+	table[5001] = buf[101] = h[101] = 1;
+	printf("%d %d %d\n", table[5000], buf[100], h[100]);
+	if (!(q = malloc(16)))
+		return 3;
+	sum = q[100];
+	sum += q[2005];
+	printf("%d\n", sum);
+	return 0;
+}
+`
+
+// TestNativeReuseCacheParity runs every corpus case, staleToolState and
+// stalePages under every native column and plan twice through the pool.
+// Run 1 dirties the machine with another plan, other arguments and other
+// stdin; run 2 takes that machine back from the pool and must equal a
+// NoCache run on a fresh machine in every observable Outcome.Diff compares,
+// memcheck's leaks included.
 func TestNativeReuseCacheParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus sweep skipped in -short mode")
 	}
 	// What run 1 left behind, per column: stdout, live heap blocks, freed
-	// blocks (ASan's quarantine and freed poison) and laid-out globals.
-	type dirt struct{ stdout, live, freed, globals int }
+	// blocks (ASan's quarantine and freed poison), laid-out globals,
+	// written heap, global and stack pages that run 2 reads uninitialized
+	// (stalePages' "dirtied" line), and, under a tool, the shadow of the
+	// large block stalePages keeps live, which run 2 reads past a small one.
+	type dirt struct{ stdout, live, freed, globals, pages, shadow int }
 	dirty := map[string]*dirt{}
 	for _, col := range nativeColumns {
 		dirty[col.name] = &dirt{}
 	}
-	for _, c := range append(corpus.All(), corpus.Case{Name: "stale-tool-state", Source: staleToolState}) {
+	extra := []corpus.Case{{Name: "stale-tool-state", Source: staleToolState}, {Name: "stale-pages", Source: stalePages}}
+	for _, c := range append(corpus.All(), extra...) {
 		for _, col := range nativeColumns {
 			base := sulong.Config{Engine: col.engine, OptLevel: col.opt, MaxSteps: harness.DefaultMaxSteps}
 			mod, err := sulong.CompileFor(c.Source, base)
@@ -104,6 +149,12 @@ func TestNativeReuseCacheParity(t *testing.T) {
 				if len(mod.Globals) > 0 {
 					d.globals++
 				}
+				if strings.Contains(res1.Stdout, "dirtied GSH\n") {
+					d.pages++
+				}
+				if col.engine != sulong.EngineNative && strings.Contains(res1.Stdout, "dirtied GSH\n") && res1.Stats.HeapInUseBytes == 4096+2000 {
+					d.shadow++
+				}
 
 				cfg := base
 				cfg.Args = c.Args
@@ -125,12 +176,17 @@ func TestNativeReuseCacheParity(t *testing.T) {
 	}
 	// The dirtying runs must have dirtied what Reset rebuilds, in every
 	// column, or the parity above shows nothing.
+	shadowed := 0
 	for _, col := range nativeColumns {
 		d := dirty[col.name]
-		if d.stdout == 0 || d.live == 0 || d.freed == 0 || d.globals == 0 {
-			t.Errorf("%s: dirtying runs left stdout %d, live heap %d, freed blocks %d, globals %d times; want each > 0",
-				col.name, d.stdout, d.live, d.freed, d.globals)
+		if d.stdout == 0 || d.live == 0 || d.freed == 0 || d.globals == 0 || d.pages == 0 {
+			t.Errorf("%s: dirtying runs left stdout %d, live heap %d, freed blocks %d, globals %d, written pages %d times; want each > 0",
+				col.name, d.stdout, d.live, d.freed, d.globals, d.pages)
 		}
+		shadowed += d.shadow
+	}
+	if shadowed == 0 {
+		t.Error("no dirtying run left a live block's shadow behind under a tool")
 	}
 }
 

@@ -456,8 +456,7 @@ func runManaged(mod *ir.Module, cfg Config, gov *core.Governor) (Result, error) 
 	if cfg.JIT {
 		tier = "tier-1"
 	}
-	var bug *core.BugError
-	if asBug(err, &bug) {
+	if bug, ok := asBug(err); ok {
 		res.Bug, err = bug, nil
 	}
 	res.collectDiagnostics("SafeSulong", tier)
@@ -475,9 +474,13 @@ func (r *Result) collectDiagnostics(tool, tier string) {
 	}
 }
 
-// asBug reports whether err is, or wraps, a *core.BugError — including
-// multi-error wrappers (errors.Join), which the old hand-rolled unwrap loop
-// could not traverse.
-func asBug(err error, out **core.BugError) bool {
-	return errors.As(err, out)
+// asBug returns the *core.BugError err is or wraps — including through
+// multi-error wrappers (errors.Join) — and whether there is one. A bare
+// bug, the common case, costs no allocation.
+func asBug(err error) (*core.BugError, bool) {
+	if bug, ok := err.(*core.BugError); ok {
+		return bug, true
+	}
+	var bug *core.BugError
+	return bug, errors.As(err, &bug)
 }
